@@ -1,12 +1,13 @@
 """Buffer-aided bidirectional relay network simulator.
 
 A three-node network (two users exchanging data through a half-duplex
-decode-and-forward relay with two buffers) simulated slot by slot under
-adaptive mode selection with optimal power allocation, plus fixed-schedule
-and fixed-power baselines for comparison.
+decode-and-forward relay with two buffers) simulated under adaptive mode
+selection with optimal power allocation, plus fixed-schedule and
+fixed-power baselines for comparison. Every protocol decides a whole
+fading trace at once and the engine solves the buffer recursion over it.
 """
 
-from .benchmarks import BenchmarkConfig, PreparedBenchmark, fixed_power_policy, tdbc_policy
+from .benchmarks import BenchmarkConfig, fixed_power_policy, tdbc_policy
 from .calibrate import (
     CalibrationConfig,
     CalibrationResult,
@@ -15,14 +16,14 @@ from .calibrate import (
     evaluate_thresholds,
 )
 from .channel import ChannelState, ChannelTrace, FadingStatistics, empirical_means, sample_trace
-from .engine import ProtocolPolicy, QueueState, RateReport, SlotFlows, run, step
+from .engine import PreparedPolicy, ProtocolPolicy, QueueState, RateReport, run
 from .oracle import GridSpec, ScanPoint, grid_max_metric, t_sweep, threshold_region_scan
 from .policy import (
     ModePowers,
     SelectionMetrics,
-    SlotDecision,
     Thresholds,
-    decide_slot,
+    TraceDecisions,
+    decide_trace,
     mode_powers,
     optimal_time_share,
     proposed_policy,
@@ -44,19 +45,18 @@ __all__ = [
     "LinkCapacities",
     "ModePowers",
     "PowerTriple",
-    "PreparedBenchmark",
+    "PreparedPolicy",
     "ProtocolPolicy",
     "QueueState",
     "RateReport",
     "ScanPoint",
     "SelectionMetrics",
-    "SlotDecision",
-    "SlotFlows",
     "ThresholdEvaluation",
     "Thresholds",
+    "TraceDecisions",
     "calibrate",
     "cap",
-    "decide_slot",
+    "decide_trace",
     "empirical_means",
     "evaluate_thresholds",
     "fixed_power_policy",
@@ -69,7 +69,6 @@ __all__ = [
     "sample_trace",
     "select_mode",
     "selection_metrics",
-    "step",
     "t_sweep",
     "tdbc_policy",
     "threshold_region_scan",

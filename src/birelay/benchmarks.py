@@ -32,25 +32,24 @@ calibrated with the shared coordinate search from the calibrate module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .calibrate import _solve_gamma, balance_duals
-from .channel import ChannelState, ChannelTrace
-from .engine import QueueState
-from .policy import SlotDecision, _broadcast_power, _cap, _ma_split, _wf_power
-from .rate import PowerTriple, link_capacities
+from .channel import ChannelTrace, check_real
+from .engine import PreparedPolicy
+from .policy import TraceDecisions, _broadcast_power, _cap, _ma_split, _wf_power
 
-__all__ = ["KINDS", "BenchmarkConfig", "PreparedBenchmark", "tdbc_policy", "fixed_power_policy"]
+__all__ = ["KINDS", "BenchmarkConfig", "tdbc_policy", "fixed_power_policy"]
 
 KINDS = ("tdbc_no_pa", "tdbc_pa", "fixed_power_six_mode", "fixed_power_three_mode")
 
 _EPS = 1e-12
 
-# fixed cycle position -> mode: uplink 1, uplink 2, broadcast
-_TDBC_MODES = {1: 1, 2: 2, 0: 6}
+# fixed cycle position (slot index mod 3) -> mode: broadcast, uplink 1, uplink 2
+_TDBC_MODES = np.array([6, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -66,25 +65,16 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.p_total <= 0.0:
-            raise ValueError("power budget must be positive")
-        if self.fixed_power is not None and self.fixed_power <= 0.0:
-            raise ValueError("fixed_power must be positive")
-        if self.thresholds is not None and not all(0.0 < m < 1.0 for m in self.thresholds):
-            raise ValueError("thresholds must lie strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class PreparedBenchmark:
-    """A ready-to-run benchmark policy with whatever it calibrated."""
-
-    kind: str
-    decide: Callable[[ChannelState, QueueState], SlotDecision]
-    mu1: float | None
-    mu2: float | None
-    gamma: float | None
-    fixed_power: float | None
-    converged: bool
+        check_real("power budget", self.p_total, positive=True)
+        if self.fixed_power is not None:
+            check_real("fixed_power", self.fixed_power, positive=True)
+        if self.thresholds is not None:
+            if len(self.thresholds) != 2:
+                raise ValueError("thresholds must be a pair (mu1, mu2)")
+            for m in self.thresholds:
+                check_real("threshold", m, positive=True)
+                if not m < 1.0:
+                    raise ValueError("thresholds must lie strictly inside (0, 1)")
 
 
 def _tdbc_frame_rates(
@@ -110,59 +100,53 @@ def _tdbc_frame_rates(
     return up1, up2
 
 
+def _tdbc_decisions(s1, s2, p_total: float, gamma: float | None) -> TraceDecisions:
+    """The fixed cycle over a whole trace: every active node at the full
+    budget when gamma is None, water-filled at price gamma otherwise."""
+    n = len(s1)
+    if gamma is None:
+        p_user1 = p_user2 = p_relay = np.full(n, p_total)
+    else:
+        p_user1 = _wf_power(1.0, gamma, s1)
+        p_user2 = _wf_power(1.0, gamma, s2)
+        p_relay = _broadcast_power(s1, s2, 1.0, 1.0, gamma)
+    up1, up2 = _tdbc_frame_rates(s1, s2, p_user1, p_user2, p_relay)
+    cycle = np.arange(1, n + 1) % 3
+    bc = cycle == 0
+    return TraceDecisions(
+        mode=_TDBC_MODES[cycle],
+        power=np.where(cycle == 1, p_user1, np.where(cycle == 2, p_user2, p_relay)),
+        up1=up1,
+        up2=up2,
+        down1=np.where(bc, _cap(p_relay * s1), 0.0),
+        down2=np.where(bc, _cap(p_relay * s2), 0.0),
+    )
+
+
 def tdbc_policy(
     cfg: BenchmarkConfig, trace: ChannelTrace, tol_power: float = 0.005
-) -> PreparedBenchmark:
+) -> PreparedPolicy:
     """Prepare a fixed-cycle policy; the PA variant bisects its shared
     water-filling price on the given trace. Both variants cap each uplink
     slot's rate at its frame's broadcast-slot capacity, since the cycle
     carries nothing across frames."""
     if cfg.kind not in ("tdbc_no_pa", "tdbc_pa"):
         raise ValueError("not a fixed-cycle benchmark kind")
-    s1, s2 = trace.s1, trace.s2
-    n = len(trace)
-
     if cfg.kind == "tdbc_no_pa":
-        p_user1 = p_user2 = p_relay = np.full(n, cfg.p_total)
         gamma, fixed, converged = None, cfg.p_total, True
     else:
-        cycle = np.arange(1, n + 1) % 3
 
         def power_resid(g: float) -> float:
-            powers = np.where(
-                cycle == 1,
-                _wf_power(1.0, g, s1),
-                np.where(
-                    cycle == 2,
-                    _wf_power(1.0, g, s2),
-                    _broadcast_power(s1, s2, 1.0, 1.0, g),
-                ),
-            )
-            return (float(powers.mean()) - cfg.p_total) / cfg.p_total
+            spent = float(_tdbc_decisions(trace.s1, trace.s2, cfg.p_total, g).power.mean())
+            return (spent - cfg.p_total) / cfg.p_total
 
-        g, resid = _solve_gamma(power_resid, 1.0, 0.25 * tol_power)
-        p_user1 = _wf_power(1.0, g, s1)
-        p_user2 = _wf_power(1.0, g, s2)
-        p_relay = _broadcast_power(s1, s2, 1.0, 1.0, g)
-        gamma, fixed, converged = g, None, abs(resid) <= tol_power
+        gamma, resid = _solve_gamma(power_resid, 1.0, 0.25 * tol_power)
+        fixed, converged = None, abs(resid) <= tol_power
 
-    up1_rate, up2_rate = _tdbc_frame_rates(s1, s2, p_user1, p_user2, p_relay)
+    def decide(tr: ChannelTrace) -> TraceDecisions:
+        return _tdbc_decisions(tr.s1, tr.s2, cfg.p_total, gamma)
 
-    def decide(ch: ChannelState, queues: QueueState) -> SlotDecision:
-        mode = _TDBC_MODES[ch.slot % 3]
-        i = ch.slot - 1
-        if mode == 1:
-            triple = PowerTriple(float(p_user1[i]), 0.0, 0.0)
-            rates = replace(link_capacities(ch, triple, 0.0), c1r=float(up1_rate[i]))
-        elif mode == 2:
-            triple = PowerTriple(0.0, float(p_user2[i]), 0.0)
-            rates = replace(link_capacities(ch, triple, 0.0), c2r=float(up2_rate[i]))
-        else:
-            triple = PowerTriple(0.0, 0.0, float(p_relay[i]))
-            rates = link_capacities(ch, triple, 0.0)
-        return SlotDecision(mode=mode, powers=triple, t=0.0, rates=rates)
-
-    return PreparedBenchmark(cfg.kind, decide, None, None, gamma, fixed, converged)
+    return PreparedPolicy(cfg.kind, decide, None, None, gamma, fixed, converged)
 
 
 def _fixed_metric_stack(s1, s2, mu1: float, mu2: float, power: float, modes: tuple, t: float):
@@ -187,20 +171,32 @@ def _fixed_metric_stack(s1, s2, mu1: float, mu2: float, power: float, modes: tup
     return lams
 
 
-def _fixed_eval(s1, s2, mu1: float, mu2: float, power: float, modes: tuple, t: float):
-    """Vectorized unclipped accounting of the fixed-power selection."""
+def _fixed_eval(
+    s1, s2, mu1: float, mu2: float, power: float, modes: tuple, t: float
+) -> TraceDecisions:
+    """Fixed-power selection over a whole trace: the candidate mode with the
+    largest dual-weighted rate in each slot, ties to the lowest mode."""
     lams = _fixed_metric_stack(s1, s2, mu1, mu2, power, modes, t)
     stack = np.stack([np.broadcast_to(lams[k], s1.shape) for k in modes])
     mode = np.asarray(modes)[np.argmax(stack, axis=0)]
     c12r, c21r = _ma_split(s1, s2, power, power, t)
-    up1 = np.where(mode == 1, _cap(power * s1), 0.0) + np.where(mode == 3, c12r, 0.0)
-    up2 = np.where(mode == 2, _cap(power * s2), 0.0) + np.where(mode == 3, c21r, 0.0)
-    down1 = np.where((mode == 4) | (mode == 6), _cap(power * s1), 0.0)
-    down2 = np.where((mode == 5) | (mode == 6), _cap(power * s2), 0.0)
-    spent = np.where(mode == 3, 2.0 * power, power)
-    c1 = (float(up1.mean()) - float(down2.mean())) / max(float(down2.mean()), _EPS)
-    c2 = (float(up2.mean()) - float(down1.mean())) / max(float(down1.mean()), _EPS)
-    return c1, c2, float(spent.mean())
+    return TraceDecisions(
+        mode=mode,
+        power=np.where(mode == 3, 2.0 * power, power),
+        up1=np.where(mode == 1, _cap(power * s1), 0.0) + np.where(mode == 3, c12r, 0.0),
+        up2=np.where(mode == 2, _cap(power * s2), 0.0) + np.where(mode == 3, c21r, 0.0),
+        down1=np.where((mode == 4) | (mode == 6), _cap(power * s1), 0.0),
+        down2=np.where((mode == 5) | (mode == 6), _cap(power * s2), 0.0),
+    )
+
+
+def _balance_residuals(dec: TraceDecisions) -> tuple[float, float]:
+    """Relative (inflow - service) of buffers 1 and 2, without clipping."""
+    d1 = float(dec.down1.mean())
+    d2 = float(dec.down2.mean())
+    c1 = (float(dec.up1.mean()) - d2) / max(d2, _EPS)
+    c2 = (float(dec.up2.mean()) - d1) / max(d1, _EPS)
+    return c1, c2
 
 
 def _solve_fixed_power(resid_fn: Callable[[float], float], p_total: float) -> float:
@@ -224,9 +220,11 @@ def fixed_power_policy(
     trace: ChannelTrace,
     tol_rate: float = 0.01,
     max_iters: int = 200,
-) -> PreparedBenchmark:
+) -> PreparedPolicy:
     """Prepare a fixed-power selective policy, calibrating its buffer duals
-    (and, for the six-mode variant, the common power) on the given trace."""
+    (and, for the six-mode variant, the common power) on the given trace.
+    Supplied thresholds are used as given; converged then reports whether
+    they balance both buffers within tol_rate on this trace."""
     if cfg.kind not in ("fixed_power_six_mode", "fixed_power_three_mode"):
         raise ValueError("not a fixed-power benchmark kind")
     modes = (1, 2, 3, 4, 5, 6) if cfg.kind == "fixed_power_six_mode" else (1, 2, 6)
@@ -237,47 +235,32 @@ def fixed_power_policy(
     # interference, which no dual choice can rebalance at vanishing SNR
     t = 0.5
     power_at: dict[tuple[float, float], float] = {}
-    if cfg.fixed_power is not None:
-        base_power = cfg.fixed_power
-    else:
-        base_power = cfg.p_total
+    base_power = cfg.p_total if cfg.fixed_power is None else cfg.fixed_power
 
     def residuals(mu1: float, mu2: float) -> tuple[float, float]:
         if scale_power:
-            power = _solve_fixed_power(
-                lambda p: (_fixed_eval(s1, s2, mu1, mu2, p, modes, t)[2] - cfg.p_total)
-                / cfg.p_total,
-                cfg.p_total,
-            )
+
+            def power_resid(p: float) -> float:
+                spent = float(_fixed_eval(s1, s2, mu1, mu2, p, modes, t).power.mean())
+                return (spent - cfg.p_total) / cfg.p_total
+
+            power = _solve_fixed_power(power_resid, cfg.p_total)
         else:
             power = base_power
         power_at[(mu1, mu2)] = power
-        c1, c2, _ = _fixed_eval(s1, s2, mu1, mu2, power, modes, t)
-        return c1, c2
+        return _balance_residuals(_fixed_eval(s1, s2, mu1, mu2, power, modes, t))
 
     if cfg.thresholds is not None:
         mu1, mu2 = cfg.thresholds
-        residuals(mu1, mu2)
-        converged = True
+        c1, c2 = residuals(mu1, mu2)
+        converged = abs(c1) <= tol_rate and abs(c2) <= tol_rate
     else:
         mu1, mu2, _, _, _, converged = balance_duals(
             residuals, tol_rate=tol_rate, max_points=max_iters
         )
     power = power_at[(mu1, mu2)]
 
-    def decide(ch: ChannelState, queues: QueueState) -> SlotDecision:
-        lams = _fixed_metric_stack(
-            np.float64(ch.s1), np.float64(ch.s2), mu1, mu2, power, modes, t
-        )
-        mode = max(modes, key=lambda k: (float(lams[k]), -k))
-        if mode == 1:
-            triple = PowerTriple(power, 0.0, 0.0)
-        elif mode == 2:
-            triple = PowerTriple(0.0, power, 0.0)
-        elif mode == 3:
-            triple = PowerTriple(power, power, 0.0)
-        else:
-            triple = PowerTriple(0.0, 0.0, power)
-        return SlotDecision(mode=mode, powers=triple, t=t, rates=link_capacities(ch, triple, t))
+    def decide(tr: ChannelTrace) -> TraceDecisions:
+        return _fixed_eval(tr.s1, tr.s2, mu1, mu2, power, modes, t)
 
-    return PreparedBenchmark(cfg.kind, decide, mu1, mu2, None, power, converged)
+    return PreparedPolicy(cfg.kind, decide, mu1, mu2, None, power, converged)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .channel import ChannelTrace, FadingStatistics, sample_trace
+from .channel import ChannelTrace, FadingStatistics, check_int, check_real, sample_trace
 from .engine import QueueState, RateReport
 from .policy import Thresholds, decide_trace, optimal_time_share
 
@@ -60,15 +60,14 @@ class CalibrationConfig:
     max_iters: int = 400
 
     def __post_init__(self) -> None:
-        if self.p_total <= 0.0:
-            raise ValueError("power budget must be positive")
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be >= 1")
+        check_real("power budget", self.p_total, positive=True)
+        check_int("n_slots", self.n_slots, 1)
+        check_int("seed", self.seed, 0)
         for tol in (self.tol_rate, self.tol_power):
-            if not 0.0 < tol <= 0.1:
+            check_real("tolerance", tol, positive=True)
+            if not tol <= 0.1:
                 raise ValueError("tolerances must lie in (0, 0.1]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_int("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)

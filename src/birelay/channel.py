@@ -9,6 +9,8 @@ within a slot.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -21,7 +23,28 @@ __all__ = [
     "sample_trace",
     "empirical_means",
     "dump_csv",
+    "check_real",
+    "check_int",
 ]
+
+
+def check_real(name: str, value, positive: bool = False) -> None:
+    """Reject anything but a finite real number (and, with positive, one
+    above zero). Booleans and strings are not numbers here."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or (positive and not value > 0.0)
+    ):
+        kind = "a positive finite number" if positive else "a finite number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Reject anything but an integer >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +55,8 @@ class FadingStatistics:
     omega2: float
 
     def __post_init__(self) -> None:
-        if not (self.omega1 > 0.0 and self.omega2 > 0.0):
-            raise ValueError("fading means must be positive")
+        check_real("fading mean omega1", self.omega1, positive=True)
+        check_real("fading mean omega2", self.omega2, positive=True)
 
 
 @dataclass(frozen=True)
@@ -88,10 +111,11 @@ def sample_trace(stats: FadingStatistics, n_slots: int, seed: int) -> ChannelTra
 
     Gains come from inverse-CDF sampling, s = -omega*log(1-u), on uniform
     draws from a seeded 64-bit generator, so the trace is a pure function of
-    (stats, n_slots, seed) and is bit-identical across runs and platforms.
+    (stats, n_slots, seed) and is bit-identical across runs on one machine
+    (the last bits of log1p come from the platform's math library).
     """
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
+    check_int("n_slots", n_slots, 1)
+    check_int("seed", seed, 0)
     u = np.random.default_rng(seed).random((2, n_slots))
     s1 = -stats.omega1 * np.log1p(-u[0])
     s2 = -stats.omega2 * np.log1p(-u[1])

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import benchmarks, engine, oracle, policy
 from .calibrate import CalibrationConfig, calibrate
-from .channel import ChannelState, FadingStatistics, sample_trace
+from .channel import ChannelState, FadingStatistics, check_int, check_real, sample_trace
+from .engine import PreparedPolicy
 
 __all__ = ["RunSpec", "run_sweep", "emit", "build_parser", "main"]
 
@@ -66,8 +67,16 @@ class RunSpec:
     tol_power: float = 0.005
 
     def __post_init__(self) -> None:
+        check_real("omega1", self.omega1, positive=True)
+        check_real("omega2", self.omega2, positive=True)
         if not self.pt_db:
             raise ValueError("power sweep is empty")
+        for pt in self.pt_db:
+            _p_total(pt)
+        check_int("n_slots", self.n_slots, 1)
+        check_int("seed", self.seed, 0)
+        for name, tol in (("tol_rate", self.tol_rate), ("tol_power", self.tol_power)):
+            check_real(name, tol, positive=True)
         bad = [p for p in self.protocols if p not in PROTOCOLS]
         if bad:
             raise ValueError(f"unknown protocols: {bad}")
@@ -75,16 +84,22 @@ class RunSpec:
             raise ValueError("format must be csv or json")
 
 
-def _prepare(name: str, spec: RunSpec, p_total: float, trace, cache: dict):
+def _p_total(pt_db) -> float:
+    """Linear power budget of a dB value; the value must be a finite
+    number whose budget a float can hold."""
+    check_real("pt_db", pt_db)
+    try:
+        return 10.0 ** (pt_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"pt_db {pt_db!r} is too large") from None
+
+
+def _prepare(name: str, spec: RunSpec, p_total: float, trace) -> PreparedPolicy:
     """Build the policy for one protocol at one power point, calibrating
-    (and caching per operating point) where the protocol needs it."""
-    key = (name, spec.omega1, spec.omega2, p_total, spec.seed, spec.n_slots)
-    if key in cache:
-        return cache[key]
-    stats = trace.stats
+    it on the sweep's trace where the protocol needs it."""
     if name == "proposed":
         cfg = CalibrationConfig(
-            stats=stats,
+            stats=trace.stats,
             p_total=p_total,
             n_slots=spec.n_slots,
             seed=spec.seed,
@@ -93,37 +108,12 @@ def _prepare(name: str, spec: RunSpec, p_total: float, trace, cache: dict):
         )
         result = calibrate(cfg)
         th = result.thresholds
-        prepared = {
-            "decide": policy.proposed_policy(th, stats),
-            "mu1": th.mu1,
-            "mu2": th.mu2,
-            "gamma": th.gamma,
-            "converged": result.converged,
-        }
-    elif name in ("tdbc_no_pa", "tdbc_pa"):
-        bench = benchmarks.tdbc_policy(
-            benchmarks.BenchmarkConfig(kind=name, p_total=p_total), trace, spec.tol_power
-        )
-        prepared = {
-            "decide": bench.decide,
-            "mu1": bench.mu1,
-            "mu2": bench.mu2,
-            "gamma": bench.gamma,
-            "converged": bench.converged,
-        }
-    else:
-        bench = benchmarks.fixed_power_policy(
-            benchmarks.BenchmarkConfig(kind=name, p_total=p_total), trace, spec.tol_rate
-        )
-        prepared = {
-            "decide": bench.decide,
-            "mu1": bench.mu1,
-            "mu2": bench.mu2,
-            "gamma": bench.gamma,
-            "converged": bench.converged,
-        }
-    cache[key] = prepared
-    return prepared
+        decide = policy.proposed_policy(th, trace.stats)
+        return PreparedPolicy(name, decide, th.mu1, th.mu2, th.gamma, None, result.converged)
+    cfg = benchmarks.BenchmarkConfig(kind=name, p_total=p_total)
+    if name in ("tdbc_no_pa", "tdbc_pa"):
+        return benchmarks.tdbc_policy(cfg, trace, spec.tol_power)
+    return benchmarks.fixed_power_policy(cfg, trace, spec.tol_rate)
 
 
 def run_sweep(spec: RunSpec) -> list[dict]:
@@ -131,13 +121,12 @@ def run_sweep(spec: RunSpec) -> list[dict]:
     protocols share the same fading trace per operating point."""
     stats = FadingStatistics(spec.omega1, spec.omega2)
     trace = sample_trace(stats, spec.n_slots, spec.seed)
-    cache: dict = {}
     rows = []
     for pt_db in spec.pt_db:
-        p_total = 10.0 ** (pt_db / 10.0)
+        p_total = _p_total(pt_db)
         for name in spec.protocols:
-            prepared = _prepare(name, spec, p_total, trace, cache)
-            report = engine.run(trace, prepared["decide"])
+            prepared = _prepare(name, spec, p_total, trace)
+            report = engine.run(trace, prepared.decide)
             row = {
                 "protocol": name,
                 "pt_db": pt_db,
@@ -150,10 +139,10 @@ def run_sweep(spec: RunSpec) -> list[dict]:
             }
             for k in range(6):
                 row[f"freq_m{k + 1}"] = report.mode_freq[k]
-            row["mu1"] = prepared["mu1"]
-            row["mu2"] = prepared["mu2"]
-            row["gamma"] = prepared["gamma"]
-            row["converged"] = prepared["converged"]
+            row["mu1"] = prepared.mu1
+            row["mu2"] = prepared.mu2
+            row["gamma"] = prepared.gamma
+            row["converged"] = prepared.converged
             rows.append(row)
     return rows
 
@@ -244,11 +233,15 @@ def _sweep_spec(args) -> RunSpec:
     if isinstance(pt_list, str):
         pt_db = tuple(float(x) for x in pt_list.split(","))
     elif isinstance(pt_list, (list, tuple)):
+        for x in pt_list:
+            check_real("pt_db", x)
         pt_db = tuple(float(x) for x in pt_list)
     else:
         start = _pick(args, cfg, "pt_db_start", -20.0)
         stop = _pick(args, cfg, "pt_db_stop", 20.0)
         step = _pick(args, cfg, "pt_db_step", 5.0)
+        for name, value in (("pt_db_start", start), ("pt_db_stop", stop), ("pt_db_step", step)):
+            check_real(name, value)
         if step <= 0.0:
             raise ValueError("pt-db-step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -288,10 +281,9 @@ def cmd_calibrate(args) -> int:
     stats = FadingStatistics(
         _pick(args, cfg_file, "omega1", 1.0), _pick(args, cfg_file, "omega2", 1.0)
     )
-    pt_db = _pick(args, cfg_file, "pt_db", 10.0)
     cfg = CalibrationConfig(
         stats=stats,
-        p_total=10.0 ** (pt_db / 10.0),
+        p_total=_p_total(_pick(args, cfg_file, "pt_db", 10.0)),
         n_slots=_pick(args, cfg_file, "slots", 10_000),
         seed=_pick(args, cfg_file, "seed", 1234),
         tol_rate=_pick(args, cfg_file, "tol_rate", 0.01),
@@ -392,6 +384,7 @@ def _verify_lines(draws: int, grid_points: int, seed: int) -> list[tuple[str, bo
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     seed = _pick(args, cfg, "seed", 1234)
+    check_int("seed", seed, 0)
     checks = _verify_lines(args.draws, args.grid_points, seed)
     failures = 0
     for name, passed, detail in checks:

@@ -1,23 +1,28 @@
-"""Slot-by-slot simulation of the relay's two buffers under any policy.
+"""Whole-trace simulation of the relay's two buffers under any policy.
 
-A policy is any callable (ChannelState, QueueState) -> SlotDecision. The
-engine feeds it each slot of a trace, applies the queue dynamics, and
-accumulates average rates, spent power and mode frequencies. Delivered
-downlink rates are clipped to what the buffers actually hold, so a run can
-never deliver bits that were not first received.
+A policy is any callable ChannelTrace -> TraceDecisions. Every protocol
+here decides each slot from that slot's gains and its calibrated constants
+alone, never from the buffer levels, so the engine asks for the whole
+trace's decisions at once. Each buffer then follows Lindley's recursion
+q' = max(q + a - c, 0) (arrivals a, service capacity c), which is solved
+for the whole trace in closed form. Delivered downlink rates are clipped to
+what the buffers actually hold, so a run can never deliver bits that were
+not first received.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .channel import ChannelState, ChannelTrace
-from .policy import SlotDecision
+import numpy as np
 
-__all__ = ["QueueState", "SlotFlows", "RateReport", "ProtocolPolicy", "step", "run"]
+from .channel import ChannelTrace
+from .policy import TraceDecisions
 
-ProtocolPolicy = Callable[[ChannelState, "QueueState"], SlotDecision]
+__all__ = ["QueueState", "RateReport", "ProtocolPolicy", "PreparedPolicy", "run"]
+
+ProtocolPolicy = Callable[[ChannelTrace], TraceDecisions]
 
 
 @dataclass(frozen=True)
@@ -31,52 +36,6 @@ class QueueState:
     def __post_init__(self) -> None:
         if self.q1 < 0.0 or self.q2 < 0.0:
             raise ValueError("queues cannot be negative")
-
-
-class SlotFlows(NamedTuple):
-    """Rates moved in one slot: into buffer 1 / 2, out to user 1 / 2."""
-
-    in1: float
-    in2: float
-    out1: float
-    out2: float
-
-
-def step(queues: QueueState, decision: SlotDecision) -> tuple[QueueState, SlotFlows]:
-    """Apply one slot decision to the buffers.
-
-    Uplink modes add the received rate to their buffer; downlink modes
-    drain min(link capacity, buffer) toward each served user. The broadcast
-    mode serves both users from the buffer levels at the start of the slot.
-    """
-    q1, q2 = queues.q1, queues.q2
-    r = decision.rates
-    in1 = in2 = out1 = out2 = 0.0
-    mode = decision.mode
-    if mode == 1:
-        in1 = r.c1r
-        q1 += in1
-    elif mode == 2:
-        in2 = r.c2r
-        q2 += in2
-    elif mode == 3:
-        in1, in2 = r.c12r, r.c21r
-        q1 += in1
-        q2 += in2
-    elif mode == 4:
-        out1 = min(r.cr1, q2)
-        q2 -= out1
-    elif mode == 5:
-        out2 = min(r.cr2, q1)
-        q1 -= out2
-    elif mode == 6:
-        out1 = min(r.cr1, q2)
-        out2 = min(r.cr2, q1)
-        q2 -= out1
-        q1 -= out2
-    else:
-        raise ValueError(f"unknown mode {mode}")
-    return QueueState(q1, q2), SlotFlows(in1, in2, out1, out2)
 
 
 @dataclass(frozen=True)
@@ -96,31 +55,68 @@ class RateReport:
     n_slots: int
 
 
+@dataclass(frozen=True)
+class PreparedPolicy:
+    """A ready-to-run protocol with the constants it was calibrated to:
+    buffer duals, power price, and common transmit power, each None where
+    the protocol has none."""
+
+    name: str
+    decide: ProtocolPolicy
+    mu1: float | None
+    mu2: float | None
+    gamma: float | None
+    fixed_power: float | None
+    converged: bool
+
+
+def _lindley(arrive: np.ndarray, serve: np.ndarray) -> tuple[float, float, float]:
+    """Arrived total, final level and delivered total of one buffer that
+    starts empty.
+
+    q_k = max(q_{k-1} + a_k - c_k, 0) unrolls to q_k = S_k - min(0, min_{j<=k} S_j)
+    with S = cumsum(a) - cumsum(c); whatever arrived and is not left over
+    was delivered. Taking the two running sums apart keeps a buffer that is
+    never served at exactly zero delivered, and delivered <= arrived holds
+    exactly because the final level is never negative.
+    """
+    arrived = np.cumsum(arrive)
+    s = arrived - np.cumsum(serve)
+    q = float(s[-1] - min(0.0, s.min()))
+    total = float(arrived[-1])
+    return total, q, total - q
+
+
 def run(trace: ChannelTrace, policy: ProtocolPolicy) -> RateReport:
-    """Simulate the whole trace from empty buffers and report averages."""
+    """Simulate the whole trace from empty buffers and report averages.
+
+    Buffer 1 takes up1 in and serves down2; buffer 2 takes up2 in and
+    serves down1. A slot that serves both users serves each from the level
+    its buffer held at the start of the slot.
+    """
     n = len(trace)
     if n == 0:
         raise ValueError("trace is empty")
-    queues = QueueState(0.0, 0.0)
-    in1 = in2 = out1 = out2 = power = 0.0
-    counts = [0, 0, 0, 0, 0, 0]
-    for ch in trace:
-        decision = policy(ch, queues)
-        queues, flows = step(queues, decision)
-        in1 += flows.in1
-        in2 += flows.in2
-        out1 += flows.out1
-        out2 += flows.out2
-        power += decision.powers.p1 + decision.powers.p2 + decision.powers.pr
-        counts[decision.mode - 1] += 1
+    dec = policy(trace)
+    mode = np.asarray(dec.mode)
+    flows = (dec.power, dec.up1, dec.up2, dec.down1, dec.down2)
+    if any(np.shape(a) != (n,) for a in (mode,) + flows):
+        raise ValueError(f"decision arrays must all have the trace length {n}")
+    if not np.issubdtype(mode.dtype, np.integer) or mode.min() < 1 or mode.max() > 6:
+        raise ValueError("modes must be integers in 1..6")
+    if not all(np.all(a >= 0.0) for a in flows):
+        raise ValueError("decided rates and powers must be nonnegative")
+    in1, q1, out2 = _lindley(dec.up1, dec.down2)
+    in2, q2, out1 = _lindley(dec.up2, dec.down1)
+    counts = np.bincount(mode, minlength=7)[1:]
     return RateReport(
         r_1r=in1 / n,
         r_2r=in2 / n,
         r_r1=out1 / n,
         r_r2=out2 / n,
         sum_rate=(out1 + out2) / n,
-        avg_power=power / n,
-        mode_freq=tuple(c / n for c in counts),
-        final_queues=queues,
+        avg_power=float(dec.power.mean()),
+        mode_freq=tuple(int(c) / n for c in counts),
+        final_queues=QueueState(q1, q2),
         n_slots=n,
     )

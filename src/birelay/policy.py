@@ -25,21 +25,18 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelState, FadingStatistics
-from .rate import LinkCapacities, PowerTriple, link_capacities
+from .channel import ChannelState, ChannelTrace, FadingStatistics
 
 __all__ = [
     "SELECTABLE_MODES",
     "Thresholds",
     "ModePowers",
     "SelectionMetrics",
-    "SlotDecision",
     "TraceDecisions",
     "optimal_time_share",
     "mode_powers",
     "selection_metrics",
     "select_mode",
-    "decide_slot",
     "proposed_policy",
     "decide_trace",
 ]
@@ -90,23 +87,16 @@ class SelectionMetrics:
     lambda6: float
 
 
-@dataclass(frozen=True)
-class SlotDecision:
-    """One slot's outcome: chosen mode, spent powers, share t, link rates."""
-
-    mode: int
-    powers: PowerTriple
-    t: float
-    rates: LinkCapacities
-
-
 @dataclass(frozen=True, eq=False)
 class TraceDecisions:
-    """Vectorized slot decisions over a whole trace (no queue clipping).
+    """Slot decisions over a whole trace, one array entry per slot (no
+    queue clipping).
 
-    up1/up2 are the per-slot rates entering relay buffers 1 and 2; down1 and
-    down2 are the broadcast link capacities toward users 1 and 2 in the
-    slots that broadcast (zero elsewhere); power is the total spent power.
+    mode holds each slot's mode (1..6). up1/up2 are the rates entering relay
+    buffers 1 and 2. down1/down2 are the relay's link capacities toward
+    users 1 and 2 in every slot that serves that user: modes 4 and 6 serve
+    user 1 out of buffer 2, modes 5 and 6 serve user 2 out of buffer 1;
+    they are zero elsewhere. power is the total spent power.
     """
 
     mode: np.ndarray = field(repr=False)
@@ -190,14 +180,18 @@ def _mode_power_arrays(s1, s2, mu1: float, mu2: float, gamma: float, t: float):
 
 
 def _ma_split(s1, s2, p1, p2, t: float):
-    """Per-user rates of the multiple-access mode at boundary share t."""
+    """Per-user rates of the multiple-access mode at decoding share t.
+
+    The boundary shares cost two logarithms; an interior share is the
+    affine mix t * (t=1 split) + (1 - t) * (t=0 split).
+    """
     if t == 0.0:
-        c12r = _cap(p1 * s1 / (1.0 + p2 * s2))
-        c21r = _cap(p2 * s2)
-    else:
-        c12r = _cap(p1 * s1)
-        c21r = _cap(p2 * s2 / (1.0 + p1 * s1))
-    return c12r, c21r
+        return _cap(p1 * s1 / (1.0 + p2 * s2)), _cap(p2 * s2)
+    if t == 1.0:
+        return _cap(p1 * s1), _cap(p2 * s2 / (1.0 + p1 * s1))
+    c12r_0, c21r_0 = _ma_split(s1, s2, p1, p2, 0.0)
+    c12r_1, c21r_1 = _ma_split(s1, s2, p1, p2, 1.0)
+    return t * c12r_1 + (1.0 - t) * c12r_0, (1.0 - t) * c21r_0 + t * c21r_1
 
 
 def _metric_arrays(s1, s2, mu1, mu2, gamma, t, powers):
@@ -255,31 +249,16 @@ def select_mode(metrics: SelectionMetrics) -> int:
     return SELECTABLE_MODES[best]
 
 
-def decide_slot(ch: ChannelState, th: Thresholds, stats: FadingStatistics) -> SlotDecision:
-    """Full per-slot decision: mode, spent powers and resulting link rates."""
-    t = optimal_time_share(stats)
-    powers = mode_powers(ch, th, stats)
-    metrics = selection_metrics(ch, th, powers, t)
-    mode = select_mode(metrics)
-    if mode == 1:
-        triple = PowerTriple(powers.p1_m1, 0.0, 0.0)
-    elif mode == 2:
-        triple = PowerTriple(0.0, powers.p2_m2, 0.0)
-    elif mode == 3:
-        triple = PowerTriple(powers.p1_m3, powers.p2_m3, 0.0)
-    else:
-        triple = PowerTriple(0.0, 0.0, powers.pr_m6)
-    return SlotDecision(mode=mode, powers=triple, t=t, rates=link_capacities(ch, triple, t))
-
-
 def proposed_policy(
     th: Thresholds, stats: FadingStatistics
-) -> Callable[[ChannelState, object], SlotDecision]:
-    """Wrap calibrated thresholds as a per-slot policy (queues are ignored:
-    buffer balance is enforced through the duals, not per-slot state)."""
+) -> Callable[[ChannelTrace], TraceDecisions]:
+    """Wrap calibrated thresholds as a whole-trace policy. Each slot's
+    decision depends on its own gains only: buffer balance is enforced
+    through the duals, not through the buffer levels."""
+    t = optimal_time_share(stats)
 
-    def _decide(ch: ChannelState, queues: object) -> SlotDecision:
-        return decide_slot(ch, th, stats)
+    def _decide(trace: ChannelTrace) -> TraceDecisions:
+        return decide_trace(trace.s1, trace.s2, th.mu1, th.mu2, th.gamma, t)
 
     return _decide
 

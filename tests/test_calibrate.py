@@ -35,6 +35,15 @@ def test_config_validated():
         _cfg(tol_power=0.2)
     with pytest.raises(ValueError):
         _cfg(max_iters=0)
+    for bad in (
+        dict(p_total=float("nan")),
+        dict(p_total=float("inf")),
+        dict(n_slots="7"),
+        dict(seed=1.5),
+        dict(tol_rate=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            _cfg(**bad)
 
 
 def test_spent_power_monotone_in_price():

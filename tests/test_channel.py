@@ -63,6 +63,12 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         sample_trace(FadingStatistics(1.0, 1.0), 0, 1)
     with pytest.raises(ValueError):
+        sample_trace(FadingStatistics(1.0, 1.0), "7", 1)
+    with pytest.raises(ValueError):
+        FadingStatistics(float("inf"), 1.0)
+    with pytest.raises(ValueError):
+        FadingStatistics(float("nan"), 1.0)
+    with pytest.raises(ValueError):
         ChannelState(0, 1.0, 1.0)
     with pytest.raises(ValueError):
         ChannelState(1, -0.1, 1.0)

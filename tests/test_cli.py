@@ -33,6 +33,17 @@ def test_runspec_validated():
         RunSpec(protocols=("nope",))
     with pytest.raises(ValueError):
         RunSpec(fmt="xml")
+    for bad in (
+        dict(pt_db=(float("inf"),)),
+        dict(pt_db=(0.0, float("nan"))),
+        dict(n_slots="7"),
+        dict(n_slots=7.0),
+        dict(seed=-1),
+        dict(omega1=float("inf")),
+        dict(tol_rate=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            RunSpec(**bad)
 
 
 def test_run_sweep_rows_are_complete(rows800):
@@ -140,6 +151,43 @@ def test_main_rejects_unknown_protocol(tmp_path):
     )
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_main_rejects_nan_budget():
+    # NaN slips past a plain "<= 0" test; it must stop before calibrating
+    rc, out, err = _main(["calibrate", "--pt-db", "nan", "--slots", "200"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_main_rejects_infinite_sweep_point(tmp_path):
+    out_path = tmp_path / "x.csv"
+    # 4000 dB is finite but its linear budget overflows a float
+    for points in ("inf", "0,4000"):
+        rc, _, err = _main(
+            ["sweep", f"--pt-db-list={points}", "--protocols", "tdbc_no_pa", "--slots", "200",
+             "--out", str(out_path)]
+        )
+        assert rc == 2
+        assert err.startswith("error:")
+        assert not out_path.exists()
+    rc, _, err = _main(["calibrate", "--pt-db=4000", "--slots", "200"])
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+def test_main_rejects_mistyped_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"slots": "7"}))
+    for argv in (
+        ["sweep", "--config", str(cfg_path), "--protocols", "tdbc_no_pa"],
+        ["calibrate", "--config", str(cfg_path)],
+    ):
+        rc, out, err = _main(argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_main_verify_smoke():

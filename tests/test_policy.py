@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from birelay.channel import ChannelState, FadingStatistics
+from birelay.channel import ChannelState, FadingStatistics, sample_trace
 from birelay.oracle import GridSpec, grid_max_metric
 from birelay.policy import (
     SELECTABLE_MODES,
     SelectionMetrics,
     Thresholds,
-    decide_slot,
+    _ma_split,
     decide_trace,
     mode_powers,
     optimal_time_share,
@@ -19,6 +19,7 @@ from birelay.policy import (
     select_mode,
     selection_metrics,
 )
+from birelay.rate import PowerTriple, link_capacities
 
 _STATS = FadingStatistics(1.0, 1.0)
 _LN2 = math.log(2.0)
@@ -166,36 +167,44 @@ def test_select_mode_rejects_nan():
         select_mode(SelectionMetrics(0.1, float("nan"), 0.0, 0.0, 0.0, 0.0))
 
 
-def test_decide_slot_consistency():
+def _decide_one(ch, th, stats=_STATS):
+    """decide_trace on a one-slot trace, as Python scalars."""
+    dec = decide_trace(
+        np.array([ch.s1]), np.array([ch.s2]), th.mu1, th.mu2, th.gamma, optimal_time_share(stats)
+    )
+    return int(dec.mode[0]), float(dec.power[0])
+
+
+def test_decide_trace_picks_the_best_metric():
     rng = np.random.default_rng(77)
     th = Thresholds(0.36, 0.41, 0.12)
     for _ in range(300):
         s1, s2 = rng.exponential(1.0, 2)
         ch = ChannelState(1, float(s1), float(s2))
-        dec = decide_slot(ch, th, _STATS)
-        assert dec.mode in SELECTABLE_MODES
+        mode, power = _decide_one(ch, th)
+        assert mode in SELECTABLE_MODES
         powers = mode_powers(ch, th, _STATS)
-        metrics = selection_metrics(ch, th, powers, dec.t)
+        metrics = selection_metrics(ch, th, powers, optimal_time_share(_STATS))
+        assert mode == select_mode(metrics)
         chosen = {1: metrics.lambda1, 2: metrics.lambda2, 3: metrics.lambda3, 6: metrics.lambda6}
-        assert chosen[dec.mode] == max(chosen.values())
-        # the spent powers belong to the chosen mode only
-        if dec.mode == 1:
-            assert (dec.powers.p1, dec.powers.p2, dec.powers.pr) == (powers.p1_m1, 0.0, 0.0)
-        elif dec.mode == 2:
-            assert (dec.powers.p1, dec.powers.p2, dec.powers.pr) == (0.0, powers.p2_m2, 0.0)
-        elif dec.mode == 3:
-            assert (dec.powers.p1, dec.powers.p2) == (powers.p1_m3, powers.p2_m3)
-        else:
-            assert dec.powers.pr == powers.pr_m6
+        assert chosen[mode] == max(chosen.values())
+        # the spent power belongs to the chosen mode only
+        own = {
+            1: powers.p1_m1,
+            2: powers.p2_m2,
+            3: powers.p1_m3 + powers.p2_m3,
+            6: powers.pr_m6,
+        }
+        assert power == own[mode]
 
 
-def test_decide_slot_handles_dead_links():
+def test_decide_trace_handles_dead_links():
     th = Thresholds(0.4, 0.4, 0.2)
-    dec = decide_slot(ChannelState(1, 0.0, 0.0), th, _STATS)
-    assert dec.powers.p1 == dec.powers.p2 == dec.powers.pr == 0.0
-    dec = decide_slot(ChannelState(1, 0.0, 2.0), th, _STATS)
-    assert dec.mode in SELECTABLE_MODES
-    assert dec.powers.p1 == 0.0
+    _, power = _decide_one(ChannelState(1, 0.0, 0.0), th)
+    assert power == 0.0
+    dec = decide_trace(np.array([0.0]), np.array([2.0]), th.mu1, th.mu2, th.gamma, 0.0)
+    assert int(dec.mode[0]) in SELECTABLE_MODES
+    assert dec.up1[0] == 0.0  # nothing can enter buffer 1 over a dead link
 
 
 def test_decide_trace_matches_slot_rule():
@@ -207,29 +216,58 @@ def test_decide_trace_matches_slot_rule():
     t = optimal_time_share(stats)
     dec = decide_trace(s1, s2, th.mu1, th.mu2, th.gamma, t)
     for i in range(300):
-        slot = decide_slot(ChannelState(i + 1, float(s1[i]), float(s2[i])), th, stats)
-        assert slot.mode == int(dec.mode[i])
-        total = slot.powers.p1 + slot.powers.p2 + slot.powers.pr
+        ch = ChannelState(i + 1, float(s1[i]), float(s2[i]))
+        mp = mode_powers(ch, th, stats)
+        mode = select_mode(selection_metrics(ch, th, mp, t))
+        assert mode == int(dec.mode[i])
+        triple = {
+            1: PowerTriple(mp.p1_m1, 0.0, 0.0),
+            2: PowerTriple(0.0, mp.p2_m2, 0.0),
+            3: PowerTriple(mp.p1_m3, mp.p2_m3, 0.0),
+            6: PowerTriple(0.0, 0.0, mp.pr_m6),
+        }[mode]
+        rates = link_capacities(ch, triple, t)
+        total = triple.p1 + triple.p2 + triple.pr
         assert total == pytest.approx(float(dec.power[i]), rel=1e-12, abs=1e-15)
-        if slot.mode == 6:
-            assert float(dec.down1[i]) == pytest.approx(slot.rates.cr1, rel=1e-12)
-            assert float(dec.down2[i]) == pytest.approx(slot.rates.cr2, rel=1e-12)
-        elif slot.mode == 1:
-            assert float(dec.up1[i]) == pytest.approx(slot.rates.c1r, rel=1e-12)
-        elif slot.mode == 2:
-            assert float(dec.up2[i]) == pytest.approx(slot.rates.c2r, rel=1e-12)
-        else:
-            assert float(dec.up1[i]) == pytest.approx(slot.rates.c12r, rel=1e-12)
-            assert float(dec.up2[i]) == pytest.approx(slot.rates.c21r, rel=1e-12)
+        want = {
+            1: (rates.c1r, 0.0, 0.0, 0.0),
+            2: (0.0, rates.c2r, 0.0, 0.0),
+            3: (rates.c12r, rates.c21r, 0.0, 0.0),
+            6: (0.0, 0.0, rates.cr1, rates.cr2),
+        }[mode]
+        got = (dec.up1[i], dec.up2[i], dec.down1[i], dec.down2[i])
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_proposed_policy_ignores_queues():
+    # each slot is decided from its own gains: the decisions on a prefix of
+    # the trace are the prefix of the decisions, so no state carries over
     th = Thresholds(0.4, 0.4, 0.1)
     policy = proposed_policy(th, _STATS)
-    ch = ChannelState(1, 1.2, 0.6)
-    a = policy(ch, None)
-    b = policy(ch, object())
-    assert a == b or (a.mode == b.mode and a.powers == b.powers)
+    trace = sample_trace(_STATS, 500, 3)
+    full = policy(trace)
+    want = decide_trace(trace.s1, trace.s2, th.mu1, th.mu2, th.gamma, 0.0)
+    for name in ("mode", "power", "up1", "up2", "down1", "down2"):
+        assert np.array_equal(getattr(full, name), getattr(want, name))
+    short = decide_trace(trace.s1[:123], trace.s2[:123], th.mu1, th.mu2, th.gamma, 0.0)
+    assert np.array_equal(short.mode, full.mode[:123])
+    assert np.array_equal(short.power, full.power[:123])
+
+
+def test_ma_split_matches_link_capacities():
+    # the trace-level split is the per-slot formula at every share, interior
+    # ones included
+    rng = np.random.default_rng(12)
+    s1, s2 = rng.exponential(1.0, 50), rng.exponential(1.0, 50)
+    p1, p2 = rng.uniform(0.0, 5.0, 50), rng.uniform(0.0, 5.0, 50)
+    for t in (0.0, 0.5, 1.0):
+        c12r, c21r = _ma_split(s1, s2, p1, p2, t)
+        for i in range(50):
+            r = link_capacities(
+                ChannelState(1, s1[i], s2[i]), PowerTriple(p1[i], p2[i], 0.0), t
+            )
+            assert c12r[i] == pytest.approx(r.c12r, rel=1e-14, abs=1e-15)
+            assert c21r[i] == pytest.approx(r.c21r, rel=1e-14, abs=1e-15)
 
 
 def test_optimal_time_share_boundary():
