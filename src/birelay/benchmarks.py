@@ -37,16 +37,23 @@ from typing import Callable
 
 import numpy as np
 
-from .calibrate import _solve_gamma, balance_duals
+from .calibrate import _solve_gamma, balance_duals, match_budget
 from .channel import ChannelTrace, check_real
 from .engine import PreparedPolicy
-from .policy import TraceDecisions, _broadcast_power, _cap, _ma_split, _wf_power
+from .policy import (
+    TraceDecisions,
+    balance_residuals,
+    best_modes,
+    broadcast_power,
+    capacity,
+    ma_split,
+    recip,
+    wf_power,
+)
 
 __all__ = ["KINDS", "BenchmarkConfig", "tdbc_policy", "fixed_power_policy"]
 
 KINDS = ("tdbc_no_pa", "tdbc_pa", "fixed_power_six_mode", "fixed_power_three_mode")
-
-_EPS = 1e-12
 
 # fixed cycle position (slot index mod 3) -> mode: broadcast, uplink 1, uplink 2
 _TDBC_MODES = np.array([6, 1, 2])
@@ -93,10 +100,10 @@ def _tdbc_frame_rates(
     up2 = np.zeros(n)
     i1 = np.flatnonzero(cycle == 1)
     i1 = i1[i1 + 2 < n]
-    up1[i1] = np.minimum(_cap(p_user1[i1] * s1[i1]), _cap(p_relay[i1 + 2] * s2[i1 + 2]))
+    up1[i1] = np.minimum(capacity(p_user1[i1] * s1[i1]), capacity(p_relay[i1 + 2] * s2[i1 + 2]))
     i2 = np.flatnonzero(cycle == 2)
     i2 = i2[i2 + 1 < n]
-    up2[i2] = np.minimum(_cap(p_user2[i2] * s2[i2]), _cap(p_relay[i2 + 1] * s1[i2 + 1]))
+    up2[i2] = np.minimum(capacity(p_user2[i2] * s2[i2]), capacity(p_relay[i2 + 1] * s1[i2 + 1]))
     return up1, up2
 
 
@@ -107,9 +114,9 @@ def _tdbc_decisions(s1, s2, p_total: float, gamma: float | None) -> TraceDecisio
     if gamma is None:
         p_user1 = p_user2 = p_relay = np.full(n, p_total)
     else:
-        p_user1 = _wf_power(1.0, gamma, s1)
-        p_user2 = _wf_power(1.0, gamma, s2)
-        p_relay = _broadcast_power(s1, s2, 1.0, 1.0, gamma)
+        p_user1 = wf_power(1.0, gamma, recip(s1))
+        p_user2 = wf_power(1.0, gamma, recip(s2))
+        p_relay = broadcast_power(s1, s2, 1.0, 1.0, gamma)
     up1, up2 = _tdbc_frame_rates(s1, s2, p_user1, p_user2, p_relay)
     cycle = np.arange(1, n + 1) % 3
     bc = cycle == 0
@@ -118,8 +125,8 @@ def _tdbc_decisions(s1, s2, p_total: float, gamma: float | None) -> TraceDecisio
         power=np.where(cycle == 1, p_user1, np.where(cycle == 2, p_user2, p_relay)),
         up1=up1,
         up2=up2,
-        down1=np.where(bc, _cap(p_relay * s1), 0.0),
-        down2=np.where(bc, _cap(p_relay * s2), 0.0),
+        down1=np.where(bc, capacity(p_relay * s1), 0.0),
+        down2=np.where(bc, capacity(p_relay * s2), 0.0),
     )
 
 
@@ -149,54 +156,32 @@ def tdbc_policy(
     return PreparedPolicy(cfg.kind, decide, None, None, gamma, fixed, converged)
 
 
-def _fixed_metric_stack(s1, s2, mu1: float, mu2: float, power: float, modes: tuple, t: float):
-    """Dual-weighted rates (no power term) of the candidate modes at one
-    common fixed transmit power."""
-    c1r = _cap(power * s1)
-    c2r = _cap(power * s2)
-    lams = {}
-    if 1 in modes:
-        lams[1] = (1.0 - mu1) * c1r
-    if 2 in modes:
-        lams[2] = (1.0 - mu2) * c2r
-    if 3 in modes:
-        c12r, c21r = _ma_split(s1, s2, power, power, t)
-        lams[3] = (1.0 - mu1) * c12r + (1.0 - mu2) * c21r
-    if 4 in modes:
-        lams[4] = mu2 * c1r
-    if 5 in modes:
-        lams[5] = mu1 * c2r
-    if 6 in modes:
-        lams[6] = mu1 * c2r + mu2 * c1r
-    return lams
-
-
 def _fixed_eval(
     s1, s2, mu1: float, mu2: float, power: float, modes: tuple, t: float
 ) -> TraceDecisions:
-    """Fixed-power selection over a whole trace: the candidate mode with the
-    largest dual-weighted rate in each slot, ties to the lowest mode."""
-    lams = _fixed_metric_stack(s1, s2, mu1, mu2, power, modes, t)
-    stack = np.stack([np.broadcast_to(lams[k], s1.shape) for k in modes])
-    mode = np.asarray(modes)[np.argmax(stack, axis=0)]
-    c12r, c21r = _ma_split(s1, s2, power, power, t)
+    """Fixed-power selection over a whole trace: per slot, the candidate mode
+    with the largest dual-weighted rate (no power term), ties to the earliest."""
+    c1r = capacity(power * s1)
+    c2r = capacity(power * s2)
+    c12r, c21r = ma_split(s1, s2, power, power, t) if 3 in modes else (0.0, 0.0)
+    metric = {
+        1: lambda: (1.0 - mu1) * c1r,
+        2: lambda: (1.0 - mu2) * c2r,
+        3: lambda: (1.0 - mu1) * c12r + (1.0 - mu2) * c21r,
+        4: lambda: mu2 * c1r,
+        5: lambda: mu1 * c2r,
+        6: lambda: mu1 * c2r + mu2 * c1r,
+    }
+    mode = best_modes(modes, [metric[k]() for k in modes])
+    is3 = mode == 3
     return TraceDecisions(
         mode=mode,
-        power=np.where(mode == 3, 2.0 * power, power),
-        up1=np.where(mode == 1, _cap(power * s1), 0.0) + np.where(mode == 3, c12r, 0.0),
-        up2=np.where(mode == 2, _cap(power * s2), 0.0) + np.where(mode == 3, c21r, 0.0),
-        down1=np.where((mode == 4) | (mode == 6), _cap(power * s1), 0.0),
-        down2=np.where((mode == 5) | (mode == 6), _cap(power * s2), 0.0),
+        power=np.where(is3, 2.0 * power, power),
+        up1=np.where(mode == 1, c1r, np.where(is3, c12r, 0.0)),
+        up2=np.where(mode == 2, c2r, np.where(is3, c21r, 0.0)),
+        down1=np.where((mode == 4) | (mode == 6), c1r, 0.0),
+        down2=np.where((mode == 5) | (mode == 6), c2r, 0.0),
     )
-
-
-def _balance_residuals(dec: TraceDecisions) -> tuple[float, float]:
-    """Relative (inflow - service) of buffers 1 and 2, without clipping."""
-    d1 = float(dec.down1.mean())
-    d2 = float(dec.down2.mean())
-    c1 = (float(dec.up1.mean()) - d2) / max(d2, _EPS)
-    c2 = (float(dec.up2.mean()) - d1) / max(d1, _EPS)
-    return c1, c2
 
 
 def _solve_fixed_power(resid_fn: Callable[[float], float], p_total: float) -> float:
@@ -238,17 +223,15 @@ def fixed_power_policy(
     base_power = cfg.p_total if cfg.fixed_power is None else cfg.fixed_power
 
     def residuals(mu1: float, mu2: float) -> tuple[float, float]:
+        def at(p: float) -> TraceDecisions:
+            return _fixed_eval(s1, s2, mu1, mu2, p, modes, t)
+
         if scale_power:
-
-            def power_resid(p: float) -> float:
-                spent = float(_fixed_eval(s1, s2, mu1, mu2, p, modes, t).power.mean())
-                return (spent - cfg.p_total) / cfg.p_total
-
-            power = _solve_fixed_power(power_resid, cfg.p_total)
+            power, dec = match_budget(lambda r: _solve_fixed_power(r, cfg.p_total), at, cfg.p_total)
         else:
-            power = base_power
+            power, dec = base_power, at(base_power)
         power_at[(mu1, mu2)] = power
-        return _balance_residuals(_fixed_eval(s1, s2, mu1, mu2, power, modes, t))
+        return balance_residuals(dec)
 
     if cfg.thresholds is not None:
         mu1, mu2 = cfg.thresholds

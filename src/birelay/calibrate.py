@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .channel import ChannelTrace, FadingStatistics, check_int, check_real, sample_trace
 from .engine import QueueState, RateReport
-from .policy import Thresholds, decide_trace, optimal_time_share
+from .policy import Thresholds, TraceDecisions, balance_residuals, decide_trace, optimal_time_share
 
 __all__ = [
     "CalibrationConfig",
@@ -39,9 +41,9 @@ __all__ = [
     "evaluate_thresholds",
     "calibrate",
     "balance_duals",
+    "match_budget",
 ]
 
-_EPS = 1e-12
 _MU_LO = 1e-3
 _MU_HI = 1.0 - 1e-3
 
@@ -110,30 +112,23 @@ def evaluate_thresholds(
         trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
     t = optimal_time_share(cfg.stats)
     dec = decide_trace(trace.s1, trace.s2, th.mu1, th.mu2, th.gamma, t)
+    c1, c2 = balance_residuals(dec)
     n = len(trace)
-    r1 = float(dec.up1.mean())
-    r2 = float(dec.up2.mean())
     d1 = float(dec.down1.mean())
     d2 = float(dec.down2.mean())
     power = float(dec.power.mean())
-    counts = [int((dec.mode == k).sum()) for k in (1, 2, 3, 4, 5, 6)]
     report = RateReport(
-        r_1r=r1,
-        r_2r=r2,
+        r_1r=float(dec.up1.mean()),
+        r_2r=float(dec.up2.mean()),
         r_r1=d1,
         r_r2=d2,
         sum_rate=d1 + d2,
         avg_power=power,
-        mode_freq=tuple(c / n for c in counts),
+        mode_freq=tuple(int(c) / n for c in np.bincount(dec.mode, minlength=7)[1:]),
         final_queues=QueueState(0.0, 0.0),
         n_slots=n,
     )
-    return ThresholdEvaluation(
-        c1=(r1 - d2) / max(d2, _EPS),
-        c2=(r2 - d1) / max(d1, _EPS),
-        c3=(power - cfg.p_total) / cfg.p_total,
-        report=report,
-    )
+    return ThresholdEvaluation(c1=c1, c2=c2, c3=(power - cfg.p_total) / cfg.p_total, report=report)
 
 
 class _BudgetExhausted(Exception):
@@ -308,12 +303,32 @@ def _solve_gamma(
     return gamma, best
 
 
+def match_budget(solve, decide, p_total: float) -> tuple[float, TraceDecisions]:
+    """Spend p_total on average by tuning one scalar x (a power price or a
+    common power): solve(resid) -> x is a root finder over the relative
+    power residual of decide(x). Returns (x, decide(x)), reusing the last
+    probe's decisions when x is that probe; they are released before the
+    next decisions are computed, so at most one set is alive at a time."""
+    held: tuple[float | None, TraceDecisions | None] = (None, None)
+
+    def resid(x: float) -> float:
+        nonlocal held
+        held = (None, None)  # release the previous probe's decisions first
+        held = (x, decide(x))
+        return (float(held[1].power.mean()) - p_total) / p_total
+
+    x = solve(resid)
+    if held[0] == x:
+        return held
+    held = (None, None)
+    return x, decide(x)
+
+
 def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
     """Calibrate (mu1, mu2, gamma) for the slot rule on cfg's trace."""
     trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
     s1, s2 = trace.s1, trace.s2
     t = optimal_time_share(cfg.stats)
-    p_total = cfg.p_total
     warm = {"gamma": 1.0}
     gamma_at: dict[tuple[float, float], float] = {}
     # aim most of a tolerance into inflow deficit: solving the shifted
@@ -324,18 +339,14 @@ def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
     bias = 0.85 * cfg.tol_rate
 
     def residuals(mu1: float, mu2: float) -> tuple[float, float]:
-        def power_resid(g: float) -> float:
-            dec = decide_trace(s1, s2, mu1, mu2, g, t)
-            return (float(dec.power.mean()) - p_total) / p_total
-
-        gamma, _ = _solve_gamma(power_resid, warm["gamma"], 0.25 * cfg.tol_power)
+        gamma, dec = match_budget(
+            lambda resid: _solve_gamma(resid, warm["gamma"], 0.25 * cfg.tol_power)[0],
+            lambda g: decide_trace(s1, s2, mu1, mu2, g, t),
+            cfg.p_total,
+        )
         warm["gamma"] = gamma
         gamma_at[(mu1, mu2)] = gamma
-        dec = decide_trace(s1, s2, mu1, mu2, gamma, t)
-        d1 = float(dec.down1.mean())
-        d2 = float(dec.down2.mean())
-        c1 = (float(dec.up1.mean()) - d2) / max(d2, _EPS)
-        c2 = (float(dec.up2.mean()) - d1) / max(d1, _EPS)
+        c1, c2 = balance_residuals(dec)
         return c1 + bias, c2 + bias
 
     # the solver aims for the tighter biased band, but convergence is

@@ -346,7 +346,7 @@ def _verify_lines(draws: int, grid_points: int, seed: int) -> list[tuple[str, bo
     s2 = rng.exponential(1.0, n)
     worst = 0.0
     for i in range(n):
-        pr = float(policy._broadcast_power(s1[i], s2[i], mu1[i], mu2[i], gamma[i]))
+        pr = float(policy.broadcast_power(s1[i], s2[i], mu1[i], mu2[i], gamma[i]))
         if pr > 0.0:
             lhs = mu2[i] * s1[i] / (1.0 + pr * s1[i]) + mu1[i] * s2[i] / (1.0 + pr * s2[i])
             worst = max(worst, abs(lhs - gamma[i] * math.log(2.0)) / (gamma[i] * math.log(2.0)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, FadingStatistics, sample_trace
-from .policy import Thresholds, decide_trace
+from .policy import Thresholds, balance_residuals, decide_trace
 
 __all__ = [
     "GridSpec",
@@ -24,8 +24,6 @@ __all__ = [
     "ScanPoint",
     "threshold_region_scan",
 ]
-
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,14 +126,9 @@ class ScanPoint:
 
 def _scan_eval(s1, s2, mu1, mu2, gamma, t):
     dec = decide_trace(s1, s2, mu1, mu2, gamma, t)
-    r1 = float(dec.up1.mean())
-    r2 = float(dec.up2.mean())
-    d1 = float(dec.down1.mean())
-    d2 = float(dec.down2.mean())
-    power = float(dec.power.mean())
-    c1 = abs(r1 - d2) / max(d2, _EPS)
-    c2 = abs(r2 - d1) / max(d1, _EPS)
-    return c1, c2, d1 + d2, power
+    c1, c2 = balance_residuals(dec)
+    sum_rate = float(dec.down1.mean()) + float(dec.down2.mean())
+    return abs(c1), abs(c2), sum_rate, float(dec.power.mean())
 
 
 def threshold_region_scan(

@@ -9,7 +9,9 @@ the broadcast mode's power is the root of a quadratic. The slot then uses
 whichever of the two uplink modes, the multiple-access mode, or the
 broadcast mode scores highest. The two single-user downlink modes are
 always dominated by the broadcast mode (their metric drops one nonnegative
-term), so they are computed only as diagnostics and never selected.
+term), so they are never selected; only the one-slot mode_powers and
+selection_metrics compute them, for the dominance check. The one-slot and
+whole-trace rules share one set of closed forms.
 
 The multiple-access decoding order never needs interior time sharing: the
 metric is affine in the share t, so one of the endpoints t in {0, 1} is
@@ -39,9 +41,11 @@ __all__ = [
     "select_mode",
     "proposed_policy",
     "decide_trace",
+    "balance_residuals",
 ]
 
 _LN2 = math.log(2.0)
+_EPS = 1e-12
 
 # Modes eligible for selection; 4 and 5 are dominated and excluded.
 SELECTABLE_MODES = (1, 2, 3, 6)
@@ -107,27 +111,42 @@ class TraceDecisions:
     down2: np.ndarray = field(repr=False)
 
 
+def balance_residuals(dec: TraceDecisions) -> tuple[float, float]:
+    """Relative (inflow - service) of buffers 1 and 2 over the decisions,
+    without queue clipping."""
+    d1 = float(dec.down1.mean())
+    d2 = float(dec.down2.mean())
+    c1 = (float(dec.up1.mean()) - d2) / max(d2, _EPS)
+    c2 = (float(dec.up2.mean()) - d1) / max(d1, _EPS)
+    return c1, c2
+
+
 def optimal_time_share(stats: FadingStatistics) -> float:
     """Boundary decoding share: 0 when link 1 is the stronger on average."""
     return 0.0 if stats.omega1 >= stats.omega2 else 1.0
 
 
-def _cap(x):
+# Array kernels shared with the baselines (package-internal, not in __all__).
+# They do no validation: calibration runs them hundreds of times.
+
+
+def capacity(x):
+    """log2(1 + x) elementwise; rate.cap is the validated per-slot form."""
     return np.log2(1.0 + x)
 
 
-def _recip(s):
+def recip(s):
     """1/s elementwise with 1/0 = +inf, which drives clamped powers to 0."""
     s = np.asarray(s, dtype=float)
     return np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), np.inf)
 
 
-def _wf_power(weight, gamma: float, s):
-    """Single-link water-filling clamp [weight/(gamma*ln2) - 1/s]^+."""
-    return np.maximum(weight / (gamma * _LN2) - _recip(s), 0.0)
+def wf_power(weight, gamma: float, inv_s):
+    """Single-link water-filling clamp [weight/(gamma*ln2) - inv_s]^+, inv_s = 1/s."""
+    return np.maximum(weight / (gamma * _LN2) - inv_s, 0.0)
 
 
-def _broadcast_power(s1, s2, mu1: float, mu2: float, gamma: float):
+def broadcast_power(s1, s2, mu1: float, mu2: float, gamma: float):
     """Optimal broadcast power: the positive root of
     mu2*s1/(1+p*s1) + mu1*s2/(1+p*s2) = gamma*ln2, or 0 when the weighted
     marginal rate at p=0 is already below the power price."""
@@ -144,10 +163,38 @@ def _broadcast_power(s1, s2, mu1: float, mu2: float, gamma: float):
     return np.where(c < 0.0, np.maximum(root, 0.0), 0.0)
 
 
-def _ma_powers(s1, s2, mu1: float, mu2: float, gamma: float, t: float):
+def ma_split(s1, s2, p1, p2, t: float):
+    """Per-user rates of the multiple-access mode at decoding share t.
+
+    The boundary shares cost two logarithms; an interior share is the
+    affine mix t * (t=1 split) + (1 - t) * (t=0 split).
+    """
+    if t == 0.0:
+        return capacity(p1 * s1 / (1.0 + p2 * s2)), capacity(p2 * s2)
+    if t == 1.0:
+        return capacity(p1 * s1), capacity(p2 * s2 / (1.0 + p1 * s1))
+    c12r_0, c21r_0 = ma_split(s1, s2, p1, p2, 0.0)
+    c12r_1, c21r_1 = ma_split(s1, s2, p1, p2, 1.0)
+    return t * c12r_1 + (1.0 - t) * c12r_0, (1.0 - t) * c21r_0 + t * c21r_1
+
+
+def best_modes(modes, metrics):
+    """Per-slot best of the candidate modes' metrics by a running best in
+    order: a later mode wins only on a strict >, so ties go to the earliest."""
+    best = metrics[0]
+    mode = np.full(np.shape(best), modes[0])
+    for k, lam in zip(modes[1:], metrics[1:]):
+        mode = np.where(lam > best, k, mode)
+        best = np.maximum(best, lam)  # propagates NaN from any candidate
+    if np.isnan(best).any():
+        raise ValueError("selection metric is NaN")
+    return mode
+
+
+def _ma_powers(s1, s2, mu1, mu2, gamma, t, inv1, inv2, p1_m1, p2_m2):
     """Jointly optimal user powers for the multiple-access mode at share t.
 
-    Three regimes per slot: the mode degenerates to single-user operation
+    Three regimes per slot: the mode degenerates to its uplink mode 1 or 2
     toward whichever user the gains favor (the other user's optimal power
     would clamp at 0), or both users transmit at the interior solution.
     """
@@ -158,95 +205,69 @@ def _ma_powers(s1, s2, mu1: float, mu2: float, gamma: float, t: float):
         only1 = s2 * (u * s1 + 1.0) <= s1
         only2 = ~only1 & (s2 * (1.0 - mu2) >= s1 * (1.0 - mu1))
         p1_int = np.maximum((1.0 - mu1) / gl - u * s2 / den, 0.0)
-        p2_int = np.maximum(u * s1 / den - _recip(s2), 0.0)
+        p2_int = np.maximum(u * s1 / den - inv2, 0.0)
     else:
         only2 = s1 * (1.0 - u * s2) <= s2
         only1 = ~only2 & (s1 * (1.0 - mu1) >= s2 * (1.0 - mu2))
-        p1_int = np.maximum(u * s2 / den - _recip(s1), 0.0)
+        p1_int = np.maximum(u * s2 / den - inv1, 0.0)
         p2_int = np.maximum((1.0 - mu2) / gl - u * s1 / den, 0.0)
-    p1 = np.where(only1, _wf_power(1.0 - mu1, gamma, s1), np.where(only2, 0.0, p1_int))
-    p2 = np.where(only1, 0.0, np.where(only2, _wf_power(1.0 - mu2, gamma, s2), p2_int))
+    p1 = np.where(only1, p1_m1, np.where(only2, 0.0, p1_int))
+    p2 = np.where(only1, 0.0, np.where(only2, p2_m2, p2_int))
     return p1, p2
 
 
-def _mode_power_arrays(s1, s2, mu1: float, mu2: float, gamma: float, t: float):
-    p1_m1 = _wf_power(1.0 - mu1, gamma, s1)
-    p2_m2 = _wf_power(1.0 - mu2, gamma, s2)
-    p1_m3, p2_m3 = _ma_powers(s1, s2, mu1, mu2, gamma, t)
-    pr_m4 = _wf_power(mu2, gamma, s1)
-    pr_m5 = _wf_power(mu1, gamma, s2)
-    pr_m6 = _broadcast_power(s1, s2, mu1, mu2, gamma)
-    return p1_m1, p2_m2, p1_m3, p2_m3, pr_m4, pr_m5, pr_m6
+def _selectable_powers(s1, s2, mu1, mu2, gamma, t):
+    """Optimal powers (p1_m1, p2_m2, p1_m3, p2_m3, pr_m6) of the selectable modes."""
+    inv1, inv2 = recip(s1), recip(s2)
+    p1_m1 = wf_power(1.0 - mu1, gamma, inv1)
+    p2_m2 = wf_power(1.0 - mu2, gamma, inv2)
+    p1_m3, p2_m3 = _ma_powers(s1, s2, mu1, mu2, gamma, t, inv1, inv2, p1_m1, p2_m2)
+    return p1_m1, p2_m2, p1_m3, p2_m3, broadcast_power(s1, s2, mu1, mu2, gamma)
 
 
-def _ma_split(s1, s2, p1, p2, t: float):
-    """Per-user rates of the multiple-access mode at decoding share t.
-
-    The boundary shares cost two logarithms; an interior share is the
-    affine mix t * (t=1 split) + (1 - t) * (t=0 split).
-    """
-    if t == 0.0:
-        return _cap(p1 * s1 / (1.0 + p2 * s2)), _cap(p2 * s2)
-    if t == 1.0:
-        return _cap(p1 * s1), _cap(p2 * s2 / (1.0 + p1 * s1))
-    c12r_0, c21r_0 = _ma_split(s1, s2, p1, p2, 0.0)
-    c12r_1, c21r_1 = _ma_split(s1, s2, p1, p2, 1.0)
-    return t * c12r_1 + (1.0 - t) * c12r_0, (1.0 - t) * c21r_0 + t * c21r_1
-
-
-def _metric_arrays(s1, s2, mu1, mu2, gamma, t, powers):
-    p1_m1, p2_m2, p1_m3, p2_m3, pr_m4, pr_m5, pr_m6 = powers
-    c12r, c21r = _ma_split(s1, s2, p1_m3, p2_m3, t)
-    lam1 = (1.0 - mu1) * _cap(p1_m1 * s1) - gamma * p1_m1
-    lam2 = (1.0 - mu2) * _cap(p2_m2 * s2) - gamma * p2_m2
-    lam3 = (1.0 - mu1) * c12r + (1.0 - mu2) * c21r - gamma * (p1_m3 + p2_m3)
-    lam4 = mu2 * _cap(pr_m4 * s1) - gamma * pr_m4
-    lam5 = mu1 * _cap(pr_m5 * s2) - gamma * pr_m5
-    lam6 = mu1 * _cap(pr_m6 * s2) + mu2 * _cap(pr_m6 * s1) - gamma * pr_m6
-    return lam1, lam2, lam3, lam4, lam5, lam6
+def _selectable_metrics(s1, s2, mu1, mu2, gamma, t, powers):
+    """Metrics (lambda1, lambda2, lambda3, lambda6) of the selectable modes at
+    their powers, and the capacities (c1r, c2r, c12r, c21r, cr1, cr2) behind them."""
+    p1_m1, p2_m2, p1_m3, p2_m3, pr_m6 = powers
+    c1r = capacity(p1_m1 * s1)
+    c2r = capacity(p2_m2 * s2)
+    c12r, c21r = ma_split(s1, s2, p1_m3, p2_m3, t)
+    cr1 = capacity(pr_m6 * s1)
+    cr2 = capacity(pr_m6 * s2)
+    lams = (
+        (1.0 - mu1) * c1r - gamma * p1_m1,
+        (1.0 - mu2) * c2r - gamma * p2_m2,
+        (1.0 - mu1) * c12r + (1.0 - mu2) * c21r - gamma * (p1_m3 + p2_m3),
+        mu1 * cr2 + mu2 * cr1 - gamma * pr_m6,
+    )
+    return lams, (c1r, c2r, c12r, c21r, cr1, cr2)
 
 
 def mode_powers(ch: ChannelState, th: Thresholds, stats: FadingStatistics) -> ModePowers:
     """Closed-form optimal transmit power of every mode for one slot."""
     t = optimal_time_share(stats)
-    vals = _mode_power_arrays(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t)
-    return ModePowers(*(float(v) for v in vals))
+    *uplink, pr_m6 = _selectable_powers(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t)
+    pr_m4 = wf_power(th.mu2, th.gamma, recip(ch.s1))
+    pr_m5 = wf_power(th.mu1, th.gamma, recip(ch.s2))
+    return ModePowers(*(float(v) for v in (*uplink, pr_m4, pr_m5, pr_m6)))
 
 
 def selection_metrics(
     ch: ChannelState, th: Thresholds, powers: ModePowers, t: float
 ) -> SelectionMetrics:
     """Selection metric of every mode at its optimal power and share t."""
-    vals = _metric_arrays(
-        ch.s1,
-        ch.s2,
-        th.mu1,
-        th.mu2,
-        th.gamma,
-        t,
-        (
-            powers.p1_m1,
-            powers.p2_m2,
-            powers.p1_m3,
-            powers.p2_m3,
-            powers.pr_m4,
-            powers.pr_m5,
-            powers.pr_m6,
-        ),
-    )
-    return SelectionMetrics(*(float(v) for v in vals))
+    own = (powers.p1_m1, powers.p2_m2, powers.p1_m3, powers.p2_m3, powers.pr_m6)
+    lams, _ = _selectable_metrics(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t, own)
+    lam1, lam2, lam3, lam6 = lams
+    lam4 = th.mu2 * capacity(powers.pr_m4 * ch.s1) - th.gamma * powers.pr_m4
+    lam5 = th.mu1 * capacity(powers.pr_m5 * ch.s2) - th.gamma * powers.pr_m5
+    return SelectionMetrics(*(float(v) for v in (lam1, lam2, lam3, lam4, lam5, lam6)))
 
 
 def select_mode(metrics: SelectionMetrics) -> int:
     """Pick the best mode among 1, 2, 3 and 6; ties go to the lowest index."""
     vals = (metrics.lambda1, metrics.lambda2, metrics.lambda3, metrics.lambda6)
-    if any(math.isnan(v) for v in vals):
-        raise ValueError("selection metric is NaN")
-    best = 0
-    for i in range(1, 4):
-        if vals[i] > vals[best]:
-            best = i
-    return SELECTABLE_MODES[best]
+    return int(best_modes(SELECTABLE_MODES, vals))
 
 
 def proposed_policy(
@@ -271,26 +292,18 @@ def decide_trace(
     Used by calibration and region scans, which must be able to probe
     boundary dual values that the Thresholds type rejects.
     """
-    powers = _mode_power_arrays(s1, s2, mu1, mu2, gamma, t)
-    p1_m1, p2_m2, p1_m3, p2_m3, _, _, pr_m6 = powers
-    lam1, lam2, lam3, _, _, lam6 = _metric_arrays(s1, s2, mu1, mu2, gamma, t, powers)
-    stack = np.stack([lam1, lam2, lam3, lam6])
-    if np.isnan(stack).any():
-        raise ValueError("selection metric is NaN")
-    idx = np.argmax(stack, axis=0)  # first max wins: ties go to the lowest mode
-    mode = np.asarray(SELECTABLE_MODES)[idx]
-    c1r = _cap(p1_m1 * s1)
-    c2r = _cap(p2_m2 * s2)
-    c12r, c21r = _ma_split(s1, s2, p1_m3, p2_m3, t)
-    is1, is2, is3, is6 = (mode == 1), (mode == 2), (mode == 3), (mode == 6)
-    up1 = np.where(is1, c1r, 0.0) + np.where(is3, c12r, 0.0)
-    up2 = np.where(is2, c2r, 0.0) + np.where(is3, c21r, 0.0)
-    down1 = np.where(is6, _cap(pr_m6 * s1), 0.0)
-    down2 = np.where(is6, _cap(pr_m6 * s2), 0.0)
-    power = (
-        np.where(is1, p1_m1, 0.0)
-        + np.where(is2, p2_m2, 0.0)
-        + np.where(is3, p1_m3 + p2_m3, 0.0)
-        + np.where(is6, pr_m6, 0.0)
+    powers = _selectable_powers(s1, s2, mu1, mu2, gamma, t)
+    p1_m1, p2_m2, p1_m3, p2_m3, pr_m6 = powers
+    lams, caps = _selectable_metrics(s1, s2, mu1, mu2, gamma, t, powers)
+    c1r, c2r, c12r, c21r, cr1, cr2 = caps
+    mode = best_modes(SELECTABLE_MODES, lams)
+    is1, is2, is3, is6 = (mode == k for k in SELECTABLE_MODES)
+    # exactly one branch holds per slot, so nested selection adds no terms
+    return TraceDecisions(
+        mode=mode,
+        power=np.where(is1, p1_m1, np.where(is2, p2_m2, np.where(is3, p1_m3 + p2_m3, pr_m6))),
+        up1=np.where(is1, c1r, np.where(is3, c12r, 0.0)),
+        up2=np.where(is2, c2r, np.where(is3, c21r, 0.0)),
+        down1=np.where(is6, cr1, 0.0),
+        down2=np.where(is6, cr2, 0.0),
     )
-    return TraceDecisions(mode=mode, power=power, up1=up1, up2=up2, down1=down1, down2=down2)

@@ -19,7 +19,7 @@ from birelay.engine import run
 from birelay.oracle import GridSpec, grid_max_metric, t_sweep, threshold_region_scan
 from birelay.policy import (
     Thresholds,
-    _broadcast_power,
+    broadcast_power,
     mode_powers,
     optimal_time_share,
     proposed_policy,
@@ -111,7 +111,7 @@ def test_criterion_02_broadcast_root_residual():
     gamma = rng.uniform(0.05, 2.0, n)
     s1 = rng.exponential(1.0, n)
     s2 = rng.exponential(1.0, n)
-    pr = _broadcast_power(s1, s2, mu1, mu2, gamma)
+    pr = broadcast_power(s1, s2, mu1, mu2, gamma)
     target = gamma * math.log(2.0)
     lhs = mu2 * s1 / (1.0 + pr * s1) + mu1 * s2 / (1.0 + pr * s2)
     active = pr > 0.0

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from birelay.benchmarks import KINDS, BenchmarkConfig, fixed_power_policy, tdbc_policy
+from birelay import benchmarks
+from birelay.benchmarks import (
+    KINDS,
+    BenchmarkConfig,
+    _fixed_eval,
+    fixed_power_policy,
+    tdbc_policy,
+)
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.engine import run
 from birelay.rate import PowerTriple, link_capacities
@@ -221,3 +228,43 @@ def test_fixed_power_rates_match_link_capacities():
                 4: (0, 0, r.cr1, 0), 5: (0, 0, 0, r.cr2), 6: (0, 0, r.cr1, r.cr2)}[m]
         got = (dec.up1[i], dec.up2[i], dec.down1[i], dec.down2[i])
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def _fixed_six(s1, s2, mu1, mu2, power=2.0):
+    return _fixed_eval(np.array(s1), np.array(s2), mu1, mu2, power, (1, 2, 3, 4, 5, 6), 0.5)
+
+
+def test_fixed_eval_tie_between_downlinks_goes_to_mode_4():
+    # with link 2 dead the broadcast mode's metric equals mode 4's exactly,
+    # and mu2 > 1 - mu1 puts both above every uplink mode
+    dec = _fixed_six([1.5, 0.7], [0.0, 0.0], 0.8, 0.5)
+    assert dec.mode.tolist() == [4, 4]
+    assert np.array_equal(dec.down1, np.log2(1.0 + 2.0 * np.array([1.5, 0.7])))
+    assert np.array_equal(dec.down2, np.zeros(2))
+    assert np.array_equal(dec.power, np.full(2, 2.0))
+
+
+def test_fixed_eval_tie_between_uplink_and_downlink_goes_to_mode_1():
+    # 1 - mu1 == mu2 exactly: modes 1 and 4 score the same (and, with link
+    # 2 dead, so do 3 and 6), and the lowest mode wins
+    assert 1.0 - 0.75 == 0.25
+    dec = _fixed_six([1.5, 0.7], [0.0, 0.0], 0.75, 0.25)
+    assert dec.mode.tolist() == [1, 1]
+    assert np.array_equal(dec.up1, np.log2(1.0 + 2.0 * np.array([1.5, 0.7])))
+    assert np.array_equal(dec.down1 + dec.down2 + dec.up2, np.zeros(2))
+
+
+def test_fixed_power_preparation_never_repeats_an_evaluation(monkeypatch):
+    calls = []
+
+    def recording(s1, s2, mu1, mu2, power, modes, t):
+        calls.append((mu1, mu2, power))
+        return _fixed_eval(s1, s2, mu1, mu2, power, modes, t)
+
+    monkeypatch.setattr(benchmarks, "_fixed_eval", recording)
+    trace = _trace()
+    for p_total in (0.1, 10.0):
+        calls.clear()
+        fixed_power_policy(BenchmarkConfig(kind="fixed_power_six_mode", p_total=p_total), trace)
+        assert len(calls) > 10
+        assert len(set(calls)) == len(calls)

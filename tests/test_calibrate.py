@@ -1,5 +1,7 @@
 """Dual calibration: residual structure, the nested search, end-to-end runs."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from birelay.calibrate import (
     evaluate_thresholds,
 )
 from birelay.channel import FadingStatistics, sample_trace
-from birelay.policy import Thresholds
+from birelay.policy import Thresholds, decide_trace
 
+# the package exports the calibrate function under the submodule's name
+calibrate_module = importlib.import_module("birelay.calibrate")
 _STATS = FadingStatistics(1.0, 1.0)
 
 
@@ -172,3 +176,21 @@ def test_calibrated_duals_reproduce_residuals():
     assert abs(ev.c1) == pytest.approx(res.residual_c1, abs=1e-12)
     assert abs(ev.c2) == pytest.approx(res.residual_c2, abs=1e-12)
     assert abs(ev.c3) == pytest.approx(res.residual_c3, abs=1e-12)
+
+
+@pytest.mark.parametrize("stats, p_total", [(_STATS, 1.0), (FadingStatistics(10.0, 1.0), 10.0)])
+def test_calibrate_never_repeats_an_evaluation(monkeypatch, stats, p_total):
+    # every (mu1, mu2, gamma) reaches the slot rule once; only the closing
+    # evaluate_thresholds call revisits the calibrated point
+    calls = []
+
+    def recording(s1, s2, mu1, mu2, gamma, t):
+        calls.append((mu1, mu2, gamma))
+        return decide_trace(s1, s2, mu1, mu2, gamma, t)
+
+    monkeypatch.setattr(calibrate_module, "decide_trace", recording)
+    result = calibrate(_cfg(stats=stats, p_total=p_total))
+    th = result.thresholds
+    assert calls[-1] == (th.mu1, th.mu2, th.gamma)
+    assert len(set(calls[:-1])) == len(calls) - 1
+    assert len(calls) > result.iterations

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birelay.channel import ChannelState, FadingStatistics, sample_trace
 from birelay.oracle import GridSpec, grid_max_metric
@@ -11,8 +13,8 @@ from birelay.policy import (
     SELECTABLE_MODES,
     SelectionMetrics,
     Thresholds,
-    _ma_split,
     decide_trace,
+    ma_split,
     mode_powers,
     optimal_time_share,
     proposed_policy,
@@ -239,6 +241,49 @@ def test_decide_trace_matches_slot_rule():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+_gain = st.one_of(st.just(0.0), st.floats(1e-3, 1e2))
+_dual = st.one_of(st.sampled_from((1e-3, 1.0 - 1e-3)), st.floats(1e-3, 1.0 - 1e-3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_gain, _gain, st.booleans()), min_size=1, max_size=8),
+    _dual,
+    _dual,
+    st.floats(1e-3, 1e2),
+    st.sampled_from((0.0, 1.0)),
+)
+def test_decide_trace_matches_slot_rule_everywhere(slots, mu1, mu2, gamma, t):
+    # dead links, equal gains and duals at the box edges included; a slot
+    # whose flag is set repeats its first gain on both links
+    s1 = np.array([a for a, _, _ in slots])
+    s2 = np.array([a if same else b for a, b, same in slots])
+    stats = FadingStatistics(1.0, 1.0) if t == 0.0 else FadingStatistics(1.0, 2.0)
+    th = Thresholds(mu1, mu2, gamma)
+    dec = decide_trace(s1, s2, mu1, mu2, gamma, t)
+    for i in range(len(slots)):
+        ch = ChannelState(i + 1, float(s1[i]), float(s2[i]))
+        mp = mode_powers(ch, th, stats)
+        mode = select_mode(selection_metrics(ch, th, mp, t))
+        assert int(dec.mode[i]) == mode
+        triple = {
+            1: PowerTriple(mp.p1_m1, 0.0, 0.0),
+            2: PowerTriple(0.0, mp.p2_m2, 0.0),
+            3: PowerTriple(mp.p1_m3, mp.p2_m3, 0.0),
+            6: PowerTriple(0.0, 0.0, mp.pr_m6),
+        }[mode]
+        rates = link_capacities(ch, triple, t)
+        want = {
+            1: (rates.c1r, 0.0, 0.0, 0.0),
+            2: (0.0, rates.c2r, 0.0, 0.0),
+            3: (rates.c12r, rates.c21r, 0.0, 0.0),
+            6: (0.0, 0.0, rates.cr1, rates.cr2),
+        }[mode]
+        got = (dec.power[i], dec.up1[i], dec.up2[i], dec.down1[i], dec.down2[i])
+        total = triple.p1 + triple.p2 + triple.pr
+        assert got == pytest.approx((total,) + want, rel=1e-12, abs=1e-12)
+
+
 def test_proposed_policy_ignores_queues():
     # each slot is decided from its own gains: the decisions on a prefix of
     # the trace are the prefix of the decisions, so no state carries over
@@ -261,7 +306,7 @@ def test_ma_split_matches_link_capacities():
     s1, s2 = rng.exponential(1.0, 50), rng.exponential(1.0, 50)
     p1, p2 = rng.uniform(0.0, 5.0, 50), rng.uniform(0.0, 5.0, 50)
     for t in (0.0, 0.5, 1.0):
-        c12r, c21r = _ma_split(s1, s2, p1, p2, t)
+        c12r, c21r = ma_split(s1, s2, p1, p2, t)
         for i in range(50):
             r = link_capacities(
                 ChannelState(1, s1[i], s2[i]), PowerTriple(p1[i], p2[i], 0.0), t
