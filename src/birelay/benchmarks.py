@@ -9,7 +9,7 @@ reference schemes:
 * tdbc_pa: the same cycle with per-slot water-filling. User slots fill
   against their own link; the broadcast slot fills against the sum of the
   two downlink capacities (the two-link generalization of the same clamp).
-  One shared price is bisected so the average spent power meets the budget.
+  One shared price is solved for so the average spent power meets the budget.
 
 * fixed_power_six_mode: per-slot selection among all six modes using the
   dual-weighted metrics with the power term dropped and every transmitter
@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calibrate import _solve_gamma, balance_duals, match_budget
+from .calibrate import balance_duals, find_root, match_budget, solve_gamma
 from .channel import ChannelTrace, check_real
 from .engine import PreparedPolicy
 from .policy import (
@@ -133,7 +133,7 @@ def _tdbc_decisions(s1, s2, p_total: float, gamma: float | None) -> TraceDecisio
 def tdbc_policy(
     cfg: BenchmarkConfig, trace: ChannelTrace, tol_power: float = 0.005
 ) -> PreparedPolicy:
-    """Prepare a fixed-cycle policy; the PA variant bisects its shared
+    """Prepare a fixed-cycle policy; the PA variant solves for its shared
     water-filling price on the given trace. Both variants cap each uplink
     slot's rate at its frame's broadcast-slot capacity, since the cycle
     carries nothing across frames."""
@@ -147,7 +147,7 @@ def tdbc_policy(
             spent = float(_tdbc_decisions(trace.s1, trace.s2, cfg.p_total, g).power.mean())
             return (spent - cfg.p_total) / cfg.p_total
 
-        gamma, resid = _solve_gamma(power_resid, 1.0, 0.25 * tol_power)
+        gamma, resid = solve_gamma(power_resid, 1.0, 0.25 * tol_power)
         fixed, converged = None, abs(resid) <= tol_power
 
     def decide(tr: ChannelTrace) -> TraceDecisions:
@@ -184,22 +184,6 @@ def _fixed_eval(
     )
 
 
-def _solve_fixed_power(resid_fn: Callable[[float], float], p_total: float) -> float:
-    """Spent power rises with the per-node power and is bracketed by
-    [p_total/2, p_total] when at most two nodes transmit at once."""
-    lo, hi = 0.45 * p_total, 1.05 * p_total
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        r = resid_fn(mid)
-        if abs(r) <= 1e-4:
-            return mid
-        if r > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def fixed_power_policy(
     cfg: BenchmarkConfig,
     trace: ChannelTrace,
@@ -221,13 +205,20 @@ def fixed_power_policy(
     t = 0.5
     power_at: dict[tuple[float, float], float] = {}
     base_power = cfg.p_total if cfg.fixed_power is None else cfg.fixed_power
+    # spent power lies between the common power and twice it (at most two
+    # nodes transmit at once), so [0.45, 1.05] x budget brackets its root
+    lo, hi = 0.45 * cfg.p_total, 1.05 * cfg.p_total
+    within = lambda r: abs(r) <= 1e-4  # noqa: E731
+
+    def solve(resid: Callable[[float], float]) -> float:
+        return find_root(resid, lo, resid(lo), hi, resid(hi), within, xtol=0.0, max_steps=60)[0]
 
     def residuals(mu1: float, mu2: float) -> tuple[float, float]:
         def at(p: float) -> TraceDecisions:
             return _fixed_eval(s1, s2, mu1, mu2, p, modes, t)
 
         if scale_power:
-            power, dec = match_budget(lambda r: _solve_fixed_power(r, cfg.p_total), at, cfg.p_total)
+            power, dec = match_budget(solve, at, cfg.p_total)
         else:
             power, dec = base_power, at(base_power)
         power_at[(mu1, mu2)] = power

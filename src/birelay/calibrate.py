@@ -10,16 +10,17 @@ unclipped averages meet. The duals are aimed most of a tolerance below
 exact balance: at exactly critical load the clipped queues random-walk
 upward over any finite run, while a slight inflow deficit pins them.
 
-Structure of the search: the power price gamma is innermost, found by
-bisection because spent power is nonincreasing in gamma. The buffer duals
-are solved by nesting two sign bisections: for a fixed mu1, the balance
-residual of buffer 2 falls monotonically as mu2 rises (a larger mu2
-starves uplink 2 and feeds the broadcast toward user 1), so mu2 is
-bisected first; the outer loop then bisects mu1 on buffer 1's residual
-evaluated along that inner solution path. Nesting matters: under strongly
+Structure of the search: every stage is a monotone 1-D solve through
+find_root, a bracketing false-position method with a bisection safeguard.
+The power price gamma is innermost, as spent power is nonincreasing in
+gamma. The buffer duals are solved by nesting: for a fixed mu1, the
+balance residual of buffer 2 falls monotonically as mu2 rises (a larger
+mu2 starves uplink 2 and feeds the broadcast toward user 1), so mu2 is
+solved first; the outer loop then solves mu1 on buffer 1's residual
+along that inner solution path. Nesting matters: under strongly
 asymmetric fading the region where both residuals are moderate is a thin
-diagonal band in the dual square, and independent coordinate updates step
-off the band into regimes where one traffic direction is never scheduled.
+diagonal band in the dual square, and independent coordinate updates
+step off the band into regimes where one direction is never scheduled.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ __all__ = [
     "evaluate_thresholds",
     "calibrate",
     "balance_duals",
+    "find_root",
     "match_budget",
+    "solve_gamma",
 ]
 
 _MU_LO = 1e-3
@@ -77,7 +80,9 @@ class CalibrationResult:
     """Calibrated duals with the absolute relative residuals they achieve.
 
     iterations counts evaluated dual points (each wraps an inner gamma
-    bisection); converged means every residual met its tolerance.
+    solve); evaluations counts every run of the slot rule over the trace,
+    gamma probes and the closing check included; converged means every
+    residual met its tolerance.
     """
 
     thresholds: Thresholds
@@ -85,6 +90,7 @@ class CalibrationResult:
     residual_c2: float
     residual_c3: float
     iterations: int
+    evaluations: int
     converged: bool
 
 
@@ -135,6 +141,84 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def find_root(
+    f: Callable[[float], float],
+    a: float,
+    fa: float,
+    b: float,
+    fb: float,
+    done: Callable[[float], bool],
+    *,
+    log: bool = False,
+    xtol: float,
+    max_steps: int,
+) -> tuple[float, float]:
+    """Safeguarded bracketing root finder for a monotone residual f.
+
+    fa = f(a) and fb = f(b) are known and exactly one of them is > 0.
+    Each probe is an Illinois false-position step (Dowell & Jarratt, BIT
+    11, 1971) on r / (1 + |r|), which has the sign and root of r but stays
+    bounded, so a saturated residual (a relative balance residual reaches
+    1e12 where one direction is never scheduled) cannot pin the secant to
+    one end. The probe is the midpoint instead when the secant point is
+    not strictly inside the bracket or the previous secant step failed to
+    halve it, so every two probes at least halve the bracket. With
+    log=True the search runs in log x, and xtol is a width in log x.
+
+    a and b are not evaluated again and no probe leaves (a, b). Returns
+    (x, f(x)) for the first probe that satisfies done; otherwise, once the
+    bracket is no wider than xtol, holds no further point, or max_steps
+    probes are spent, the point with the smallest |f| among a, b and the
+    probes (the later probe on ties, b before a).
+    """
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError("f(a) and f(b) must lie on opposite sides of zero")
+    warp, unwarp = (math.log, math.exp) if log else (float, float)
+
+    end = lambda x, r, u: [x, r, u, r / (1.0 + abs(r))]  # noqa: E731
+    ends = [end(a, fa, warp(a)), end(b, fb, warp(b))]
+    best = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    bisect, last = False, -1
+    for _ in range(max_steps):
+        (xa, ra, ua, ga), (xb, _, ub, gb) = ends
+        width = abs(ub - ua)
+        u = ub - gb * (ub - ua) / (gb - ga)
+        secant = not bisect and min(xa, xb) < unwarp(u) < max(xa, xb)
+        if not secant:
+            u = 0.5 * (ua + ub)
+        x = unwarp(u)
+        if width <= xtol or not min(xa, xb) < x < max(xa, xb):
+            break
+        r = f(x)
+        if done(r):
+            return x, r
+        if abs(r) <= abs(best[1]):
+            best = (x, r)
+        # Illinois: an end kept twice in a row has its residual halved, so
+        # the next secant point moves off the side that keeps being replaced
+        i = 0 if (r > 0.0) == (ra > 0.0) else 1
+        if i == last:
+            ends[1 - i][3] *= 0.5
+        ends[i], last = end(x, r, u), i
+        bisect = secant and abs(ends[1][2] - ends[0][2]) > 0.5 * width
+    return best
+
+
+def _solve_from(f, x: float, walk, done, **kw) -> tuple[float, float]:
+    """Evaluate f at x, then step through walk(f(x)) toward the sign change
+    until a residual satisfies done or changes sign; a sign change is
+    closed by find_root(**kw). Returns (x, f(x)): the point found, or the
+    last one when the walk ends first."""
+    r = f(x)
+    for nxt in walk(r):
+        if done(r):
+            break
+        a, fa, x, r = x, r, nxt, f(nxt)
+        if (r > 0.0) != (fa > 0.0) and not done(r):
+            return find_root(f, a, fa, x, r, done, **kw)
+    return x, r
+
+
 def balance_duals(
     residual_fn: Callable[[float, float], tuple[float, float]],
     tol_rate: float,
@@ -145,162 +229,91 @@ def balance_duals(
     square. residual_fn(mu1, mu2) -> (c1, c2), each falling as its own
     dual rises.
 
-    Nested sign bisection: the inner stage solves mu2 against c2 for a
-    fixed mu1 (warm-bracketed around the previous inner solution, widened
-    to the box edge only when the warm bracket misses the sign change);
-    the outer stage brackets mu1 by doubling steps in the direction that
-    sinks c1, then bisects. Solving one dual per level keeps the iterate
-    on the narrow band where both traffic directions are scheduled, which
-    a simultaneous update steps off under asymmetric fading. Evaluations
+    Two nested monotone solves through find_root: the inner one solves
+    mu2 against c2 for a fixed mu1 (warm-bracketed around the previous
+    inner solution, widened to the box edge only when the warm bracket
+    misses the sign change); the outer one brackets mu1 by doubling steps
+    in the direction that sinks c1, then solves c1 along the inner
+    solution path. Solving one dual per level keeps the iterate on the
+    narrow band where both traffic directions are scheduled, which a
+    simultaneous update steps off under asymmetric fading. Evaluations
     are cached and capped at max_points; on exhaustion or a missing sign
     change the best point seen is returned. Returns (mu1, mu2, c1, c2,
     points_used, converged).
     """
     cache: dict[tuple[float, float], tuple[float, float]] = {}
-    used = 0
 
     def probe(mu1: float, mu2: float) -> tuple[float, float]:
-        nonlocal used
-        key = (mu1, mu2)
-        if key not in cache:
-            if used >= max_points:
+        if (mu1, mu2) not in cache:
+            if len(cache) >= max_points:
                 raise _BudgetExhausted
-            used += 1
-            cache[key] = residual_fn(mu1, mu2)
-        return cache[key]
+            cache[(mu1, mu2)] = residual_fn(mu1, mu2)
+        return cache[(mu1, mu2)]
 
-    tol_inner = 0.5 * tol_rate
-    best: tuple[float, float, float, float, float] | None = None
+    guess = min(max(start[1], _MU_LO), _MU_HI)
+    found: tuple[float, float, float, float] | None = None
+    within = lambda c2: abs(c2) <= 0.5 * tol_rate  # noqa: E731
 
-    def record(mu1: float, mu2: float, c1: float, c2: float) -> None:
-        nonlocal best
-        n = max(abs(c1), abs(c2))
-        if best is None or n < best[0]:
-            best = (n, mu1, mu2, c1, c2)
+    def c1_at(mu1: float) -> float:
+        """c1 at the inner solution mu2 of c2(mu1, .) = 0, warm-bracketed
+        around the previous one; notes a point that balances both."""
+        nonlocal guess, found
 
-    def inner(mu1: float, guess: float) -> tuple[float, float, float]:
-        """Solve c2(mu1, .) = 0; returns (mu2, c1, c2) at the solution."""
+        def widen(c2: float) -> list[float]:
+            return [min(_MU_HI, guess + 0.08), _MU_HI] if c2 > 0.0 else [_MU_LO]
 
-        def ev(m2: float) -> tuple[float, float, float]:
-            c1, c2 = probe(mu1, m2)
-            record(mu1, m2, c1, c2)
-            return m2, c1, c2
-
-        lo = ev(max(_MU_LO, guess - 0.08))
-        if abs(lo[2]) <= tol_inner:
-            return lo
-        if lo[2] < 0.0:
-            hi = lo
-            lo = ev(_MU_LO)
-            if abs(lo[2]) <= tol_inner or lo[2] < 0.0:
-                return lo
-        else:
-            hi = ev(min(_MU_HI, guess + 0.08))
-            if abs(hi[2]) <= tol_inner:
-                return hi
-            if hi[2] > 0.0:
-                lo = hi
-                hi = ev(_MU_HI)
-                if abs(hi[2]) <= tol_inner or hi[2] > 0.0:
-                    return hi
-        pick = lo if abs(lo[2]) < abs(hi[2]) else hi
-        for _ in range(40):
-            if hi[0] - lo[0] <= 1e-9:
-                break
-            mid = ev(0.5 * (lo[0] + hi[0]))
-            if abs(mid[2]) < abs(pick[2]):
-                pick = mid
-            if abs(mid[2]) <= tol_inner:
-                return mid
-            if mid[2] > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return pick
-
-    try:
-        x = min(max(start[0], _MU_LO), _MU_HI)
-        guess = min(max(start[1], _MU_LO), _MU_HI)
-        m2, c1, c2 = inner(x, guess)
-        guess = m2
+        c2_at = lambda m2: probe(mu1, m2)[1]  # noqa: E731
+        lo = max(_MU_LO, guess - 0.08)
+        guess = _solve_from(c2_at, lo, widen, within, xtol=1e-9, max_steps=40)[0]
+        c1, c2 = probe(mu1, guess)
         if max(abs(c1), abs(c2)) <= tol_rate:
-            return x, m2, c1, c2, used, True
-        lo_x = hi_x = None  # mu1 bracket: c1 > 0 at lo_x, c1 < 0 at hi_x
-        if c1 > 0.0:
-            lo_x = x
-        else:
-            hi_x = x
-        step = 0.12
-        while lo_x is None or hi_x is None:
-            if c1 > 0.0:
-                if x >= _MU_HI:
-                    break
-                x = min(x + step, _MU_HI)
-            else:
-                if x <= _MU_LO:
-                    break
-                x = max(x - step, _MU_LO)
+            found = (mu1, guess, c1, c2)
+        return c1
+
+    x = min(max(start[0], _MU_LO), _MU_HI)
+
+    def outward(c1: float):
+        """mu1 steps that move c1 toward zero (c1 falls as mu1 rises), doubling."""
+        m, step = x, 0.12
+        while (m < _MU_HI) if c1 > 0.0 else (m > _MU_LO):
+            m = min(m + step, _MU_HI) if c1 > 0.0 else max(m - step, _MU_LO)
             step *= 2.0
-            m2, c1, c2 = inner(x, guess)
-            guess = m2
-            if max(abs(c1), abs(c2)) <= tol_rate:
-                return x, m2, c1, c2, used, True
-            if c1 > 0.0:
-                lo_x = x
-            else:
-                hi_x = x
-        if lo_x is not None and hi_x is not None:
-            for _ in range(40):
-                if abs(hi_x - lo_x) <= 1e-9:
-                    break
-                x = 0.5 * (lo_x + hi_x)
-                m2, c1, c2 = inner(x, guess)
-                guess = m2
-                if max(abs(c1), abs(c2)) <= tol_rate:
-                    return x, m2, c1, c2, used, True
-                if c1 > 0.0:
-                    lo_x = x
-                else:
-                    hi_x = x
+            yield m
+
+    balanced = lambda _: found is not None  # noqa: E731
+    try:
+        _solve_from(c1_at, x, outward, balanced, xtol=1e-9, max_steps=40)
     except _BudgetExhausted:
         pass
-    if best is None:
-        return start[0], start[1], float("inf"), float("inf"), used, False
-    n, mu1, mu2, c1, c2 = best
-    return mu1, mu2, c1, c2, used, n <= tol_rate
+    if found is not None:
+        return (*found, len(cache), True)
+    if not cache:
+        return start[0], start[1], float("inf"), float("inf"), 0, False
+    # the first of the points whose larger residual is smallest
+    (mu1, mu2), (c1, c2) = min(cache.items(), key=lambda kv: max(map(abs, kv[1])))
+    return mu1, mu2, c1, c2, len(cache), max(abs(c1), abs(c2)) <= tol_rate
 
 
-def _solve_gamma(
+def solve_gamma(
     power_resid: Callable[[float], float], warm: float, tol: float
 ) -> tuple[float, float]:
-    """Bisect the power price: spent power is nonincreasing in gamma, so a
-    sign-bracketing expansion around the warm start always succeeds within
-    the (1e-14, 1e14) range. Returns (gamma, achieved signed residual)."""
-    lo = hi = warm
-    r = power_resid(warm)
-    if abs(r) <= tol:
-        return warm, r
-    if r > 0.0:
-        while r > 0.0 and hi < 1e14:
-            lo, hi = hi, hi * 8.0
-            r = power_resid(hi)
-    else:
-        while r < 0.0 and lo > 1e-14:
-            hi, lo = lo, lo / 8.0
-            r = power_resid(lo)
-    gamma, best = (hi, r) if r > 0.0 else (lo, r)
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        r = power_resid(mid)
-        if abs(r) < abs(best):
-            gamma, best = mid, r
-        if abs(r) <= tol:
-            return mid, r
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return gamma, best
+    """Find the power price. Spent power is nonincreasing in gamma, so
+    stepping out from the warm start until the residual changes sign
+    brackets the price within (1e-14, 1e14); find_root then closes the
+    bracket in log gamma. The first step grows with the residual, since a
+    warm start is usually close; later steps are x8. Returns (gamma,
+    achieved signed residual): the first probe within tol, else the probe
+    with the smallest |residual|."""
+
+    def outward(r: float):
+        g, step = warm, min(8.0, max(1.0 + 2.0 * abs(r), 1.0 + 4.0 * tol))
+        while (g < 1e14) if r > 0.0 else (g > 1e-14):
+            g = g * step if r > 0.0 else g / step
+            step = 8.0
+            yield g
+
+    within = lambda r: abs(r) <= tol  # noqa: E731
+    return _solve_from(power_resid, warm, outward, within, log=True, xtol=0.0, max_steps=80)
 
 
 def match_budget(solve, decide, p_total: float) -> tuple[float, TraceDecisions]:
@@ -329,8 +342,8 @@ def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
     trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
     s1, s2 = trace.s1, trace.s2
     t = optimal_time_share(cfg.stats)
-    warm = {"gamma": 1.0}
     gamma_at: dict[tuple[float, float], float] = {}
+    evaluations = 0
     # aim most of a tolerance into inflow deficit: solving the shifted
     # residuals to +-0.12 tol lands the true residuals in
     # [-0.97 tol, -0.73 tol], still inside the convergence check, and that
@@ -339,13 +352,15 @@ def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
     bias = 0.85 * cfg.tol_rate
 
     def residuals(mu1: float, mu2: float) -> tuple[float, float]:
-        gamma, dec = match_budget(
-            lambda resid: _solve_gamma(resid, warm["gamma"], 0.25 * cfg.tol_power)[0],
-            lambda g: decide_trace(s1, s2, mu1, mu2, g, t),
-            cfg.p_total,
+        def decide(g: float) -> TraceDecisions:
+            nonlocal evaluations
+            evaluations += 1
+            return decide_trace(s1, s2, mu1, mu2, g, t)
+
+        warm = next(reversed(gamma_at.values()), 1.0)  # the latest dual point's price
+        gamma_at[(mu1, mu2)], dec = match_budget(
+            lambda resid: solve_gamma(resid, warm, 0.25 * cfg.tol_power)[0], decide, cfg.p_total
         )
-        warm["gamma"] = gamma
-        gamma_at[(mu1, mu2)] = gamma
         c1, c2 = balance_residuals(dec)
         return c1 + bias, c2 + bias
 
@@ -357,7 +372,7 @@ def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
     mu1, mu2, _, _, used, _ = balance_duals(
         residuals, tol_rate=0.12 * cfg.tol_rate, max_points=cfg.max_iters
     )
-    th = Thresholds(mu1=mu1, mu2=mu2, gamma=gamma_at.get((mu1, mu2), warm["gamma"]))
+    th = Thresholds(mu1=mu1, mu2=mu2, gamma=gamma_at.get((mu1, mu2), 1.0))
     final = evaluate_thresholds(th, cfg, trace)
     converged = (
         abs(final.c1) <= cfg.tol_rate
@@ -370,5 +385,6 @@ def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
         residual_c2=abs(final.c2),
         residual_c3=abs(final.c3),
         iterations=used,
+        evaluations=evaluations + 1,
         converged=converged,
     )

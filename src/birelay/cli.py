@@ -295,7 +295,7 @@ def cmd_calibrate(args) -> int:
     print(
         f"residual_c1={result.residual_c1:.3e} residual_c2={result.residual_c2:.3e} "
         f"residual_c3={result.residual_c3:.3e} iterations={result.iterations} "
-        f"converged={str(result.converged).lower()}"
+        f"evaluations={result.evaluations} converged={str(result.converged).lower()}"
     )
     return 0 if result.converged else 1
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, FadingStatistics, sample_trace
-from .policy import Thresholds, balance_residuals, decide_trace
+from .calibrate import match_budget, solve_gamma
+from .channel import ChannelState, FadingStatistics, check_real, sample_trace
+from .policy import Thresholds, balance_residuals, decide_trace, optimal_time_share
 
 __all__ = [
     "GridSpec",
@@ -124,13 +125,6 @@ class ScanPoint:
     balanced: bool
 
 
-def _scan_eval(s1, s2, mu1, mu2, gamma, t):
-    dec = decide_trace(s1, s2, mu1, mu2, gamma, t)
-    c1, c2 = balance_residuals(dec)
-    sum_rate = float(dec.down1.mean()) + float(dec.down2.mean())
-    return abs(c1), abs(c2), sum_rate, float(dec.power.mean())
-
-
 def threshold_region_scan(
     stats: FadingStatistics,
     p_total: float,
@@ -140,33 +134,28 @@ def threshold_region_scan(
     tol_rate: float = 0.02,
 ) -> list[ScanPoint]:
     """Probe dual pairs (including the boundary values 0 and 1) on a short
-    trace, matching the power budget by bisecting gamma at each point.
+    trace, matching the power budget at each point by solving for gamma
+    to 0.5 %.
 
     A point is balanced when both relative rate residuals are within
     tol_rate and the delivered sum rate is positive. Boundary dual values
     can never balance: one side of each rate pairing collapses to zero.
     """
-    if p_total <= 0.0:
-        raise ValueError("power budget must be positive")
+    check_real("power budget", p_total, positive=True)
     trace = sample_trace(stats, n_slots, seed)
     s1, s2 = trace.s1, trace.s2
-    t = 0.0 if stats.omega1 >= stats.omega2 else 1.0
+    t = optimal_time_share(stats)
     out = []
     for mu1 in mu_values:
         for mu2 in mu_values:
             mu1f, mu2f = float(mu1), float(mu2)
-            lo, hi = 1e-12, 1e12
-            gamma = 1.0
-            for _ in range(120):
-                power = _scan_eval(s1, s2, mu1f, mu2f, gamma, t)[3]
-                if abs(power - p_total) <= 0.005 * p_total:
-                    break
-                if power > p_total:
-                    lo = gamma
-                else:
-                    hi = gamma
-                gamma = (lo * hi) ** 0.5
-            c1, c2, sum_rate, _ = _scan_eval(s1, s2, mu1f, mu2f, gamma, t)
+            _, dec = match_budget(
+                lambda resid: solve_gamma(resid, 1.0, 0.005)[0],
+                lambda g: decide_trace(s1, s2, mu1f, mu2f, g, t),
+                p_total,
+            )
+            c1, c2 = (abs(c) for c in balance_residuals(dec))
+            sum_rate = float(dec.down1.mean()) + float(dec.down2.mean())
             balanced = c1 <= tol_rate and c2 <= tol_rate and sum_rate > 0.0
             out.append(ScanPoint(mu1f, mu2f, c1, c2, sum_rate, balanced))
     return out

@@ -154,12 +154,13 @@ def broadcast_power(s1, s2, mu1: float, mu2: float, gamma: float):
     a = gl * s1 * s2
     b = gl * (s1 + s2) - (mu1 + mu2) * s1 * s2
     c = gl - mu1 * s2 - mu2 * s1
-    disc = np.maximum(b * b - 4.0 * a * c, 0.0)
-    a_safe = np.where(a > 0.0, a, 1.0)
-    b_safe = np.where(b > 0.0, b, 1.0)
-    quad = (-b + np.sqrt(disc)) / (2.0 * a_safe)
-    lin = -c / b_safe  # one link dead: the quadratic degenerates to b*p + c = 0
-    root = np.where(a > 0.0, quad, np.where(b > 0.0, lin, 0.0))
+    sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    # the root (sq - b)/(2a) written as -2c/(b + sq) where b > 0, so neither
+    # form subtracts nearly equal terms; with one link dead (a = 0) the
+    # second form is the linear root -c/b
+    num = np.where(b > 0.0, -2.0 * c, sq - b)
+    den = np.where(b > 0.0, b + sq, 2.0 * a)
+    root = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
     return np.where(c < 0.0, np.maximum(root, 0.0), 0.0)
 
 

@@ -1,18 +1,22 @@
 """Dual calibration: residual structure, the nested search, end-to-end runs."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from birelay.calibrate import (
     CalibrationConfig,
     CalibrationResult,
     ThresholdEvaluation,
-    _solve_gamma,
+    solve_gamma,
     balance_duals,
     calibrate,
     evaluate_thresholds,
+    find_root,
 )
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.policy import Thresholds, decide_trace
@@ -91,10 +95,10 @@ def test_solve_gamma_on_synthetic_curve():
         calls.append(g)
         return 2.0 / g - 1.0
 
-    gamma, r = _solve_gamma(resid, warm=0.001, tol=1e-4)
+    gamma, r = solve_gamma(resid, warm=0.001, tol=1e-4)
     assert gamma == pytest.approx(2.0, rel=1e-3)
     assert abs(r) <= 1e-4
-    gamma, r = _solve_gamma(resid, warm=500.0, tol=1e-4)
+    gamma, r = solve_gamma(resid, warm=500.0, tol=1e-4)
     assert gamma == pytest.approx(2.0, rel=1e-3)
 
 
@@ -194,3 +198,91 @@ def test_calibrate_never_repeats_an_evaluation(monkeypatch, stats, p_total):
     assert calls[-1] == (th.mu1, th.mu2, th.gamma)
     assert len(set(calls[:-1])) == len(calls) - 1
     assert len(calls) > result.iterations
+
+
+def test_calibrate_counts_its_slot_rule_runs(monkeypatch):
+    # the default 10k-slot trace at 1:1 fading and 0 dB: a bisection in
+    # every 1-D solve needed 924 runs of the slot rule here
+    calls = []
+
+    def recording(s1, s2, mu1, mu2, gamma, t):
+        calls.append((mu1, mu2, gamma))
+        return decide_trace(s1, s2, mu1, mu2, gamma, t)
+
+    monkeypatch.setattr(calibrate_module, "decide_trace", recording)
+    result = calibrate(CalibrationConfig(stats=_STATS, p_total=1.0))
+    assert result.converged
+    assert result.evaluations == len(calls)
+    assert len(calls) <= 400
+
+
+def _monotone(kind, root, orient, scale, shape):
+    """A monotone residual with its sign change at root; orient=-1 makes
+    it fall. kind picks the shape: smooth and lopsided (exponential, or a
+    ninth power that is flat at the root), saturating at +-1e12 outside a
+    narrow linear band, a staircase of flat plateaus, or smooth in log x."""
+    if kind == "smooth":
+        return lambda x: orient * scale * math.expm1(shape * (x - root))
+    if kind == "flat":
+        return lambda x: orient * scale * (x - root) ** 9
+    if kind == "saturated":
+        slope = 1e12 / (1e-3 * scale)
+        return lambda x: orient * min(1e12, max(-1e12, slope * (x - root)))
+    if kind == "plateaus":
+        return lambda x: orient * (math.floor((x - root) / (0.05 * scale)) + 0.5)
+    return lambda x: orient * scale * (math.log(x) - math.log(root))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(["smooth", "flat", "saturated", "plateaus", "log"]),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    orient=st.sampled_from([1.0, -1.0]),
+    scale=st.floats(1e-3, 1e3),
+    shape=st.sampled_from([-30.0, -3.0, 0.3, 3.0, 30.0]),
+    tol=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
+    xtol_exp=st.integers(2, 12),
+    swap=st.booleans(),
+)
+def test_find_root_properties(kind, ends, orient, scale, shape, tol, xtol_exp, swap):
+    log = kind == "log"
+    lo_u, root_u, hi_u = sorted(ends)
+    if log:  # (1e-14, 1e14) on a log scale
+        lo, root, hi = (10.0 ** (28.0 * u - 14.0) for u in (lo_u, root_u, hi_u))
+    else:
+        lo, root, hi = (-5.0 + 10.0 * u for u in (lo_u, root_u, hi_u))
+    f = _monotone(kind, root, orient, scale, shape)
+    a, b = (hi, lo) if swap else (lo, hi)
+    fa, fb = f(a), f(b)
+    assume((fa > 0.0) != (fb > 0.0) and not tol >= min(abs(fa), abs(fb)))
+    done = lambda r: abs(r) <= tol  # noqa: E731
+    xtol = 10.0**-xtol_exp
+    probes = []
+
+    def recording(x):
+        probes.append((x, f(x)))
+        return probes[-1][1]
+
+    x, r = find_root(recording, a, fa, b, fb, done, log=log, xtol=xtol, max_steps=1000)
+    # every probe lies strictly inside the bracket left by the probes before it
+    bracket = {fa > 0.0: a, fb > 0.0: b}
+    for px, pr in probes:
+        assert min(bracket.values()) < px < max(bracket.values())
+        bracket[pr > 0.0] = px
+    # no point is evaluated twice, and neither end again
+    seen = [px for px, _ in probes]
+    assert len(set(seen)) == len(seen) and a not in seen and b not in seen
+    hits = [i for i, (_, pr) in enumerate(probes) if done(pr)]
+    if hits:
+        assert hits == [len(probes) - 1] and (x, r) == probes[-1]
+    else:
+        pool = [(a, fa), (b, fb)] + probes
+        assert abs(r) == min(abs(v) for _, v in pool) and (x, r) in pool
+    warp = math.log if log else float
+    width = abs(warp(b) - warp(a))
+    assert len(probes) <= 2 * max(0, math.ceil(math.log2(width / xtol))) + 2
+
+
+def test_find_root_needs_a_sign_change():
+    with pytest.raises(ValueError):
+        find_root(lambda x: x, 1.0, 1.0, 2.0, 2.0, lambda r: False, xtol=1e-6, max_steps=10)

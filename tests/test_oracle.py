@@ -120,5 +120,10 @@ def test_region_scan_interior_point_balances():
 
 
 def test_region_scan_validates_budget():
-    with pytest.raises(ValueError):
-        threshold_region_scan(FadingStatistics(1.0, 1.0), 0.0, np.array([0.5]))
+    stats = FadingStatistics(1.0, 1.0)
+    for bad in (0.0, float("nan"), float("inf"), "1"):
+        with pytest.raises(ValueError):
+            threshold_region_scan(stats, bad, np.array([0.5]))
+    for bad in (0, 2.5, "500"):
+        with pytest.raises(ValueError):
+            threshold_region_scan(stats, 1.0, np.array([0.5]), n_slots=bad)

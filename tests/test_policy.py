@@ -338,3 +338,44 @@ def test_closed_form_never_beaten_by_grid_smoke():
         for mode, lam in ((1, metrics.lambda1), (2, metrics.lambda2), (3, metrics.lambda3), (6, metrics.lambda6)):
             _, g_val = grid_max_metric(mode, ch, th, t, grid)
             assert g_val <= lam + 1e-6
+
+
+_MIRROR_MODE = np.array([0, 2, 1, 3, 5, 4, 6])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mu1=st.floats(0.001, 0.999),
+    mu2=st.floats(0.001, 0.999),
+    gamma=st.floats(1e-3, 10.0),
+    t=st.sampled_from([0.0, 1.0]),
+    omega=st.floats(0.01, 100.0),
+    k=st.floats(1e-3, 1e3),
+)
+def test_decide_trace_mirrors_and_scales(seed, mu1, mu2, gamma, t, omega, k):
+    # metamorphic properties of the slot rule: swapping the links (gains,
+    # duals and the decoding share) mirrors every decision, and scaling
+    # both gains and the price by k leaves the rates alone and divides the
+    # power by k
+    rng = np.random.default_rng(seed)
+    s1 = omega * rng.exponential(1.0, 200)
+    s2 = rng.exponential(1.0, 200)
+    dec = decide_trace(s1, s2, mu1, mu2, gamma, t)
+    near = dict(rel=1e-12, abs=1e-12)
+
+    mir = decide_trace(s2, s1, mu2, mu1, gamma, 1.0 - t)
+    # an idle slot (every metric zero) goes to the lowest mode either way
+    busy = dec.power > 0.0
+    assert np.array_equal(_MIRROR_MODE[mir.mode[busy]], dec.mode[busy])
+    assert mir.power == pytest.approx(dec.power, **near)
+    assert mir.up1 == pytest.approx(dec.up2, **near)
+    assert mir.up2 == pytest.approx(dec.up1, **near)
+    assert mir.down1 == pytest.approx(dec.down2, **near)
+    assert mir.down2 == pytest.approx(dec.down1, **near)
+
+    scaled = decide_trace(k * s1, k * s2, mu1, mu2, k * gamma, t)
+    assert np.array_equal(scaled.mode[busy], dec.mode[busy])
+    assert k * scaled.power == pytest.approx(dec.power, **near)
+    for name in ("up1", "up2", "down1", "down2"):
+        assert getattr(scaled, name) == pytest.approx(getattr(dec, name), **near)
