@@ -22,7 +22,7 @@ import numpy as np
 
 from . import benchmarks, engine, oracle, policy
 from .calibrate import CalibrationConfig, calibrate
-from .channel import ChannelState, FadingStatistics, check_int, check_real, sample_trace
+from .channel import FadingStatistics, check_int, check_real, sample_trace
 from .engine import PreparedPolicy
 
 __all__ = ["RunSpec", "run_sweep", "emit", "build_parser", "main"]
@@ -202,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--pt-db", type=float, default=None)
 
     p_ver = sub.add_parser("verify", help="run the brute-force oracle checks")
-    _add_common(p_ver)
-    p_ver.add_argument("--draws", type=int, default=200, help="random draws per check")
-    p_ver.add_argument("--grid-points", type=int, default=800)
+    p_ver.add_argument("--seed", type=int, default=None, help="random draw seed")
+    p_ver.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
+    p_ver.add_argument("--draws", type=int, default=200, help="draws for the grid check")
+    p_ver.add_argument("--grid-points", type=int, default=800, help="grid points per power axis")
     return parser
 
 
@@ -302,89 +303,40 @@ def cmd_calibrate(args) -> int:
 
 def _verify_lines(draws: int, grid_points: int, seed: int) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(seed)
-    checks: list[tuple[str, bool, str]] = []
-
-    worst_gap = 0.0
-    worst_step = 0.0
-    for _ in range(draws):
-        mu1, mu2 = rng.uniform(0.05, 0.95, 2)
-        gamma = float(rng.uniform(0.05, 2.0))
-        s1, s2 = (float(x) for x in rng.exponential(1.0, 2))
-        stats = FadingStatistics(2.0, 1.0) if mu1 >= mu2 else FadingStatistics(1.0, 2.0)
-        ch = ChannelState(1, s1, s2)
-        th = policy.Thresholds(mu1, mu2, gamma)
-        t = policy.optimal_time_share(stats)
-        mp = policy.mode_powers(ch, th, stats)
-        sm = policy.selection_metrics(ch, th, mp, t)
-        grid = oracle.GridSpec(0.0, 10.0 / gamma, grid_points)
-        step = grid.axis()[1]
-        closed = {
-            1: ((mp.p1_m1,), sm.lambda1),
-            2: ((mp.p2_m2,), sm.lambda2),
-            3: ((mp.p1_m3, mp.p2_m3), sm.lambda3),
-            6: ((mp.pr_m6,), sm.lambda6),
-        }
-        for mode, (powers, lam) in closed.items():
-            g_powers, g_val = oracle.grid_max_metric(mode, ch, th, t, grid)
-            worst_gap = max(worst_gap, g_val - lam)
-            worst_step = max(
-                worst_step, max(abs(a - b) / step for a, b in zip(powers, g_powers))
-            )
-    checks.append(
-        (
-            "closed-form power optimality vs grid",
-            worst_gap <= 1e-6 and worst_step <= 1.000001,
-            f"worst metric gap {worst_gap:.2e}, worst argmax offset {worst_step:.2f} steps",
-        )
-    )
-
+    gap, step = oracle.grid_optimality(*oracle.sample_draws(rng, draws), grid_points)
     n = 10_000
     mu1 = rng.uniform(0.05, 0.95, n)
     mu2 = rng.uniform(0.05, 0.95, n)
     gamma = rng.uniform(0.05, 2.0, n)
     s1 = rng.exponential(1.0, n)
     s2 = rng.exponential(1.0, n)
-    worst = 0.0
-    for i in range(n):
-        pr = float(policy.broadcast_power(s1[i], s2[i], mu1[i], mu2[i], gamma[i]))
-        if pr > 0.0:
-            lhs = mu2[i] * s1[i] / (1.0 + pr * s1[i]) + mu1[i] * s2[i] / (1.0 + pr * s2[i])
-            worst = max(worst, abs(lhs - gamma[i] * math.log(2.0)) / (gamma[i] * math.log(2.0)))
-    checks.append(
-        ("broadcast power root residual", worst <= 1e-8, f"worst relative residual {worst:.2e}")
-    )
-
-    ok = True
-    for i in range(min(draws, 1000)):
-        ch = ChannelState(1, float(s1[i]), float(s2[i]))
-        th = policy.Thresholds(float(mu1[i]), float(mu2[i]), float(gamma[i]))
-        _, _, t_best = oracle.t_sweep(ch, th, 1.0, 1.0, 101)
-        want = 0.0 if th.mu1 >= th.mu2 else 1.0
-        if t_best not in (0.0, 1.0) or (abs(th.mu1 - th.mu2) > 1e-9 and t_best != want):
-            ok = False
-    checks.append(("time share optimum sits at a boundary", ok, "argmax in {0, 1}"))
-
-    worst_dom = 0.0
-    for i in range(n):
-        ch = ChannelState(1, float(s1[i]), float(s2[i]))
-        th = policy.Thresholds(float(mu1[i]), float(mu2[i]), float(gamma[i]))
-        stats = FadingStatistics(1.0, 1.0)
-        sm = policy.selection_metrics(ch, th, policy.mode_powers(ch, th, stats), 0.0)
-        worst_dom = max(worst_dom, sm.lambda4 - sm.lambda6, sm.lambda5 - sm.lambda6)
-    checks.append(
+    resid, _ = oracle.broadcast_root_residual(s1, s2, mu1, mu2, gamma)
+    k = min(draws, 1000)
+    offset = oracle.time_share_offset(s1[:k], s2[:k], mu1[:k], mu2[:k], gamma[:k])
+    dom = oracle.downlink_dominance(s1, s2, mu1, mu2, gamma)
+    # a gap below zero (the closed form beat the grid) prints as 0
+    return [
+        (
+            "closed-form power optimality vs grid",
+            gap <= 1e-6 and step <= 1.000001,
+            f"worst metric gap {max(gap, 0.0):.2e}, worst argmax offset {step:.2f} steps",
+        ),
+        ("broadcast power root residual", resid <= 1e-8, f"worst relative residual {resid:.2e}"),
+        ("time share optimum sits at a boundary", offset == 0.0, "argmax in {0, 1}"),
         (
             "broadcast dominates single-user downlinks",
-            worst_dom <= 1e-12,
-            f"worst lambda gap {worst_dom:.2e}",
-        )
-    )
-    return checks
+            dom <= 1e-12,
+            f"worst lambda gap {max(dom, 0.0):.2e}",
+        ),
+    ]
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     seed = _pick(args, cfg, "seed", 1234)
     check_int("seed", seed, 0)
+    check_int("draws", args.draws, 1)
+    check_int("grid_points", args.grid_points, 100)
     checks = _verify_lines(args.draws, args.grid_points, seed)
     failures = 0
     for name, passed, detail in checks:

@@ -5,23 +5,40 @@ formulas and searches them exhaustively, so agreement with the policy
 module is evidence rather than tautology: grid searches over transmit
 power, a sweep over the decoding time share, and a feasibility scan over
 the dual plane.
+
+The checks behind `birelay verify` and the acceptance criteria take
+arrays of random draws (see sample_draws), one entry per draw, and return
+the worst value they found.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibrate import match_budget, solve_gamma
 from .channel import ChannelState, FadingStatistics, check_real, sample_trace
-from .policy import Thresholds, balance_residuals, decide_trace, optimal_time_share
+from .policy import (
+    Thresholds,
+    balance_residuals,
+    broadcast_power,
+    decide_trace,
+    mode_table,
+    optimal_time_share,
+)
 
 __all__ = [
     "GridSpec",
     "grid_max_metric",
     "suggested_grid",
     "t_sweep",
+    "sample_draws",
+    "grid_optimality",
+    "broadcast_root_residual",
+    "time_share_offset",
+    "downlink_dominance",
     "ScanPoint",
     "threshold_region_scan",
 ]
@@ -77,22 +94,41 @@ def grid_max_metric(
     elif mode == 3:
         if not 0.0 <= t <= 1.0:
             raise ValueError("time share t must lie in [0, 1]")
-        g1 = p * s1  # row axis: user 1 power
-        g2 = p * s2  # column axis: user 2 power
-        l1 = np.log2(1.0 + g1)
-        l2 = np.log2(1.0 + g2)
-        lsum = np.log2(1.0 + np.add.outer(g1, g2))
-        # split rates: c12r = t*l1 + (1-t)*(lsum - l2), c21r mirrors
-        c12r = t * l1[:, None] + (1.0 - t) * (lsum - l2[None, :])
-        c21r = (1.0 - t) * l2[None, :] + t * (lsum - l1[:, None])
-        vals = (1.0 - mu1) * c12r + (1.0 - mu2) * c21r - gamma * np.add.outer(p, p)
-        flat = int(np.argmax(vals))
-        i, j = np.unravel_index(flat, vals.shape)
+        vals = _ma_grid(p, s1, s2, mu1, mu2, gamma, t)
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         return (float(p[i]), float(p[j])), float(vals[i, j])
     else:
         raise ValueError(f"unknown mode {mode}")
     i = int(np.argmax(vals))
     return (float(p[i]),), float(vals[i])
+
+
+def _ma_grid(p, s1, s2, mu1, mu2, gamma, t):
+    """Multiple-access metric at every (user 1 power p[i], user 2 power p[j]).
+
+    The metric (1-mu1)*c12r + (1-mu2)*c21r - gamma*(p1+p2), with
+    c12r = t*l1 + (1-t)*(lsum - l2) and c21r = (1-t)*l2 + t*(lsum - l1),
+    collects into a*lsum[i, j] + row[i] + col[j]. It is built in place in
+    one buffer, so a search holds a single 2-D grid.
+    """
+    l1 = np.log2(1.0 + p * s1)
+    l2 = np.log2(1.0 + p * s2)
+    vals = np.add.outer(p * s1, p * s2)
+    vals += 1.0
+    np.log2(vals, out=vals)
+    vals *= (1.0 - mu1) * (1.0 - t) + (1.0 - mu2) * t
+    vals += (t * (mu2 - mu1) * l1 - gamma * p)[:, None]
+    vals += ((1.0 - t) * (mu1 - mu2) * l2 - gamma * p)[None, :]
+    return vals
+
+
+def _t_profile(s1, s2, mu1, mu2, gamma, p1, p2, ts):
+    """Multiple-access metric at decoding shares ts; gains and duals may be
+    column arrays, giving one profile row per draw."""
+    g1, g2 = p1 * s1, p2 * s2
+    c12r = ts * np.log2(1.0 + g1) + (1.0 - ts) * np.log2(1.0 + g1 / (1.0 + g2))
+    c21r = (1.0 - ts) * np.log2(1.0 + g2) + ts * np.log2(1.0 + g2 / (1.0 + g1))
+    return (1.0 - mu1) * c12r + (1.0 - mu2) * c21r - gamma * (p1 + p2)
 
 
 def t_sweep(
@@ -106,11 +142,80 @@ def t_sweep(
     if points < 2:
         raise ValueError("need at least 2 sweep points")
     ts = np.linspace(0.0, 1.0, points)
-    g1, g2 = p1 * ch.s1, p2 * ch.s2
-    c12r = ts * np.log2(1.0 + g1) + (1.0 - ts) * np.log2(1.0 + g1 / (1.0 + g2))
-    c21r = (1.0 - ts) * np.log2(1.0 + g2) + ts * np.log2(1.0 + g2 / (1.0 + g1))
-    profile = (1.0 - th.mu1) * c12r + (1.0 - th.mu2) * c21r - th.gamma * (p1 + p2)
+    profile = _t_profile(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, p1, p2, ts)
     return ts, profile, float(ts[int(np.argmax(profile))])
+
+
+def sample_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+    """n random slots (s1, s2, mu1, mu2, gamma) as arrays, drawn one slot at
+    a time: mu1, mu2 ~ U(0.05, 0.95), gamma ~ U(0.05, 2), s1, s2 ~ Exp(1)."""
+    rows = [
+        (*rng.uniform(0.05, 0.95, 2), rng.uniform(0.05, 2.0), *rng.exponential(1.0, 2))
+        for _ in range(n)
+    ]
+    mu1, mu2, gamma, s1, s2 = np.array(rows, dtype=float).reshape(n, 5).T
+    return s1, s2, mu1, mu2, gamma
+
+
+def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]:
+    """Worst grid advantage (grid maximum minus closed-form metric) and worst
+    argmax offset in grid steps of the closed-form powers of modes 1, 2, 3
+    and 6, against grid_max_metric on [0, 10/gamma] per power axis.
+
+    Each draw is checked at the decoding share its dual order favours
+    (t = 0 when mu1 >= mu2): the share the policy picks when the link with
+    the larger fading mean also has the larger dual.
+    """
+    tables = {t: mode_table(s1, s2, mu1, mu2, gamma, t) for t in (0.0, 1.0)}
+    worst_gap, worst_step = -math.inf, 0.0
+    for i, t in enumerate(np.where(mu1 >= mu2, 0.0, 1.0)):
+        pw, lam = tables[t]
+        ch = ChannelState(1, float(s1[i]), float(s2[i]))
+        th = Thresholds(float(mu1[i]), float(mu2[i]), float(gamma[i]))
+        grid = GridSpec(0.0, 10.0 / th.gamma, points)
+        step = grid.axis()[1]
+        for mode, powers, metric in (
+            (1, (pw.p1_m1,), lam.lambda1),
+            (2, (pw.p2_m2,), lam.lambda2),
+            (3, (pw.p1_m3, pw.p2_m3), lam.lambda3),
+            (6, (pw.pr_m6,), lam.lambda6),
+        ):
+            g_powers, g_val = grid_max_metric(mode, ch, th, t, grid)
+            worst_gap = max(worst_gap, g_val - float(metric[i]))
+            worst_step = max(worst_step, *(abs(p[i] - g) / step for p, g in zip(powers, g_powers)))
+    return worst_gap, float(worst_step)
+
+
+def broadcast_root_residual(s1, s2, mu1, mu2, gamma) -> tuple[float, int]:
+    """Worst relative residual of broadcast_power in its stationarity
+    equation mu2*s1/(1+p*s1) + mu1*s2/(1+p*s2) = gamma*ln2 over the draws
+    where the power is positive, and the number of those draws."""
+    pr = broadcast_power(s1, s2, mu1, mu2, gamma)
+    target = gamma * math.log(2.0)
+    lhs = mu2 * s1 / (1.0 + pr * s1) + mu1 * s2 / (1.0 + pr * s2)
+    worst = np.max(np.abs(lhs - target) / target, where=pr > 0.0, initial=0.0)
+    return float(worst), int(np.count_nonzero(pr > 0.0))
+
+
+def time_share_offset(s1, s2, mu1, mu2, gamma) -> float:
+    """Worst distance of a 101-point t_sweep argmax (unit user powers) from
+    the share it must sit at: the one the dual order picks (0 when
+    mu1 >= mu2) where the duals or the profile's end slope are more than
+    1e-9 from a tie, else the nearer endpoint."""
+    ts = np.linspace(0.0, 1.0, 101)
+    cols = (np.asarray(x)[:, None] for x in (s1, s2, mu1, mu2, gamma))
+    profile = _t_profile(*cols, 1.0, 1.0, ts)
+    t_best = ts[np.argmax(profile, axis=1)]
+    decided = (np.abs(mu1 - mu2) > 1e-9) | (np.abs(profile[:, -1] - profile[:, 0]) > 1e-9)
+    want = np.where(decided, np.where(mu1 >= mu2, 0.0, 1.0), np.round(t_best))
+    return float(np.max(np.abs(t_best - want), initial=0.0))
+
+
+def downlink_dominance(s1, s2, mu1, mu2, gamma) -> float:
+    """Worst advantage of a single-user downlink mode (4 or 5) over the
+    broadcast mode 6, each at its closed-form power."""
+    _, lam = mode_table(s1, s2, mu1, mu2, gamma, 0.0)
+    return float(np.max(np.maximum(lam.lambda4, lam.lambda5) - lam.lambda6))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ the broadcast mode's power is the root of a quadratic. The slot then uses
 whichever of the two uplink modes, the multiple-access mode, or the
 broadcast mode scores highest. The two single-user downlink modes are
 always dominated by the broadcast mode (their metric drops one nonnegative
-term), so they are never selected; only the one-slot mode_powers and
-selection_metrics compute them, for the dominance check. The one-slot and
-whole-trace rules share one set of closed forms.
+term), so they are never selected; only mode_table (and the one-slot
+mode_powers and selection_metrics built on it) computes them, for the
+dominance check. The one-slot and whole-trace rules share one set of
+closed forms.
 
 The multiple-access decoding order never needs interior time sharing: the
 metric is affine in the share t, so one of the endpoints t in {0, 1} is
@@ -36,6 +37,7 @@ __all__ = [
     "SelectionMetrics",
     "TraceDecisions",
     "optimal_time_share",
+    "mode_table",
     "mode_powers",
     "selection_metrics",
     "select_mode",
@@ -68,7 +70,8 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class ModePowers:
-    """Optimal per-mode transmit powers for one slot (all clamped at 0)."""
+    """Per-mode transmit powers (optimal ones are clamped at 0): floats for
+    one slot, or arrays from mode_table."""
 
     p1_m1: float
     p2_m2: float
@@ -81,7 +84,8 @@ class ModePowers:
 
 @dataclass(frozen=True)
 class SelectionMetrics:
-    """Dual-weighted net benefit of each mode at its own optimal power."""
+    """Dual-weighted net benefit of each mode at its power: floats for one
+    slot, or arrays from mode_table."""
 
     lambda1: float
     lambda2: float
@@ -244,25 +248,45 @@ def _selectable_metrics(s1, s2, mu1, mu2, gamma, t, powers):
     return lams, (c1r, c2r, c12r, c21r, cr1, cr2)
 
 
+def mode_table(
+    s1, s2, mu1, mu2, gamma, t: float, powers: ModePowers | None = None
+) -> tuple[ModePowers, SelectionMetrics]:
+    """Every mode's power and selection metric at decoding share t,
+    elementwise over gains and duals (scalars, or arrays of one shape).
+
+    Without powers each mode runs at its closed-form optimal power; with
+    them the metrics are scored at the given powers.
+    """
+    if powers is None:
+        *uplink, pr_m6 = _selectable_powers(s1, s2, mu1, mu2, gamma, t)
+        pr_m4 = wf_power(mu2, gamma, recip(s1))
+        pr_m5 = wf_power(mu1, gamma, recip(s2))
+        powers = ModePowers(*uplink, pr_m4, pr_m5, pr_m6)
+    own = (powers.p1_m1, powers.p2_m2, powers.p1_m3, powers.p2_m3, powers.pr_m6)
+    (lam1, lam2, lam3, lam6), _ = _selectable_metrics(s1, s2, mu1, mu2, gamma, t, own)
+    lam4 = mu2 * capacity(powers.pr_m4 * s1) - gamma * powers.pr_m4
+    lam5 = mu1 * capacity(powers.pr_m5 * s2) - gamma * powers.pr_m5
+    return powers, SelectionMetrics(lam1, lam2, lam3, lam4, lam5, lam6)
+
+
+def _floats(table):
+    """The same record with every field a Python float."""
+    return type(table)(*(float(v) for v in vars(table).values()))
+
+
 def mode_powers(ch: ChannelState, th: Thresholds, stats: FadingStatistics) -> ModePowers:
     """Closed-form optimal transmit power of every mode for one slot."""
     t = optimal_time_share(stats)
-    *uplink, pr_m6 = _selectable_powers(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t)
-    pr_m4 = wf_power(th.mu2, th.gamma, recip(ch.s1))
-    pr_m5 = wf_power(th.mu1, th.gamma, recip(ch.s2))
-    return ModePowers(*(float(v) for v in (*uplink, pr_m4, pr_m5, pr_m6)))
+    powers, _ = mode_table(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t)
+    return _floats(powers)
 
 
 def selection_metrics(
     ch: ChannelState, th: Thresholds, powers: ModePowers, t: float
 ) -> SelectionMetrics:
-    """Selection metric of every mode at its optimal power and share t."""
-    own = (powers.p1_m1, powers.p2_m2, powers.p1_m3, powers.p2_m3, powers.pr_m6)
-    lams, _ = _selectable_metrics(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t, own)
-    lam1, lam2, lam3, lam6 = lams
-    lam4 = th.mu2 * capacity(powers.pr_m4 * ch.s1) - th.gamma * powers.pr_m4
-    lam5 = th.mu1 * capacity(powers.pr_m5 * ch.s2) - th.gamma * powers.pr_m5
-    return SelectionMetrics(*(float(v) for v in (lam1, lam2, lam3, lam4, lam5, lam6)))
+    """Selection metric of every mode at the given powers and share t."""
+    _, metrics = mode_table(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t, powers)
+    return _floats(metrics)
 
 
 def select_mode(metrics: SelectionMetrics) -> int:

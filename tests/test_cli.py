@@ -1,11 +1,13 @@
 """Command line front end: sweep plumbing, deterministic output, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 
 import pytest
 
+from birelay import oracle
 from birelay.cli import COLUMNS, PROTOCOLS, RunSpec, build_parser, emit, main, run_sweep
 
 
@@ -196,6 +198,65 @@ def test_main_verify_smoke():
     lines = [ln for ln in out.splitlines() if ln]
     assert len(lines) == 4
     assert all(ln.startswith("PASS ") for ln in lines)
+
+
+def test_main_verify_golden_lines():
+    # recorded from the scalar per-draw loops these checks replaced
+    rc, out, _ = _main(["verify", "--seed", "1234", "--draws", "20", "--grid-points", "150"])
+    assert rc == 0
+    assert out == (
+        "PASS closed-form power optimality vs grid: worst metric gap 0.00e+00, "
+        "worst argmax offset 0.49 steps\n"
+        "PASS broadcast power root residual: worst relative residual 5.27e-16\n"
+        "PASS time share optimum sits at a boundary: argmax in {0, 1}\n"
+        "PASS broadcast dominates single-user downlinks: worst lambda gap 0.00e+00\n"
+    )
+
+
+def test_main_verify_rejects_empty_or_coarse_checks():
+    for argv in (["--draws", "0"], ["--draws=-5"], ["--grid-points", "99"]):
+        rc, out, err = _main(["verify", *argv])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_main_verify_takes_only_its_own_flags():
+    for flag in ("--omega1", "--omega2", "--slots", "--tol-rate", "--tol-power"):
+        with contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", flag, "5", "--draws", "2", "--grid-points", "100"])
+        assert exc.value.code == 2
+
+
+def _verify_small():
+    rc, out, _ = _main(["verify", "--seed", "3", "--draws", "20", "--grid-points", "150"])
+    return rc, out.splitlines()
+
+
+def test_main_verify_fails_on_a_wrong_broadcast_root(monkeypatch):
+    exact = oracle.broadcast_power
+    monkeypatch.setattr(oracle, "broadcast_power", lambda *a: exact(*a) * (1.0 + 1e-6))
+    rc, lines = _verify_small()
+    assert rc == 1
+    assert lines[1].startswith("FAIL broadcast power root residual")
+    assert sum(ln.startswith("FAIL ") for ln in lines) == 1
+
+
+def test_main_verify_fails_on_a_shifted_joint_uplink_power(monkeypatch):
+    exact = oracle.mode_table
+
+    def shifted(s1, s2, mu1, mu2, gamma, t, powers=None):
+        powers, _ = exact(s1, s2, mu1, mu2, gamma, t)
+        # three steps of the check's grid [0, 10/gamma] at 150 points
+        powers = dataclasses.replace(powers, p1_m3=powers.p1_m3 + 3 * (10.0 / gamma) / 149)
+        return exact(s1, s2, mu1, mu2, gamma, t, powers)
+
+    monkeypatch.setattr(oracle, "mode_table", shifted)
+    rc, lines = _verify_small()
+    assert rc == 1
+    assert lines[0].startswith("FAIL closed-form power optimality vs grid")
+    assert all(ln.startswith("PASS ") for ln in lines[1:])
 
 
 def test_main_calibrate_smoke():

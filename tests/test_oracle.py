@@ -7,6 +7,7 @@ from birelay.channel import ChannelState, FadingStatistics
 from birelay.oracle import (
     GridSpec,
     ScanPoint,
+    _ma_grid,
     grid_max_metric,
     suggested_grid,
     t_sweep,
@@ -64,6 +65,41 @@ def test_grid_max_rejects_bad_mode_and_t():
         grid_max_metric(7, ch, th, 0.0, GridSpec(0.0, 1.0, 100))
     with pytest.raises(ValueError):
         grid_max_metric(3, ch, th, 1.5, GridSpec(0.0, 1.0, 100))
+
+
+def _ma_grid_literal(p, s1, s2, mu1, mu2, gamma, t):
+    """The multiple-access metric over the (p1, p2) grid, written out as the
+    split rates it is made of; the reference for the oracle's coefficient form."""
+    g1 = p * s1  # row axis: user 1 power
+    g2 = p * s2  # column axis: user 2 power
+    l1 = np.log2(1.0 + g1)
+    l2 = np.log2(1.0 + g2)
+    lsum = np.log2(1.0 + np.add.outer(g1, g2))
+    c12r = t * l1[:, None] + (1.0 - t) * (lsum - l2[None, :])
+    c21r = (1.0 - t) * l2[None, :] + t * (lsum - l1[:, None])
+    return (1.0 - mu1) * c12r + (1.0 - mu2) * c21r - gamma * np.add.outer(p, p)
+
+
+def test_ma_grid_coefficient_form_matches_literal_formula():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        mu1, mu2 = (float(x) for x in rng.uniform(0.05, 0.95, 2))
+        gamma = float(rng.uniform(0.05, 2.0))
+        s1, s2 = (float(x) for x in rng.exponential(1.0, 2))
+        p = GridSpec(0.0, 10.0 / gamma, 150).axis()
+        for t in (0.0, 0.5, 1.0):
+            coef = _ma_grid(p, s1, s2, mu1, mu2, gamma, t)
+            lit = _ma_grid_literal(p, s1, s2, mu1, mu2, gamma, t)
+            assert coef.shape == lit.shape == (150, 150)
+            best_c, best_l = coef.max(), lit.max()
+            assert best_c == pytest.approx(best_l, rel=1e-12, abs=0.0)
+            # each form's argmax is optimal, to 1e-12, under the other form
+            assert lit.flat[np.argmax(coef)] == pytest.approx(best_l, rel=1e-12, abs=0.0)
+            assert coef.flat[np.argmax(lit)] == pytest.approx(best_c, rel=1e-12, abs=0.0)
+            ch, th = ChannelState(1, s1, s2), Thresholds(mu1, mu2, gamma)
+            (p1, p2), val = grid_max_metric(3, ch, th, t, GridSpec(0.0, 10.0 / gamma, 150))
+            i, j = np.unravel_index(np.argmax(coef), coef.shape)
+            assert (p1, p2, val) == (p[i], p[j], best_c)
 
 
 def test_t_sweep_profile_is_affine_with_boundary_argmax():
