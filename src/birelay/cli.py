@@ -312,7 +312,7 @@ def _verify_lines(draws: int, grid_points: int, seed: int) -> list[tuple[str, bo
     s2 = rng.exponential(1.0, n)
     resid, _ = oracle.broadcast_root_residual(s1, s2, mu1, mu2, gamma)
     k = min(draws, 1000)
-    offset = oracle.time_share_offset(s1[:k], s2[:k], mu1[:k], mu2[:k], gamma[:k])
+    at_boundary = oracle.time_share_at_boundary(s1[:k], s2[:k], mu1[:k], mu2[:k], gamma[:k])
     dom = oracle.downlink_dominance(s1, s2, mu1, mu2, gamma)
     # a gap below zero (the closed form beat the grid) prints as 0
     return [
@@ -322,7 +322,7 @@ def _verify_lines(draws: int, grid_points: int, seed: int) -> list[tuple[str, bo
             f"worst metric gap {max(gap, 0.0):.2e}, worst argmax offset {step:.2f} steps",
         ),
         ("broadcast power root residual", resid <= 1e-8, f"worst relative residual {resid:.2e}"),
-        ("time share optimum sits at a boundary", offset == 0.0, "argmax in {0, 1}"),
+        ("time share optimum sits at a boundary", at_boundary, "argmax in {0, 1}"),
         (
             "broadcast dominates single-user downlinks",
             dom <= 1e-12,

@@ -37,7 +37,7 @@ __all__ = [
     "sample_draws",
     "grid_optimality",
     "broadcast_root_residual",
-    "time_share_offset",
+    "time_share_at_boundary",
     "downlink_dominance",
     "ScanPoint",
     "threshold_region_scan",
@@ -78,29 +78,27 @@ def grid_max_metric(
     Returns (argmax powers, metric value). Mode 3 searches the full 2-D
     user-power grid; all other modes are 1-D.
     """
-    s1, s2 = ch.s1, ch.s2
-    mu1, mu2, gamma = th.mu1, th.mu2, th.gamma
+    if mode not in (1, 2, 3, 4, 5, 6):
+        raise ValueError(f"unknown mode {mode}")
+    if mode == 3 and not 0.0 <= t <= 1.0:
+        raise ValueError("time share t must lie in [0, 1]")
     p = grid.axis()
-    if mode == 1:
-        vals = (1.0 - mu1) * np.log2(1.0 + p * s1) - gamma * p
-    elif mode == 2:
-        vals = (1.0 - mu2) * np.log2(1.0 + p * s2) - gamma * p
-    elif mode == 4:
-        vals = mu2 * np.log2(1.0 + p * s1) - gamma * p
-    elif mode == 5:
-        vals = mu1 * np.log2(1.0 + p * s2) - gamma * p
+    at, value = _grid_search(mode, p, ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t)
+    return tuple(float(p[k]) for k in at), float(value)
+
+
+def _grid_search(mode, p, s1, s2, mu1, mu2, gamma, t):
+    """Grid indices of one mode's best powers on axis p (one index per
+    power axis) and the metric there; no validation."""
+    if mode == 3:
+        vals = _ma_grid(p, s1, s2, mu1, mu2, gamma, t)
     elif mode == 6:
         vals = mu1 * np.log2(1.0 + p * s2) + mu2 * np.log2(1.0 + p * s1) - gamma * p
-    elif mode == 3:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("time share t must lie in [0, 1]")
-        vals = _ma_grid(p, s1, s2, mu1, mu2, gamma, t)
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        return (float(p[i]), float(p[j])), float(vals[i, j])
     else:
-        raise ValueError(f"unknown mode {mode}")
-    i = int(np.argmax(vals))
-    return (float(p[i]),), float(vals[i])
+        weight, s = {1: (1.0 - mu1, s1), 2: (1.0 - mu2, s2), 4: (mu2, s1), 5: (mu1, s2)}[mode]
+        vals = weight * np.log2(1.0 + p * s) - gamma * p
+    at = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return at, vals[at]
 
 
 def _ma_grid(p, s1, s2, mu1, mu2, gamma, t):
@@ -160,7 +158,7 @@ def sample_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
 def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]:
     """Worst grid advantage (grid maximum minus closed-form metric) and worst
     argmax offset in grid steps of the closed-form powers of modes 1, 2, 3
-    and 6, against grid_max_metric on [0, 10/gamma] per power axis.
+    and 6, against an exhaustive search on [0, 10/gamma] per power axis.
 
     Each draw is checked at the decoding share its dual order favours
     (t = 0 when mu1 >= mu2): the share the policy picks when the link with
@@ -170,20 +168,17 @@ def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]
     worst_gap, worst_step = -math.inf, 0.0
     for i, t in enumerate(np.where(mu1 >= mu2, 0.0, 1.0)):
         pw, lam = tables[t]
-        ch = ChannelState(1, float(s1[i]), float(s2[i]))
-        th = Thresholds(float(mu1[i]), float(mu2[i]), float(gamma[i]))
-        grid = GridSpec(0.0, 10.0 / th.gamma, points)
-        step = grid.axis()[1]
+        p = np.linspace(0.0, 10.0 / gamma[i], points)
         for mode, powers, metric in (
             (1, (pw.p1_m1,), lam.lambda1),
             (2, (pw.p2_m2,), lam.lambda2),
             (3, (pw.p1_m3, pw.p2_m3), lam.lambda3),
             (6, (pw.pr_m6,), lam.lambda6),
         ):
-            g_powers, g_val = grid_max_metric(mode, ch, th, t, grid)
-            worst_gap = max(worst_gap, g_val - float(metric[i]))
-            worst_step = max(worst_step, *(abs(p[i] - g) / step for p, g in zip(powers, g_powers)))
-    return worst_gap, float(worst_step)
+            at, value = _grid_search(mode, p, s1[i], s2[i], mu1[i], mu2[i], gamma[i], t)
+            worst_gap = max(worst_gap, value - metric[i])
+            worst_step = max(worst_step, *(abs(q[i] - p[k]) / p[1] for q, k in zip(powers, at)))
+    return float(worst_gap), float(worst_step)
 
 
 def broadcast_root_residual(s1, s2, mu1, mu2, gamma) -> tuple[float, int]:
@@ -197,18 +192,20 @@ def broadcast_root_residual(s1, s2, mu1, mu2, gamma) -> tuple[float, int]:
     return float(worst), int(np.count_nonzero(pr > 0.0))
 
 
-def time_share_offset(s1, s2, mu1, mu2, gamma) -> float:
-    """Worst distance of a 101-point t_sweep argmax (unit user powers) from
-    the share it must sit at: the one the dual order picks (0 when
-    mu1 >= mu2) where the duals or the profile's end slope are more than
-    1e-9 from a tie, else the nearer endpoint."""
+def time_share_at_boundary(s1, s2, mu1, mu2, gamma, *, slope_ties: bool = False) -> bool:
+    """Whether every draw's 101-point t_sweep argmax (unit user powers) sits
+    at t = 0 or t = 1, and, unless the draw is a tie, at the end the dual
+    order picks (0 when mu1 >= mu2). A tie is duals within 1e-9 of each
+    other or, with slope_ties, a profile whose end slope is within 1e-9 of
+    zero: flat to rounding, so np.argmax may take either end."""
     ts = np.linspace(0.0, 1.0, 101)
     cols = (np.asarray(x)[:, None] for x in (s1, s2, mu1, mu2, gamma))
     profile = _t_profile(*cols, 1.0, 1.0, ts)
     t_best = ts[np.argmax(profile, axis=1)]
-    decided = (np.abs(mu1 - mu2) > 1e-9) | (np.abs(profile[:, -1] - profile[:, 0]) > 1e-9)
-    want = np.where(decided, np.where(mu1 >= mu2, 0.0, 1.0), np.round(t_best))
-    return float(np.max(np.abs(t_best - want), initial=0.0))
+    tie_gap = profile[:, -1] - profile[:, 0] if slope_ties else mu1 - mu2
+    at_end = (t_best == 0.0) | (t_best == 1.0)
+    picked = (t_best == np.where(mu1 >= mu2, 0.0, 1.0)) | (np.abs(tie_gap) <= 1e-9)
+    return bool(np.all(at_end & picked))
 
 
 def downlink_dominance(s1, s2, mu1, mu2, gamma) -> float:

@@ -22,7 +22,7 @@ from birelay.oracle import (
     grid_optimality,
     sample_draws,
     threshold_region_scan,
-    time_share_offset,
+    time_share_at_boundary,
 )
 from birelay.policy import proposed_policy
 
@@ -234,7 +234,7 @@ def test_criterion_08_saturation_in_link_quality(point_runs):
 
 def test_criterion_09_time_share_and_dominance_properties():
     rng = np.random.default_rng(4242)
-    boundary_ok = time_share_offset(*sample_draws(rng, 1000)) == 0.0
+    boundary_ok = time_share_at_boundary(*sample_draws(rng, 1000), slope_ties=True)
     worst_dom = downlink_dominance(*sample_draws(rng, 10_000))
 
     scan = threshold_region_scan(

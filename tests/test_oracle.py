@@ -9,9 +9,11 @@ from birelay.oracle import (
     ScanPoint,
     _ma_grid,
     grid_max_metric,
+    sample_draws,
     suggested_grid,
     t_sweep,
     threshold_region_scan,
+    time_share_at_boundary,
 )
 from birelay.policy import Thresholds
 
@@ -134,6 +136,20 @@ def test_t_sweep_validates_inputs():
         t_sweep(ch, th, -1.0, 1.0)
     with pytest.raises(ValueError):
         t_sweep(ch, th, 1.0, 1.0, points=1)
+
+
+def test_time_share_at_boundary_ties():
+    draws = sample_draws(np.random.default_rng(9), 500)
+    assert time_share_at_boundary(*draws)
+    assert time_share_at_boundary(*draws, slope_ties=True)
+    # a user-1 gain of 1e-20 leaves the profile flat to rounding, so its
+    # argmax is t = 0 although mu1 < mu2 picks t = 1: a tie by slope only
+    flat = [np.array([x]) for x in (1e-20, 1.0, 0.2, 0.6, 0.5)]
+    assert not time_share_at_boundary(*flat)
+    assert time_share_at_boundary(*flat, slope_ties=True)
+    # equal duals are a tie in both senses: the profile is flat
+    equal = [np.array([x]) for x in (1e-20, 1.0, 0.4, 0.4, 0.5)]
+    assert time_share_at_boundary(*equal)
 
 
 def test_region_scan_boundary_duals_cannot_balance():

@@ -1,10 +1,10 @@
 """Record a before/after benchmark comparison as BENCH_<n>.json.
 
-Runs the benchmark that ``BENCHMARK.json`` declares in alternating pairs
-on a ``git archive`` copy of a parent commit and on the working tree, then
-writes the machine facts, each workload's per-side medians and quartiles of
-every end-to-end metric, the pairs the change won, the ``src/`` line count
-and the Tier-1 test time of both sides.
+Runs the benchmark that ``BENCHMARK.json`` declares in ten alternating
+pairs on a ``git archive`` copy of a parent commit and on the working tree,
+then writes the machine facts, each workload's per-side medians and
+quartiles of every end-to-end metric, the pairs the change won, the
+``src/`` line count and the Tier-1 test time of both sides.
 
 Run from the repository root:
 
@@ -34,6 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+# parent/change pairs per workload: a gain counts when the change wins at
+# least nine of ten
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -90,7 +93,7 @@ def tier1(root: Path) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -116,15 +119,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--out", required=True, help="path of the BENCH_<n>.json to write")
-    parser.add_argument("--pairs", type=int, default=10, help="parent/change pairs per workload")
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
-    seeds = [k + 1 for k in range(args.pairs)]
+    seeds = [k + 1 for k in range(PAIRS)]
     parent_sha = git("rev-parse", args.parent)
     scratch = Path(tempfile.mkdtemp(prefix="record_bench-"))
     try:
@@ -166,7 +166,7 @@ def main() -> int:
             "settings": {
                 "command": spec["command"] + ["--workload", "W", "--seed", "N", "--trace", "0"],
                 "seconds": seconds,
-                "pairs": args.pairs,
+                "pairs": PAIRS,
                 "seeds": seeds,
             },
             "workloads": workloads,
