@@ -1,43 +1,42 @@
 """Baseline protocols the adaptive slot rule is compared against.
 
-These are deliberately simple, budget-matched stand-ins for the usual
-reference schemes:
+Deliberately simple, budget-matched stand-ins for the usual reference
+schemes:
 
 * tdbc_no_pa: a fixed three-slot cycle (uplink 1, uplink 2, broadcast),
-  every active node transmitting the full budget. One node transmits per
-  slot, so the average spent power equals the budget by construction.
+  every active node at the full budget. One node transmits per slot, so
+  the average spent power equals the budget by construction.
 * tdbc_pa: the same cycle with per-slot water-filling. User slots fill
   against their own link; the broadcast slot fills against the sum of the
   two downlink capacities (the two-link generalization of the same clamp).
   One shared price is solved for so the average spent power meets the budget.
+* fixed_power_six_mode: per-slot selection among all six modes by the
+  dual-weighted metrics without the power term, every transmitter at one
+  common power, scaled so the average spent power meets the budget (the
+  multiple-access mode spends double).
+* fixed_power_three_mode: the same over the two single-user uplinks and
+  the broadcast mode; one node transmits per slot, so the common power is
+  the budget outright.
 
-* fixed_power_six_mode: per-slot selection among all six modes using the
-  dual-weighted metrics with the power term dropped and every transmitter
-  at the same fixed power, which is scaled so the average spent power meets
-  the budget (the multiple-access mode spends double).
-* fixed_power_three_mode: the same with the candidate set cut to the two
-  single-user uplinks and the broadcast mode; exactly one node transmits
-  per slot, so the fixed power equals the budget outright.
+The fixed cycle is delay limited: a frame's uplink traffic leaves the
+relay in that frame's broadcast slot, never later, so each uplink slot
+carries the minimum of its own capacity and that broadcast slot's
+capacity toward its destination, and the relay buffers drain every frame.
 
-The fixed cycle is delay limited: information sent in a frame's uplink
-slots leaves the relay in that same frame's broadcast slot, never later,
-because the scheme keeps no queue across frames. Each uplink slot
-therefore transmits at the minimum of its own capacity and the frame's
-broadcast-slot capacity toward the destination, and the relay buffers
-drain completely every frame.
-
-The two fixed-power variants still need buffer-balance duals; those are
-calibrated with the shared coordinate search from the calibrate module.
+The fixed-power variants solve their buffer-balance duals with
+calibrate.balance_duals, the dual solver of the proposed protocol, over
+capacities cached per common power; the six-mode variant alternates it
+with a budget solve of the common power.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .calibrate import balance_duals, find_root, match_budget, solve_gamma
+from .calibrate import balance_duals, find_root, solve_gamma
 from .channel import ChannelTrace, check_real
 from .engine import PreparedPolicy
 from .policy import (
@@ -156,23 +155,21 @@ def tdbc_policy(
     return PreparedPolicy(cfg.kind, decide, None, None, gamma, fixed, converged)
 
 
-def _fixed_eval(
-    s1, s2, mu1: float, mu2: float, power: float, modes: tuple, t: float
-) -> TraceDecisions:
-    """Fixed-power selection over a whole trace: per slot, the candidate mode
-    with the largest dual-weighted rate (no power term), ties to the earliest."""
-    c1r = capacity(power * s1)
-    c2r = capacity(power * s2)
+def _fixed_caps(s1, s2, power: float, modes: tuple, t: float) -> tuple:
+    """Capacity step of the fixed-power rule (no duals): both direct links
+    at the common power and, if mode 3 is a candidate, the split at share t."""
     c12r, c21r = ma_split(s1, s2, power, power, t) if 3 in modes else (0.0, 0.0)
-    metric = {
-        1: lambda: (1.0 - mu1) * c1r,
-        2: lambda: (1.0 - mu2) * c2r,
-        3: lambda: (1.0 - mu1) * c12r + (1.0 - mu2) * c21r,
-        4: lambda: mu2 * c1r,
-        5: lambda: mu1 * c2r,
-        6: lambda: mu1 * c2r + mu2 * c1r,
-    }
-    mode = best_modes(modes, [metric[k]() for k in modes])
+    return capacity(power * s1), capacity(power * s2), c12r, c21r
+
+
+def _fixed_select(caps: tuple, mu1, mu2, power: float, modes: tuple) -> TraceDecisions:
+    """Selection step: per slot, the candidate mode with the largest
+    dual-weighted rate (no power term), ties to the earliest."""
+    c1r, c2r, c12r, c21r = caps
+    lam = {1: (1.0 - mu1) * c1r, 2: (1.0 - mu2) * c2r, 4: mu2 * c1r, 5: mu1 * c2r}
+    lam[3] = (1.0 - mu1) * c12r + (1.0 - mu2) * c21r
+    lam[6] = mu1 * c2r + mu2 * c1r
+    mode = best_modes(modes, [lam[k] for k in modes])
     is3 = mode == 3
     return TraceDecisions(
         mode=mode,
@@ -184,16 +181,25 @@ def _fixed_eval(
     )
 
 
+def _fixed_eval(s1, s2, mu1, mu2, power: float, modes: tuple, t: float) -> TraceDecisions:
+    """Fixed-power selection over a whole trace: capacity step, then selection step."""
+    return _fixed_select(_fixed_caps(s1, s2, power, modes, t), mu1, mu2, power, modes)
+
+
 def fixed_power_policy(
-    cfg: BenchmarkConfig,
-    trace: ChannelTrace,
-    tol_rate: float = 0.01,
-    max_iters: int = 200,
+    cfg: BenchmarkConfig, trace: ChannelTrace, tol_rate: float = 0.01, max_iters: int = 200
 ) -> PreparedPolicy:
     """Prepare a fixed-power selective policy, calibrating its buffer duals
     (and, for the six-mode variant, the common power) on the given trace.
-    Supplied thresholds are used as given; converged then reports whether
-    they balance both buffers within tol_rate on this trace."""
+
+    Each power's capacities are computed once, so a dual point costs one
+    selection step. balance_duals solves the duals at a fixed power; the
+    six-mode variant alternates that with a budget solve of the power at
+    fixed duals, each starting from the other's result, until the buffers
+    balance at the new power, and stops early when a dual solve fails or
+    after 8 rounds. Supplied thresholds are used as given (the power is
+    solved at them once). converged: at the returned point both balance
+    residuals meet tol_rate and a solved power meets the budget to 1e-4."""
     if cfg.kind not in ("fixed_power_six_mode", "fixed_power_three_mode"):
         raise ValueError("not a fixed-power benchmark kind")
     modes = (1, 2, 3, 4, 5, 6) if cfg.kind == "fixed_power_six_mode" else (1, 2, 6)
@@ -203,36 +209,44 @@ def fixed_power_policy(
     # symmetric; a boundary share pins one direction's inflow behind
     # interference, which no dual choice can rebalance at vanishing SNR
     t = 0.5
-    power_at: dict[tuple[float, float], float] = {}
-    base_power = cfg.p_total if cfg.fixed_power is None else cfg.fixed_power
     # spent power lies between the common power and twice it (at most two
     # nodes transmit at once), so [0.45, 1.05] x budget brackets its root
     lo, hi = 0.45 * cfg.p_total, 1.05 * cfg.p_total
     within = lambda r: abs(r) <= 1e-4  # noqa: E731
+    held: dict[float, tuple] = {}  # capacities at the bracket ends and the latest power
 
-    def solve(resid: Callable[[float], float]) -> float:
-        return find_root(resid, lo, resid(lo), hi, resid(hi), within, xtol=0.0, max_steps=60)[0]
+    def caps(p: float) -> tuple:
+        if p not in held:
+            for q in set(held) - {lo, hi}:
+                del held[q]
+            held[p] = _fixed_caps(s1, s2, p, modes, t)
+        return held[p]
 
-    def residuals(mu1: float, mu2: float) -> tuple[float, float]:
-        def at(p: float) -> TraceDecisions:
-            return _fixed_eval(s1, s2, mu1, mu2, p, modes, t)
+    @functools.cache
+    def measure(mu1: float, mu2: float, p: float) -> tuple[float, float, float]:
+        """Balance residuals and relative power residual of one point."""
+        dec = _fixed_select(caps(p), mu1, mu2, p, modes)
+        return (*balance_residuals(dec), (float(dec.power.mean()) - cfg.p_total) / cfg.p_total)
 
+    mu1, mu2 = cfg.thresholds or (0.5, 0.5)
+    # the six-mode power starts near where its budget solves land (~0.6 x)
+    power = cfg.p_total / 1.66 if scale_power else (cfg.fixed_power or cfg.p_total)
+    for _ in range(8 if scale_power and cfg.thresholds is None else 1):
+        if cfg.thresholds is None:
+            at_power = lambda a, b: measure(a, b, power)[:2]  # noqa: E731
+            mu1, mu2, *_, converged = balance_duals(
+                at_power, tol_rate=tol_rate, max_points=max_iters, start=(mu1, mu2)
+            )
+            if not (converged and scale_power):
+                break
         if scale_power:
-            power, dec = match_budget(solve, at, cfg.p_total)
-        else:
-            power, dec = base_power, at(base_power)
-        power_at[(mu1, mu2)] = power
-        return balance_residuals(dec)
-
-    if cfg.thresholds is not None:
-        mu1, mu2 = cfg.thresholds
-        c1, c2 = residuals(mu1, mu2)
-        converged = abs(c1) <= tol_rate and abs(c2) <= tol_rate
-    else:
-        mu1, mu2, _, _, _, converged = balance_duals(
-            residuals, tol_rate=tol_rate, max_points=max_iters
-        )
-    power = power_at[(mu1, mu2)]
+            at = lambda p: measure(mu1, mu2, p)[2]  # noqa: E731
+            power = find_root(at, lo, at(lo), hi, at(hi), within, xtol=0.0, max_steps=60)[0]
+        c1, c2, spent = measure(mu1, mu2, power)
+        balanced = abs(c1) <= tol_rate and abs(c2) <= tol_rate
+        converged = balanced and (within(spent) or not scale_power)
+        if balanced:
+            break
 
     def decide(tr: ChannelTrace) -> TraceDecisions:
         return _fixed_eval(tr.s1, tr.s2, mu1, mu2, power, modes, t)

@@ -12,7 +12,6 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -95,10 +94,6 @@ class ChannelTrace:
 
     def __len__(self) -> int:
         return int(self.s1.shape[0])
-
-    def __iter__(self) -> Iterator[ChannelState]:
-        for i in range(len(self)):
-            yield ChannelState(i + 1, float(self.s1[i]), float(self.s2[i]))
 
     def state(self, slot: int) -> ChannelState:
         if not 1 <= slot <= len(self):

@@ -125,25 +125,11 @@ def run_sweep(spec: RunSpec) -> list[dict]:
     for pt_db in spec.pt_db:
         p_total = _p_total(pt_db)
         for name in spec.protocols:
-            prepared = _prepare(name, spec, p_total, trace)
-            report = engine.run(trace, prepared.decide)
-            row = {
-                "protocol": name,
-                "pt_db": pt_db,
-                "sum_rate": report.sum_rate,
-                "r1r": report.r_1r,
-                "r2r": report.r_2r,
-                "rr1": report.r_r1,
-                "rr2": report.r_r2,
-                "avg_power": report.avg_power,
-            }
-            for k in range(6):
-                row[f"freq_m{k + 1}"] = report.mode_freq[k]
-            row["mu1"] = prepared.mu1
-            row["mu2"] = prepared.mu2
-            row["gamma"] = prepared.gamma
-            row["converged"] = prepared.converged
-            rows.append(row)
+            prep = _prepare(name, spec, p_total, trace)
+            rep = engine.run(trace, prep.decide)
+            cells = (name, pt_db, rep.sum_rate, rep.r_1r, rep.r_2r, rep.r_r1, rep.r_r2)
+            cells += (rep.avg_power, *rep.mode_freq, prep.mu1, prep.mu2, prep.gamma, prep.converged)
+            rows.append(dict(zip(COLUMNS, cells, strict=True)))
     return rows
 
 
@@ -204,32 +190,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the brute-force oracle checks")
     p_ver.add_argument("--seed", type=int, default=None, help="random draw seed")
     p_ver.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
-    p_ver.add_argument("--draws", type=int, default=200, help="draws for the grid check")
-    p_ver.add_argument("--grid-points", type=int, default=800, help="grid points per power axis")
+    p_ver.add_argument("--draws", type=int, default=None, help="draws for the grid check (200)")
+    p_ver.add_argument("--grid-points", type=int, default=None, help="points per power axis (800)")
     return parser
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
+def _load_config(args) -> dict:
+    """The --config file's JSON object; its keys are the subcommand's
+    option names, spelled as the parsed arguments are (pt_db_list)."""
+    if args.config is None:
         return {}
-    with open(path) as fh:
+    with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    known = set(vars(args)) - {"command", "config"}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return data
 
 
 def _pick(args, cfg: dict, key: str, default):
+    """The flag's value if given, else the config file's, else default."""
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+    return flag if flag is not None else cfg.get(key, default)
 
 
 def _sweep_spec(args) -> RunSpec:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     pt_list = _pick(args, cfg, "pt_db_list", None)
     if isinstance(pt_list, str):
         pt_db = tuple(float(x) for x in pt_list.split(","))
@@ -278,7 +267,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg_file = _load_config(args.config)
+    cfg_file = _load_config(args)
     stats = FadingStatistics(
         _pick(args, cfg_file, "omega1", 1.0), _pick(args, cfg_file, "omega2", 1.0)
     )
@@ -332,12 +321,14 @@ def _verify_lines(draws: int, grid_points: int, seed: int) -> list[tuple[str, bo
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     seed = _pick(args, cfg, "seed", 1234)
+    draws = _pick(args, cfg, "draws", 200)
+    grid_points = _pick(args, cfg, "grid_points", 800)
     check_int("seed", seed, 0)
-    check_int("draws", args.draws, 1)
-    check_int("grid_points", args.grid_points, 100)
-    checks = _verify_lines(args.draws, args.grid_points, seed)
+    check_int("draws", draws, 1)
+    check_int("grid_points", grid_points, 100)
+    checks = _verify_lines(draws, grid_points, seed)
     failures = 0
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")

@@ -13,6 +13,7 @@ from birelay.benchmarks import (
 )
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.engine import run
+from birelay.policy import balance_residuals
 from birelay.rate import PowerTriple, link_capacities
 
 _STATS = FadingStatistics(1.0, 1.0)
@@ -256,15 +257,74 @@ def test_fixed_eval_tie_between_uplink_and_downlink_goes_to_mode_1():
 
 def test_fixed_power_preparation_never_repeats_an_evaluation(monkeypatch):
     calls = []
+    select = benchmarks._fixed_select
 
-    def recording(s1, s2, mu1, mu2, power, modes, t):
+    def recording(caps, mu1, mu2, power, modes):
         calls.append((mu1, mu2, power))
-        return _fixed_eval(s1, s2, mu1, mu2, power, modes, t)
+        return select(caps, mu1, mu2, power, modes)
 
-    monkeypatch.setattr(benchmarks, "_fixed_eval", recording)
+    monkeypatch.setattr(benchmarks, "_fixed_select", recording)
     trace = _trace()
-    for p_total in (0.1, 10.0):
-        calls.clear()
+    for kind in ("fixed_power_six_mode", "fixed_power_three_mode"):
+        for p_total in (0.1, 10.0):
+            calls.clear()
+            fixed_power_policy(BenchmarkConfig(kind=kind, p_total=p_total), trace)
+            assert len(calls) > 10
+            assert len(set(calls)) == len(calls)
+
+
+def test_six_mode_off_budget_is_not_converged(monkeypatch):
+    # a power solve that ends off the budget (here: always at the bracket's
+    # low end) must not be reported as converged, though the buffers balance
+    monkeypatch.setattr(benchmarks, "find_root", lambda f, a, fa, b, fb, done, **kw: (a, fa))
+    trace = _trace()
+    prep = fixed_power_policy(BenchmarkConfig(kind="fixed_power_six_mode", p_total=1.0), trace)
+    assert prep.fixed_power == 0.45
+    c1, c2 = balance_residuals(prep.decide(trace))
+    assert abs(c1) <= 0.01 and abs(c2) <= 0.01
+    assert not prep.converged
+
+
+def _count_capacity_steps(monkeypatch):
+    powers = []
+    caps = benchmarks._fixed_caps
+
+    def counting(s1, s2, power, modes, t):
+        powers.append(power)
+        return caps(s1, s2, power, modes, t)
+
+    monkeypatch.setattr(benchmarks, "_fixed_caps", counting)
+    return powers
+
+
+def test_fixed_power_capacities_are_computed_once_per_power(monkeypatch):
+    powers = _count_capacity_steps(monkeypatch)
+    trace = sample_trace(_STATS, 10_000, 1234)
+    for db in (-20.0, 0.0, 20.0):
+        p_total = 10.0 ** (db / 10.0)
+        powers.clear()
+        fixed_power_policy(BenchmarkConfig(kind="fixed_power_three_mode", p_total=p_total), trace)
+        assert powers == [p_total]
+        # the nested power solve this replaced ran _fixed_eval 1019/428/184 times
+        powers.clear()
         fixed_power_policy(BenchmarkConfig(kind="fixed_power_six_mode", p_total=p_total), trace)
-        assert len(calls) > 10
-        assert len(set(calls)) == len(calls)
+        assert 3 <= len(powers) <= 40
+        assert len(set(powers)) == len(powers)
+
+
+@pytest.mark.parametrize(
+    "omega1, pt_db",
+    [(1.0, db) for db in (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)]
+    + [(10.0, 10.0), (10.0, 20.0)],
+)
+def test_fixed_power_six_mode_converges_on_the_sweep(omega1, pt_db):
+    # judged afresh at the returned point, not on the solver's own numbers
+    trace = sample_trace(FadingStatistics(omega1, 1.0), 10_000, 1234)
+    p_total = 10.0 ** (pt_db / 10.0)
+    prep = fixed_power_policy(BenchmarkConfig(kind="fixed_power_six_mode", p_total=p_total), trace)
+    assert prep.converged
+    six = (1, 2, 3, 4, 5, 6)
+    dec = _fixed_eval(trace.s1, trace.s2, prep.mu1, prep.mu2, prep.fixed_power, six, 0.5)
+    assert abs(dec.power.mean() - p_total) / p_total <= 1e-4
+    c1, c2 = balance_residuals(dec)
+    assert abs(c1) <= 0.01 and abs(c2) <= 0.01

@@ -77,7 +77,7 @@ def test_validation_errors():
 def test_trace_container_behavior():
     tr = sample_trace(FadingStatistics(1.0, 2.0), 10, 9)
     assert len(tr) == 10
-    states = list(tr)
+    states = [tr.state(k) for k in range(1, 11)]
     assert [st.slot for st in states] == list(range(1, 11))
     assert states[3].s1 == tr.s1[3]
     st = tr.state(10)
@@ -88,6 +88,8 @@ def test_trace_container_behavior():
         tr.state(11)
     with pytest.raises(ValueError):
         tr.s1[0] = 5.0  # arrays are read-only
+    with pytest.raises(TypeError):
+        iter(tr)  # slots are read through state() or the arrays
 
 
 def test_trace_rejects_mismatched_arrays():

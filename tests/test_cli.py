@@ -192,6 +192,45 @@ def test_main_rejects_mistyped_config(tmp_path):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_main_rejects_unknown_config_keys(tmp_path):
+    # a misspelt key used to be dropped silently, so the run went ahead on
+    # the default it meant to change
+    cfg_path = tmp_path / "cfg.json"
+    for argv, cfg in (
+        (["sweep", "--protocols", "tdbc_no_pa", "--slots", "200"], {"sead": 3}),
+        (["calibrate", "--slots", "200"], {"sead": 3, "pt_db": 0.0}),
+        (["calibrate", "--slots", "200"], {"protocols": ["proposed"]}),
+        (["verify"], {"draws": 20, "grid_points": 150, "sead": 3}),
+        (["verify"], {"omega1": 2.0}),
+        (["sweep", "--slots", "200"], {"config": "other.json", "command": "verify"}),
+    ):
+        cfg_path.write_text(json.dumps(cfg))
+        rc, out, err = _main([*argv, "--config", str(cfg_path)])
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        bad = sorted(set(cfg) - {"draws", "grid_points", "pt_db"})
+        assert err == f"error: unknown config keys: {', '.join(bad)}\n"
+
+
+def test_main_verify_reads_draws_and_grid_points_from_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1234, "draws": 20, "grid_points": 150}))
+    rc, out, _ = _main(["verify", "--config", str(cfg_path)])
+    assert rc == 0
+    assert out == _main(["verify", "--seed", "1234", "--draws", "20", "--grid-points", "150"])[1]
+    # flags still override the file, and the file's values are validated
+    rc, out, _ = _main(["verify", "--config", str(cfg_path), "--draws", "10"])
+    assert rc == 0
+    assert out == _main(["verify", "--seed", "1234", "--draws", "10", "--grid-points", "150"])[1]
+    for bad in ({"draws": 0}, {"grid_points": 5}, {"draws": "20"}):
+        cfg_path.write_text(json.dumps(bad))
+        rc, out, err = _main(["verify", "--config", str(cfg_path)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_main_verify_smoke():
     rc, out, _ = _main(["verify", "--draws", "10", "--grid-points", "150"])
     assert rc == 0

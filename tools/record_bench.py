@@ -4,18 +4,22 @@ Runs the benchmark that ``BENCHMARK.json`` declares in ten alternating
 pairs on a ``git archive`` copy of a parent commit and on the working tree,
 then writes the machine facts, each workload's per-side medians and
 quartiles of every end-to-end metric, the pairs the change won, the
-``src/`` line count and the Tier-1 test time of both sides.
+per-layer metrics of one traced run per side, the ``src/`` line count and
+the Tier-1 test time of both sides.
 
 Run from the repository root:
 
-    python3 tools/record_bench.py --parent HEAD~1 --out BENCH_6.json
+    python3 tools/record_bench.py --parent HEAD~1 --out BENCH_7.json
 
 Each run is ``python3 bench/run.py --workload W --seed N --seconds S
 --trace 0`` in its own checkout, one at a time, with S the declared
 ``run_seconds``. Pair k runs seed k + 1 on both sides, and the side that
 runs first alternates from pair to pair, so drift in the machine's load
-falls on both sides. The parent copy goes to a temporary directory (under
-``$TMPDIR``) and is removed at the end.
+falls on both sides. After the pairs, each side runs once more with
+``--trace 1`` (seed 1, same S, parent first): its layer metrics (seconds
+and counts per cycle of the workload's operation list) show where a change
+in the end-to-end numbers comes from. The parent copy goes to a temporary
+directory (under ``$TMPDIR``) and is removed at the end.
 """
 
 from __future__ import annotations
@@ -76,9 +80,12 @@ def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
-def bench_run(root: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+def bench_run(
+    root: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0
+) -> dict:
     """One benchmark run in checkout root; returns its final JSON object."""
-    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    args += ["--trace", str(trace)]
     done = subprocess.run(command + args, cwd=root, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -150,6 +157,14 @@ def main() -> int:
                         for name in better
                     },
                 }
+            for side in ("parent", "change"):
+                traced = bench_run(sides[side], spec["command"], workload, 1, seconds, trace=1)
+                entry[side]["layers"] = {
+                    name: metric["value"]
+                    for name, metric in traced["metrics"].items()
+                    if name not in better
+                }
+                print(f"{workload} traced {side}: done", file=sys.stderr)
             entry["comparison"] = {
                 name: compare(
                     entry["parent"]["metrics"][name]["runs"],
@@ -168,6 +183,7 @@ def main() -> int:
                 "seconds": seconds,
                 "pairs": PAIRS,
                 "seeds": seeds,
+                "layers": "one --trace 1 run per side, seed 1, values per cycle",
             },
             "workloads": workloads,
             "src_lines": {side: src_lines(root) for side, root in sides.items()},
