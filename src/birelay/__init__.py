@@ -5,6 +5,8 @@ decode-and-forward relay with two buffers) simulated under adaptive mode
 selection with optimal power allocation, plus fixed-schedule and
 fixed-power baselines for comparison. Every protocol decides a whole
 fading trace at once and the engine solves the buffer recursion over it.
+The name birelay.calibrate is the module; its function calibrate is not
+re-exported over it.
 """
 
 from .benchmarks import BenchmarkConfig, fixed_power_policy, tdbc_policy
@@ -12,7 +14,6 @@ from .calibrate import (
     CalibrationConfig,
     CalibrationResult,
     ThresholdEvaluation,
-    calibrate,
     evaluate_thresholds,
 )
 from .channel import ChannelState, ChannelTrace, FadingStatistics, empirical_means, sample_trace
@@ -23,6 +24,7 @@ from .policy import (
     SelectionMetrics,
     Thresholds,
     TraceDecisions,
+    TraceGains,
     decide_trace,
     mode_powers,
     optimal_time_share,
@@ -54,7 +56,7 @@ __all__ = [
     "ThresholdEvaluation",
     "Thresholds",
     "TraceDecisions",
-    "calibrate",
+    "TraceGains",
     "cap",
     "decide_trace",
     "empirical_means",

@@ -41,12 +41,13 @@ from .channel import ChannelTrace, check_real
 from .engine import PreparedPolicy
 from .policy import (
     TraceDecisions,
+    TraceGains,
     balance_residuals,
     best_modes,
     broadcast_power,
     capacity,
     ma_split,
-    recip,
+    pick,
     wf_power,
 )
 
@@ -106,16 +107,17 @@ def _tdbc_frame_rates(
     return up1, up2
 
 
-def _tdbc_decisions(s1, s2, p_total: float, gamma: float | None) -> TraceDecisions:
-    """The fixed cycle over a whole trace: every active node at the full
+def _tdbc_decisions(g: TraceGains, p_total: float, gamma: float | None) -> TraceDecisions:
+    """The fixed cycle over a trace's gains g: every active node at the full
     budget when gamma is None, water-filled at price gamma otherwise."""
+    s1, s2 = g.s1, g.s2
     n = len(s1)
     if gamma is None:
         p_user1 = p_user2 = p_relay = np.full(n, p_total)
     else:
-        p_user1 = wf_power(1.0, gamma, recip(s1))
-        p_user2 = wf_power(1.0, gamma, recip(s2))
-        p_relay = broadcast_power(s1, s2, 1.0, 1.0, gamma)
+        p_user1 = wf_power(1.0, gamma, g.inv1)
+        p_user2 = wf_power(1.0, gamma, g.inv2)
+        p_relay = broadcast_power(g, 1.0, 1.0, gamma)
     up1, up2 = _tdbc_frame_rates(s1, s2, p_user1, p_user2, p_relay)
     cycle = np.arange(1, n + 1) % 3
     bc = cycle == 0
@@ -141,16 +143,17 @@ def tdbc_policy(
     if cfg.kind == "tdbc_no_pa":
         gamma, fixed, converged = None, cfg.p_total, True
     else:
+        gains = TraceGains(trace.s1, trace.s2)
 
         def power_resid(g: float) -> float:
-            spent = float(_tdbc_decisions(trace.s1, trace.s2, cfg.p_total, g).power.mean())
+            spent = float(_tdbc_decisions(gains, cfg.p_total, g).power.mean())
             return (spent - cfg.p_total) / cfg.p_total
 
         gamma, resid = solve_gamma(power_resid, 1.0, 0.25 * tol_power)
         fixed, converged = None, abs(resid) <= tol_power
 
     def decide(tr: ChannelTrace) -> TraceDecisions:
-        return _tdbc_decisions(tr.s1, tr.s2, cfg.p_total, gamma)
+        return _tdbc_decisions(TraceGains(tr.s1, tr.s2), cfg.p_total, gamma)
 
     return PreparedPolicy(cfg.kind, decide, None, None, gamma, fixed, converged)
 
@@ -164,20 +167,31 @@ def _fixed_caps(s1, s2, power: float, modes: tuple, t: float) -> tuple:
 
 def _fixed_select(caps: tuple, mu1, mu2, power: float, modes: tuple) -> TraceDecisions:
     """Selection step: per slot, the candidate mode with the largest
-    dual-weighted rate (no power term), ties to the earliest."""
+    dual-weighted rate (no power term), ties to the earliest; the outputs
+    are assembled where-free, as in the slot rule."""
     c1r, c2r, c12r, c21r = caps
-    lam = {1: (1.0 - mu1) * c1r, 2: (1.0 - mu2) * c2r, 4: mu2 * c1r, 5: mu1 * c2r}
-    lam[3] = (1.0 - mu1) * c12r + (1.0 - mu2) * c21r
-    lam[6] = mu1 * c2r + mu2 * c1r
-    mode = best_modes(modes, [lam[k] for k in modes])
-    is3 = mode == 3
+    lam = {  # made one at a time, so at most two are held
+        1: lambda: (1.0 - mu1) * c1r,
+        2: lambda: (1.0 - mu2) * c2r,
+        3: lambda: (1.0 - mu1) * c12r + (1.0 - mu2) * c21r,
+        4: lambda: mu2 * c1r,
+        5: lambda: mu1 * c2r,
+        6: lambda: mu1 * c2r + mu2 * c1r,
+    }
+    mode, wins = best_modes(modes, (lam[k]() for k in modes))
+    on = dict(zip(modes, wins))
+
+    def of(*pairs):
+        """The value of the slot's mode among (mode, value) pairs, else 0."""
+        return pick([(value, on[k]) for k, value in pairs if k in on])
+
     return TraceDecisions(
         mode=mode,
-        power=np.where(is3, 2.0 * power, power),
-        up1=np.where(mode == 1, c1r, np.where(is3, c12r, 0.0)),
-        up2=np.where(mode == 2, c2r, np.where(is3, c21r, 0.0)),
-        down1=np.where((mode == 4) | (mode == 6), c1r, 0.0),
-        down2=np.where((mode == 5) | (mode == 6), c2r, 0.0),
+        power=of(*((k, 2.0 * power if k == 3 else power) for k in modes)),
+        up1=of((1, c1r), (3, c12r)),
+        up2=of((2, c2r), (3, c21r)),
+        down1=of((4, c1r), (6, c1r)),
+        down2=of((5, c2r), (6, c2r)),
     )
 
 

@@ -34,6 +34,7 @@ import numpy as np
 from .channel import ChannelTrace, FadingStatistics, check_int, check_real, sample_trace
 from .engine import QueueState, RateReport
 from .policy import Thresholds, TraceDecisions, balance_residuals, decide_trace, optimal_time_share
+from .policy import TraceGains
 
 __all__ = [
     "CalibrationConfig",
@@ -110,16 +111,18 @@ class ThresholdEvaluation:
 
 
 def evaluate_thresholds(
-    th: Thresholds, cfg: CalibrationConfig, trace: ChannelTrace | None = None
+    th: Thresholds, cfg: CalibrationConfig, trace: ChannelTrace | TraceGains | None = None
 ) -> ThresholdEvaluation:
-    """Run the slot rule over the calibration trace without queue clipping
-    and measure all three balance residuals."""
+    """Run the slot rule over the calibration trace (or its TraceGains, to
+    reuse a calibration's kernel) without queue clipping and measure all
+    three balance residuals."""
     if trace is None:
         trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
+    gains = trace if isinstance(trace, TraceGains) else TraceGains(trace.s1, trace.s2)
     t = optimal_time_share(cfg.stats)
-    dec = decide_trace(trace.s1, trace.s2, th.mu1, th.mu2, th.gamma, t)
+    dec = decide_trace(gains.s1, gains.s2, th.mu1, th.mu2, th.gamma, t, gains=gains)
     c1, c2 = balance_residuals(dec)
-    n = len(trace)
+    n = len(dec.mode)
     d1 = float(dec.down1.mean())
     d2 = float(dec.down2.mean())
     power = float(dec.power.mean())
@@ -341,6 +344,7 @@ def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
     """Calibrate (mu1, mu2, gamma) for the slot rule on cfg's trace."""
     trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
     s1, s2 = trace.s1, trace.s2
+    gains = TraceGains(s1, s2)  # one kernel for every probe on this trace
     t = optimal_time_share(cfg.stats)
     gamma_at: dict[tuple[float, float], float] = {}
     evaluations = 0
@@ -355,7 +359,7 @@ def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
         def decide(g: float) -> TraceDecisions:
             nonlocal evaluations
             evaluations += 1
-            return decide_trace(s1, s2, mu1, mu2, g, t)
+            return decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
 
         warm = next(reversed(gamma_at.values()), 1.0)  # the latest dual point's price
         gamma_at[(mu1, mu2)], dec = match_budget(
@@ -373,7 +377,7 @@ def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
         residuals, tol_rate=0.12 * cfg.tol_rate, max_points=cfg.max_iters
     )
     th = Thresholds(mu1=mu1, mu2=mu2, gamma=gamma_at.get((mu1, mu2), 1.0))
-    final = evaluate_thresholds(th, cfg, trace)
+    final = evaluate_thresholds(th, cfg, gains)
     converged = (
         abs(final.c1) <= cfg.tol_rate
         and abs(final.c2) <= cfg.tol_rate

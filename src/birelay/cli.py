@@ -226,6 +226,8 @@ def _sweep_spec(args) -> RunSpec:
         for x in pt_list:
             check_real("pt_db", x)
         pt_db = tuple(float(x) for x in pt_list)
+    elif pt_list is not None:
+        raise ValueError("pt_db_list must be a comma separated string or a list")
     else:
         start = _pick(args, cfg, "pt_db_start", -20.0)
         stop = _pick(args, cfg, "pt_db_stop", 20.0)
@@ -243,6 +245,8 @@ def _sweep_spec(args) -> RunSpec:
         protocols = tuple(p.strip() for p in protocols.split(","))
     elif isinstance(protocols, (list, tuple)):
         protocols = tuple(protocols)
+    elif protocols is not None:
+        raise ValueError("protocols must be a comma separated string or a list")
     else:
         protocols = PROTOCOLS
     return RunSpec(

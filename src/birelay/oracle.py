@@ -22,6 +22,7 @@ from .calibrate import match_budget, solve_gamma
 from .channel import ChannelState, FadingStatistics, check_real, sample_trace
 from .policy import (
     Thresholds,
+    TraceGains,
     balance_residuals,
     broadcast_power,
     decide_trace,
@@ -185,7 +186,7 @@ def broadcast_root_residual(s1, s2, mu1, mu2, gamma) -> tuple[float, int]:
     """Worst relative residual of broadcast_power in its stationarity
     equation mu2*s1/(1+p*s1) + mu1*s2/(1+p*s2) = gamma*ln2 over the draws
     where the power is positive, and the number of those draws."""
-    pr = broadcast_power(s1, s2, mu1, mu2, gamma)
+    pr = broadcast_power(TraceGains(s1, s2), mu1, mu2, gamma)
     target = gamma * math.log(2.0)
     lhs = mu2 * s1 / (1.0 + pr * s1) + mu1 * s2 / (1.0 + pr * s2)
     worst = np.max(np.abs(lhs - target) / target, where=pr > 0.0, initial=0.0)
@@ -246,6 +247,7 @@ def threshold_region_scan(
     check_real("power budget", p_total, positive=True)
     trace = sample_trace(stats, n_slots, seed)
     s1, s2 = trace.s1, trace.s2
+    gains = TraceGains(s1, s2)
     t = optimal_time_share(stats)
     out = []
     for mu1 in mu_values:
@@ -253,7 +255,7 @@ def threshold_region_scan(
             mu1f, mu2f = float(mu1), float(mu2)
             _, dec = match_budget(
                 lambda resid: solve_gamma(resid, 1.0, 0.005)[0],
-                lambda g: decide_trace(s1, s2, mu1f, mu2f, g, t),
+                lambda g: decide_trace(s1, s2, mu1f, mu2f, g, t, gains=gains),
                 p_total,
             )
             c1, c2 = (abs(c) for c in balance_residuals(dec))

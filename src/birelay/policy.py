@@ -14,6 +14,12 @@ mode_powers and selection_metrics built on it) computes them, for the
 dominance check. The one-slot and whole-trace rules share one set of
 closed forms.
 
+The whole-trace rule is a kernel built once per trace: TraceGains holds
+the gain-only constants and a fixed workspace, and its decide writes every
+intermediate in place, picks modes with comparisons and boolean masks, and
+assembles the decisions by multiplying values with 0/1 masks instead of
+np.where, in fresh output arrays that are bit-identical to the selection.
+
 The multiple-access decoding order never needs interior time sharing: the
 metric is affine in the share t, so one of the endpoints t in {0, 1} is
 always optimal, and which endpoint wins is fixed by the long-term gain
@@ -36,6 +42,7 @@ __all__ = [
     "ModePowers",
     "SelectionMetrics",
     "TraceDecisions",
+    "TraceGains",
     "optimal_time_share",
     "mode_table",
     "mode_powers",
@@ -131,147 +138,268 @@ def optimal_time_share(stats: FadingStatistics) -> float:
 
 
 # Array kernels shared with the baselines (package-internal, not in __all__).
-# They do no validation: calibration runs them hundreds of times.
+# They do no validation, and each writes every intermediate into the
+# buffers it is given (out, work, flags), or into fresh arrays where it is
+# given None: one set of closed forms serves TraceGains.decide, which
+# allocates nothing but its outputs, and the allocating callers.
 
 
-def capacity(x):
+def capacity(x, out=None):
     """log2(1 + x) elementwise; rate.cap is the validated per-slot form."""
-    return np.log2(1.0 + x)
+    return np.log2(np.add(1.0, x, out=out), out=out)
 
 
-def recip(s):
-    """1/s elementwise with 1/0 = +inf, which drives clamped powers to 0."""
-    s = np.asarray(s, dtype=float)
-    return np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), np.inf)
-
-
-def wf_power(weight, gamma: float, inv_s):
+def wf_power(weight, gamma: float, inv_s, out=None):
     """Single-link water-filling clamp [weight/(gamma*ln2) - inv_s]^+, inv_s = 1/s."""
-    return np.maximum(weight / (gamma * _LN2) - inv_s, 0.0)
+    return np.maximum(np.subtract(weight / (gamma * _LN2), inv_s, out=out), 0.0, out=out)
 
 
-def broadcast_power(s1, s2, mu1: float, mu2: float, gamma: float):
-    """Optimal broadcast power: the positive root of
-    mu2*s1/(1+p*s1) + mu1*s2/(1+p*s2) = gamma*ln2, or 0 when the weighted
-    marginal rate at p=0 is already below the power price."""
+def pick(terms, out=None, tmp=None):
+    """sum(a * b) over the (a, b) terms. With 0/1 masks b set in at most one
+    term per slot it selects without np.where, whose per-slot branches cost
+    several arithmetic passes on unpredictable masks: a dropped finite value
+    becomes an exact zero, so a kept value survives bit for bit (but for
+    -0.0, which would read +0.0; no value picked here is -0.0)."""
+    (a, b), *rest = terms
+    out = np.multiply(a, b, out=out)
+    for a, b in rest:
+        out = np.add(out, np.multiply(a, b, out=tmp), out=out)
+    return out
+
+
+def as_float(mask, out=None):
+    """A bool mask as 0.0/1.0 in out, which spares each multiply numpy's cast buffer."""
+    if out is None:
+        return mask.astype(float)
+    np.copyto(out, mask)
+    return out
+
+
+def broadcast_power(g, mu1, mu2, gamma, out=None, work=(None,) * 8, flags=(None,) * 2):
+    """Optimal broadcast power over the gains g (a TraceGains): the positive
+    root of mu2*s1/(1+p*s1) + mu1*s2/(1+p*s2) = gamma*ln2, or 0 when the
+    weighted marginal rate at p=0 is already below the power price."""
+    s1, s2 = g.s1, g.s2
+    a, b, c, sq, x, y, m1, m2 = work
     gl = gamma * _LN2
-    a = gl * s1 * s2
-    b = gl * (s1 + s2) - (mu1 + mu2) * s1 * s2
-    c = gl - mu1 * s2 - mu2 * s1
-    sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    a = np.multiply(np.multiply(gl, s1, out=a), s2, out=a)
+    x = np.multiply(np.multiply(mu1 + mu2, s1, out=x), s2, out=x)
+    b = np.subtract(np.multiply(gl, g.ssum, out=b), x, out=b)
+    c = np.subtract(gl, np.multiply(mu1, s2, out=c), out=c)
+    c = np.subtract(c, np.multiply(mu2, s1, out=x), out=c)
+    x = np.multiply(np.multiply(4.0, a, out=x), c, out=x)
+    sq = np.subtract(np.multiply(b, b, out=sq), x, out=sq)
+    sq = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
     # the root (sq - b)/(2a) written as -2c/(b + sq) where b > 0, so neither
-    # form subtracts nearly equal terms; with one link dead (a = 0) the
-    # second form is the linear root -c/b
-    num = np.where(b > 0.0, -2.0 * c, sq - b)
-    den = np.where(b > 0.0, b + sq, 2.0 * a)
-    root = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    return np.where(c < 0.0, np.maximum(root, 0.0), 0.0)
+    # form subtracts nearly equal terms (with a = 0, the linear root -c/b)
+    up = as_float(np.greater(b, 0.0, out=flags[0]), m1)
+    down = as_float(np.logical_not(up, out=flags[1]), m2)
+    num = pick(((np.multiply(-2.0, c, out=x), up), (np.subtract(sq, b, out=y), down)), x, y)
+    den = pick(((np.add(b, sq, out=b), up), (np.multiply(2.0, a, out=a), down)), b, a)
+    # the root where c < 0 and den > 0, else 0; den + 1 keeps dropped quotients finite
+    keep = np.greater(den, 0.0, out=flags[0])
+    keep = np.logical_and(keep, np.less(c, 0.0, out=flags[1]), out=keep)
+    den = np.add(den, as_float(np.logical_not(keep, out=flags[1]), m2), out=den)
+    root = np.maximum(np.divide(num, den, out=out), 0.0, out=out)
+    return np.multiply(root, as_float(keep, m1), out=out)
 
 
-def ma_split(s1, s2, p1, p2, t: float):
-    """Per-user rates of the multiple-access mode at decoding share t.
+def ma_split(s1, s2, p1, p2, t: float, out=(None, None)):
+    """Per-user rates (c12r, c21r) of the multiple-access mode at share t.
 
-    The boundary shares cost two logarithms; an interior share is the
-    affine mix t * (t=1 split) + (1 - t) * (t=0 split).
+    A boundary share decodes one user against the other's signal as noise
+    (user 1 at t = 0) and the other cleanly; an interior share is the
+    affine mix t * (t=1 split) + (1 - t) * (t=0 split), in fresh arrays.
     """
-    if t == 0.0:
-        return capacity(p1 * s1 / (1.0 + p2 * s2)), capacity(p2 * s2)
-    if t == 1.0:
-        return capacity(p1 * s1), capacity(p2 * s2 / (1.0 + p1 * s1))
+    if t in (0.0, 1.0):
+        sa, sb, pa, pb = (s1, s2, p1, p2) if t == 0.0 else (s2, s1, p2, p1)
+        ca, cb = out if t == 0.0 else out[::-1]
+        clean = np.add(1.0, np.multiply(pb, sb, out=cb), out=cb)  # 1 + pb*sb
+        ca = capacity(np.divide(np.multiply(pa, sa, out=ca), clean, out=ca), out=ca)
+        cb = np.log2(clean, out=cb)
+        return (ca, cb) if t == 0.0 else (cb, ca)
     c12r_0, c21r_0 = ma_split(s1, s2, p1, p2, 0.0)
     c12r_1, c21r_1 = ma_split(s1, s2, p1, p2, 1.0)
     return t * c12r_1 + (1.0 - t) * c12r_0, (1.0 - t) * c21r_0 + t * c21r_1
 
 
-def best_modes(modes, metrics):
+def best_modes(modes, metrics, best=None, wins=None, code=(None, None)):
     """Per-slot best of the candidate modes' metrics by a running best in
-    order: a later mode wins only on a strict >, so ties go to the earliest."""
-    best = metrics[0]
-    mode = np.full(np.shape(best), modes[0])
-    for k, lam in zip(modes[1:], metrics[1:]):
-        mode = np.where(lam > best, k, mode)
-        best = np.maximum(best, lam)  # propagates NaN from any candidate
-    if np.isnan(best).any():
+    order: a later mode wins only on a strict >, so ties go to the earliest,
+    and a NaN metric raises. Returns the mode per slot and wins, the bool
+    masks of the slots each mode takes. metrics may reuse one buffer (each
+    is read before the next is made); best, wins and code (two uint8 rows)
+    are optional scratch."""
+    metrics = iter(metrics)
+    first = next(metrics)
+    if best is None:
+        best = np.array(first, dtype=float)
+        wins = np.empty((len(modes),) + best.shape, dtype=bool)
+    elif best is not first:
+        np.copyto(best, first)
+    for gt, lam in zip(wins[1:], metrics):
+        np.greater(lam, best, out=gt)
+        np.maximum(best, lam, out=best)  # propagates NaN from any candidate
+    if np.isnan(best, out=wins[0]).any():
         raise ValueError("selection metric is NaN")
-    return mode
+    # a later strict win overrides the earlier ones; the first mode keeps
+    # whatever no later mode took
+    free = wins[0]
+    free.fill(True)
+    for gt in wins[:0:-1]:
+        np.logical_xor(free, np.logical_and(gt, free, out=gt), out=free)
+    mode = pick([(np.uint8(k), w.view(np.uint8)) for k, w in zip(modes, wins)], *code)
+    return mode.astype(int), wins
 
 
-def _ma_powers(s1, s2, mu1, mu2, gamma, t, inv1, inv2, p1_m1, p2_m2):
-    """Jointly optimal user powers for the multiple-access mode at share t.
+def _ma_powers(
+    g, mu1, mu2, gamma, t, p1_m1, p2_m2, out=(None,) * 2, work=(None,) * 5, flags=(None,) * 3
+):
+    """Jointly optimal user powers (p1_m3, p2_m3) of the multiple-access mode.
 
     Three regimes per slot: the mode degenerates to its uplink mode 1 or 2
     toward whichever user the gains favor (the other user's optimal power
     would clamp at 0), or both users transmit at the interior solution.
+    Share 1 mirrors share 0 with the users swapped: user a is user 1 at
+    t = 0 and user 2 otherwise, and its own regime is tested first.
     """
     gl = gamma * _LN2
     u = (mu1 - mu2) / gl
-    den = np.where(s1 == s2, 1.0, s1 - s2)  # interior regime implies s1 != s2
-    if t == 0.0:
-        only1 = s2 * (u * s1 + 1.0) <= s1
-        only2 = ~only1 & (s2 * (1.0 - mu2) >= s1 * (1.0 - mu1))
-        p1_int = np.maximum((1.0 - mu1) / gl - u * s2 / den, 0.0)
-        p2_int = np.maximum(u * s1 / den - inv2, 0.0)
-    else:
-        only2 = s1 * (1.0 - u * s2) <= s2
-        only1 = ~only2 & (s1 * (1.0 - mu1) >= s2 * (1.0 - mu2))
-        p1_int = np.maximum(u * s2 / den - inv1, 0.0)
-        p2_int = np.maximum((1.0 - mu2) / gl - u * s1 / den, 0.0)
-    p1 = np.where(only1, p1_m1, np.where(only2, 0.0, p1_int))
-    p2 = np.where(only1, 0.0, np.where(only2, p2_m2, p2_int))
-    return p1, p2
+    first = t == 0.0
+    sa, sb, inv_b = (g.s1, g.s2, g.inv2) if first else (g.s2, g.s1, g.inv1)
+    mua, mub, alone_pa, alone_pb = (mu1, mu2, p1_m1, p2_m2) if first else (mu2, mu1, p2_m2, p1_m1)
+    pa, pb = out if first else out[::-1]
+    v, x, *masks = work
+    alone_a, alone_b, both = flags[:3]
+    v = np.multiply(u, sa, out=v)
+    x = np.add(v, 1.0, out=x) if first else np.subtract(1.0, v, out=x)
+    alone_a = np.less_equal(np.multiply(sb, x, out=x), sa, out=alone_a)
+    x = np.multiply(sb, 1.0 - mub, out=x)
+    alone_b = np.greater_equal(x, np.multiply(sa, 1.0 - mua, out=pa), out=alone_b)
+    alone_b = np.logical_and(alone_b, np.logical_not(alone_a, out=both), out=alone_b)
+    both = np.logical_not(np.logical_or(alone_a, alone_b, out=both), out=both)
+    alone_a, alone_b, both = map(as_float, (alone_a, alone_b, both), masks)
+    # interior powers [u*sa/den - 1/sb]^+ and [(1 - mua)/gl - u*sb/den]^+
+    v = np.maximum(np.subtract(np.divide(v, g.den, out=v), inv_b, out=v), 0.0, out=v)
+    x = np.divide(np.multiply(u, sb, out=x), g.den, out=x)
+    x = np.maximum(np.subtract((1.0 - mua) / gl, x, out=x), 0.0, out=x)
+    pa = pick(((alone_pa, alone_a), (x, both)), pa, x)
+    pb = pick(((alone_pb, alone_b), (v, both)), pb, v)
+    return (pa, pb) if first else (pb, pa)
 
 
-def _selectable_powers(s1, s2, mu1, mu2, gamma, t):
+def _selectable_powers(g, mu1, mu2, gamma, t, out=(None,) * 5, work=(None,) * 8, flags=(None,) * 3):
     """Optimal powers (p1_m1, p2_m2, p1_m3, p2_m3, pr_m6) of the selectable modes."""
-    inv1, inv2 = recip(s1), recip(s2)
-    p1_m1 = wf_power(1.0 - mu1, gamma, inv1)
-    p2_m2 = wf_power(1.0 - mu2, gamma, inv2)
-    p1_m3, p2_m3 = _ma_powers(s1, s2, mu1, mu2, gamma, t, inv1, inv2, p1_m1, p2_m2)
-    return p1_m1, p2_m2, p1_m3, p2_m3, broadcast_power(s1, s2, mu1, mu2, gamma)
+    p1_m1 = wf_power(1.0 - mu1, gamma, g.inv1, out[0])
+    p2_m2 = wf_power(1.0 - mu2, gamma, g.inv2, out[1])
+    p1_m3, p2_m3 = _ma_powers(g, mu1, mu2, gamma, t, p1_m1, p2_m2, out[2:4], work[:5], flags)
+    return p1_m1, p2_m2, p1_m3, p2_m3, broadcast_power(g, mu1, mu2, gamma, out[4], work, flags)
 
 
-def _selectable_metrics(s1, s2, mu1, mu2, gamma, t, powers):
-    """Metrics (lambda1, lambda2, lambda3, lambda6) of the selectable modes at
-    their powers, and the capacities (c1r, c2r, c12r, c21r, cr1, cr2) behind them."""
+def _selectable_caps(g, t, powers, out=(None,) * 6):
+    """Capacities (c1r, c2r, c12r, c21r, cr1, cr2) the selectable modes reach at powers."""
     p1_m1, p2_m2, p1_m3, p2_m3, pr_m6 = powers
-    c1r = capacity(p1_m1 * s1)
-    c2r = capacity(p2_m2 * s2)
-    c12r, c21r = ma_split(s1, s2, p1_m3, p2_m3, t)
-    cr1 = capacity(pr_m6 * s1)
-    cr2 = capacity(pr_m6 * s2)
-    lams = (
-        (1.0 - mu1) * c1r - gamma * p1_m1,
-        (1.0 - mu2) * c2r - gamma * p2_m2,
-        (1.0 - mu1) * c12r + (1.0 - mu2) * c21r - gamma * (p1_m3 + p2_m3),
-        mu1 * cr2 + mu2 * cr1 - gamma * pr_m6,
-    )
-    return lams, (c1r, c2r, c12r, c21r, cr1, cr2)
+    c1r = capacity(np.multiply(p1_m1, g.s1, out=out[0]), out[0])
+    c2r = capacity(np.multiply(p2_m2, g.s2, out=out[1]), out[1])
+    cr1 = capacity(np.multiply(pr_m6, g.s1, out=out[4]), out[4])
+    cr2 = capacity(np.multiply(pr_m6, g.s2, out=out[5]), out[5])
+    return (c1r, c2r, *ma_split(g.s1, g.s2, p1_m3, p2_m3, t, out[2:4]), cr1, cr2)
+
+
+def _metric(terms, gamma, power, out=None, tmp=None):
+    """One mode's selection metric: sum(weight * capacity) - gamma * power."""
+    return np.subtract(pick(terms, out, tmp), np.multiply(gamma, power, out=tmp), out=out)
+
+
+def _selectable_metrics(mu1, mu2, gamma, powers, p3, caps, out=(None,) * 4, tmp=None):
+    """Metrics lambda1, lambda2, lambda3, lambda6 of the selectable modes,
+    made one at a time; p3 = p1_m3 + p2_m3."""
+    p1_m1, p2_m2, _, _, pr_m6 = powers
+    c1r, c2r, c12r, c21r, cr1, cr2 = caps
+    yield _metric(((1.0 - mu1, c1r),), gamma, p1_m1, out[0], tmp)
+    yield _metric(((1.0 - mu2, c2r),), gamma, p2_m2, out[1], tmp)
+    yield _metric(((1.0 - mu1, c12r), (1.0 - mu2, c21r)), gamma, p3, out[2], tmp)
+    yield _metric(((mu1, cr2), (mu2, cr1)), gamma, pr_m6, out[3], tmp)
+
+
+class TraceGains:
+    """One trace's gains, what the slot rule needs of them whatever the
+    duals (1/s1 and 1/s2 with 1/0 = +inf, the s1 == s2-safe difference
+    s1 - s2, and s1 + s2), and a scratch workspace. Built once per trace,
+    so the hundreds of dual points of a calibration each allocate only
+    their decisions."""
+
+    def __init__(self, s1, s2) -> None:
+        s1, s2 = (np.atleast_1d(np.asarray(s, dtype=float)) for s in (s1, s2))
+        self.s1, self.s2 = s1, s2
+        # 1/0 = +inf drives the clamped powers to 0
+        inv = [np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0.0) for s in (s1, s2)]
+        self.inv1, self.inv2 = inv
+        self.den = np.where(s1 == s2, 1.0, s1 - s2)  # interior MA regime implies s1 != s2
+        self.ssum = s1 + s2
+        self._work = None  # eight float and six bool rows, made by the first decide
+
+    def decide(self, mu1: float, mu2: float, gamma: float, t: float) -> TraceDecisions:
+        """The slot rule over the trace at raw (unvalidated) duals; the
+        fresh outputs serve as scratch until they are filled."""
+        shape = self.s1.shape
+        if self._work is None:
+            self._work = (np.empty((8,) + shape), np.empty((6,) + shape, dtype=bool))
+        (p2_m2, p1_m3, p2_m3, pr_m6, c12r, c21r, best, lam), flags = self._work
+        power, up1, up2, down1, down2 = (np.empty(shape) for _ in range(5))
+        out = (power, p2_m2, p1_m3, p2_m3, pr_m6)
+        scratch = (up1, up2, down1, down2, c12r, c21r, best, lam)
+        powers = _selectable_powers(self, mu1, mu2, gamma, t, out, scratch, flags)
+        caps = _selectable_caps(self, t, powers, (up1, up2, c12r, c21r, down1, down2))
+        _, _, c12r, c21r, _, _ = caps  # fresh arrays at an interior share
+        p3 = np.add(p1_m3, p2_m3, out=p1_m3)
+        lams = _selectable_metrics(mu1, mu2, gamma, powers, p3, caps, (best, lam, lam, lam), p2_m3)
+        code = flags[4:].view(np.uint8)
+        mode, (is1, is2, is3, is6) = best_modes(SELECTABLE_MODES, lams, best, flags[:4], code)
+        # each output sums value * mask over the modes that set it, one float
+        # mask at a time; a value read for the last time is scaled in place
+        # (power, up1, up2, down1 and down2 hold p1_m1, c1r, c2r, cr1, cr2)
+        for on, scaled, added in (
+            (is1, (power, up1), ()),
+            (is2, (up2,), ((power, p2_m2),)),
+            (is3, (), ((power, p3), (up1, c12r), (up2, c21r))),
+            (is6, (down1, down2), ((power, pr_m6),)),
+        ):
+            on = as_float(on, lam)
+            for row in scaled:
+                row *= on
+            for row, value in added:
+                row += np.multiply(value, on, out=value)
+        return TraceDecisions(mode, power, up1, up2, down1, down2)
 
 
 def mode_table(
     s1, s2, mu1, mu2, gamma, t: float, powers: ModePowers | None = None
 ) -> tuple[ModePowers, SelectionMetrics]:
     """Every mode's power and selection metric at decoding share t,
-    elementwise over gains and duals (scalars, or arrays of one shape).
+    elementwise over gains and duals (scalars, or arrays of one shape); a
+    scalar comes back as a one-slot array.
 
     Without powers each mode runs at its closed-form optimal power; with
     them the metrics are scored at the given powers.
     """
+    g = TraceGains(s1, s2)
     if powers is None:
-        *uplink, pr_m6 = _selectable_powers(s1, s2, mu1, mu2, gamma, t)
-        pr_m4 = wf_power(mu2, gamma, recip(s1))
-        pr_m5 = wf_power(mu1, gamma, recip(s2))
+        *uplink, pr_m6 = _selectable_powers(g, mu1, mu2, gamma, t)
+        pr_m4, pr_m5 = wf_power(mu2, gamma, g.inv1), wf_power(mu1, gamma, g.inv2)
         powers = ModePowers(*uplink, pr_m4, pr_m5, pr_m6)
     own = (powers.p1_m1, powers.p2_m2, powers.p1_m3, powers.p2_m3, powers.pr_m6)
-    (lam1, lam2, lam3, lam6), _ = _selectable_metrics(s1, s2, mu1, mu2, gamma, t, own)
-    lam4 = mu2 * capacity(powers.pr_m4 * s1) - gamma * powers.pr_m4
-    lam5 = mu1 * capacity(powers.pr_m5 * s2) - gamma * powers.pr_m5
+    caps = _selectable_caps(g, t, own)
+    p3 = powers.p1_m3 + powers.p2_m3
+    lam1, lam2, lam3, lam6 = _selectable_metrics(mu1, mu2, gamma, own, p3, caps)
+    lam4 = _metric(((mu2, capacity(powers.pr_m4 * g.s1)),), gamma, powers.pr_m4)
+    lam5 = _metric(((mu1, capacity(powers.pr_m5 * g.s2)),), gamma, powers.pr_m5)
     return powers, SelectionMetrics(lam1, lam2, lam3, lam4, lam5, lam6)
 
 
 def _floats(table):
-    """The same record with every field a Python float."""
-    return type(table)(*(float(v) for v in vars(table).values()))
+    """The same record with every field (a float or a one-slot array) a Python float."""
+    return type(table)(*(float(np.squeeze(v)) for v in vars(table).values()))
 
 
 def mode_powers(ch: ChannelState, th: Thresholds, stats: FadingStatistics) -> ModePowers:
@@ -292,7 +420,8 @@ def selection_metrics(
 def select_mode(metrics: SelectionMetrics) -> int:
     """Pick the best mode among 1, 2, 3 and 6; ties go to the lowest index."""
     vals = (metrics.lambda1, metrics.lambda2, metrics.lambda3, metrics.lambda6)
-    return int(best_modes(SELECTABLE_MODES, vals))
+    mode, _ = best_modes(SELECTABLE_MODES, [np.array([v]) for v in vals])
+    return int(mode[0])
 
 
 def proposed_policy(
@@ -309,26 +438,16 @@ def proposed_policy(
     return _decide
 
 
-def decide_trace(
-    s1: np.ndarray, s2: np.ndarray, mu1: float, mu2: float, gamma: float, t: float
-) -> TraceDecisions:
+def decide_trace(s1, s2, mu1, mu2, gamma, t, gains: TraceGains | None = None) -> TraceDecisions:
     """Vectorized decisions over gain arrays with raw (unvalidated) duals.
 
     Used by calibration and region scans, which must be able to probe
-    boundary dual values that the Thresholds type rejects.
+    boundary dual values that the Thresholds type rejects. gains, the
+    TraceGains of (s1, s2), carries its constants and workspace from call
+    to call; it is built here when not given.
     """
-    powers = _selectable_powers(s1, s2, mu1, mu2, gamma, t)
-    p1_m1, p2_m2, p1_m3, p2_m3, pr_m6 = powers
-    lams, caps = _selectable_metrics(s1, s2, mu1, mu2, gamma, t, powers)
-    c1r, c2r, c12r, c21r, cr1, cr2 = caps
-    mode = best_modes(SELECTABLE_MODES, lams)
-    is1, is2, is3, is6 = (mode == k for k in SELECTABLE_MODES)
-    # exactly one branch holds per slot, so nested selection adds no terms
-    return TraceDecisions(
-        mode=mode,
-        power=np.where(is1, p1_m1, np.where(is2, p2_m2, np.where(is3, p1_m3 + p2_m3, pr_m6))),
-        up1=np.where(is1, c1r, np.where(is3, c12r, 0.0)),
-        up2=np.where(is2, c2r, np.where(is3, c21r, 0.0)),
-        down1=np.where(is6, cr1, 0.0),
-        down2=np.where(is6, cr2, 0.0),
-    )
+    if gains is None:
+        gains = TraceGains(s1, s2)
+    elif gains.s1 is not s1 or gains.s2 is not s2:
+        raise ValueError("gains were built from other gain arrays")
+    return gains.decide(mu1, mu2, gamma, t)

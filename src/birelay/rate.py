@@ -1,7 +1,11 @@
-"""Instantaneous capacity formulas for the six transmission modes.
+"""Instantaneous capacity formulas for the six transmission modes, one slot
+at a time.
 
 All rates are in bits per symbol with unit-variance noise, so transmit
 powers double as receive SNRs once multiplied by the squared channel gain.
+No protocol runs through this module: the trace kernel in policy has its
+own array forms. It is kept, validated and written out per slot, as the
+independent reference that the tests check those array forms against.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 """Dual calibration: residual structure, the nested search, end-to-end runs."""
 
-import importlib
 import math
 
 import numpy as np
@@ -18,11 +17,10 @@ from birelay.calibrate import (
     evaluate_thresholds,
     find_root,
 )
+import birelay.calibrate as calibrate_module
 from birelay.channel import FadingStatistics, sample_trace
-from birelay.policy import Thresholds, decide_trace
+from birelay.policy import Thresholds, TraceGains, decide_trace
 
-# the package exports the calibrate function under the submodule's name
-calibrate_module = importlib.import_module("birelay.calibrate")
 _STATS = FadingStatistics(1.0, 1.0)
 
 
@@ -188,9 +186,9 @@ def test_calibrate_never_repeats_an_evaluation(monkeypatch, stats, p_total):
     # evaluate_thresholds call revisits the calibrated point
     calls = []
 
-    def recording(s1, s2, mu1, mu2, gamma, t):
+    def recording(s1, s2, mu1, mu2, gamma, t, gains=None):
         calls.append((mu1, mu2, gamma))
-        return decide_trace(s1, s2, mu1, mu2, gamma, t)
+        return decide_trace(s1, s2, mu1, mu2, gamma, t, gains=gains)
 
     monkeypatch.setattr(calibrate_module, "decide_trace", recording)
     result = calibrate(_cfg(stats=stats, p_total=p_total))
@@ -205,15 +203,38 @@ def test_calibrate_counts_its_slot_rule_runs(monkeypatch):
     # every 1-D solve needed 924 runs of the slot rule here
     calls = []
 
-    def recording(s1, s2, mu1, mu2, gamma, t):
+    def recording(s1, s2, mu1, mu2, gamma, t, gains=None):
         calls.append((mu1, mu2, gamma))
-        return decide_trace(s1, s2, mu1, mu2, gamma, t)
+        return decide_trace(s1, s2, mu1, mu2, gamma, t, gains=gains)
 
     monkeypatch.setattr(calibrate_module, "decide_trace", recording)
     result = calibrate(CalibrationConfig(stats=_STATS, p_total=1.0))
     assert result.converged
     assert result.evaluations == len(calls)
     assert len(calls) <= 400
+
+
+def test_calibrate_builds_one_trace_kernel(monkeypatch):
+    # the gain-only constants and the workspace are made once per
+    # calibration, and every run of the slot rule, the closing check
+    # included, goes through that one kernel
+    built, used = [], []
+
+    class Counted(TraceGains):
+        def __init__(self, s1, s2):
+            super().__init__(s1, s2)
+            built.append(self)
+
+    def recording(s1, s2, mu1, mu2, gamma, t, gains=None):
+        used.append(gains)
+        return decide_trace(s1, s2, mu1, mu2, gamma, t, gains=gains)
+
+    monkeypatch.setattr(calibrate_module, "TraceGains", Counted)
+    monkeypatch.setattr(calibrate_module, "decide_trace", recording)
+    result = calibrate(_cfg())
+    assert len(built) == 1
+    assert len(used) == result.evaluations
+    assert all(g is built[0] for g in used)
 
 
 def _monotone(kind, root, orient, scale, shape):

@@ -192,6 +192,19 @@ def test_main_rejects_mistyped_config(tmp_path):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_main_rejects_wrongly_typed_sweep_lists(tmp_path):
+    # a number where the protocol or power list belongs used to fall back
+    # to the default list, so {"protocols": 5} ran all five protocols
+    cfg_path = tmp_path / "cfg.json"
+    for cfg in ({"protocols": 5}, {"pt_db_list": 5}, {"protocols": {"a": 1}}):
+        cfg_path.write_text(json.dumps(cfg))
+        rc, out, err = _main(["sweep", "--config", str(cfg_path), "--slots", "300"])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert next(iter(cfg)) in err
+
+
 def test_main_rejects_unknown_config_keys(tmp_path):
     # a misspelt key used to be dropped silently, so the run went ahead on
     # the default it meant to change

@@ -1,6 +1,7 @@
 """Slot rule: closed-form powers, selection metrics, mode choice."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from birelay.policy import (
     SELECTABLE_MODES,
     SelectionMetrics,
     Thresholds,
+    TraceDecisions,
+    TraceGains,
     decide_trace,
     ma_split,
     mode_powers,
@@ -379,3 +382,178 @@ def test_decide_trace_mirrors_and_scales(seed, mu1, mu2, gamma, t, omega, k):
     assert k * scaled.power == pytest.approx(dec.power, **near)
     for name in ("up1", "up2", "down1", "down2"):
         assert getattr(scaled, name) == pytest.approx(getattr(dec, name), **near)
+
+
+# --- reference: the slot rule as nested np.where selections -----------------
+# A literal copy of decide_trace before the per-trace kernel (TraceGains):
+# every intermediate allocated afresh and every output picked with np.where.
+# The kernel must reproduce it byte for byte.
+
+
+def _ref_recip(s):
+    s = np.asarray(s, dtype=float)
+    return np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), np.inf)
+
+
+def _ref_capacity(x):
+    return np.log2(1.0 + x)
+
+
+def _ref_wf_power(weight, gamma, inv_s):
+    return np.maximum(weight / (gamma * _LN2) - inv_s, 0.0)
+
+
+def _ref_broadcast_power(s1, s2, mu1, mu2, gamma):
+    gl = gamma * _LN2
+    a = gl * s1 * s2
+    b = gl * (s1 + s2) - (mu1 + mu2) * s1 * s2
+    c = gl - mu1 * s2 - mu2 * s1
+    sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    num = np.where(b > 0.0, -2.0 * c, sq - b)
+    den = np.where(b > 0.0, b + sq, 2.0 * a)
+    root = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+    return np.where(c < 0.0, np.maximum(root, 0.0), 0.0)
+
+
+def _ref_ma_split(s1, s2, p1, p2, t):
+    if t == 0.0:
+        return _ref_capacity(p1 * s1 / (1.0 + p2 * s2)), _ref_capacity(p2 * s2)
+    if t == 1.0:
+        return _ref_capacity(p1 * s1), _ref_capacity(p2 * s2 / (1.0 + p1 * s1))
+    c12r_0, c21r_0 = _ref_ma_split(s1, s2, p1, p2, 0.0)
+    c12r_1, c21r_1 = _ref_ma_split(s1, s2, p1, p2, 1.0)
+    return t * c12r_1 + (1.0 - t) * c12r_0, (1.0 - t) * c21r_0 + t * c21r_1
+
+
+def _ref_best_modes(modes, metrics):
+    best = metrics[0]
+    mode = np.full(np.shape(best), modes[0])
+    for k, lam in zip(modes[1:], metrics[1:]):
+        mode = np.where(lam > best, k, mode)
+        best = np.maximum(best, lam)
+    if np.isnan(best).any():
+        raise ValueError("selection metric is NaN")
+    return mode
+
+
+def _ref_ma_powers(s1, s2, mu1, mu2, gamma, t, inv1, inv2, p1_m1, p2_m2):
+    gl = gamma * _LN2
+    u = (mu1 - mu2) / gl
+    den = np.where(s1 == s2, 1.0, s1 - s2)
+    if t == 0.0:
+        only1 = s2 * (u * s1 + 1.0) <= s1
+        only2 = ~only1 & (s2 * (1.0 - mu2) >= s1 * (1.0 - mu1))
+        p1_int = np.maximum((1.0 - mu1) / gl - u * s2 / den, 0.0)
+        p2_int = np.maximum(u * s1 / den - inv2, 0.0)
+    else:
+        only2 = s1 * (1.0 - u * s2) <= s2
+        only1 = ~only2 & (s1 * (1.0 - mu1) >= s2 * (1.0 - mu2))
+        p1_int = np.maximum(u * s2 / den - inv1, 0.0)
+        p2_int = np.maximum((1.0 - mu2) / gl - u * s1 / den, 0.0)
+    p1 = np.where(only1, p1_m1, np.where(only2, 0.0, p1_int))
+    p2 = np.where(only1, 0.0, np.where(only2, p2_m2, p2_int))
+    return p1, p2
+
+
+def _ref_decide_trace(s1, s2, mu1, mu2, gamma, t):
+    inv1, inv2 = _ref_recip(s1), _ref_recip(s2)
+    p1_m1 = _ref_wf_power(1.0 - mu1, gamma, inv1)
+    p2_m2 = _ref_wf_power(1.0 - mu2, gamma, inv2)
+    p1_m3, p2_m3 = _ref_ma_powers(s1, s2, mu1, mu2, gamma, t, inv1, inv2, p1_m1, p2_m2)
+    pr_m6 = _ref_broadcast_power(s1, s2, mu1, mu2, gamma)
+    c1r = _ref_capacity(p1_m1 * s1)
+    c2r = _ref_capacity(p2_m2 * s2)
+    c12r, c21r = _ref_ma_split(s1, s2, p1_m3, p2_m3, t)
+    cr1 = _ref_capacity(pr_m6 * s1)
+    cr2 = _ref_capacity(pr_m6 * s2)
+    lams = (
+        (1.0 - mu1) * c1r - gamma * p1_m1,
+        (1.0 - mu2) * c2r - gamma * p2_m2,
+        (1.0 - mu1) * c12r + (1.0 - mu2) * c21r - gamma * (p1_m3 + p2_m3),
+        mu1 * cr2 + mu2 * cr1 - gamma * pr_m6,
+    )
+    mode = _ref_best_modes(SELECTABLE_MODES, lams)
+    is1, is2, is3, is6 = (mode == k for k in SELECTABLE_MODES)
+    return TraceDecisions(
+        mode=mode,
+        power=np.where(is1, p1_m1, np.where(is2, p2_m2, np.where(is3, p1_m3 + p2_m3, pr_m6))),
+        up1=np.where(is1, c1r, np.where(is3, c12r, 0.0)),
+        up2=np.where(is2, c2r, np.where(is3, c21r, 0.0)),
+        down1=np.where(is6, cr1, 0.0),
+        down2=np.where(is6, cr2, 0.0),
+    )
+
+
+_FIELDS = ("mode", "power", "up1", "up2", "down1", "down2")
+
+
+def _same_bytes(got, want):
+    return all(
+        getattr(got, f).dtype == getattr(want, f).dtype
+        and getattr(got, f).tobytes() == getattr(want, f).tobytes()
+        for f in _FIELDS
+    )
+
+
+_edge_dual = st.one_of(st.sampled_from((1e-3, 1.0 - 1e-3)), st.floats(1e-3, 1.0 - 1e-3))
+_log_gamma = st.floats(math.log(1e-6), math.log(1e6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    omegas=st.sampled_from(((1.0, 1.0), (10.0, 1.0), (1.0, 100.0), (100.0, 1.0))),
+    n=st.integers(1, 400),
+    duals=st.tuples(_edge_dual, _edge_dual, _edge_dual, _edge_dual),
+    log_gammas=st.tuples(_log_gamma, _log_gamma),
+    t=st.sampled_from((0.0, 1.0)),
+)
+def test_trace_kernel_is_byte_identical_to_nested_where(seed, omegas, n, duals, log_gammas, t):
+    # dead links and s1 == s2 slots are planted in every trace; one
+    # TraceGains serves two dual points, so its workspace carries nothing
+    # from one call to the next, and the first call's outputs survive the
+    # second untouched
+    rng = np.random.default_rng(seed)
+    s1 = omegas[0] * rng.exponential(1.0, n)
+    s2 = omegas[1] * rng.exponential(1.0, n)
+    s1[rng.random(n) < 0.1] = 0.0
+    s2[rng.random(n) < 0.1] = 0.0
+    equal = rng.random(n) < 0.15
+    s2[equal] = s1[equal]
+    gains = TraceGains(s1, s2)
+    points = [(duals[0], duals[1], math.exp(log_gammas[0])), (duals[2], duals[3], math.exp(log_gammas[1]))]
+    first = gains.decide(*points[0], t)
+    kept = {f: getattr(first, f).copy() for f in _FIELDS}
+    for mu1, mu2, gamma in points:
+        want = _ref_decide_trace(s1, s2, mu1, mu2, gamma, t)
+        assert _same_bytes(gains.decide(mu1, mu2, gamma, t), want)
+        assert _same_bytes(decide_trace(s1, s2, mu1, mu2, gamma, t), want)
+    assert all(np.array_equal(getattr(first, f), kept[f]) for f in _FIELDS)
+
+
+def test_trace_kernel_rejects_nan_and_foreign_gains():
+    s1, s2 = np.array([1.0, 2.0]), np.array([0.5, np.nan])
+    with pytest.raises(ValueError):
+        TraceGains(s1, s2).decide(0.4, 0.5, 0.3, 0.0)
+    with pytest.raises(ValueError):
+        decide_trace(s1, s1.copy(), 0.4, 0.5, 0.3, 0.0, gains=TraceGains(s1, s1))
+
+
+def test_trace_kernel_allocates_only_its_outputs():
+    # after the first call has made the workspace, a call on a 10k-slot
+    # trace allocates its six output arrays (five float, one int) and at
+    # most 8 KiB besides (Python objects and reduction scratch)
+    trace = sample_trace(_STATS, 10_000, 1234)
+    gains = TraceGains(trace.s1, trace.s2)
+    gains.decide(0.45, 0.55, 0.6, 0.0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dec = gains.decide(0.4, 0.6, 0.5, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    outputs = sum(getattr(dec, f).nbytes for f in _FIELDS)
+    assert outputs == 6 * 8 * 10_000
+    assert peak <= outputs + 8192

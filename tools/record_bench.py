@@ -4,22 +4,24 @@ Runs the benchmark that ``BENCHMARK.json`` declares in ten alternating
 pairs on a ``git archive`` copy of a parent commit and on the working tree,
 then writes the machine facts, each workload's per-side medians and
 quartiles of every end-to-end metric, the pairs the change won, the
-per-layer metrics of one traced run per side, the ``src/`` line count and
-the Tier-1 test time of both sides.
+medians and quartiles of the per-layer metrics over three traced runs per
+side, the ``src/`` line count and the Tier-1 test time of both sides.
 
 Run from the repository root:
 
-    python3 tools/record_bench.py --parent HEAD~1 --out BENCH_7.json
+    python3 tools/record_bench.py --parent HEAD~1 --out BENCH_8.json
 
 Each run is ``python3 bench/run.py --workload W --seed N --seconds S
 --trace 0`` in its own checkout, one at a time, with S the declared
 ``run_seconds``. Pair k runs seed k + 1 on both sides, and the side that
 runs first alternates from pair to pair, so drift in the machine's load
-falls on both sides. After the pairs, each side runs once more with
-``--trace 1`` (seed 1, same S, parent first): its layer metrics (seconds
-and counts per cycle of the workload's operation list) show where a change
-in the end-to-end numbers comes from. The parent copy goes to a temporary
-directory (under ``$TMPDIR``) and is removed at the end.
+falls on both sides. After the pairs come three alternating pairs of
+``--trace 1`` runs (traced pair k runs seed k + 1, same S): their layer
+metrics (seconds and counts per cycle of the workload's operation list)
+show where a change in the end-to-end numbers comes from, and as medians
+over alternating runs they do not carry one run's speed phase of the
+machine. The parent copy goes to a temporary directory (under
+``$TMPDIR``) and is removed at the end.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 # parent/change pairs per workload: a gain counts when the change wins at
 # least nine of ten
 PAIRS = 10
+# traced parent/change pairs per workload, for the layer metrics
+TRACED_PAIRS = 3
 
 
 def git(*args: str) -> str:
@@ -157,14 +161,19 @@ def main() -> int:
                         for name in better
                     },
                 }
-            for side in ("parent", "change"):
-                traced = bench_run(sides[side], spec["command"], workload, 1, seconds, trace=1)
+            traced: dict[str, list[dict]] = {"parent": [], "change": []}
+            for k in range(TRACED_PAIRS):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    traced[side].append(
+                        bench_run(sides[side], spec["command"], workload, k + 1, seconds, trace=1)
+                    )
+                    print(f"{workload} traced seed {k + 1} {side}: done", file=sys.stderr)
+            for side, results in traced.items():
+                names = [n for n in results[0]["metrics"] if n not in better]
                 entry[side]["layers"] = {
-                    name: metric["value"]
-                    for name, metric in traced["metrics"].items()
-                    if name not in better
+                    name: spread([r["metrics"][name]["value"] for r in results]) for name in names
                 }
-                print(f"{workload} traced {side}: done", file=sys.stderr)
             entry["comparison"] = {
                 name: compare(
                     entry["parent"]["metrics"][name]["runs"],
@@ -183,7 +192,10 @@ def main() -> int:
                 "seconds": seconds,
                 "pairs": PAIRS,
                 "seeds": seeds,
-                "layers": "one --trace 1 run per side, seed 1, values per cycle",
+                "layers": (
+                    f"{TRACED_PAIRS} alternating --trace 1 pairs, seeds 1..{TRACED_PAIRS}, "
+                    "values per cycle"
+                ),
             },
             "workloads": workloads,
             "src_lines": {side: src_lines(root) for side, root in sides.items()},
