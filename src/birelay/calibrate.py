@@ -340,9 +340,13 @@ def match_budget(solve, decide, p_total: float) -> tuple[float, TraceDecisions]:
     return x, decide(x)
 
 
-def calibrate(cfg: CalibrationConfig) -> CalibrationResult:
-    """Calibrate (mu1, mu2, gamma) for the slot rule on cfg's trace."""
-    trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
+def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> CalibrationResult:
+    """Calibrate (mu1, mu2, gamma) for the slot rule on cfg's trace, or on
+    trace, which must then be cfg's (same statistics, length and seed)."""
+    if trace is None:
+        trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
+    elif (trace.stats, len(trace), trace.seed) != (cfg.stats, cfg.n_slots, cfg.seed):
+        raise ValueError("trace does not match the calibration config")
     s1, s2 = trace.s1, trace.s2
     gains = TraceGains(s1, s2)  # one kernel for every probe on this trace
     t = optimal_time_share(cfg.stats)

@@ -106,7 +106,7 @@ def _prepare(name: str, spec: RunSpec, p_total: float, trace) -> PreparedPolicy:
             tol_rate=spec.tol_rate,
             tol_power=spec.tol_power,
         )
-        result = calibrate(cfg)
+        result = calibrate(cfg, trace)
         th = result.thresholds
         decide = policy.proposed_policy(th, trace.stats)
         return PreparedPolicy(name, decide, th.mu1, th.mu2, th.gamma, None, result.converged)

@@ -4,7 +4,8 @@ Everything here recomputes selection metrics from the raw capacity
 formulas and searches them exhaustively, so agreement with the policy
 module is evidence rather than tautology: grid searches over transmit
 power, a sweep over the decoding time share, and a feasibility scan over
-the dual plane.
+the dual plane. The 2-D grid of the multiple-access mode is searched by
+branch and bound, with the same argmax and value as an exhaustive search.
 
 The checks behind `birelay verify` and the acceptance criteria take
 arrays of random draws (see sample_draws), one entry per draw, and return
@@ -33,7 +34,6 @@ from .policy import (
 __all__ = [
     "GridSpec",
     "grid_max_metric",
-    "suggested_grid",
     "t_sweep",
     "sample_draws",
     "grid_optimality",
@@ -54,8 +54,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
-        if self.lo < 0.0 or not self.hi > self.lo:
-            raise ValueError("grid must satisfy 0 <= lo < hi")
+        if not 0.0 <= self.lo < self.hi < math.inf:
+            raise ValueError("grid must satisfy 0 <= lo < hi < inf")
         if self.points < 100:
             raise ValueError("grid needs at least 100 points")
 
@@ -63,21 +63,13 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
 
-def suggested_grid(ch: ChannelState, th: Thresholds, points: int = 2000) -> GridSpec:
-    """Grid wide enough to contain any mode's optimal power for this slot:
-    the water levels scale with 1/gamma and with inverse gains."""
-    smin = min(ch.s1, ch.s2)
-    hi = 10.0 / th.gamma * max(1.0, 1.0 / smin if smin > 0.0 else 1.0)
-    return GridSpec(0.0, min(hi, 1e6), points)
-
-
 def grid_max_metric(
     mode: int, ch: ChannelState, th: Thresholds, t: float, grid: GridSpec
 ) -> tuple[tuple[float, ...], float]:
-    """Exhaustively maximize one mode's selection metric over its power axes.
-
-    Returns (argmax powers, metric value). Mode 3 searches the full 2-D
-    user-power grid; all other modes are 1-D.
+    """Maximize one mode's selection metric over its power axes (2-D for
+    mode 3, else 1-D). Returns (argmax powers, metric value). Exact: same
+    argmax and value as an exhaustive search; blocks that provably cannot
+    hold the maximum are skipped.
     """
     if mode not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"unknown mode {mode}")
@@ -92,33 +84,60 @@ def _grid_search(mode, p, s1, s2, mu1, mu2, gamma, t):
     """Grid indices of one mode's best powers on axis p (one index per
     power axis) and the metric there; no validation."""
     if mode == 3:
-        vals = _ma_grid(p, s1, s2, mu1, mu2, gamma, t)
-    elif mode == 6:
+        return _ma_search(p, s1, s2, mu1, mu2, gamma, t)
+    if mode == 6:
         vals = mu1 * np.log2(1.0 + p * s2) + mu2 * np.log2(1.0 + p * s1) - gamma * p
     else:
         weight, s = {1: (1.0 - mu1, s1), 2: (1.0 - mu2, s2), 4: (mu2, s1), 5: (mu1, s2)}[mode]
         vals = weight * np.log2(1.0 + p * s) - gamma * p
-    at = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return at, vals[at]
+    k = int(np.argmax(vals))
+    return (k,), vals[k]
 
 
-def _ma_grid(p, s1, s2, mu1, mu2, gamma, t):
-    """Multiple-access metric at every (user 1 power p[i], user 2 power p[j]).
+_BLOCK = 40  # points per block side in the multiple-access search
+
+
+def _ma_metric(x, y, a, row, col):
+    """a*log2(1 + x[i] + y[j]) + row[i] + col[j] at every (i, j), in place."""
+    vals = np.add.outer(x, y)
+    vals += 1.0
+    np.log2(vals, out=vals)
+    vals *= a
+    vals += row[:, None]
+    vals += col[None, :]
+    return vals
+
+
+def _ma_search(p, s1, s2, mu1, mu2, gamma, t):
+    """Indices (i, j) and value of the best multiple-access metric on p x p.
 
     The metric (1-mu1)*c12r + (1-mu2)*c21r - gamma*(p1+p2), with
     c12r = t*l1 + (1-t)*(lsum - l2) and c21r = (1-t)*l2 + t*(lsum - l1),
-    collects into a*lsum[i, j] + row[i] + col[j]. It is built in place in
-    one buffer, so a search holds a single 2-D grid.
+    is _ma_metric(x, y, a, row, col) with x = p*s1, y = p*s2 and a >= 0 for
+    duals in [0, 1]. A block's bound is _ma_metric at its largest x, y, row
+    and col; all its steps but log2 round monotonically, so only log2's
+    last-place error can lift an element over the bound. Blocks run in
+    falling bound order until the next bound plus a 1e-9 relative margin is
+    below the best; ties go to the lowest flat index, as in np.argmax.
     """
-    l1 = np.log2(1.0 + p * s1)
-    l2 = np.log2(1.0 + p * s2)
-    vals = np.add.outer(p * s1, p * s2)
-    vals += 1.0
-    np.log2(vals, out=vals)
-    vals *= (1.0 - mu1) * (1.0 - t) + (1.0 - mu2) * t
-    vals += (t * (mu2 - mu1) * l1 - gamma * p)[:, None]
-    vals += ((1.0 - t) * (mu1 - mu2) * l2 - gamma * p)[None, :]
-    return vals
+    x, y = p * s1, p * s2
+    a = (1.0 - mu1) * (1.0 - t) + (1.0 - mu2) * t
+    row = t * (mu2 - mu1) * np.log2(1.0 + x) - gamma * p
+    col = (1.0 - t) * (mu1 - mu2) * np.log2(1.0 + y) - gamma * p
+    starts = np.arange(0, p.size, _BLOCK)
+    x_hi, y_hi, row_hi, col_hi = (np.maximum.reduceat(v, starts) for v in (x, y, row, col))
+    bound = _ma_metric(x_hi, y_hi, a, row_hi, col_hi)
+    best, at = -math.inf, (0, 0)
+    for k in np.argsort(bound, axis=None)[::-1]:
+        if bound.flat[k] + 1e-9 * (1.0 + abs(best)) < best:
+            break
+        rows, cols = (slice(b * _BLOCK, (b + 1) * _BLOCK) for b in divmod(int(k), starts.size))
+        vals = _ma_metric(x[rows], y[cols], a, row[rows], col[cols])
+        i, j = divmod(int(np.argmax(vals)), vals.shape[1])
+        ij = (rows.start + i, cols.start + j)
+        if vals[i, j] > best or (vals[i, j] == best and ij < at):
+            best, at = vals[i, j], ij
+    return at, best
 
 
 def _t_profile(s1, s2, mu1, mu2, gamma, p1, p2, ts):
@@ -159,7 +178,9 @@ def sample_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
 def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]:
     """Worst grid advantage (grid maximum minus closed-form metric) and worst
     argmax offset in grid steps of the closed-form powers of modes 1, 2, 3
-    and 6, against an exhaustive search on [0, 10/gamma] per power axis.
+    and 6 against a grid search on [0, 10/gamma] per power axis. Exact:
+    same argmax and value as an exhaustive search; blocks that provably
+    cannot hold the maximum are skipped.
 
     Each draw is checked at the decoding share its dual order favours
     (t = 0 when mu1 >= mu2): the share the policy picks when the link with

@@ -165,6 +165,18 @@ def test_calibrate_is_deterministic():
     assert a == b
 
 
+def test_calibrate_on_a_supplied_trace_matches_its_own_draw():
+    cfg = _cfg()
+    assert calibrate(cfg, sample_trace(cfg.stats, cfg.n_slots, cfg.seed)) == calibrate(cfg)
+    for other in (
+        sample_trace(FadingStatistics(2.0, 1.0), cfg.n_slots, cfg.seed),
+        sample_trace(cfg.stats, cfg.n_slots - 1, cfg.seed),
+        sample_trace(cfg.stats, cfg.n_slots, cfg.seed + 1),
+    ):
+        with pytest.raises(ValueError):
+            calibrate(cfg, other)
+
+
 def test_calibrate_budget_of_one_cannot_converge():
     res = calibrate(_cfg(max_iters=1))
     assert not res.converged

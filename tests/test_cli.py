@@ -7,7 +7,10 @@ import json
 
 import pytest
 
+import birelay.calibrate as calibrate_module
+import birelay.cli as cli_module
 from birelay import oracle
+from birelay.channel import sample_trace
 from birelay.cli import COLUMNS, PROTOCOLS, RunSpec, build_parser, emit, main, run_sweep
 
 
@@ -62,6 +65,20 @@ def test_run_sweep_rows_are_complete(rows800):
     assert by_name["tdbc_no_pa"]["converged"] is True
     assert isinstance(by_name["proposed"]["mu1"], float)
     assert isinstance(by_name["proposed"]["gamma"], float)
+
+
+def test_run_sweep_draws_each_trace_once(monkeypatch):
+    # calibration of the adaptive protocol runs on the sweep's own trace
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return sample_trace(*args)
+
+    for module in (cli_module, calibrate_module):
+        monkeypatch.setattr(module, "sample_trace", counted)
+    run_sweep(RunSpec(pt_db=(0.0,), n_slots=800, seed=5, protocols=("proposed",)))
+    assert len(drawn) == 1
 
 
 def test_emit_csv_round_trips_exactly(rows800, tmp_path):
@@ -260,6 +277,21 @@ def test_main_verify_golden_lines():
         "PASS closed-form power optimality vs grid: worst metric gap 0.00e+00, "
         "worst argmax offset 0.49 steps\n"
         "PASS broadcast power root residual: worst relative residual 5.27e-16\n"
+        "PASS time share optimum sits at a boundary: argmax in {0, 1}\n"
+        "PASS broadcast dominates single-user downlinks: worst lambda gap 0.00e+00\n"
+    )
+
+
+@pytest.mark.parametrize("seed, residual", [(1, "5.42e-16"), (7, "4.74e-16"), (1234, "4.74e-16")])
+def test_main_verify_default_size_golden_lines(seed, residual):
+    # recorded at the defaults (200 draws x 800 points per axis) from the
+    # exhaustive 2-D grid search the block search replaced
+    rc, out, _ = _main(["verify", "--seed", str(seed)])
+    assert rc == 0
+    assert out == (
+        "PASS closed-form power optimality vs grid: worst metric gap 0.00e+00, "
+        "worst argmax offset 0.50 steps\n"
+        f"PASS broadcast power root residual: worst relative residual {residual}\n"
         "PASS time share optimum sits at a boundary: argmax in {0, 1}\n"
         "PASS broadcast dominates single-user downlinks: worst lambda gap 0.00e+00\n"
     )

@@ -7,10 +7,10 @@ from birelay.channel import ChannelState, FadingStatistics
 from birelay.oracle import (
     GridSpec,
     ScanPoint,
-    _ma_grid,
+    _grid_search,
     grid_max_metric,
+    grid_optimality,
     sample_draws,
-    suggested_grid,
     t_sweep,
     threshold_region_scan,
     time_share_at_boundary,
@@ -25,18 +25,12 @@ def test_grid_spec_validated():
         GridSpec(1.0, 1.0, 100)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 99)
+    for lo, hi in ((0.0, float("inf")), (float("nan"), 1.0), (0.0, float("nan"))):
+        with pytest.raises(ValueError):
+            GridSpec(lo, hi, 100)
     g = GridSpec(0.0, 2.0, 101)
     axis = g.axis()
     assert axis[0] == 0.0 and axis[-1] == 2.0 and axis.size == 101
-
-
-def test_suggested_grid_scales_with_price_and_gains():
-    th_cheap = Thresholds(0.5, 0.5, 0.01)
-    th_dear = Thresholds(0.5, 0.5, 1.0)
-    ch = ChannelState(1, 1.0, 1.0)
-    assert suggested_grid(ch, th_cheap).hi > suggested_grid(ch, th_dear).hi
-    weak = ChannelState(1, 0.05, 1.0)
-    assert suggested_grid(weak, th_dear).hi > suggested_grid(ch, th_dear).hi
 
 
 def test_grid_max_hand_example():
@@ -82,6 +76,21 @@ def _ma_grid_literal(p, s1, s2, mu1, mu2, gamma, t):
     return (1.0 - mu1) * c12r + (1.0 - mu2) * c21r - gamma * np.add.outer(p, p)
 
 
+def _ma_grid(p, s1, s2, mu1, mu2, gamma, t):
+    """The exhaustive reference: the metric's coefficient form
+    a*lsum[i, j] + row[i] + col[j] at every grid point, in the operation
+    order the oracle's block search applies to each element."""
+    l1 = np.log2(1.0 + p * s1)
+    l2 = np.log2(1.0 + p * s2)
+    vals = np.add.outer(p * s1, p * s2)
+    vals += 1.0
+    np.log2(vals, out=vals)
+    vals *= (1.0 - mu1) * (1.0 - t) + (1.0 - mu2) * t
+    vals += (t * (mu2 - mu1) * l1 - gamma * p)[:, None]
+    vals += ((1.0 - t) * (mu1 - mu2) * l2 - gamma * p)[None, :]
+    return vals
+
+
 def test_ma_grid_coefficient_form_matches_literal_formula():
     rng = np.random.default_rng(15)
     for _ in range(200):
@@ -102,6 +111,64 @@ def test_ma_grid_coefficient_form_matches_literal_formula():
             (p1, p2), val = grid_max_metric(3, ch, th, t, GridSpec(0.0, 10.0 / gamma, 150))
             i, j = np.unravel_index(np.argmax(coef), coef.shape)
             assert (p1, p2, val) == (p[i], p[j], best_c)
+
+
+def _ma_cases(n):
+    """n multiple-access searches (axis, s1, s2, mu1, mu2, gamma, t) that
+    mix random draws with the edge cases a pruned search could get wrong:
+    the boundary and interior shares, a silent user, equal gains, equal
+    duals, duals near 0 and 1, axes that end at 1e6 and sizes that do not
+    divide into whole blocks."""
+    rng = np.random.default_rng(20261018)
+    for k in range(n):
+        mu1, mu2 = (float(x) for x in rng.uniform(0.05, 0.95, 2))
+        gamma = float(rng.uniform(0.05, 2.0))
+        s1, s2 = (float(x) for x in rng.exponential(1.0, 2))
+        if k % 5 == 1:
+            mu2 = mu1
+        if k % 6 == 2:
+            mu1 = 1e-9
+        if k % 6 == 3:
+            mu2 = 1.0 - 1e-9
+        if k % 4 == 1:
+            s2 = s1
+        if k % 7 == 3:
+            s1 = 0.0
+        if k % 11 == 5:
+            s2 = 0.0
+        t = (0.0, 0.5, 1.0)[k % 3]
+        points = (100, 101, 150, 333, 799)[k % 5] if k % 4 == 0 else (101, 150)[k % 2]
+        hi = (10.0 / gamma, 1e6, 1.0)[k % 8 % 3]
+        yield np.linspace(0.0, hi, points), s1, s2, mu1, mu2, gamma, t
+
+
+def test_ma_block_search_equals_exhaustive_grid_bit_for_bit():
+    for case in _ma_cases(1200):
+        vals = _ma_grid(*case)
+        want = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        at, value = _grid_search(3, *case)
+        assert tuple(at) == tuple(int(k) for k in want)
+        assert float(value).hex() == float(vals[want]).hex()
+
+
+def test_ma_block_search_breaks_ties_at_the_lowest_flat_index():
+    # no gain and no price: every grid point ties at 0, across all blocks
+    p = np.linspace(0.0, 5.0, 130)
+    assert _grid_search(3, p, 0.0, 0.0, 0.3, 0.6, 0.0, 0.0) == ((0, 0), 0.0)
+    # a silent user 2 and free power: every column of the last row ties
+    vals = _ma_grid(p, 1.0, 0.0, 0.3, 0.6, 0.0, 1.0)
+    assert np.all(vals[-1] == vals.max())
+    at, value = _grid_search(3, p, 1.0, 0.0, 0.3, 0.6, 0.0, 1.0)
+    assert at == (129, 0) and value == vals.max()
+
+
+def test_grid_optimality_default_size_golden_values():
+    # recorded at verify's defaults (200 draws x 800 points per axis) from
+    # the exhaustive 2-D grid search the block search replaced
+    golden = ((1, 0.49797960341397385), (7, 0.5016605186546985), (1234, 0.5006598712892316))
+    for seed, step in golden:
+        draws = sample_draws(np.random.default_rng(seed), 200)
+        assert grid_optimality(*draws, 800) == (0.0, step)
 
 
 def test_t_sweep_profile_is_affine_with_boundary_argmax():
