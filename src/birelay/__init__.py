@@ -16,9 +16,9 @@ from .calibrate import (
     ThresholdEvaluation,
     evaluate_thresholds,
 )
-from .channel import ChannelState, ChannelTrace, FadingStatistics, empirical_means, sample_trace
+from .channel import ChannelState, ChannelTrace, FadingStatistics, sample_trace
 from .engine import PreparedPolicy, ProtocolPolicy, QueueState, RateReport, run
-from .oracle import GridSpec, ScanPoint, grid_max_metric, t_sweep, threshold_region_scan
+from .oracle import ScanPoint, threshold_region_scan
 from .policy import (
     ModePowers,
     SelectionMetrics,
@@ -26,11 +26,8 @@ from .policy import (
     TraceDecisions,
     TraceGains,
     decide_trace,
-    mode_powers,
     optimal_time_share,
     proposed_policy,
-    select_mode,
-    selection_metrics,
 )
 from .rate import LinkCapacities, PowerTriple, cap, link_capacities
 
@@ -43,7 +40,6 @@ __all__ = [
     "ChannelState",
     "ChannelTrace",
     "FadingStatistics",
-    "GridSpec",
     "LinkCapacities",
     "ModePowers",
     "PowerTriple",
@@ -59,19 +55,13 @@ __all__ = [
     "TraceGains",
     "cap",
     "decide_trace",
-    "empirical_means",
     "evaluate_thresholds",
     "fixed_power_policy",
-    "grid_max_metric",
     "link_capacities",
-    "mode_powers",
     "optimal_time_share",
     "proposed_policy",
     "run",
     "sample_trace",
-    "select_mode",
-    "selection_metrics",
-    "t_sweep",
     "tdbc_policy",
     "threshold_region_scan",
 ]

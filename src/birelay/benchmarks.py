@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import balance_duals, find_root, solve_gamma
+from .calibrate import balance_duals, find_root, match_budget
 from .channel import ChannelTrace, check_real
 from .engine import PreparedPolicy
 from .policy import (
@@ -145,11 +145,8 @@ def tdbc_policy(
     else:
         gains = TraceGains(trace.s1, trace.s2)
 
-        def power_resid(g: float) -> float:
-            spent = float(_tdbc_decisions(gains, cfg.p_total, g).power.mean())
-            return (spent - cfg.p_total) / cfg.p_total
-
-        gamma, resid = solve_gamma(power_resid, 1.0, 0.25 * tol_power)
+        decide_at = lambda g: _tdbc_decisions(gains, cfg.p_total, g)  # noqa: E731
+        gamma, resid, _ = match_budget(decide_at, cfg.p_total, 1.0, 0.25 * tol_power)
         fixed, converged = None, abs(resid) <= tol_power
 
     def decide(tr: ChannelTrace) -> TraceDecisions:

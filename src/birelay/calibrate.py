@@ -319,25 +319,27 @@ def solve_gamma(
     return _solve_from(power_resid, warm, outward, within, log=True, xtol=0.0, max_steps=80)
 
 
-def match_budget(solve, decide, p_total: float) -> tuple[float, TraceDecisions]:
-    """Spend p_total on average by tuning one scalar x (a power price or a
-    common power): solve(resid) -> x is a root finder over the relative
-    power residual of decide(x). Returns (x, decide(x)), reusing the last
-    probe's decisions when x is that probe; they are released before the
-    next decisions are computed, so at most one set is alive at a time."""
+def match_budget(
+    decide: Callable[[float], TraceDecisions], p_total: float, warm: float, tol: float
+) -> tuple[float, float, TraceDecisions]:
+    """Spend p_total on average: solve_gamma(warm, tol) finds the power
+    price gamma over the relative power residual of decide(gamma). Returns
+    (gamma, its signed residual, decide(gamma)), reusing the last probe's
+    decisions when gamma is that probe; they are released before the next
+    decisions are computed, so at most one set is alive at a time."""
     held: tuple[float | None, TraceDecisions | None] = (None, None)
 
-    def resid(x: float) -> float:
+    def resid(gamma: float) -> float:
         nonlocal held
         held = (None, None)  # release the previous probe's decisions first
-        held = (x, decide(x))
+        held = (gamma, decide(gamma))
         return (float(held[1].power.mean()) - p_total) / p_total
 
-    x = solve(resid)
-    if held[0] == x:
-        return held
+    gamma, r = solve_gamma(resid, warm, tol)
+    if held[0] == gamma:
+        return gamma, r, held[1]
     held = (None, None)
-    return x, decide(x)
+    return gamma, r, decide(gamma)
 
 
 def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> CalibrationResult:
@@ -366,9 +368,7 @@ def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> Cali
             return decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
 
         warm = next(reversed(gamma_at.values()), 1.0)  # the latest dual point's price
-        gamma_at[(mu1, mu2)], dec = match_budget(
-            lambda resid: solve_gamma(resid, warm, 0.25 * cfg.tol_power)[0], decide, cfg.p_total
-        )
+        gamma_at[(mu1, mu2)], _, dec = match_budget(decide, cfg.p_total, warm, 0.25 * cfg.tol_power)
         c1, c2 = balance_residuals(dec)
         return c1 + bias, c2 + bias
 

@@ -8,7 +8,6 @@ within a slot.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -20,8 +19,6 @@ __all__ = [
     "ChannelState",
     "ChannelTrace",
     "sample_trace",
-    "empirical_means",
-    "dump_csv",
     "check_real",
     "check_int",
 ]
@@ -115,19 +112,3 @@ def sample_trace(stats: FadingStatistics, n_slots: int, seed: int) -> ChannelTra
     s1 = -stats.omega1 * np.log1p(-u[0])
     s2 = -stats.omega2 * np.log1p(-u[1])
     return ChannelTrace(stats=stats, seed=seed, s1=s1, s2=s2)
-
-
-def empirical_means(trace: ChannelTrace) -> tuple[float, float]:
-    """Sample means of the two gain sequences."""
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
-    return float(trace.s1.mean()), float(trace.s2.mean())
-
-
-def dump_csv(trace: ChannelTrace, path: str) -> None:
-    """Write the trace as CSV rows (slot, s1, s2) for offline inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "s1", "s2"])
-        for i in range(len(trace)):
-            writer.writerow([i + 1, repr(float(trace.s1[i])), repr(float(trace.s2[i]))])

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import match_budget, solve_gamma
-from .channel import ChannelState, FadingStatistics, check_real, sample_trace
+from .calibrate import match_budget
+from .channel import FadingStatistics, check_real, sample_trace
 from .policy import (
-    Thresholds,
     TraceGains,
     balance_residuals,
     broadcast_power,
@@ -32,9 +31,6 @@ from .policy import (
 )
 
 __all__ = [
-    "GridSpec",
-    "grid_max_metric",
-    "t_sweep",
     "sample_draws",
     "grid_optimality",
     "broadcast_root_residual",
@@ -45,50 +41,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform 1-D search grid (used per power axis)."""
-
-    lo: float
-    hi: float
-    points: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lo < self.hi < math.inf:
-            raise ValueError("grid must satisfy 0 <= lo < hi < inf")
-        if self.points < 100:
-            raise ValueError("grid needs at least 100 points")
-
-    def axis(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.points)
-
-
-def grid_max_metric(
-    mode: int, ch: ChannelState, th: Thresholds, t: float, grid: GridSpec
-) -> tuple[tuple[float, ...], float]:
-    """Maximize one mode's selection metric over its power axes (2-D for
-    mode 3, else 1-D). Returns (argmax powers, metric value). Exact: same
-    argmax and value as an exhaustive search; blocks that provably cannot
-    hold the maximum are skipped.
-    """
-    if mode not in (1, 2, 3, 4, 5, 6):
-        raise ValueError(f"unknown mode {mode}")
-    if mode == 3 and not 0.0 <= t <= 1.0:
-        raise ValueError("time share t must lie in [0, 1]")
-    p = grid.axis()
-    at, value = _grid_search(mode, p, ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t)
-    return tuple(float(p[k]) for k in at), float(value)
-
-
 def _grid_search(mode, p, s1, s2, mu1, mu2, gamma, t):
-    """Grid indices of one mode's best powers on axis p (one index per
-    power axis) and the metric there; no validation."""
+    """Grid indices of one selectable mode's (1, 2, 3 or 6) best powers on
+    axis p (one index per power axis) and the metric there; no validation."""
     if mode == 3:
         return _ma_search(p, s1, s2, mu1, mu2, gamma, t)
     if mode == 6:
         vals = mu1 * np.log2(1.0 + p * s2) + mu2 * np.log2(1.0 + p * s1) - gamma * p
     else:
-        weight, s = {1: (1.0 - mu1, s1), 2: (1.0 - mu2, s2), 4: (mu2, s1), 5: (mu1, s2)}[mode]
+        weight, s = {1: (1.0 - mu1, s1), 2: (1.0 - mu2, s2)}[mode]
         vals = weight * np.log2(1.0 + p * s) - gamma * p
     k = int(np.argmax(vals))
     return (k,), vals[k]
@@ -149,21 +110,6 @@ def _t_profile(s1, s2, mu1, mu2, gamma, p1, p2, ts):
     return (1.0 - mu1) * c12r + (1.0 - mu2) * c21r - gamma * (p1 + p2)
 
 
-def t_sweep(
-    ch: ChannelState, th: Thresholds, p1: float, p2: float, points: int = 101
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Profile the multiple-access metric over the decoding share t at fixed
-    user powers. Returns (t grid, metric profile, argmax t). The profile is
-    affine in t, so the argmax always sits at an endpoint."""
-    if p1 < 0.0 or p2 < 0.0:
-        raise ValueError("powers cannot be negative")
-    if points < 2:
-        raise ValueError("need at least 2 sweep points")
-    ts = np.linspace(0.0, 1.0, points)
-    profile = _t_profile(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, p1, p2, ts)
-    return ts, profile, float(ts[int(np.argmax(profile))])
-
-
 def sample_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
     """n random slots (s1, s2, mu1, mu2, gamma) as arrays, drawn one slot at
     a time: mu1, mu2 ~ U(0.05, 0.95), gamma ~ U(0.05, 2), s1, s2 ~ Exp(1)."""
@@ -215,11 +161,12 @@ def broadcast_root_residual(s1, s2, mu1, mu2, gamma) -> tuple[float, int]:
 
 
 def time_share_at_boundary(s1, s2, mu1, mu2, gamma, *, slope_ties: bool = False) -> bool:
-    """Whether every draw's 101-point t_sweep argmax (unit user powers) sits
-    at t = 0 or t = 1, and, unless the draw is a tie, at the end the dual
-    order picks (0 when mu1 >= mu2). A tie is duals within 1e-9 of each
-    other or, with slope_ties, a profile whose end slope is within 1e-9 of
-    zero: flat to rounding, so np.argmax may take either end."""
+    """Whether every draw's multiple-access metric, profiled over 101
+    decoding shares t at unit user powers, peaks at t = 0 or t = 1 (the
+    profile is affine in t), and, unless the draw is a tie, at the end the
+    dual order picks (0 when mu1 >= mu2). A tie is duals within 1e-9 of
+    each other or, with slope_ties, a profile whose end slope is within
+    1e-9 of zero: flat to rounding, so np.argmax may take either end."""
     ts = np.linspace(0.0, 1.0, 101)
     cols = (np.asarray(x)[:, None] for x in (s1, s2, mu1, mu2, gamma))
     profile = _t_profile(*cols, 1.0, 1.0, ts)
@@ -274,11 +221,8 @@ def threshold_region_scan(
     for mu1 in mu_values:
         for mu2 in mu_values:
             mu1f, mu2f = float(mu1), float(mu2)
-            _, dec = match_budget(
-                lambda resid: solve_gamma(resid, 1.0, 0.005)[0],
-                lambda g: decide_trace(s1, s2, mu1f, mu2f, g, t, gains=gains),
-                p_total,
-            )
+            decide = lambda g: decide_trace(s1, s2, mu1f, mu2f, g, t, gains=gains)  # noqa: E731
+            _, _, dec = match_budget(decide, p_total, 1.0, 0.005)
             c1, c2 = (abs(c) for c in balance_residuals(dec))
             sum_rate = float(dec.down1.mean()) + float(dec.down2.mean())
             balanced = c1 <= tol_rate and c2 <= tol_rate and sum_rate > 0.0

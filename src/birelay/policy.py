@@ -9,10 +9,8 @@ the broadcast mode's power is the root of a quadratic. The slot then uses
 whichever of the two uplink modes, the multiple-access mode, or the
 broadcast mode scores highest. The two single-user downlink modes are
 always dominated by the broadcast mode (their metric drops one nonnegative
-term), so they are never selected; only mode_table (and the one-slot
-mode_powers and selection_metrics built on it) computes them, for the
-dominance check. The one-slot and whole-trace rules share one set of
-closed forms.
+term), so they are never selected; only mode_table computes them, for the
+dominance check.
 
 The whole-trace rule is a kernel built once per trace: TraceGains holds
 the gain-only constants and a fixed workspace, and its decide writes every
@@ -34,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelState, ChannelTrace, FadingStatistics
+from .channel import ChannelTrace, FadingStatistics
 
 __all__ = [
     "SELECTABLE_MODES",
@@ -45,9 +43,6 @@ __all__ = [
     "TraceGains",
     "optimal_time_share",
     "mode_table",
-    "mode_powers",
-    "selection_metrics",
-    "select_mode",
     "proposed_policy",
     "decide_trace",
     "balance_residuals",
@@ -77,29 +72,29 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class ModePowers:
-    """Per-mode transmit powers (optimal ones are clamped at 0): floats for
-    one slot, or arrays from mode_table."""
+    """Per-mode optimal transmit powers, clamped at 0: arrays from
+    mode_table, one entry per slot."""
 
-    p1_m1: float
-    p2_m2: float
-    p1_m3: float
-    p2_m3: float
-    pr_m4: float
-    pr_m5: float
-    pr_m6: float
+    p1_m1: np.ndarray
+    p2_m2: np.ndarray
+    p1_m3: np.ndarray
+    p2_m3: np.ndarray
+    pr_m4: np.ndarray
+    pr_m5: np.ndarray
+    pr_m6: np.ndarray
 
 
 @dataclass(frozen=True)
 class SelectionMetrics:
-    """Dual-weighted net benefit of each mode at its power: floats for one
-    slot, or arrays from mode_table."""
+    """Dual-weighted net benefit of each mode at its optimal power: arrays
+    from mode_table, one entry per slot."""
 
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    lambda4: float
-    lambda5: float
-    lambda6: float
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    lambda3: np.ndarray
+    lambda4: np.ndarray
+    lambda5: np.ndarray
+    lambda6: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,55 +368,22 @@ class TraceGains:
         return TraceDecisions(mode, power, up1, up2, down1, down2)
 
 
-def mode_table(
-    s1, s2, mu1, mu2, gamma, t: float, powers: ModePowers | None = None
-) -> tuple[ModePowers, SelectionMetrics]:
-    """Every mode's power and selection metric at decoding share t,
-    elementwise over gains and duals (scalars, or arrays of one shape); a
-    scalar comes back as a one-slot array.
-
-    Without powers each mode runs at its closed-form optimal power; with
-    them the metrics are scored at the given powers.
-    """
+def mode_table(s1, s2, mu1, mu2, gamma, t: float) -> tuple[ModePowers, SelectionMetrics]:
+    """Every mode's closed-form optimal power and its selection metric at
+    decoding share t, elementwise over gains and duals (scalars, or arrays
+    of one shape); a scalar comes back as a one-slot array."""
     g = TraceGains(s1, s2)
-    if powers is None:
-        *uplink, pr_m6 = _selectable_powers(g, mu1, mu2, gamma, t)
-        pr_m4, pr_m5 = wf_power(mu2, gamma, g.inv1), wf_power(mu1, gamma, g.inv2)
-        powers = ModePowers(*uplink, pr_m4, pr_m5, pr_m6)
-    own = (powers.p1_m1, powers.p2_m2, powers.p1_m3, powers.p2_m3, powers.pr_m6)
-    caps = _selectable_caps(g, t, own)
-    p3 = powers.p1_m3 + powers.p2_m3
-    lam1, lam2, lam3, lam6 = _selectable_metrics(mu1, mu2, gamma, own, p3, caps)
-    lam4 = _metric(((mu2, capacity(powers.pr_m4 * g.s1)),), gamma, powers.pr_m4)
-    lam5 = _metric(((mu1, capacity(powers.pr_m5 * g.s2)),), gamma, powers.pr_m5)
-    return powers, SelectionMetrics(lam1, lam2, lam3, lam4, lam5, lam6)
-
-
-def _floats(table):
-    """The same record with every field (a float or a one-slot array) a Python float."""
-    return type(table)(*(float(np.squeeze(v)) for v in vars(table).values()))
-
-
-def mode_powers(ch: ChannelState, th: Thresholds, stats: FadingStatistics) -> ModePowers:
-    """Closed-form optimal transmit power of every mode for one slot."""
-    t = optimal_time_share(stats)
-    powers, _ = mode_table(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t)
-    return _floats(powers)
-
-
-def selection_metrics(
-    ch: ChannelState, th: Thresholds, powers: ModePowers, t: float
-) -> SelectionMetrics:
-    """Selection metric of every mode at the given powers and share t."""
-    _, metrics = mode_table(ch.s1, ch.s2, th.mu1, th.mu2, th.gamma, t, powers)
-    return _floats(metrics)
-
-
-def select_mode(metrics: SelectionMetrics) -> int:
-    """Pick the best mode among 1, 2, 3 and 6; ties go to the lowest index."""
-    vals = (metrics.lambda1, metrics.lambda2, metrics.lambda3, metrics.lambda6)
-    mode, _ = best_modes(SELECTABLE_MODES, [np.array([v]) for v in vals])
-    return int(mode[0])
+    powers = _selectable_powers(g, mu1, mu2, gamma, t)
+    p1_m1, p2_m2, p1_m3, p2_m3, pr_m6 = powers
+    pr_m4, pr_m5 = wf_power(mu2, gamma, g.inv1), wf_power(mu1, gamma, g.inv2)
+    caps = _selectable_caps(g, t, powers)
+    lam1, lam2, lam3, lam6 = _selectable_metrics(mu1, mu2, gamma, powers, p1_m3 + p2_m3, caps)
+    lam4 = _metric(((mu2, capacity(pr_m4 * g.s1)),), gamma, pr_m4)
+    lam5 = _metric(((mu1, capacity(pr_m5 * g.s2)),), gamma, pr_m5)
+    return (
+        ModePowers(p1_m1, p2_m2, p1_m3, p2_m3, pr_m4, pr_m5, pr_m6),
+        SelectionMetrics(lam1, lam2, lam3, lam4, lam5, lam6),
+    )
 
 
 def proposed_policy(

@@ -8,8 +8,6 @@ from birelay.channel import (
     ChannelState,
     ChannelTrace,
     FadingStatistics,
-    dump_csv,
-    empirical_means,
     sample_trace,
 )
 
@@ -34,7 +32,7 @@ def test_sample_trace_frozen_first_draws():
 
 def test_empirical_means_match_statistics():
     tr = sample_trace(FadingStatistics(2.0, 0.5), 40_000, 11)
-    m1, m2 = empirical_means(tr)
+    m1, m2 = tr.s1.mean(), tr.s2.mean()
     assert abs(m1 - 2.0) / 2.0 < 0.05
     assert abs(m2 - 0.5) / 0.5 < 0.05
 
@@ -100,16 +98,3 @@ def test_trace_rejects_mismatched_arrays():
             s1=np.ones(3),
             s2=np.ones(4),
         )
-
-
-def test_dump_csv_round_trips(tmp_path):
-    tr = sample_trace(FadingStatistics(1.0, 1.0), 7, 21)
-    path = tmp_path / "trace.csv"
-    dump_csv(tr, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "slot,s1,s2"
-    assert len(lines) == 8
-    slot, s1, s2 = lines[3].split(",")
-    assert int(slot) == 3
-    assert float(s1) == tr.s1[2]  # repr round-trip is exact
-    assert float(s2) == tr.s2[2]

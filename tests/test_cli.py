@@ -330,16 +330,32 @@ def test_main_verify_fails_on_a_wrong_broadcast_root(monkeypatch):
 def test_main_verify_fails_on_a_shifted_joint_uplink_power(monkeypatch):
     exact = oracle.mode_table
 
-    def shifted(s1, s2, mu1, mu2, gamma, t, powers=None):
-        powers, _ = exact(s1, s2, mu1, mu2, gamma, t)
+    def shifted(s1, s2, mu1, mu2, gamma, t):
+        powers, metrics = exact(s1, s2, mu1, mu2, gamma, t)
         # three steps of the check's grid [0, 10/gamma] at 150 points
         powers = dataclasses.replace(powers, p1_m3=powers.p1_m3 + 3 * (10.0 / gamma) / 149)
-        return exact(s1, s2, mu1, mu2, gamma, t, powers)
+        return powers, metrics
 
     monkeypatch.setattr(oracle, "mode_table", shifted)
     rc, lines = _verify_small()
     assert rc == 1
     assert lines[0].startswith("FAIL closed-form power optimality vs grid")
+    # the metrics are exact, so the offset alone fails the check
+    assert "worst metric gap 0.00e+00" in lines[0]
+    assert all(ln.startswith("PASS ") for ln in lines[1:])
+
+
+def test_main_verify_fails_on_a_lowered_joint_uplink_metric(monkeypatch):
+    exact = oracle.mode_table
+
+    def lowered(s1, s2, mu1, mu2, gamma, t):
+        powers, metrics = exact(s1, s2, mu1, mu2, gamma, t)
+        return powers, dataclasses.replace(metrics, lambda3=metrics.lambda3 - 1e-5)
+
+    monkeypatch.setattr(oracle, "mode_table", lowered)
+    rc, lines = _verify_small()
+    assert rc == 1
+    assert lines[0].startswith("FAIL closed-form power optimality vs grid: worst metric gap 1.00e-05")
     assert all(ln.startswith("PASS ") for ln in lines[1:])
 
 

@@ -1,66 +1,36 @@
-"""Brute-force oracle machinery: grids, t sweep, dual-plane scan."""
+"""Brute-force oracle machinery: grids, t profile, dual-plane scan."""
 
 import numpy as np
 import pytest
 
-from birelay.channel import ChannelState, FadingStatistics
+from birelay.channel import FadingStatistics
 from birelay.oracle import (
-    GridSpec,
     ScanPoint,
     _grid_search,
-    grid_max_metric,
+    _t_profile,
     grid_optimality,
     sample_draws,
-    t_sweep,
     threshold_region_scan,
     time_share_at_boundary,
 )
-from birelay.policy import Thresholds
-
-
-def test_grid_spec_validated():
-    with pytest.raises(ValueError):
-        GridSpec(-0.1, 1.0, 100)
-    with pytest.raises(ValueError):
-        GridSpec(1.0, 1.0, 100)
-    with pytest.raises(ValueError):
-        GridSpec(0.0, 1.0, 99)
-    for lo, hi in ((0.0, float("inf")), (float("nan"), 1.0), (0.0, float("nan"))):
-        with pytest.raises(ValueError):
-            GridSpec(lo, hi, 100)
-    g = GridSpec(0.0, 2.0, 101)
-    axis = g.axis()
-    assert axis[0] == 0.0 and axis[-1] == 2.0 and axis.size == 101
 
 
 def test_grid_max_hand_example():
     # single-link problem: 0.5*log2(1+p) - 0.1*p peaks at p = 5/ln2 - 1
-    th = Thresholds(0.5, 0.5, 0.1)
-    ch = ChannelState(1, 1.0, 1.0)
-    (p_star,), val = grid_max_metric(1, ch, th, 0.0, GridSpec(0.0, 20.0, 20_001))
+    p = np.linspace(0.0, 20.0, 20_001)
+    (k,), val = _grid_search(1, p, 1.0, 1.0, 0.5, 0.5, 0.1, 0.0)
     want = 0.5 / (0.1 * np.log(2.0)) - 1.0
-    assert p_star == pytest.approx(want, abs=2e-3)
+    assert p[k] == pytest.approx(want, abs=2e-3)
     assert val == pytest.approx(0.5 * np.log2(1.0 + want) - 0.1 * want, abs=1e-6)
 
 
 def test_grid_max_mode3_matches_separable_case():
     # with mu1 == mu2 and t=0 the 2-D search must not beat the best 1-D uplink
-    th = Thresholds(0.4, 0.4, 0.2)
-    ch = ChannelState(1, 1.7, 0.6)
-    grid = GridSpec(0.0, 30.0, 400)
-    (_, _), val3 = grid_max_metric(3, ch, th, 0.0, grid)
-    (_,), val1 = grid_max_metric(1, ch, th, 0.0, grid)
-    (_,), val2 = grid_max_metric(2, ch, th, 0.0, grid)
+    p = np.linspace(0.0, 30.0, 400)
+    (_, _), val3 = _grid_search(3, p, 1.7, 0.6, 0.4, 0.4, 0.2, 0.0)
+    (_,), val1 = _grid_search(1, p, 1.7, 0.6, 0.4, 0.4, 0.2, 0.0)
+    (_,), val2 = _grid_search(2, p, 1.7, 0.6, 0.4, 0.4, 0.2, 0.0)
     assert val3 <= max(val1, val2) + 1e-9
-
-
-def test_grid_max_rejects_bad_mode_and_t():
-    th = Thresholds(0.5, 0.5, 0.5)
-    ch = ChannelState(1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        grid_max_metric(7, ch, th, 0.0, GridSpec(0.0, 1.0, 100))
-    with pytest.raises(ValueError):
-        grid_max_metric(3, ch, th, 1.5, GridSpec(0.0, 1.0, 100))
 
 
 def _ma_grid_literal(p, s1, s2, mu1, mu2, gamma, t):
@@ -97,7 +67,7 @@ def test_ma_grid_coefficient_form_matches_literal_formula():
         mu1, mu2 = (float(x) for x in rng.uniform(0.05, 0.95, 2))
         gamma = float(rng.uniform(0.05, 2.0))
         s1, s2 = (float(x) for x in rng.exponential(1.0, 2))
-        p = GridSpec(0.0, 10.0 / gamma, 150).axis()
+        p = np.linspace(0.0, 10.0 / gamma, 150)
         for t in (0.0, 0.5, 1.0):
             coef = _ma_grid(p, s1, s2, mu1, mu2, gamma, t)
             lit = _ma_grid_literal(p, s1, s2, mu1, mu2, gamma, t)
@@ -107,10 +77,8 @@ def test_ma_grid_coefficient_form_matches_literal_formula():
             # each form's argmax is optimal, to 1e-12, under the other form
             assert lit.flat[np.argmax(coef)] == pytest.approx(best_l, rel=1e-12, abs=0.0)
             assert coef.flat[np.argmax(lit)] == pytest.approx(best_c, rel=1e-12, abs=0.0)
-            ch, th = ChannelState(1, s1, s2), Thresholds(mu1, mu2, gamma)
-            (p1, p2), val = grid_max_metric(3, ch, th, t, GridSpec(0.0, 10.0 / gamma, 150))
-            i, j = np.unravel_index(np.argmax(coef), coef.shape)
-            assert (p1, p2, val) == (p[i], p[j], best_c)
+            at, val = _grid_search(3, p, s1, s2, mu1, mu2, gamma, t)
+            assert at == np.unravel_index(np.argmax(coef), coef.shape) and val == best_c
 
 
 def _ma_cases(n):
@@ -173,12 +141,13 @@ def test_grid_optimality_default_size_golden_values():
 
 def test_t_sweep_profile_is_affine_with_boundary_argmax():
     rng = np.random.default_rng(6)
+    ts = np.linspace(0.0, 1.0, 51)
     for _ in range(200):
         s1, s2 = (float(x) for x in rng.exponential(1.0, 2))
         mu1, mu2 = (float(x) for x in rng.uniform(0.05, 0.95, 2))
-        th = Thresholds(mu1, mu2, float(rng.uniform(0.05, 1.5)))
-        ch = ChannelState(1, s1, s2)
-        ts, profile, t_best = t_sweep(ch, th, 1.5, 2.0, 51)
+        gamma = float(rng.uniform(0.05, 1.5))
+        profile = _t_profile(s1, s2, mu1, mu2, gamma, 1.5, 2.0, ts)
+        t_best = ts[np.argmax(profile)]
         assert t_best in (0.0, 1.0)
         # affine: second differences vanish
         d2 = np.diff(profile, 2)
@@ -190,19 +159,8 @@ def test_t_sweep_profile_is_affine_with_boundary_argmax():
 
 
 def test_t_sweep_flat_under_equal_duals():
-    th = Thresholds(0.3, 0.3, 0.2)
-    ch = ChannelState(1, 1.1, 0.7)
-    _, profile, _ = t_sweep(ch, th, 2.0, 1.0, 11)
+    profile = _t_profile(1.1, 0.7, 0.3, 0.3, 0.2, 2.0, 1.0, np.linspace(0.0, 1.0, 11))
     assert np.ptp(profile) < 1e-12
-
-
-def test_t_sweep_validates_inputs():
-    th = Thresholds(0.5, 0.5, 0.5)
-    ch = ChannelState(1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        t_sweep(ch, th, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        t_sweep(ch, th, 1.0, 1.0, points=1)
 
 
 def test_time_share_at_boundary_ties():

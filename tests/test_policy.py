@@ -9,20 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birelay.channel import ChannelState, FadingStatistics, sample_trace
-from birelay.oracle import GridSpec, grid_max_metric
+from birelay.oracle import _grid_search
 from birelay.policy import (
     SELECTABLE_MODES,
-    SelectionMetrics,
     Thresholds,
     TraceDecisions,
     TraceGains,
+    best_modes,
     decide_trace,
     ma_split,
-    mode_powers,
+    mode_table,
     optimal_time_share,
     proposed_policy,
-    select_mode,
-    selection_metrics,
 )
 from birelay.rate import PowerTriple, link_capacities
 
@@ -30,10 +28,16 @@ _STATS = FadingStatistics(1.0, 1.0)
 _LN2 = math.log(2.0)
 
 
-def _metrics_at(s1, s2, th, stats=_STATS):
-    ch = ChannelState(1, s1, s2)
-    powers = mode_powers(ch, th, stats)
-    return powers, selection_metrics(ch, th, powers, optimal_time_share(stats))
+def _table(s1, s2, th, t=0.0):
+    """mode_table at the thresholds th; scalar gains give one-slot arrays."""
+    return mode_table(s1, s2, th.mu1, th.mu2, th.gamma, t)
+
+
+def _slot_rule_modes(lam):
+    """Each slot's mode by an independent argmax over the selectable modes'
+    metrics (ties to the first, as in the slot rule)."""
+    stacked = np.stack((lam.lambda1, lam.lambda2, lam.lambda3, lam.lambda6))
+    return np.array(SELECTABLE_MODES)[np.argmax(stacked, axis=0)]
 
 
 def test_thresholds_validated():
@@ -48,24 +52,23 @@ def test_thresholds_validated():
 def test_uplink_power_frozen_value():
     # water-filling: (1 - 0.4)/(0.3*ln2) - 1/2
     th = Thresholds(0.4, 0.5, 0.3)
-    p = mode_powers(ChannelState(1, 2.0, 1.0), th, _STATS)
-    assert p.p1_m1 == pytest.approx(2.3853900817779268, rel=1e-14)
+    p, _ = _table(2.0, 1.0, th)
+    assert p.p1_m1[0] == pytest.approx(2.3853900817779268, rel=1e-14)
 
 
 def test_uplink_power_clamps_to_zero():
     th = Thresholds(0.4, 0.5, 0.3)
-    p = mode_powers(ChannelState(1, 0.2, 1.0), th, _STATS)  # 1/s1 = 5 beats the level
-    assert p.p1_m1 == 0.0
-    p0 = mode_powers(ChannelState(1, 0.0, 1.0), th, _STATS)  # dead link
-    assert p0.p1_m1 == 0.0
+    p, _ = _table(0.2, 1.0, th)  # 1/s1 = 5 beats the level
+    assert p.p1_m1[0] == 0.0
+    p0, _ = _table(0.0, 1.0, th)  # dead link
+    assert p0.p1_m1[0] == 0.0
 
 
 def test_broadcast_power_frozen_value():
     th = Thresholds(0.3, 0.6, 0.2)
-    p = mode_powers(ChannelState(1, 1.0, 2.0), th, _STATS)
-    assert p.pr_m6 == pytest.approx(5.667565036388642, rel=1e-12)
-    _, m = _metrics_at(1.0, 2.0, th)
-    assert m.lambda6 == pytest.approx(1.5961932950885824, rel=1e-12)
+    p, m = _table(1.0, 2.0, th)
+    assert p.pr_m6[0] == pytest.approx(5.667565036388642, rel=1e-12)
+    assert m.lambda6[0] == pytest.approx(1.5961932950885824, rel=1e-12)
 
 
 def test_broadcast_power_root_residual():
@@ -78,138 +81,142 @@ def test_broadcast_power_root_residual():
     gamma = rng.uniform(0.05, 2.0, n)
     s1 = rng.exponential(1.0, n)
     s2 = rng.exponential(1.0, n)
-    checked = 0
-    for i in range(n):
-        th = Thresholds(float(mu1[i]), float(mu2[i]), float(gamma[i]))
-        p = mode_powers(ChannelState(1, float(s1[i]), float(s2[i])), th, _STATS)
-        if p.pr_m6 > 0.0:
-            lhs = th.mu2 * s1[i] / (1.0 + p.pr_m6 * s1[i]) + th.mu1 * s2[i] / (
-                1.0 + p.pr_m6 * s2[i]
-            )
-            assert abs(lhs - th.gamma * _LN2) / (th.gamma * _LN2) < 1e-8
-            checked += 1
-    assert checked > n // 2
+    p, _ = mode_table(s1, s2, mu1, mu2, gamma, 0.0)
+    on = p.pr_m6 > 0.0
+    lhs = mu2 * s1 / (1.0 + p.pr_m6 * s1) + mu1 * s2 / (1.0 + p.pr_m6 * s2)
+    assert np.all(np.abs(lhs - gamma * _LN2)[on] / (gamma * _LN2)[on] < 1e-8)
+    assert np.count_nonzero(on) > n // 2
 
 
 def test_broadcast_power_equal_gains_closed_form():
     # s1 == s2 == s collapses the root to water-filling with weight mu1+mu2
     th = Thresholds(0.35, 0.25, 0.4)
-    for s in (0.5, 1.0, 3.0):
-        p = mode_powers(ChannelState(1, s, s), th, _STATS)
-        want = max((th.mu1 + th.mu2) / (th.gamma * _LN2) - 1.0 / s, 0.0)
-        assert p.pr_m6 == pytest.approx(want, rel=1e-10, abs=1e-12)
+    s = np.array([0.5, 1.0, 3.0])
+    p, _ = _table(s, s, th)
+    want = np.maximum((th.mu1 + th.mu2) / (th.gamma * _LN2) - 1.0 / s, 0.0)
+    assert p.pr_m6 == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_broadcast_power_zero_when_marginal_rate_too_small():
     th = Thresholds(0.1, 0.1, 5.0)  # power price far above any marginal gain
-    p = mode_powers(ChannelState(1, 1.0, 1.0), th, _STATS)
-    assert p.pr_m6 == 0.0
+    p, _ = _table(1.0, 1.0, th)
+    assert p.pr_m6[0] == 0.0
 
 
 def test_ma_interior_frozen_values():
     # both users transmit; stationarity checked against the frozen literals
     th = Thresholds(0.35, 0.25, 0.15)
-    stats = FadingStatistics(3.0, 1.0)  # t = 0
-    p = mode_powers(ChannelState(1, 3.0, 1.0), th, stats)
-    assert p.p1_m3 == pytest.approx(5.7707801635558535, rel=1e-12)
-    assert p.p2_m3 == pytest.approx(0.44269504088896316, rel=1e-12)
+    p, _ = _table(3.0, 1.0, th, optimal_time_share(FadingStatistics(3.0, 1.0)))  # t = 0
+    assert p.p1_m3[0] == pytest.approx(5.7707801635558535, rel=1e-12)
+    assert p.p2_m3[0] == pytest.approx(0.44269504088896316, rel=1e-12)
 
 
 def test_ma_powers_mirror_symmetry():
     # t=1 with swapped users and duals must equal the t=0 solution
     rng = np.random.default_rng(15)
-    for _ in range(200):
-        s1, s2 = rng.exponential(1.0, 2)
-        mu1, mu2 = rng.uniform(0.05, 0.95, 2)
-        gamma = float(rng.uniform(0.05, 1.5))
-        a = mode_powers(
-            ChannelState(1, float(s1), float(s2)),
-            Thresholds(float(mu1), float(mu2), gamma),
-            FadingStatistics(2.0, 1.0),  # t = 0
-        )
-        b = mode_powers(
-            ChannelState(1, float(s2), float(s1)),
-            Thresholds(float(mu2), float(mu1), gamma),
-            FadingStatistics(1.0, 2.0),  # t = 1
-        )
-        assert a.p1_m3 == pytest.approx(b.p2_m3, rel=1e-11, abs=1e-12)
-        assert a.p2_m3 == pytest.approx(b.p1_m3, rel=1e-11, abs=1e-12)
+    rows = [
+        (*rng.exponential(1.0, 2), *rng.uniform(0.05, 0.95, 2), rng.uniform(0.05, 1.5))
+        for _ in range(200)
+    ]
+    s1, s2, mu1, mu2, gamma = np.array(rows).T
+    a, _ = mode_table(s1, s2, mu1, mu2, gamma, 0.0)
+    b, _ = mode_table(s2, s1, mu2, mu1, gamma, 1.0)
+    assert a.p1_m3 == pytest.approx(b.p2_m3, rel=1e-11, abs=1e-12)
+    assert a.p2_m3 == pytest.approx(b.p1_m3, rel=1e-11, abs=1e-12)
 
 
 def test_broadcast_dominates_single_user_downlinks():
     rng = np.random.default_rng(31)
-    for _ in range(2000):
-        s1, s2 = rng.exponential(1.0, 2)
-        mu1, mu2 = rng.uniform(0.05, 0.95, 2)
-        gamma = float(rng.uniform(0.05, 2.0))
-        _, m = _metrics_at(float(s1), float(s2), Thresholds(float(mu1), float(mu2), gamma))
-        assert m.lambda6 >= m.lambda4 - 1e-12
-        assert m.lambda6 >= m.lambda5 - 1e-12
+    rows = [
+        (*rng.exponential(1.0, 2), *rng.uniform(0.05, 0.95, 2), rng.uniform(0.05, 2.0))
+        for _ in range(2000)
+    ]
+    s1, s2, mu1, mu2, gamma = np.array(rows).T
+    _, m = mode_table(s1, s2, mu1, mu2, gamma, 0.0)
+    assert np.all(m.lambda6 >= m.lambda4 - 1e-12)
+    assert np.all(m.lambda6 >= m.lambda5 - 1e-12)
 
 
 def test_ma_never_beats_best_uplink_under_equal_duals():
     # with mu1 == mu2 the joint mode can at best tie the better uplink
     rng = np.random.default_rng(32)
-    for _ in range(1000):
-        s1, s2 = rng.exponential(1.0, 2)
-        mu = float(rng.uniform(0.05, 0.95))
-        gamma = float(rng.uniform(0.05, 2.0))
-        _, m = _metrics_at(float(s1), float(s2), Thresholds(mu, mu, gamma))
-        assert m.lambda3 <= max(m.lambda1, m.lambda2) + 1e-9
+    rows = [
+        (*rng.exponential(1.0, 2), rng.uniform(0.05, 0.95), rng.uniform(0.05, 2.0))
+        for _ in range(1000)
+    ]
+    s1, s2, mu, gamma = np.array(rows).T
+    _, m = mode_table(s1, s2, mu, mu, gamma, 0.0)
+    assert np.all(m.lambda3 <= np.maximum(m.lambda1, m.lambda2) + 1e-9)
+
+
+def _select(*metrics):
+    """The slot rule's choice among modes 1, 2, 3 and 6 for one slot."""
+    mode, _ = best_modes(SELECTABLE_MODES, [np.array([v]) for v in metrics])
+    return int(mode[0])
 
 
 def test_select_mode_prefers_lowest_on_tie():
-    m = SelectionMetrics(1.0, 1.0, 0.5, 0.1, 0.1, 1.0)
-    assert select_mode(m) == 1
-    m = SelectionMetrics(0.2, 0.7, 0.7, 0.0, 0.0, 0.7)
-    assert select_mode(m) == 2
-    m = SelectionMetrics(0.2, 0.3, 0.4, 9.0, 9.0, 0.1)
-    assert select_mode(m) == 3  # modes 4 and 5 are never candidates
+    assert _select(1.0, 1.0, 0.5, 1.0) == 1
+    assert _select(0.2, 0.7, 0.7, 0.7) == 2
+    assert _select(0.2, 0.3, 0.4, 0.1) == 3
 
 
 def test_select_mode_rejects_nan():
     with pytest.raises(ValueError):
-        select_mode(SelectionMetrics(0.1, float("nan"), 0.0, 0.0, 0.0, 0.0))
-
-
-def _decide_one(ch, th, stats=_STATS):
-    """decide_trace on a one-slot trace, as Python scalars."""
-    dec = decide_trace(
-        np.array([ch.s1]), np.array([ch.s2]), th.mu1, th.mu2, th.gamma, optimal_time_share(stats)
-    )
-    return int(dec.mode[0]), float(dec.power[0])
+        _select(0.1, float("nan"), 0.0, 0.0)
 
 
 def test_decide_trace_picks_the_best_metric():
     rng = np.random.default_rng(77)
     th = Thresholds(0.36, 0.41, 0.12)
-    for _ in range(300):
-        s1, s2 = rng.exponential(1.0, 2)
-        ch = ChannelState(1, float(s1), float(s2))
-        mode, power = _decide_one(ch, th)
-        assert mode in SELECTABLE_MODES
-        powers = mode_powers(ch, th, _STATS)
-        metrics = selection_metrics(ch, th, powers, optimal_time_share(_STATS))
-        assert mode == select_mode(metrics)
-        chosen = {1: metrics.lambda1, 2: metrics.lambda2, 3: metrics.lambda3, 6: metrics.lambda6}
-        assert chosen[mode] == max(chosen.values())
-        # the spent power belongs to the chosen mode only
-        own = {
-            1: powers.p1_m1,
-            2: powers.p2_m2,
-            3: powers.p1_m3 + powers.p2_m3,
-            6: powers.pr_m6,
-        }
-        assert power == own[mode]
+    s1, s2 = np.array([rng.exponential(1.0, 2) for _ in range(300)]).T
+    t = optimal_time_share(_STATS)
+    dec = decide_trace(s1, s2, th.mu1, th.mu2, th.gamma, t)
+    powers, metrics = _table(s1, s2, th, t)
+    assert np.array_equal(dec.mode, _slot_rule_modes(metrics))
+    # the spent power belongs to the chosen mode only
+    own = {
+        1: powers.p1_m1,
+        2: powers.p2_m2,
+        3: powers.p1_m3 + powers.p2_m3,
+        6: powers.pr_m6,
+    }
+    for k in SELECTABLE_MODES:
+        assert np.array_equal(dec.power[dec.mode == k], own[k][dec.mode == k])
 
 
 def test_decide_trace_handles_dead_links():
     th = Thresholds(0.4, 0.4, 0.2)
-    _, power = _decide_one(ChannelState(1, 0.0, 0.0), th)
-    assert power == 0.0
+    dec = decide_trace(np.array([0.0]), np.array([0.0]), th.mu1, th.mu2, th.gamma, 0.0)
+    assert dec.power[0] == 0.0
     dec = decide_trace(np.array([0.0]), np.array([2.0]), th.mu1, th.mu2, th.gamma, 0.0)
     assert int(dec.mode[0]) in SELECTABLE_MODES
     assert dec.up1[0] == 0.0  # nothing can enter buffer 1 over a dead link
+
+
+def _slot_rule_rates(s1, s2, th, t):
+    """Each slot's mode by _slot_rule_modes, with its spent power and
+    (up1, up2, down1, down2) rates from the per-slot capacity formulas of
+    birelay.rate at mode_table's powers."""
+    mp, lam = _table(s1, s2, th, t)
+    modes = _slot_rule_modes(lam)
+    rows = []
+    for i, mode in enumerate(modes):
+        triple = {
+            1: PowerTriple(mp.p1_m1[i], 0.0, 0.0),
+            2: PowerTriple(0.0, mp.p2_m2[i], 0.0),
+            3: PowerTriple(mp.p1_m3[i], mp.p2_m3[i], 0.0),
+            6: PowerTriple(0.0, 0.0, mp.pr_m6[i]),
+        }[mode]
+        r = link_capacities(ChannelState(i + 1, float(s1[i]), float(s2[i])), triple, t)
+        rates = {
+            1: (r.c1r, 0.0, 0.0, 0.0),
+            2: (0.0, r.c2r, 0.0, 0.0),
+            3: (r.c12r, r.c21r, 0.0, 0.0),
+            6: (0.0, 0.0, r.cr1, r.cr2),
+        }[mode]
+        rows.append((triple.p1 + triple.p2 + triple.pr, *rates))
+    return modes, rows
 
 
 def test_decide_trace_matches_slot_rule():
@@ -217,31 +224,14 @@ def test_decide_trace_matches_slot_rule():
     s1 = rng.exponential(1.0, 300)
     s2 = rng.exponential(0.8, 300)
     th = Thresholds(0.33, 0.44, 0.2)
-    stats = FadingStatistics(1.0, 0.8)
-    t = optimal_time_share(stats)
+    t = optimal_time_share(FadingStatistics(1.0, 0.8))
     dec = decide_trace(s1, s2, th.mu1, th.mu2, th.gamma, t)
-    for i in range(300):
-        ch = ChannelState(i + 1, float(s1[i]), float(s2[i]))
-        mp = mode_powers(ch, th, stats)
-        mode = select_mode(selection_metrics(ch, th, mp, t))
-        assert mode == int(dec.mode[i])
-        triple = {
-            1: PowerTriple(mp.p1_m1, 0.0, 0.0),
-            2: PowerTriple(0.0, mp.p2_m2, 0.0),
-            3: PowerTriple(mp.p1_m3, mp.p2_m3, 0.0),
-            6: PowerTriple(0.0, 0.0, mp.pr_m6),
-        }[mode]
-        rates = link_capacities(ch, triple, t)
-        total = triple.p1 + triple.p2 + triple.pr
+    modes, rows = _slot_rule_rates(s1, s2, th, t)
+    assert np.array_equal(dec.mode, modes)
+    for i, (total, *want) in enumerate(rows):
         assert total == pytest.approx(float(dec.power[i]), rel=1e-12, abs=1e-15)
-        want = {
-            1: (rates.c1r, 0.0, 0.0, 0.0),
-            2: (0.0, rates.c2r, 0.0, 0.0),
-            3: (rates.c12r, rates.c21r, 0.0, 0.0),
-            6: (0.0, 0.0, rates.cr1, rates.cr2),
-        }[mode]
         got = (dec.up1[i], dec.up2[i], dec.down1[i], dec.down2[i])
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert got == pytest.approx(tuple(want), rel=1e-12, abs=1e-15)
 
 
 _gain = st.one_of(st.just(0.0), st.floats(1e-3, 1e2))
@@ -261,30 +251,12 @@ def test_decide_trace_matches_slot_rule_everywhere(slots, mu1, mu2, gamma, t):
     # whose flag is set repeats its first gain on both links
     s1 = np.array([a for a, _, _ in slots])
     s2 = np.array([a if same else b for a, b, same in slots])
-    stats = FadingStatistics(1.0, 1.0) if t == 0.0 else FadingStatistics(1.0, 2.0)
-    th = Thresholds(mu1, mu2, gamma)
     dec = decide_trace(s1, s2, mu1, mu2, gamma, t)
-    for i in range(len(slots)):
-        ch = ChannelState(i + 1, float(s1[i]), float(s2[i]))
-        mp = mode_powers(ch, th, stats)
-        mode = select_mode(selection_metrics(ch, th, mp, t))
-        assert int(dec.mode[i]) == mode
-        triple = {
-            1: PowerTriple(mp.p1_m1, 0.0, 0.0),
-            2: PowerTriple(0.0, mp.p2_m2, 0.0),
-            3: PowerTriple(mp.p1_m3, mp.p2_m3, 0.0),
-            6: PowerTriple(0.0, 0.0, mp.pr_m6),
-        }[mode]
-        rates = link_capacities(ch, triple, t)
-        want = {
-            1: (rates.c1r, 0.0, 0.0, 0.0),
-            2: (0.0, rates.c2r, 0.0, 0.0),
-            3: (rates.c12r, rates.c21r, 0.0, 0.0),
-            6: (0.0, 0.0, rates.cr1, rates.cr2),
-        }[mode]
+    modes, rows = _slot_rule_rates(s1, s2, Thresholds(mu1, mu2, gamma), t)
+    assert np.array_equal(dec.mode, modes)
+    for i, row in enumerate(rows):
         got = (dec.power[i], dec.up1[i], dec.up2[i], dec.down1[i], dec.down2[i])
-        total = triple.p1 + triple.p2 + triple.pr
-        assert got == pytest.approx((total,) + want, rel=1e-12, abs=1e-12)
+        assert got == pytest.approx(row, rel=1e-12, abs=1e-12)
 
 
 def test_proposed_policy_ignores_queues():
@@ -332,15 +304,12 @@ def test_closed_form_never_beaten_by_grid_smoke():
         gamma = float(rng.uniform(0.1, 1.0))
         s1, s2 = (float(x) for x in rng.exponential(1.0, 2))
         stats = FadingStatistics(2.0, 1.0) if mu1 >= mu2 else FadingStatistics(1.0, 2.0)
-        th = Thresholds(mu1, mu2, gamma)
-        ch = ChannelState(1, s1, s2)
         t = optimal_time_share(stats)
-        powers = mode_powers(ch, th, stats)
-        metrics = selection_metrics(ch, th, powers, t)
-        grid = GridSpec(0.0, 10.0 / gamma, 500)
+        _, metrics = mode_table(s1, s2, mu1, mu2, gamma, t)
+        p = np.linspace(0.0, 10.0 / gamma, 500)
         for mode, lam in ((1, metrics.lambda1), (2, metrics.lambda2), (3, metrics.lambda3), (6, metrics.lambda6)):
-            _, g_val = grid_max_metric(mode, ch, th, t, grid)
-            assert g_val <= lam + 1e-6
+            _, g_val = _grid_search(mode, p, s1, s2, mu1, mu2, gamma, t)
+            assert g_val <= lam[0] + 1e-6
 
 
 _MIRROR_MODE = np.array([0, 2, 1, 3, 5, 4, 6])
