@@ -10,12 +10,7 @@ re-exported over it.
 """
 
 from .benchmarks import BenchmarkConfig, fixed_power_policy, tdbc_policy
-from .calibrate import (
-    CalibrationConfig,
-    CalibrationResult,
-    ThresholdEvaluation,
-    evaluate_thresholds,
-)
+from .calibrate import CalibrationConfig, CalibrationResult
 from .channel import ChannelState, ChannelTrace, FadingStatistics, sample_trace
 from .engine import PreparedPolicy, ProtocolPolicy, QueueState, RateReport, run
 from .oracle import ScanPoint, threshold_region_scan
@@ -49,13 +44,11 @@ __all__ = [
     "RateReport",
     "ScanPoint",
     "SelectionMetrics",
-    "ThresholdEvaluation",
     "Thresholds",
     "TraceDecisions",
     "TraceGains",
     "cap",
     "decide_trace",
-    "evaluate_thresholds",
     "fixed_power_policy",
     "link_capacities",
     "optimal_time_share",

@@ -57,31 +57,23 @@ KINDS = ("tdbc_no_pa", "tdbc_pa", "fixed_power_six_mode", "fixed_power_three_mod
 
 # fixed cycle position (slot index mod 3) -> mode: broadcast, uplink 1, uplink 2
 _TDBC_MODES = np.array([6, 1, 2])
+# cap on the dual points one fixed-power dual solve evaluates
+_MAX_POINTS = 200
 
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Benchmark selection plus its power budget. fixed_power and
-    thresholds override the internally solved values when given."""
+    """Benchmark selection plus its power budget. Whatever else a baseline
+    needs (a water-filling price, a common power, buffer duals) its
+    preparation solves on the trace."""
 
     kind: str
     p_total: float
-    fixed_power: float | None = None
-    thresholds: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         check_real("power budget", self.p_total, positive=True)
-        if self.fixed_power is not None:
-            check_real("fixed_power", self.fixed_power, positive=True)
-        if self.thresholds is not None:
-            if len(self.thresholds) != 2:
-                raise ValueError("thresholds must be a pair (mu1, mu2)")
-            for m in self.thresholds:
-                check_real("threshold", m, positive=True)
-                if not m < 1.0:
-                    raise ValueError("thresholds must lie strictly inside (0, 1)")
 
 
 def _tdbc_frame_rates(
@@ -198,7 +190,7 @@ def _fixed_eval(s1, s2, mu1, mu2, power: float, modes: tuple, t: float) -> Trace
 
 
 def fixed_power_policy(
-    cfg: BenchmarkConfig, trace: ChannelTrace, tol_rate: float = 0.01, max_iters: int = 200
+    cfg: BenchmarkConfig, trace: ChannelTrace, tol_rate: float = 0.01
 ) -> PreparedPolicy:
     """Prepare a fixed-power selective policy, calibrating its buffer duals
     (and, for the six-mode variant, the common power) on the given trace.
@@ -208,13 +200,13 @@ def fixed_power_policy(
     six-mode variant alternates that with a budget solve of the power at
     fixed duals, each starting from the other's result, until the buffers
     balance at the new power, and stops early when a dual solve fails or
-    after 8 rounds. Supplied thresholds are used as given (the power is
-    solved at them once). converged: at the returned point both balance
-    residuals meet tol_rate and a solved power meets the budget to 1e-4."""
+    after 8 rounds. The three-mode power is the budget. converged: at the
+    returned point both balance residuals meet tol_rate and a solved power
+    meets the budget to 1e-4."""
     if cfg.kind not in ("fixed_power_six_mode", "fixed_power_three_mode"):
         raise ValueError("not a fixed-power benchmark kind")
-    modes = (1, 2, 3, 4, 5, 6) if cfg.kind == "fixed_power_six_mode" else (1, 2, 6)
-    scale_power = cfg.kind == "fixed_power_six_mode" and cfg.fixed_power is None
+    six = cfg.kind == "fixed_power_six_mode"
+    modes = (1, 2, 3, 4, 5, 6) if six else (1, 2, 6)
     s1, s2 = trace.s1, trace.s2
     # even time share keeps the two multiple-access splits statistically
     # symmetric; a boundary share pins one direction's inflow behind
@@ -239,23 +231,21 @@ def fixed_power_policy(
         dec = _fixed_select(caps(p), mu1, mu2, p, modes)
         return (*balance_residuals(dec), (float(dec.power.mean()) - cfg.p_total) / cfg.p_total)
 
-    mu1, mu2 = cfg.thresholds or (0.5, 0.5)
+    mu1, mu2 = 0.5, 0.5
     # the six-mode power starts near where its budget solves land (~0.6 x)
-    power = cfg.p_total / 1.66 if scale_power else (cfg.fixed_power or cfg.p_total)
-    for _ in range(8 if scale_power and cfg.thresholds is None else 1):
-        if cfg.thresholds is None:
-            at_power = lambda a, b: measure(a, b, power)[:2]  # noqa: E731
-            mu1, mu2, *_, converged = balance_duals(
-                at_power, tol_rate=tol_rate, max_points=max_iters, start=(mu1, mu2)
-            )
-            if not (converged and scale_power):
-                break
-        if scale_power:
-            at = lambda p: measure(mu1, mu2, p)[2]  # noqa: E731
-            power = find_root(at, lo, at(lo), hi, at(hi), within, xtol=0.0, max_steps=60)[0]
+    power = cfg.p_total / 1.66 if six else cfg.p_total
+    for _ in range(8 if six else 1):
+        at_power = lambda a, b: measure(a, b, power)[:2]  # noqa: E731
+        mu1, mu2, *_, converged = balance_duals(
+            at_power, tol_rate=tol_rate, max_points=_MAX_POINTS, start=(mu1, mu2)
+        )
+        if not (converged and six):
+            break
+        at = lambda p: measure(mu1, mu2, p)[2]  # noqa: E731
+        power = find_root(at, lo, at(lo), hi, at(hi), within, xtol=0.0, max_steps=60)[0]
         c1, c2, spent = measure(mu1, mu2, power)
         balanced = abs(c1) <= tol_rate and abs(c2) <= tol_rate
-        converged = balanced and (within(spent) or not scale_power)
+        converged = balanced and within(spent)
         if balanced:
             break
 

@@ -29,18 +29,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .channel import ChannelTrace, FadingStatistics, check_int, check_real, sample_trace
-from .engine import QueueState, RateReport
+from .channel import ChannelTrace, FadingStatistics, check_int, check_real, check_tolerance
+from .channel import sample_trace
 from .policy import Thresholds, TraceDecisions, balance_residuals, decide_trace, optimal_time_share
 from .policy import TraceGains
 
 __all__ = [
     "CalibrationConfig",
     "CalibrationResult",
-    "ThresholdEvaluation",
-    "evaluate_thresholds",
     "calibrate",
     "balance_duals",
     "find_root",
@@ -50,12 +46,14 @@ __all__ = [
 
 _MU_LO = 1e-3
 _MU_HI = 1.0 - 1e-3
+# cap on the dual points one calibration evaluates
+_MAX_POINTS = 400
 
 
 @dataclass(frozen=True)
 class CalibrationConfig:
     """One calibration problem: fading statistics, power budget, trace size
-    and seed, residual tolerances, and a cap on dual-point evaluations."""
+    and seed, and residual tolerances."""
 
     stats: FadingStatistics
     p_total: float
@@ -63,17 +61,13 @@ class CalibrationConfig:
     seed: int = 1234
     tol_rate: float = 0.01
     tol_power: float = 0.005
-    max_iters: int = 400
 
     def __post_init__(self) -> None:
         check_real("power budget", self.p_total, positive=True)
         check_int("n_slots", self.n_slots, 1)
         check_int("seed", self.seed, 0)
-        for tol in (self.tol_rate, self.tol_power):
-            check_real("tolerance", tol, positive=True)
-            if not tol <= 0.1:
-                raise ValueError("tolerances must lie in (0, 0.1]")
-        check_int("max_iters", self.max_iters, 1)
+        check_tolerance("tol_rate", self.tol_rate)
+        check_tolerance("tol_power", self.tol_power)
 
 
 @dataclass(frozen=True)
@@ -82,8 +76,7 @@ class CalibrationResult:
 
     iterations counts evaluated dual points (each wraps an inner gamma
     solve); evaluations counts every run of the slot rule over the trace,
-    gamma probes and the closing check included; converged means every
-    residual met its tolerance.
+    one per gamma probe; converged means every residual met its tolerance.
     """
 
     thresholds: Thresholds
@@ -93,51 +86,6 @@ class CalibrationResult:
     iterations: int
     evaluations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class ThresholdEvaluation:
-    """Signed residuals of one dual triple on the calibration trace.
-
-    c1 = (inflow to buffer 1 - broadcast capacity toward user 2) relative,
-    c2 mirrors it for buffer 2, c3 = (spent power - budget) relative. The
-    report holds unclipped averages; its queue field is a placeholder.
-    """
-
-    c1: float
-    c2: float
-    c3: float
-    report: RateReport
-
-
-def evaluate_thresholds(
-    th: Thresholds, cfg: CalibrationConfig, trace: ChannelTrace | TraceGains | None = None
-) -> ThresholdEvaluation:
-    """Run the slot rule over the calibration trace (or its TraceGains, to
-    reuse a calibration's kernel) without queue clipping and measure all
-    three balance residuals."""
-    if trace is None:
-        trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
-    gains = trace if isinstance(trace, TraceGains) else TraceGains(trace.s1, trace.s2)
-    t = optimal_time_share(cfg.stats)
-    dec = decide_trace(gains.s1, gains.s2, th.mu1, th.mu2, th.gamma, t, gains=gains)
-    c1, c2 = balance_residuals(dec)
-    n = len(dec.mode)
-    d1 = float(dec.down1.mean())
-    d2 = float(dec.down2.mean())
-    power = float(dec.power.mean())
-    report = RateReport(
-        r_1r=float(dec.up1.mean()),
-        r_2r=float(dec.up2.mean()),
-        r_r1=d1,
-        r_r2=d2,
-        sum_rate=d1 + d2,
-        avg_power=power,
-        mode_freq=tuple(int(c) / n for c in np.bincount(dec.mode, minlength=7)[1:]),
-        final_queues=QueueState(0.0, 0.0),
-        n_slots=n,
-    )
-    return ThresholdEvaluation(c1=c1, c2=c2, c3=(power - cfg.p_total) / cfg.p_total, report=report)
 
 
 class _BudgetExhausted(Exception):
@@ -352,7 +300,8 @@ def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> Cali
     s1, s2 = trace.s1, trace.s2
     gains = TraceGains(s1, s2)  # one kernel for every probe on this trace
     t = optimal_time_share(cfg.stats)
-    gamma_at: dict[tuple[float, float], float] = {}
+    # (gamma, c1, c2, c3) of every dual point probed, before the bias
+    probed: dict[tuple[float, float], tuple[float, float, float, float]] = {}
     evaluations = 0
     # aim most of a tolerance into inflow deficit: solving the shifted
     # residuals to +-0.12 tol lands the true residuals in
@@ -367,9 +316,10 @@ def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> Cali
             evaluations += 1
             return decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
 
-        warm = next(reversed(gamma_at.values()), 1.0)  # the latest dual point's price
-        gamma_at[(mu1, mu2)], _, dec = match_budget(decide, cfg.p_total, warm, 0.25 * cfg.tol_power)
+        warm = next(reversed(probed.values()))[0] if probed else 1.0  # the latest point's price
+        gamma, c3, dec = match_budget(decide, cfg.p_total, warm, 0.25 * cfg.tol_power)
         c1, c2 = balance_residuals(dec)
+        probed[(mu1, mu2)] = (gamma, c1, c2, c3)
         return c1 + bias, c2 + bias
 
     # the solver aims for the tighter biased band, but convergence is
@@ -378,21 +328,15 @@ def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> Cali
     # narrow band can fall between reachable values even though the true
     # residuals sit well inside tolerance
     mu1, mu2, _, _, used, _ = balance_duals(
-        residuals, tol_rate=0.12 * cfg.tol_rate, max_points=cfg.max_iters
+        residuals, tol_rate=0.12 * cfg.tol_rate, max_points=_MAX_POINTS
     )
-    th = Thresholds(mu1=mu1, mu2=mu2, gamma=gamma_at.get((mu1, mu2), 1.0))
-    final = evaluate_thresholds(th, cfg, gains)
-    converged = (
-        abs(final.c1) <= cfg.tol_rate
-        and abs(final.c2) <= cfg.tol_rate
-        and abs(final.c3) <= cfg.tol_power
-    )
+    gamma, c1, c2, c3 = probed[(mu1, mu2)]  # balance_duals returns a probed point
     return CalibrationResult(
-        thresholds=th,
-        residual_c1=abs(final.c1),
-        residual_c2=abs(final.c2),
-        residual_c3=abs(final.c3),
+        thresholds=Thresholds(mu1=mu1, mu2=mu2, gamma=gamma),
+        residual_c1=abs(c1),
+        residual_c2=abs(c2),
+        residual_c3=abs(c3),
         iterations=used,
-        evaluations=evaluations + 1,
-        converged=converged,
+        evaluations=evaluations,
+        converged=abs(c1) <= cfg.tol_rate and abs(c2) <= cfg.tol_rate and abs(c3) <= cfg.tol_power,
     )

@@ -21,6 +21,7 @@ __all__ = [
     "sample_trace",
     "check_real",
     "check_int",
+    "check_tolerance",
 ]
 
 
@@ -35,6 +36,13 @@ def check_real(name: str, value, positive: bool = False) -> None:
     ):
         kind = "a positive finite number" if positive else "a finite number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_tolerance(name: str, value) -> None:
+    """Reject anything but a relative residual tolerance in (0, 0.1]."""
+    check_real(name, value, positive=True)
+    if not value <= 0.1:
+        raise ValueError(f"{name} must lie in (0, 0.1], got {value!r}")
 
 
 def check_int(name: str, value, minimum: int) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import benchmarks, engine, oracle, policy
 from .calibrate import CalibrationConfig, calibrate
-from .channel import FadingStatistics, check_int, check_real, sample_trace
+from .channel import FadingStatistics, check_int, check_real, check_tolerance, sample_trace
 from .engine import PreparedPolicy
 
 __all__ = ["RunSpec", "run_sweep", "emit", "build_parser", "main"]
@@ -75,8 +75,8 @@ class RunSpec:
             _p_total(pt)
         check_int("n_slots", self.n_slots, 1)
         check_int("seed", self.seed, 0)
-        for name, tol in (("tol_rate", self.tol_rate), ("tol_power", self.tol_power)):
-            check_real(name, tol, positive=True)
+        check_tolerance("tol_rate", self.tol_rate)
+        check_tolerance("tol_power", self.tol_power)
         bad = [p for p in self.protocols if p not in PROTOCOLS]
         if bad:
             raise ValueError(f"unknown protocols: {bad}")
@@ -217,6 +217,17 @@ def _pick(args, cfg: dict, key: str, default):
     return flag if flag is not None else cfg.get(key, default)
 
 
+def _given(args, cfg: dict, *keys: str) -> dict:
+    """The options among keys that the user gave, by flag or in the config
+    file, by their dataclass field names (slots is n_slots); the fields
+    left out keep the dataclass defaults."""
+    return {
+        "n_slots" if key == "slots" else key: _pick(args, cfg, key, None)
+        for key in keys
+        if getattr(args, key, None) is not None or key in cfg
+    }
+
+
 def _sweep_spec(args) -> RunSpec:
     cfg = _load_config(args)
     pt_list = _pick(args, cfg, "pt_db_list", None)
@@ -240,27 +251,17 @@ def _sweep_spec(args) -> RunSpec:
         if count < 1:
             raise ValueError("empty power sweep")
         pt_db = tuple(start + k * step for k in range(count))
+    fields = _given(
+        args, cfg, "omega1", "omega2", "slots", "seed", "fmt", "out", "tol_rate", "tol_power"
+    )
     protocols = _pick(args, cfg, "protocols", None)
     if isinstance(protocols, str):
-        protocols = tuple(p.strip() for p in protocols.split(","))
+        fields["protocols"] = tuple(p.strip() for p in protocols.split(","))
     elif isinstance(protocols, (list, tuple)):
-        protocols = tuple(protocols)
+        fields["protocols"] = tuple(protocols)
     elif protocols is not None:
         raise ValueError("protocols must be a comma separated string or a list")
-    else:
-        protocols = PROTOCOLS
-    return RunSpec(
-        omega1=_pick(args, cfg, "omega1", 1.0),
-        omega2=_pick(args, cfg, "omega2", 1.0),
-        pt_db=pt_db,
-        n_slots=_pick(args, cfg, "slots", 10_000),
-        seed=_pick(args, cfg, "seed", 1234),
-        protocols=protocols,
-        fmt=_pick(args, cfg, "fmt", "csv"),
-        out=_pick(args, cfg, "out", None),
-        tol_rate=_pick(args, cfg, "tol_rate", 0.01),
-        tol_power=_pick(args, cfg, "tol_power", 0.005),
-    )
+    return RunSpec(pt_db=pt_db, **fields)
 
 
 def cmd_sweep(args) -> int:
@@ -278,10 +279,7 @@ def cmd_calibrate(args) -> int:
     cfg = CalibrationConfig(
         stats=stats,
         p_total=_p_total(_pick(args, cfg_file, "pt_db", 10.0)),
-        n_slots=_pick(args, cfg_file, "slots", 10_000),
-        seed=_pick(args, cfg_file, "seed", 1234),
-        tol_rate=_pick(args, cfg_file, "tol_rate", 0.01),
-        tol_power=_pick(args, cfg_file, "tol_power", 0.005),
+        **_given(args, cfg_file, "slots", "seed", "tol_rate", "tol_power"),
     )
     result = calibrate(cfg)
     th = result.thresholds

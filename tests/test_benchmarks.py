@@ -29,15 +29,9 @@ def test_config_validated():
         BenchmarkConfig(kind="bogus", p_total=1.0)
     with pytest.raises(ValueError):
         BenchmarkConfig(kind="tdbc_pa", p_total=0.0)
-    with pytest.raises(ValueError):
-        BenchmarkConfig(kind="fixed_power_six_mode", p_total=1.0, fixed_power=-2.0)
     for bad in (float("nan"), float("inf"), "1.0", True):
         with pytest.raises(ValueError):
             BenchmarkConfig(kind="tdbc_pa", p_total=bad)
-    with pytest.raises(ValueError):
-        BenchmarkConfig(kind="tdbc_pa", p_total=1.0, fixed_power=float("inf"))
-    with pytest.raises(ValueError):
-        BenchmarkConfig(kind="fixed_power_six_mode", p_total=1.0, thresholds=(0.5, float("nan")))
 
 
 def test_tdbc_no_pa_schedule_and_budget():
@@ -154,38 +148,6 @@ def test_fixed_power_six_mode_balances_average_spend():
     dec = prep.decide(trace)
     assert abs(dec.up1.mean() / dec.down2.mean() - 1.0) <= 0.01
     assert abs(dec.up2.mean() / dec.down1.mean() - 1.0) <= 0.01
-
-
-def test_fixed_power_override_is_honored():
-    trace = _trace(n=400)
-    prep = fixed_power_policy(
-        BenchmarkConfig(
-            kind="fixed_power_six_mode",
-            p_total=1.0,
-            fixed_power=0.7,
-            thresholds=(0.4, 0.4),
-        ),
-        trace,
-    )
-    assert prep.fixed_power == pytest.approx(0.7)
-    assert prep.mu1 == pytest.approx(0.4)
-    dec = prep.decide(trace)
-    assert dec.power == pytest.approx(np.where(dec.mode == 3, 1.4, 0.7))
-
-
-def test_supplied_thresholds_are_judged_not_assumed():
-    # duals this lopsided starve uplink 1 and flood uplink 2: they cannot
-    # balance the buffers, so the prepared policy must not claim convergence
-    trace = _trace()
-    for kind in ("fixed_power_six_mode", "fixed_power_three_mode"):
-        cfg = BenchmarkConfig(kind=kind, p_total=1.0, thresholds=(0.99, 0.01))
-        assert not fixed_power_policy(cfg, trace).converged
-    # the calibrated duals, supplied back, do balance
-    prep = fixed_power_policy(BenchmarkConfig(kind="fixed_power_three_mode", p_total=1.0), trace)
-    again = BenchmarkConfig(
-        kind="fixed_power_three_mode", p_total=1.0, thresholds=(prep.mu1, prep.mu2)
-    )
-    assert fixed_power_policy(again, trace).converged
 
 
 def test_every_kind_produces_throughput():

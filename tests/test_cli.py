@@ -10,7 +10,8 @@ import pytest
 import birelay.calibrate as calibrate_module
 import birelay.cli as cli_module
 from birelay import oracle
-from birelay.channel import sample_trace
+from birelay.calibrate import CalibrationConfig
+from birelay.channel import FadingStatistics, sample_trace
 from birelay.cli import COLUMNS, PROTOCOLS, RunSpec, build_parser, emit, main, run_sweep
 
 
@@ -46,6 +47,8 @@ def test_runspec_validated():
         dict(seed=-1),
         dict(omega1=float("inf")),
         dict(tol_rate=float("nan")),
+        dict(tol_rate=0.5),
+        dict(tol_power=5.0),
     ):
         with pytest.raises(ValueError):
             RunSpec(**bad)
@@ -220,6 +223,47 @@ def test_main_rejects_wrongly_typed_sweep_lists(tmp_path):
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert next(iter(cfg)) in err
+
+
+def test_main_rejects_out_of_range_tolerances_on_a_baseline_sweep(tmp_path):
+    # the (0, 0.1] rule used to be checked only when proposed calibrated, so
+    # a baseline-only sweep at --tol-power 5 reported converged=true at a
+    # spend 36 % under the budget
+    out_path, cfg_path = tmp_path / "x.csv", tmp_path / "cfg.json"
+    for protocols, key, value in (
+        ("tdbc_pa", "tol_power", 5.0),
+        ("tdbc_pa,fixed_power_three_mode", "tol_rate", 0.5),
+    ):
+        cfg_path.write_text(json.dumps({key: value}))
+        for given in (["--" + key.replace("_", "-"), str(value)], ["--config", str(cfg_path)]):
+            rc, out, err = _main(
+                ["sweep", "--protocols", protocols, "--pt-db-list=0", "--slots", "300",
+                 "--out", str(out_path), *given]
+            )
+            assert rc == 2
+            assert out == "" and not out_path.exists()
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert key in err
+
+
+def test_main_leaves_options_not_given_to_the_dataclass_defaults(monkeypatch):
+    # with no flag and no config file, the sweep spec is RunSpec's defaults
+    # and the calibration problem CalibrationConfig's, at the command's own
+    # operating point (1:1 fading, 10 dB)
+    assert cli_module._sweep_spec(build_parser().parse_args(["sweep"])) == RunSpec()
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise Stop  # before calibrating
+
+    monkeypatch.setattr(cli_module, "calibrate", capture)
+    with pytest.raises(Stop):
+        main(["calibrate"])
+    assert seen == [CalibrationConfig(stats=FadingStatistics(1.0, 1.0), p_total=10.0)]
 
 
 def test_main_rejects_unknown_config_keys(tmp_path):
