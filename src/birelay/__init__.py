@@ -9,8 +9,8 @@ The name birelay.calibrate is the module; its function calibrate is not
 re-exported over it.
 """
 
-from .benchmarks import BenchmarkConfig, fixed_power_policy, tdbc_policy
-from .calibrate import CalibrationConfig, CalibrationResult
+from .benchmarks import fixed_power_policy, tdbc_policy
+from .calibrate import CalibrationResult
 from .channel import ChannelState, ChannelTrace, FadingStatistics, sample_trace
 from .engine import PreparedPolicy, ProtocolPolicy, QueueState, RateReport, run
 from .oracle import ScanPoint, threshold_region_scan
@@ -29,8 +29,6 @@ from .rate import LinkCapacities, PowerTriple, cap, link_capacities
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkConfig",
-    "CalibrationConfig",
     "CalibrationResult",
     "ChannelState",
     "ChannelTrace",

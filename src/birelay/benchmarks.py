@@ -23,21 +23,23 @@ relay in that frame's broadcast slot, never later, so each uplink slot
 carries the minimum of its own capacity and that broadcast slot's
 capacity toward its destination, and the relay buffers drain every frame.
 
-The fixed-power variants solve their buffer-balance duals with
-calibrate.balance_duals, the dual solver of the proposed protocol, over
-capacities cached per common power; the six-mode variant alternates it
-with a budget solve of the common power.
+Each preparation takes the trace the policy will run on, the budget and
+its tolerance, and solves whatever else it needs (a water-filling price,
+a common power, buffer duals) on that trace. The fixed-power variants
+solve their buffer-balance duals with calibrate.balance_duals, the dual
+solver of the proposed protocol, over capacities cached per common
+power; the six-mode variant alternates it with a budget solve of the
+common power.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .calibrate import balance_duals, find_root, match_budget
-from .channel import ChannelTrace, check_real
+from .channel import ChannelTrace, check_real, check_tolerance
 from .engine import PreparedPolicy
 from .policy import (
     TraceDecisions,
@@ -51,29 +53,16 @@ from .policy import (
     wf_power,
 )
 
-__all__ = ["KINDS", "BenchmarkConfig", "tdbc_policy", "fixed_power_policy"]
+__all__ = ["KINDS", "tdbc_policy", "fixed_power_policy"]
 
-KINDS = ("tdbc_no_pa", "tdbc_pa", "fixed_power_six_mode", "fixed_power_three_mode")
+_TDBC_KINDS = ("tdbc_no_pa", "tdbc_pa")
+_FIXED_KINDS = ("fixed_power_six_mode", "fixed_power_three_mode")
+KINDS = _TDBC_KINDS + _FIXED_KINDS
 
 # fixed cycle position (slot index mod 3) -> mode: broadcast, uplink 1, uplink 2
 _TDBC_MODES = np.array([6, 1, 2])
 # cap on the dual points one fixed-power dual solve evaluates
 _MAX_POINTS = 200
-
-
-@dataclass(frozen=True)
-class BenchmarkConfig:
-    """Benchmark selection plus its power budget. Whatever else a baseline
-    needs (a water-filling price, a common power, buffer duals) its
-    preparation solves on the trace."""
-
-    kind: str
-    p_total: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-        check_real("power budget", self.p_total, positive=True)
 
 
 def _tdbc_frame_rates(
@@ -123,28 +112,28 @@ def _tdbc_decisions(g: TraceGains, p_total: float, gamma: float | None) -> Trace
     )
 
 
-def tdbc_policy(
-    cfg: BenchmarkConfig, trace: ChannelTrace, tol_power: float = 0.005
-) -> PreparedPolicy:
-    """Prepare a fixed-cycle policy; the PA variant solves for its shared
-    water-filling price on the given trace. Both variants cap each uplink
-    slot's rate at its frame's broadcast-slot capacity, since the cycle
-    carries nothing across frames."""
-    if cfg.kind not in ("tdbc_no_pa", "tdbc_pa"):
-        raise ValueError("not a fixed-cycle benchmark kind")
-    if cfg.kind == "tdbc_no_pa":
-        gamma, fixed, converged = None, cfg.p_total, True
+def tdbc_policy(kind: str, trace: ChannelTrace, p_total: float, tol_power: float) -> PreparedPolicy:
+    """Prepare a fixed-cycle policy at budget p_total; the PA variant solves
+    for its shared water-filling price on the given trace, to tol_power.
+    Both variants cap each uplink slot's rate at its frame's broadcast-slot
+    capacity, since the cycle carries nothing across frames."""
+    if kind not in _TDBC_KINDS:
+        raise ValueError(f"kind must be one of {_TDBC_KINDS}, got {kind!r}")
+    check_real("power budget", p_total, positive=True)
+    check_tolerance("tol_power", tol_power)
+    if kind == "tdbc_no_pa":
+        gamma, fixed, converged = None, p_total, True
     else:
         gains = TraceGains(trace.s1, trace.s2)
 
-        decide_at = lambda g: _tdbc_decisions(gains, cfg.p_total, g)  # noqa: E731
-        gamma, resid, _ = match_budget(decide_at, cfg.p_total, 1.0, 0.25 * tol_power)
+        decide_at = lambda g: _tdbc_decisions(gains, p_total, g)  # noqa: E731
+        gamma, resid, _ = match_budget(decide_at, p_total, 1.0, 0.25 * tol_power)
         fixed, converged = None, abs(resid) <= tol_power
 
     def decide(tr: ChannelTrace) -> TraceDecisions:
-        return _tdbc_decisions(TraceGains(tr.s1, tr.s2), cfg.p_total, gamma)
+        return _tdbc_decisions(TraceGains(tr.s1, tr.s2), p_total, gamma)
 
-    return PreparedPolicy(cfg.kind, decide, None, None, gamma, fixed, converged)
+    return PreparedPolicy(kind, decide, None, None, gamma, fixed, converged)
 
 
 def _fixed_caps(s1, s2, power: float, modes: tuple, t: float) -> tuple:
@@ -190,10 +179,11 @@ def _fixed_eval(s1, s2, mu1, mu2, power: float, modes: tuple, t: float) -> Trace
 
 
 def fixed_power_policy(
-    cfg: BenchmarkConfig, trace: ChannelTrace, tol_rate: float = 0.01
+    kind: str, trace: ChannelTrace, p_total: float, tol_rate: float
 ) -> PreparedPolicy:
-    """Prepare a fixed-power selective policy, calibrating its buffer duals
-    (and, for the six-mode variant, the common power) on the given trace.
+    """Prepare a fixed-power selective policy at budget p_total, calibrating
+    its buffer duals (and, for the six-mode variant, the common power) on
+    the given trace.
 
     Each power's capacities are computed once, so a dual point costs one
     selection step. balance_duals solves the duals at a fixed power; the
@@ -203,9 +193,11 @@ def fixed_power_policy(
     after 8 rounds. The three-mode power is the budget. converged: at the
     returned point both balance residuals meet tol_rate and a solved power
     meets the budget to 1e-4."""
-    if cfg.kind not in ("fixed_power_six_mode", "fixed_power_three_mode"):
-        raise ValueError("not a fixed-power benchmark kind")
-    six = cfg.kind == "fixed_power_six_mode"
+    if kind not in _FIXED_KINDS:
+        raise ValueError(f"kind must be one of {_FIXED_KINDS}, got {kind!r}")
+    check_real("power budget", p_total, positive=True)
+    check_tolerance("tol_rate", tol_rate)
+    six = kind == "fixed_power_six_mode"
     modes = (1, 2, 3, 4, 5, 6) if six else (1, 2, 6)
     s1, s2 = trace.s1, trace.s2
     # even time share keeps the two multiple-access splits statistically
@@ -214,7 +206,7 @@ def fixed_power_policy(
     t = 0.5
     # spent power lies between the common power and twice it (at most two
     # nodes transmit at once), so [0.45, 1.05] x budget brackets its root
-    lo, hi = 0.45 * cfg.p_total, 1.05 * cfg.p_total
+    lo, hi = 0.45 * p_total, 1.05 * p_total
     within = lambda r: abs(r) <= 1e-4  # noqa: E731
     held: dict[float, tuple] = {}  # capacities at the bracket ends and the latest power
 
@@ -229,11 +221,11 @@ def fixed_power_policy(
     def measure(mu1: float, mu2: float, p: float) -> tuple[float, float, float]:
         """Balance residuals and relative power residual of one point."""
         dec = _fixed_select(caps(p), mu1, mu2, p, modes)
-        return (*balance_residuals(dec), (float(dec.power.mean()) - cfg.p_total) / cfg.p_total)
+        return (*balance_residuals(dec), (float(dec.power.mean()) - p_total) / p_total)
 
     mu1, mu2 = 0.5, 0.5
     # the six-mode power starts near where its budget solves land (~0.6 x)
-    power = cfg.p_total / 1.66 if six else cfg.p_total
+    power = p_total / 1.66 if six else p_total
     for _ in range(8 if six else 1):
         at_power = lambda a, b: measure(a, b, power)[:2]  # noqa: E731
         mu1, mu2, *_, converged = balance_duals(
@@ -252,4 +244,4 @@ def fixed_power_policy(
     def decide(tr: ChannelTrace) -> TraceDecisions:
         return _fixed_eval(tr.s1, tr.s2, mu1, mu2, power, modes, t)
 
-    return PreparedPolicy(cfg.kind, decide, mu1, mu2, None, power, converged)
+    return PreparedPolicy(kind, decide, mu1, mu2, None, power, converged)

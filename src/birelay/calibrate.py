@@ -1,14 +1,16 @@
 """Threshold calibration: find duals that balance the relay buffers and
 spend exactly the power budget on a fixed fading trace.
 
-Calibration is a sample-average approximation: one trace, fixed by the
-seed, is reused for every candidate dual triple, so the search is fully
-deterministic. Rates are counted without queue clipping here; a policy
-whose long-run inflow matches the broadcast capacity it schedules keeps
-the buffers at the edge of absorption, which is where the clipped and
-unclipped averages meet. The duals are aimed most of a tolerance below
-exact balance: at exactly critical load the clipped queues random-walk
-upward over any finite run, while a slight inflow deficit pins them.
+Calibration is a sample-average approximation: the one trace the policy
+will run on is reused for every candidate dual triple, so the search is
+fully deterministic. The trace is the caller's, drawn by sample_trace or
+built by hand (a transformed copy of a drawn one, say). Rates are
+counted without queue clipping here; a policy whose long-run inflow
+matches the broadcast capacity it schedules keeps the buffers at the
+edge of absorption, which is where the clipped and unclipped averages
+meet. The duals are aimed most of a tolerance below exact balance: at
+exactly critical load the clipped queues random-walk upward over any
+finite run, while a slight inflow deficit pins them.
 
 Structure of the search: every stage is a monotone 1-D solve through
 find_root, a bracketing false-position method with a bisection safeguard.
@@ -29,13 +31,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .channel import ChannelTrace, FadingStatistics, check_int, check_real, check_tolerance
-from .channel import sample_trace
+from .channel import ChannelTrace, check_real, check_tolerance
 from .policy import Thresholds, TraceDecisions, balance_residuals, decide_trace, optimal_time_share
 from .policy import TraceGains
 
 __all__ = [
-    "CalibrationConfig",
     "CalibrationResult",
     "calibrate",
     "balance_duals",
@@ -48,26 +48,6 @@ _MU_LO = 1e-3
 _MU_HI = 1.0 - 1e-3
 # cap on the dual points one calibration evaluates
 _MAX_POINTS = 400
-
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    """One calibration problem: fading statistics, power budget, trace size
-    and seed, and residual tolerances."""
-
-    stats: FadingStatistics
-    p_total: float
-    n_slots: int = 10_000
-    seed: int = 1234
-    tol_rate: float = 0.01
-    tol_power: float = 0.005
-
-    def __post_init__(self) -> None:
-        check_real("power budget", self.p_total, positive=True)
-        check_int("n_slots", self.n_slots, 1)
-        check_int("seed", self.seed, 0)
-        check_tolerance("tol_rate", self.tol_rate)
-        check_tolerance("tol_power", self.tol_power)
 
 
 @dataclass(frozen=True)
@@ -290,16 +270,18 @@ def match_budget(
     return gamma, r, decide(gamma)
 
 
-def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> CalibrationResult:
-    """Calibrate (mu1, mu2, gamma) for the slot rule on cfg's trace, or on
-    trace, which must then be cfg's (same statistics, length and seed)."""
-    if trace is None:
-        trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
-    elif (trace.stats, len(trace), trace.seed) != (cfg.stats, cfg.n_slots, cfg.seed):
-        raise ValueError("trace does not match the calibration config")
+def calibrate(
+    trace: ChannelTrace, p_total: float, tol_rate: float, tol_power: float
+) -> CalibrationResult:
+    """Calibrate (mu1, mu2, gamma) for the slot rule on trace, to spend
+    p_total on average with both balance residuals within tol_rate and the
+    power residual within tol_power (relative)."""
+    check_real("power budget", p_total, positive=True)
+    check_tolerance("tol_rate", tol_rate)
+    check_tolerance("tol_power", tol_power)
     s1, s2 = trace.s1, trace.s2
     gains = TraceGains(s1, s2)  # one kernel for every probe on this trace
-    t = optimal_time_share(cfg.stats)
+    t = optimal_time_share(trace.stats)
     # (gamma, c1, c2, c3) of every dual point probed, before the bias
     probed: dict[tuple[float, float], tuple[float, float, float, float]] = {}
     evaluations = 0
@@ -308,7 +290,7 @@ def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> Cali
     # [-0.97 tol, -0.73 tol], still inside the convergence check, and that
     # sub-critical drift keeps the clipped queues from wandering up over a
     # finite run the way they do at exactly critical load
-    bias = 0.85 * cfg.tol_rate
+    bias = 0.85 * tol_rate
 
     def residuals(mu1: float, mu2: float) -> tuple[float, float]:
         def decide(g: float) -> TraceDecisions:
@@ -317,7 +299,7 @@ def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> Cali
             return decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
 
         warm = next(reversed(probed.values()))[0] if probed else 1.0  # the latest point's price
-        gamma, c3, dec = match_budget(decide, cfg.p_total, warm, 0.25 * cfg.tol_power)
+        gamma, c3, dec = match_budget(decide, p_total, warm, 0.25 * tol_power)
         c1, c2 = balance_residuals(dec)
         probed[(mu1, mu2)] = (gamma, c1, c2, c3)
         return c1 + bias, c2 + bias
@@ -328,7 +310,7 @@ def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> Cali
     # narrow band can fall between reachable values even though the true
     # residuals sit well inside tolerance
     mu1, mu2, _, _, used, _ = balance_duals(
-        residuals, tol_rate=0.12 * cfg.tol_rate, max_points=_MAX_POINTS
+        residuals, tol_rate=0.12 * tol_rate, max_points=_MAX_POINTS
     )
     gamma, c1, c2, c3 = probed[(mu1, mu2)]  # balance_duals returns a probed point
     return CalibrationResult(
@@ -338,5 +320,5 @@ def calibrate(cfg: CalibrationConfig, trace: ChannelTrace | None = None) -> Cali
         residual_c3=abs(c3),
         iterations=used,
         evaluations=evaluations,
-        converged=abs(c1) <= cfg.tol_rate and abs(c2) <= cfg.tol_rate and abs(c3) <= cfg.tol_power,
+        converged=abs(c1) <= tol_rate and abs(c2) <= tol_rate and abs(c3) <= tol_power,
     )

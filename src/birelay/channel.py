@@ -1,9 +1,11 @@
 """Block-fading channel traces for the two-user relay network.
 
 Each slot carries one pair of squared channel gains (s1, s2), one per
-user-relay link. Gains are exponentially distributed (Rayleigh amplitude
-fading), independent across slots and across the two links, and constant
-within a slot.
+user-relay link, constant within a slot. sample_trace draws them
+exponentially distributed (Rayleigh amplitude fading), independent across
+slots and across the two links; a trace can also be built by hand from
+any finite nonnegative gains, for instance a transformed copy of a drawn
+one.
 """
 
 from __future__ import annotations
@@ -74,26 +76,29 @@ class ChannelState:
     def __post_init__(self) -> None:
         if self.slot < 1:
             raise ValueError("slot index is 1-based")
-        if self.s1 < 0.0 or self.s2 < 0.0:
-            raise ValueError("squared gains cannot be negative")
+        if not (0.0 <= self.s1 < math.inf and 0.0 <= self.s2 < math.inf):
+            raise ValueError("squared gains must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelTrace:
-    """A materialized fading realization of n_slots slot states.
+    """A materialized fading realization: at least one slot of finite,
+    nonnegative gains, with the fading statistics it is read under.
 
-    The gain arrays are read-only; a trace is a value, fully determined by
-    (stats, seed, length).
+    The gain arrays are read-only, so a trace is a value.
     """
 
     stats: FadingStatistics
-    seed: int
     s1: np.ndarray = field(repr=False)
     s2: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.s1.shape != self.s2.shape or self.s1.ndim != 1:
             raise ValueError("gain arrays must be 1-D and equally long")
+        if self.s1.size == 0:
+            raise ValueError("a trace needs at least one slot")
+        if not all(np.all(np.isfinite(s) & (s >= 0.0)) for s in (self.s1, self.s2)):
+            raise ValueError("squared gains must be finite and nonnegative")
         self.s1.flags.writeable = False
         self.s2.flags.writeable = False
 
@@ -119,4 +124,4 @@ def sample_trace(stats: FadingStatistics, n_slots: int, seed: int) -> ChannelTra
     u = np.random.default_rng(seed).random((2, n_slots))
     s1 = -stats.omega1 * np.log1p(-u[0])
     s2 = -stats.omega2 * np.log1p(-u[1])
-    return ChannelTrace(stats=stats, seed=seed, s1=s1, s2=s2)
+    return ChannelTrace(stats=stats, s1=s1, s2=s2)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmarks, engine, oracle, policy
-from .calibrate import CalibrationConfig, calibrate
+from .calibrate import calibrate
 from .channel import FadingStatistics, check_int, check_real, check_tolerance, sample_trace
 from .engine import PreparedPolicy
 
@@ -98,22 +98,13 @@ def _prepare(name: str, spec: RunSpec, p_total: float, trace) -> PreparedPolicy:
     """Build the policy for one protocol at one power point, calibrating
     it on the sweep's trace where the protocol needs it."""
     if name == "proposed":
-        cfg = CalibrationConfig(
-            stats=trace.stats,
-            p_total=p_total,
-            n_slots=spec.n_slots,
-            seed=spec.seed,
-            tol_rate=spec.tol_rate,
-            tol_power=spec.tol_power,
-        )
-        result = calibrate(cfg, trace)
+        result = calibrate(trace, p_total, spec.tol_rate, spec.tol_power)
         th = result.thresholds
         decide = policy.proposed_policy(th, trace.stats)
         return PreparedPolicy(name, decide, th.mu1, th.mu2, th.gamma, None, result.converged)
-    cfg = benchmarks.BenchmarkConfig(kind=name, p_total=p_total)
     if name in ("tdbc_no_pa", "tdbc_pa"):
-        return benchmarks.tdbc_policy(cfg, trace, spec.tol_power)
-    return benchmarks.fixed_power_policy(cfg, trace, spec.tol_rate)
+        return benchmarks.tdbc_policy(name, trace, p_total, spec.tol_power)
+    return benchmarks.fixed_power_policy(name, trace, p_total, spec.tol_rate)
 
 
 def run_sweep(spec: RunSpec) -> list[dict]:
@@ -272,16 +263,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg_file = _load_config(args)
-    stats = FadingStatistics(
-        _pick(args, cfg_file, "omega1", 1.0), _pick(args, cfg_file, "omega2", 1.0)
-    )
-    cfg = CalibrationConfig(
-        stats=stats,
-        p_total=_p_total(_pick(args, cfg_file, "pt_db", 10.0)),
-        **_given(args, cfg_file, "slots", "seed", "tol_rate", "tol_power"),
-    )
-    result = calibrate(cfg)
+    cfg = _load_config(args)
+    stats = FadingStatistics(_pick(args, cfg, "omega1", 1.0), _pick(args, cfg, "omega2", 1.0))
+    p_total = _p_total(_pick(args, cfg, "pt_db", 10.0))
+    n_slots = _pick(args, cfg, "slots", RunSpec.n_slots)
+    trace = sample_trace(stats, n_slots, _pick(args, cfg, "seed", RunSpec.seed))
+    tol_rate = _pick(args, cfg, "tol_rate", RunSpec.tol_rate)
+    result = calibrate(trace, p_total, tol_rate, _pick(args, cfg, "tol_power", RunSpec.tol_power))
     th = result.thresholds
     print(f"mu1={th.mu1!r} mu2={th.mu2!r} gamma={th.gamma!r}")
     print(

@@ -95,8 +95,6 @@ def run(trace: ChannelTrace, policy: ProtocolPolicy) -> RateReport:
     its buffer held at the start of the slot.
     """
     n = len(trace)
-    if n == 0:
-        raise ValueError("trace is empty")
     dec = policy(trace)
     mode = np.asarray(dec.mode)
     flows = (dec.power, dec.up1, dec.up2, dec.down1, dec.down2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import match_budget
-from .channel import FadingStatistics, check_real, sample_trace
+from .channel import ChannelTrace, check_real, check_tolerance
 from .policy import (
     TraceGains,
     balance_residuals,
@@ -197,26 +197,21 @@ class ScanPoint:
 
 
 def threshold_region_scan(
-    stats: FadingStatistics,
-    p_total: float,
-    mu_values: np.ndarray,
-    n_slots: int = 2000,
-    seed: int = 0,
-    tol_rate: float = 0.02,
+    trace: ChannelTrace, p_total: float, mu_values: np.ndarray, tol_rate: float = 0.02
 ) -> list[ScanPoint]:
-    """Probe dual pairs (including the boundary values 0 and 1) on a short
-    trace, matching the power budget at each point by solving for gamma
-    to 0.5 %.
+    """Probe every dual pair from mu_values (the boundary values 0 and 1
+    included) on trace, a short one for speed, matching the power budget
+    at each point by solving for gamma to 0.5 %.
 
     A point is balanced when both relative rate residuals are within
     tol_rate and the delivered sum rate is positive. Boundary dual values
     can never balance: one side of each rate pairing collapses to zero.
     """
     check_real("power budget", p_total, positive=True)
-    trace = sample_trace(stats, n_slots, seed)
+    check_tolerance("tol_rate", tol_rate)
     s1, s2 = trace.s1, trace.s2
     gains = TraceGains(s1, s2)
-    t = optimal_time_share(stats)
+    t = optimal_time_share(trace.stats)
     out = []
     for mu1 in mu_values:
         for mu2 in mu_values:

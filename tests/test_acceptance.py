@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from birelay.benchmarks import BenchmarkConfig, tdbc_policy
-from birelay.calibrate import CalibrationConfig, calibrate
+from birelay.benchmarks import tdbc_policy
+from birelay.calibrate import calibrate
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.cli import RunSpec, emit, run_sweep
 from birelay.engine import run
@@ -44,12 +44,10 @@ def full_sweep():
 
 
 def _run_point(omega1: float, pt_db: float):
-    stats = FadingStatistics(omega1, 1.0)
+    trace = sample_trace(FadingStatistics(omega1, 1.0), 10_000, 1234)
     p_total = 10.0 ** (pt_db / 10.0)
-    cfg = CalibrationConfig(stats=stats, p_total=p_total, n_slots=10_000, seed=1234)
-    result = calibrate(cfg)
-    trace = sample_trace(stats, cfg.n_slots, cfg.seed)
-    report = run(trace, proposed_policy(result.thresholds, stats))
+    result = calibrate(trace, p_total, tol_rate=0.01, tol_power=0.005)
+    report = run(trace, proposed_policy(result.thresholds, trace.stats))
     return result, report
 
 
@@ -179,7 +177,7 @@ def test_criterion_06_high_snr_gain(point_runs):
 
     def tdbc_rate(pt_db: float) -> float:
         p_total = 10.0 ** (pt_db / 10.0)
-        prep = tdbc_policy(BenchmarkConfig(kind="tdbc_no_pa", p_total=p_total), trace)
+        prep = tdbc_policy("tdbc_no_pa", trace, p_total, tol_power=0.005)
         return run(trace, prep.decide).sum_rate
 
     lo, hi = 14.0, 30.0
@@ -237,9 +235,8 @@ def test_criterion_09_time_share_and_dominance_properties():
     boundary_ok = time_share_at_boundary(*sample_draws(rng, 1000), slope_ties=True)
     worst_dom = downlink_dominance(*sample_draws(rng, 10_000))
 
-    scan = threshold_region_scan(
-        FadingStatistics(1.0, 1.0), 1.0, np.array([0.0, 1.0]), n_slots=2000, seed=1234
-    )
+    trace = sample_trace(FadingStatistics(1.0, 1.0), 2000, 1234)
+    scan = threshold_region_scan(trace, 1.0, np.array([0.0, 1.0]))
     none_balanced = not any(p.balanced for p in scan)
     ok = boundary_ok and worst_dom <= 1e-12 and none_balanced
     _report(
@@ -285,3 +282,14 @@ def test_sweep_rows_respect_budget_and_converge(full_sweep):
         p_total = 10.0 ** (row["pt_db"] / 10.0)
         assert row["avg_power"] <= 1.01 * p_total
         assert row["converged"] is True
+
+
+def test_sum_rate_rises_with_the_budget(full_sweep):
+    # module invariant, not a numbered criterion: over the nine budgets
+    # every protocol's delivered sum rate rises strictly
+    rows, _ = full_sweep
+    spec = RunSpec()
+    for name in spec.protocols:
+        rates = [row["sum_rate"] for row in rows if row["protocol"] == name]
+        assert len(rates) == len(spec.pt_db)
+        assert all(a < b for a, b in zip(rates, rates[1:])), (name, rates)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from birelay import benchmarks
-from birelay.benchmarks import (
-    KINDS,
-    BenchmarkConfig,
-    _fixed_eval,
-    fixed_power_policy,
-    tdbc_policy,
-)
+from birelay.benchmarks import KINDS, _fixed_eval, fixed_power_policy, tdbc_policy
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.engine import run
 from birelay.policy import balance_residuals
@@ -18,6 +12,7 @@ from birelay.rate import PowerTriple, link_capacities
 
 _STATS = FadingStatistics(1.0, 1.0)
 _CYCLE = {1: 1, 2: 2, 0: 6}  # slot index mod 3 -> mode
+TOL_RATE, TOL_POWER = 0.01, 0.005
 
 
 def _trace(n=2000, seed=3, stats=_STATS):
@@ -25,18 +20,27 @@ def _trace(n=2000, seed=3, stats=_STATS):
 
 
 def test_config_validated():
-    with pytest.raises(ValueError):
-        BenchmarkConfig(kind="bogus", p_total=1.0)
-    with pytest.raises(ValueError):
-        BenchmarkConfig(kind="tdbc_pa", p_total=0.0)
-    for bad in (float("nan"), float("inf"), "1.0", True):
-        with pytest.raises(ValueError):
-            BenchmarkConfig(kind="tdbc_pa", p_total=bad)
+    # each preparation takes only its own kinds, a positive finite budget
+    # and a tolerance in (0, 0.1]
+    trace = _trace(n=30)
+    for prepare, kind, other, tol in (
+        (tdbc_policy, "tdbc_pa", "fixed_power_six_mode", TOL_POWER),
+        (fixed_power_policy, "fixed_power_three_mode", "tdbc_pa", TOL_RATE),
+    ):
+        for bad_kind in ("bogus", other):
+            with pytest.raises(ValueError):
+                prepare(bad_kind, trace, 1.0, tol)
+        for bad in (0.0, float("nan"), float("inf"), "1.0", True):
+            with pytest.raises(ValueError):
+                prepare(kind, trace, bad, tol)
+        for bad in (0.0, 0.2, float("nan"), "0.01"):
+            with pytest.raises(ValueError):
+                prepare(kind, trace, 1.0, bad)
 
 
 def test_tdbc_no_pa_schedule_and_budget():
     trace = _trace(n=9)
-    prep = tdbc_policy(BenchmarkConfig(kind="tdbc_no_pa", p_total=2.0), trace)
+    prep = tdbc_policy("tdbc_no_pa", trace, 2.0, TOL_POWER)
     assert prep.converged
     dec = prep.decide(trace)
     assert dec.mode.tolist() == [_CYCLE[k % 3] for k in range(1, 10)]
@@ -51,7 +55,7 @@ def test_tdbc_no_pa_schedule_and_budget():
 
 def test_tdbc_pa_waterfills_to_the_budget():
     trace = _trace()
-    prep = tdbc_policy(BenchmarkConfig(kind="tdbc_pa", p_total=1.0), trace)
+    prep = tdbc_policy("tdbc_pa", trace, 1.0, TOL_POWER)
     assert prep.converged
     rep = run(trace, prep.decide)
     assert abs(rep.avg_power - 1.0) / 1.0 <= 0.01
@@ -63,14 +67,14 @@ def test_tdbc_pa_waterfills_to_the_budget():
 
 def test_tdbc_pa_keeps_the_cycle():
     trace = _trace(n=300)
-    prep = tdbc_policy(BenchmarkConfig(kind="tdbc_pa", p_total=1.0), trace)
+    prep = tdbc_policy("tdbc_pa", trace, 1.0, TOL_POWER)
     assert prep.decide(trace).mode.tolist() == [_CYCLE[k % 3] for k in range(1, 301)]
 
 
 def test_tdbc_frames_are_self_contained():
     n, p = 9, 2.0
     trace = _trace(n=n)
-    prep = tdbc_policy(BenchmarkConfig(kind="tdbc_no_pa", p_total=p), trace)
+    prep = tdbc_policy("tdbc_no_pa", trace, p, TOL_POWER)
     rep = run(trace, prep.decide)
     s1, s2 = trace.s1, trace.s2
     # frame f delivers min(uplink, same-frame broadcast) in each direction
@@ -90,7 +94,7 @@ def test_tdbc_tail_frame_carries_nothing():
     # the third frame has both uplink slots but no broadcast slot
     n, p = 8, 1.0
     trace = _trace(n=n)
-    prep = tdbc_policy(BenchmarkConfig(kind="tdbc_no_pa", p_total=p), trace)
+    prep = tdbc_policy("tdbc_no_pa", trace, p, TOL_POWER)
     rep = run(trace, prep.decide)
     s1, s2 = trace.s1, trace.s2
     # only the two complete frames deliver; the tail spends power on air
@@ -105,7 +109,7 @@ def test_tdbc_tail_frame_carries_nothing():
 
 def test_tdbc_uplink_rate_is_frame_capped():
     trace = _trace(n=300)
-    prep = tdbc_policy(BenchmarkConfig(kind="tdbc_pa", p_total=1.0), trace)
+    prep = tdbc_policy("tdbc_pa", trace, 1.0, TOL_POWER)
     dec = prep.decide(trace)
     for f in range(100):
         i1, i2, ib = 3 * f, 3 * f + 1, 3 * f + 2
@@ -121,9 +125,7 @@ def test_tdbc_uplink_rate_is_frame_capped():
 
 def test_fixed_power_three_mode_spends_exactly_the_budget():
     trace = _trace()
-    prep = fixed_power_policy(
-        BenchmarkConfig(kind="fixed_power_three_mode", p_total=1.0), trace
-    )
+    prep = fixed_power_policy("fixed_power_three_mode", trace, 1.0, TOL_RATE)
     assert prep.converged
     assert prep.fixed_power == pytest.approx(1.0)
     dec = prep.decide(trace)
@@ -135,9 +137,7 @@ def test_fixed_power_three_mode_spends_exactly_the_budget():
 
 def test_fixed_power_six_mode_balances_average_spend():
     trace = _trace()
-    prep = fixed_power_policy(
-        BenchmarkConfig(kind="fixed_power_six_mode", p_total=1.0), trace
-    )
+    prep = fixed_power_policy("fixed_power_six_mode", trace, 1.0, TOL_RATE)
     assert prep.converged
     rep = run(trace, prep.decide)
     assert abs(rep.avg_power - 1.0) / 1.0 <= 0.01
@@ -153,9 +153,10 @@ def test_fixed_power_six_mode_balances_average_spend():
 def test_every_kind_produces_throughput():
     trace = _trace(n=600)
     for kind in KINDS:
-        cfg = BenchmarkConfig(kind=kind, p_total=1.0)
-        maker = tdbc_policy if kind.startswith("tdbc") else fixed_power_policy
-        prep = maker(cfg, trace)
+        if kind.startswith("tdbc"):
+            prep = tdbc_policy(kind, trace, 1.0, TOL_POWER)
+        else:
+            prep = fixed_power_policy(kind, trace, 1.0, TOL_RATE)
         assert prep.name == kind
         rep = run(trace, prep.decide)
         assert rep.sum_rate > 0.0
@@ -163,9 +164,7 @@ def test_every_kind_produces_throughput():
 
 def test_six_mode_downlink_slots_reach_single_transmitter_budget():
     trace = _trace()
-    prep = fixed_power_policy(
-        BenchmarkConfig(kind="fixed_power_six_mode", p_total=1.0), trace
-    )
+    prep = fixed_power_policy("fixed_power_six_mode", trace, 1.0, TOL_RATE)
     dec = prep.decide(trace)
     seen = set(dec.mode.tolist())
     assert 6 in seen
@@ -178,9 +177,7 @@ def test_six_mode_downlink_slots_reach_single_transmitter_budget():
 def test_fixed_power_rates_match_link_capacities():
     # the array path's rates are the per-slot link capacities at t = 0.5
     trace = _trace(n=300)
-    prep = fixed_power_policy(
-        BenchmarkConfig(kind="fixed_power_six_mode", p_total=1.0), trace
-    )
+    prep = fixed_power_policy("fixed_power_six_mode", trace, 1.0, TOL_RATE)
     dec = prep.decide(trace)
     p = prep.fixed_power
     for i in range(len(trace)):
@@ -230,7 +227,7 @@ def test_fixed_power_preparation_never_repeats_an_evaluation(monkeypatch):
     for kind in ("fixed_power_six_mode", "fixed_power_three_mode"):
         for p_total in (0.1, 10.0):
             calls.clear()
-            fixed_power_policy(BenchmarkConfig(kind=kind, p_total=p_total), trace)
+            fixed_power_policy(kind, trace, p_total, TOL_RATE)
             assert len(calls) > 10
             assert len(set(calls)) == len(calls)
 
@@ -240,7 +237,7 @@ def test_six_mode_off_budget_is_not_converged(monkeypatch):
     # low end) must not be reported as converged, though the buffers balance
     monkeypatch.setattr(benchmarks, "find_root", lambda f, a, fa, b, fb, done, **kw: (a, fa))
     trace = _trace()
-    prep = fixed_power_policy(BenchmarkConfig(kind="fixed_power_six_mode", p_total=1.0), trace)
+    prep = fixed_power_policy("fixed_power_six_mode", trace, 1.0, TOL_RATE)
     assert prep.fixed_power == 0.45
     c1, c2 = balance_residuals(prep.decide(trace))
     assert abs(c1) <= 0.01 and abs(c2) <= 0.01
@@ -265,11 +262,11 @@ def test_fixed_power_capacities_are_computed_once_per_power(monkeypatch):
     for db in (-20.0, 0.0, 20.0):
         p_total = 10.0 ** (db / 10.0)
         powers.clear()
-        fixed_power_policy(BenchmarkConfig(kind="fixed_power_three_mode", p_total=p_total), trace)
+        fixed_power_policy("fixed_power_three_mode", trace, p_total, TOL_RATE)
         assert powers == [p_total]
         # the nested power solve this replaced ran _fixed_eval 1019/428/184 times
         powers.clear()
-        fixed_power_policy(BenchmarkConfig(kind="fixed_power_six_mode", p_total=p_total), trace)
+        fixed_power_policy("fixed_power_six_mode", trace, p_total, TOL_RATE)
         assert 3 <= len(powers) <= 40
         assert len(set(powers)) == len(powers)
 
@@ -283,7 +280,7 @@ def test_fixed_power_six_mode_converges_on_the_sweep(omega1, pt_db):
     # judged afresh at the returned point, not on the solver's own numbers
     trace = sample_trace(FadingStatistics(omega1, 1.0), 10_000, 1234)
     p_total = 10.0 ** (pt_db / 10.0)
-    prep = fixed_power_policy(BenchmarkConfig(kind="fixed_power_six_mode", p_total=p_total), trace)
+    prep = fixed_power_policy("fixed_power_six_mode", trace, p_total, TOL_RATE)
     assert prep.converged
     six = (1, 2, 3, 4, 5, 6)
     dec = _fixed_eval(trace.s1, trace.s2, prep.mu1, prep.mu2, prep.fixed_power, six, 0.5)

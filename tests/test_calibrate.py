@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from birelay.calibrate import (
-    CalibrationConfig,
     CalibrationResult,
     solve_gamma,
     balance_duals,
@@ -28,43 +27,46 @@ from birelay.policy import (
 _STATS = FadingStatistics(1.0, 1.0)
 
 
-def _cfg(**kw):
-    base = dict(stats=_STATS, p_total=1.0, n_slots=3000, seed=11)
-    base.update(kw)
-    return CalibrationConfig(**base)
+def _trace(stats=_STATS, n_slots=3000, seed=11):
+    return sample_trace(stats, n_slots, seed)
 
 
-def _decisions(th, cfg):
-    """The slot rule at th over cfg's trace, without queue clipping."""
-    trace = sample_trace(cfg.stats, cfg.n_slots, cfg.seed)
-    t = optimal_time_share(cfg.stats)
+def _calibrate(trace=None, p_total=1.0, tol_rate=0.01, tol_power=0.005):
+    return calibrate(_trace() if trace is None else trace, p_total, tol_rate, tol_power)
+
+
+def _decisions(th, trace):
+    """The slot rule at th over trace, without queue clipping."""
+    t = optimal_time_share(trace.stats)
     return decide_trace(trace.s1, trace.s2, th.mu1, th.mu2, th.gamma, t)
 
 
-def test_config_validated():
-    with pytest.raises(ValueError):
-        _cfg(p_total=0.0)
-    with pytest.raises(ValueError):
-        _cfg(n_slots=0)
-    with pytest.raises(ValueError):
-        _cfg(tol_rate=0.0)
-    with pytest.raises(ValueError):
-        _cfg(tol_power=0.2)
+def test_config_validated(monkeypatch):
+    # a bad budget or tolerance is rejected before the slot rule ever runs
+    def never(*args, **kwargs):
+        raise AssertionError("the slot rule ran")
+
+    monkeypatch.setattr(calibrate_module, "decide_trace", never)
+    trace = _trace(n_slots=50)
     for bad in (
+        dict(p_total=0.0),
+        dict(p_total=-1.0),
         dict(p_total=float("nan")),
         dict(p_total=float("inf")),
-        dict(n_slots="7"),
-        dict(seed=1.5),
+        dict(p_total="1.0"),
+        dict(tol_rate=0.0),
         dict(tol_rate=float("nan")),
+        dict(tol_power=0.2),
+        dict(tol_power=True),
     ):
         with pytest.raises(ValueError):
-            _cfg(**bad)
+            _calibrate(trace, **bad)
 
 
 def test_spent_power_monotone_in_price():
-    cfg = _cfg()
+    trace = _trace()
     powers = [
-        float(_decisions(Thresholds(0.4, 0.4, g), cfg).power.mean())
+        float(_decisions(Thresholds(0.4, 0.4, g), trace).power.mean())
         for g in (0.02, 0.1, 0.5, 2.0, 10.0)
     ]
     assert all(a >= b for a, b in zip(powers, powers[1:]))
@@ -72,12 +74,12 @@ def test_spent_power_monotone_in_price():
 
 
 def test_huge_price_spends_nothing():
-    assert _decisions(Thresholds(0.4, 0.4, 1e6), _cfg()).power.max() == 0.0
+    assert _decisions(Thresholds(0.4, 0.4, 1e6), _trace()).power.max() == 0.0
 
 
 def test_extreme_dual_starves_its_uplink():
     # mu1 near 1 makes receiving user-1 traffic nearly worthless
-    dec = _decisions(Thresholds(0.999, 0.4, 0.1), _cfg())
+    dec = _decisions(Thresholds(0.999, 0.4, 0.1), _trace())
     assert dec.up1.mean() < 0.01
     assert balance_residuals(dec)[0] < 0.0
 
@@ -138,7 +140,7 @@ def test_balance_duals_handles_saturated_regions():
 
 
 def test_calibrate_symmetric_point_converges():
-    res = calibrate(_cfg())
+    res = _calibrate()
     assert isinstance(res, CalibrationResult)
     assert res.converged
     assert res.iterations <= 400
@@ -151,32 +153,20 @@ def test_calibrate_symmetric_point_converges():
 
 
 def test_calibrate_asymmetric_point_converges():
-    res = calibrate(_cfg(stats=FadingStatistics(5.0, 1.0), p_total=10.0, seed=7))
+    res = _calibrate(_trace(FadingStatistics(5.0, 1.0), seed=7), p_total=10.0)
     assert res.converged
     assert res.thresholds.mu1 > res.thresholds.mu2  # strong link 1 tilts the duals
 
 
 def test_calibrate_is_deterministic():
-    a = calibrate(_cfg())
-    b = calibrate(_cfg())
+    a = _calibrate()
+    b = _calibrate()
     assert a == b
-
-
-def test_calibrate_on_a_supplied_trace_matches_its_own_draw():
-    cfg = _cfg()
-    assert calibrate(cfg, sample_trace(cfg.stats, cfg.n_slots, cfg.seed)) == calibrate(cfg)
-    for other in (
-        sample_trace(FadingStatistics(2.0, 1.0), cfg.n_slots, cfg.seed),
-        sample_trace(cfg.stats, cfg.n_slots - 1, cfg.seed),
-        sample_trace(cfg.stats, cfg.n_slots, cfg.seed + 1),
-    ):
-        with pytest.raises(ValueError):
-            calibrate(cfg, other)
 
 
 def test_calibrate_budget_of_one_cannot_converge(monkeypatch):
     monkeypatch.setattr(calibrate_module, "_MAX_POINTS", 1)
-    res = calibrate(_cfg())
+    res = _calibrate()
     assert not res.converged
     assert res.iterations == 1
 
@@ -184,11 +174,11 @@ def test_calibrate_budget_of_one_cannot_converge(monkeypatch):
 def test_calibrated_duals_reproduce_residuals():
     # the residuals are those of the probe at the returned point; a fresh
     # run of the slot rule there must give them back
-    cfg = _cfg()
-    res = calibrate(cfg)
-    dec = _decisions(res.thresholds, cfg)
+    trace, p_total = _trace(), 1.0
+    res = _calibrate(trace, p_total)
+    dec = _decisions(res.thresholds, trace)
     c1, c2 = balance_residuals(dec)
-    c3 = (float(dec.power.mean()) - cfg.p_total) / cfg.p_total
+    c3 = (float(dec.power.mean()) - p_total) / p_total
     assert abs(c1) == pytest.approx(res.residual_c1, abs=1e-12)
     assert abs(c2) == pytest.approx(res.residual_c2, abs=1e-12)
     assert abs(c3) == pytest.approx(res.residual_c3, abs=1e-12)
@@ -205,7 +195,7 @@ def test_calibrate_never_repeats_an_evaluation(monkeypatch, stats, p_total):
         return decide_trace(s1, s2, mu1, mu2, gamma, t, gains=gains)
 
     monkeypatch.setattr(calibrate_module, "decide_trace", recording)
-    result = calibrate(_cfg(stats=stats, p_total=p_total))
+    result = _calibrate(_trace(stats), p_total=p_total)
     th = result.thresholds
     assert (th.mu1, th.mu2, th.gamma) in calls
     assert len(set(calls)) == len(calls) == result.evaluations
@@ -222,7 +212,7 @@ def test_calibrate_counts_its_slot_rule_runs(monkeypatch):
         return decide_trace(s1, s2, mu1, mu2, gamma, t, gains=gains)
 
     monkeypatch.setattr(calibrate_module, "decide_trace", recording)
-    result = calibrate(CalibrationConfig(stats=_STATS, p_total=1.0))
+    result = _calibrate(_trace(n_slots=10_000, seed=1234))
     assert result.converged
     assert result.evaluations == len(calls)
     assert len(calls) <= 400
@@ -245,7 +235,7 @@ def test_calibrate_builds_one_trace_kernel(monkeypatch):
 
     monkeypatch.setattr(calibrate_module, "TraceGains", Counted)
     monkeypatch.setattr(calibrate_module, "decide_trace", recording)
-    result = calibrate(_cfg())
+    result = _calibrate()
     assert len(built) == 1
     assert len(used) == result.evaluations
     assert all(g is built[0] for g in used)

@@ -63,13 +63,16 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         sample_trace(FadingStatistics(1.0, 1.0), "7", 1)
     with pytest.raises(ValueError):
+        sample_trace(FadingStatistics(1.0, 1.0), 10, 1.5)
+    with pytest.raises(ValueError):
         FadingStatistics(float("inf"), 1.0)
     with pytest.raises(ValueError):
         FadingStatistics(float("nan"), 1.0)
     with pytest.raises(ValueError):
         ChannelState(0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ChannelState(1, -0.1, 1.0)
+    for s1, s2 in ((-0.1, 1.0), (1.0, float("nan")), (float("inf"), 1.0)):
+        with pytest.raises(ValueError):
+            ChannelState(1, s1, s2)
 
 
 def test_trace_container_behavior():
@@ -92,9 +95,19 @@ def test_trace_container_behavior():
 
 def test_trace_rejects_mismatched_arrays():
     with pytest.raises(ValueError):
-        ChannelTrace(
-            stats=FadingStatistics(1.0, 1.0),
-            seed=0,
-            s1=np.ones(3),
-            s2=np.ones(4),
-        )
+        ChannelTrace(stats=FadingStatistics(1.0, 1.0), s1=np.ones(3), s2=np.ones(4))
+
+
+def test_trace_rejects_empty_negative_and_non_finite_gains():
+    # on such a trace calibration cannot converge (a negative gain) or
+    # reports NaN residuals (no slot), so the trace itself refuses it
+    stats = FadingStatistics(1.0, 1.0)
+    for bad in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf")):
+        for s1, s2 in ((np.array([1.0, bad]), np.ones(2)), (np.ones(2), np.array([bad, 1.0]))):
+            with pytest.raises(ValueError):
+                ChannelTrace(stats=stats, s1=s1, s2=s2)
+    with pytest.raises(ValueError):
+        ChannelTrace(stats=stats, s1=np.zeros(0), s2=np.zeros(0))
+    # zero gains (a dead link) and a single slot are a valid trace
+    trace = ChannelTrace(stats=stats, s1=np.zeros(1), s2=np.array([3.0]))
+    assert len(trace) == 1

@@ -4,13 +4,13 @@ import contextlib
 import dataclasses
 import io
 import json
+import sys
 
+import numpy as np
 import pytest
 
-import birelay.calibrate as calibrate_module
 import birelay.cli as cli_module
 from birelay import oracle
-from birelay.calibrate import CalibrationConfig
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.cli import COLUMNS, PROTOCOLS, RunSpec, build_parser, emit, main, run_sweep
 
@@ -71,15 +71,17 @@ def test_run_sweep_rows_are_complete(rows800):
 
 
 def test_run_sweep_draws_each_trace_once(monkeypatch):
-    # calibration of the adaptive protocol runs on the sweep's own trace
+    # calibration of the adaptive protocol runs on the sweep's own trace:
+    # no module of the package draws another
     drawn = []
 
     def counted(*args):
         drawn.append(args)
         return sample_trace(*args)
 
-    for module in (cli_module, calibrate_module):
-        monkeypatch.setattr(module, "sample_trace", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("birelay") and getattr(module, "sample_trace", None) is sample_trace:
+            monkeypatch.setattr(module, "sample_trace", counted)
     run_sweep(RunSpec(pt_db=(0.0,), n_slots=800, seed=5, protocols=("proposed",)))
     assert len(drawn) == 1
 
@@ -247,23 +249,28 @@ def test_main_rejects_out_of_range_tolerances_on_a_baseline_sweep(tmp_path):
 
 
 def test_main_leaves_options_not_given_to_the_dataclass_defaults(monkeypatch):
-    # with no flag and no config file, the sweep spec is RunSpec's defaults
-    # and the calibration problem CalibrationConfig's, at the command's own
-    # operating point (1:1 fading, 10 dB)
-    assert cli_module._sweep_spec(build_parser().parse_args(["sweep"])) == RunSpec()
+    # with no flag and no config file, the sweep spec is RunSpec's defaults,
+    # and the calibration runs on RunSpec's trace and tolerances at the
+    # command's own operating point (1:1 fading, 10 dB)
+    spec = RunSpec()
+    assert cli_module._sweep_spec(build_parser().parse_args(["sweep"])) == spec
     seen = []
 
     class Stop(Exception):
         pass
 
-    def capture(cfg):
-        seen.append(cfg)
+    def capture(*args):
+        seen.append(args)
         raise Stop  # before calibrating
 
     monkeypatch.setattr(cli_module, "calibrate", capture)
     with pytest.raises(Stop):
         main(["calibrate"])
-    assert seen == [CalibrationConfig(stats=FadingStatistics(1.0, 1.0), p_total=10.0)]
+    [(trace, *rest)] = seen
+    assert rest == [10.0, spec.tol_rate, spec.tol_power]
+    want = sample_trace(FadingStatistics(1.0, 1.0), spec.n_slots, spec.seed)
+    assert trace.stats == want.stats
+    assert np.array_equal(trace.s1, want.s1) and np.array_equal(trace.s2, want.s2)
 
 
 def test_main_rejects_unknown_config_keys(tmp_path):

@@ -32,7 +32,7 @@ def _decisions(mode, up1=None, up2=None, down1=None, down2=None, power=None):
 def _run(dec):
     """Run fixed decisions over a trace of matching length."""
     n = len(dec.mode)
-    trace = ChannelTrace(stats=_STATS, seed=0, s1=np.ones(n), s2=np.ones(n))
+    trace = ChannelTrace(stats=_STATS, s1=np.ones(n), s2=np.ones(n))
     return run(trace, lambda tr: dec)
 
 
@@ -117,12 +117,13 @@ def test_run_rejects_unknown_mode():
 
 
 def test_run_empty_trace_guards():
-    # a one-slot trace is the minimum; the sampler refuses zero slots
+    # a one-slot trace is the minimum: the sampler refuses zero slots, and
+    # so does the trace itself, so no empty trace reaches run
     with pytest.raises(ValueError):
         sample_trace(_STATS, 0, 1)
-    empty = ChannelTrace(stats=_STATS, seed=0, s1=np.zeros(0), s2=np.zeros(0))
     with pytest.raises(ValueError):
-        run(empty, lambda tr: _decisions([]))
+        ChannelTrace(stats=_STATS, s1=np.zeros(0), s2=np.zeros(0))
+    assert _run(_decisions([6])).n_slots == 1
 
 
 def test_run_accounting_and_conservation():

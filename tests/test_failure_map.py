@@ -13,9 +13,10 @@ import functools
 
 import pytest
 
-from birelay.benchmarks import BenchmarkConfig, fixed_power_policy
-from birelay.calibrate import CalibrationConfig, calibrate
+from birelay.benchmarks import fixed_power_policy
+from birelay.calibrate import calibrate
 from birelay.channel import FadingStatistics, sample_trace
+from birelay.cli import RunSpec
 
 PROTOCOLS = ("proposed", "fixed_power_six_mode", "fixed_power_three_mode")
 RATIOS = ((1, 1), (10, 1), (1, 10), (100, 1), (1, 100))
@@ -39,15 +40,15 @@ FAILING = {
 
 @functools.cache
 def _trace(w1, w2):
-    return sample_trace(FadingStatistics(float(w1), float(w2)), 10_000, 1234)
+    return sample_trace(FadingStatistics(float(w1), float(w2)), RunSpec.n_slots, RunSpec.seed)
 
 
 def _converged(protocol, w1, w2, db):
     trace = _trace(w1, w2)
     p_total = 10.0 ** (db / 10.0)
     if protocol == "proposed":
-        return calibrate(CalibrationConfig(stats=trace.stats, p_total=p_total), trace).converged
-    return fixed_power_policy(BenchmarkConfig(kind=protocol, p_total=p_total), trace).converged
+        return calibrate(trace, p_total, RunSpec.tol_rate, RunSpec.tol_power).converged
+    return fixed_power_policy(protocol, trace, p_total, RunSpec.tol_rate).converged
 
 
 def _new_failures(protocol, points):

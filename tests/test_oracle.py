@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from birelay.channel import FadingStatistics
+from birelay.channel import FadingStatistics, sample_trace
 from birelay.oracle import (
     ScanPoint,
     _grid_search,
@@ -178,8 +178,8 @@ def test_time_share_at_boundary_ties():
 
 
 def test_region_scan_boundary_duals_cannot_balance():
-    stats = FadingStatistics(1.0, 1.0)
-    points = threshold_region_scan(stats, 1.0, np.array([0.0, 1.0]), n_slots=1500, seed=2)
+    trace = sample_trace(FadingStatistics(1.0, 1.0), 1500, 2)
+    points = threshold_region_scan(trace, 1.0, np.array([0.0, 1.0]))
     assert len(points) == 4
     assert all(isinstance(p, ScanPoint) for p in points)
     assert not any(p.balanced for p in points)
@@ -188,19 +188,17 @@ def test_region_scan_boundary_duals_cannot_balance():
 def test_region_scan_interior_point_balances():
     # the balanced set is a thin band through the calibrated interior point,
     # so a fine local grid must hit it while coarse offsets miss it
-    stats = FadingStatistics(1.0, 1.0)
-    points = threshold_region_scan(
-        stats, 10.0, np.array([0.36, 0.365, 0.37]), n_slots=4000, seed=1234, tol_rate=0.05
-    )
+    trace = sample_trace(FadingStatistics(1.0, 1.0), 4000, 1234)
+    points = threshold_region_scan(trace, 10.0, np.array([0.36, 0.365, 0.37]), tol_rate=0.05)
     assert any(p.balanced for p in points)
     assert not all(p.balanced for p in points)
 
 
 def test_region_scan_validates_budget():
-    stats = FadingStatistics(1.0, 1.0)
+    trace = sample_trace(FadingStatistics(1.0, 1.0), 50, 0)
     for bad in (0.0, float("nan"), float("inf"), "1"):
         with pytest.raises(ValueError):
-            threshold_region_scan(stats, bad, np.array([0.5]))
-    for bad in (0, 2.5, "500"):
+            threshold_region_scan(trace, bad, np.array([0.5]))
+    for bad in (0.0, 0.5, float("nan"), "0.02"):
         with pytest.raises(ValueError):
-            threshold_region_scan(stats, 1.0, np.array([0.5]), n_slots=bad)
+            threshold_region_scan(trace, 1.0, np.array([0.5]), tol_rate=bad)
