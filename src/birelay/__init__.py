@@ -11,7 +11,7 @@ re-exported over it.
 
 from .benchmarks import fixed_power_policy, tdbc_policy
 from .calibrate import CalibrationResult
-from .channel import ChannelState, ChannelTrace, FadingStatistics, sample_trace
+from .channel import ChannelTrace, FadingStatistics, sample_trace
 from .engine import PreparedPolicy, ProtocolPolicy, QueueState, RateReport, run
 from .oracle import ScanPoint, threshold_region_scan
 from .policy import (
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationResult",
-    "ChannelState",
     "ChannelTrace",
     "FadingStatistics",
     "LinkCapacities",

@@ -22,14 +22,16 @@ The fixed cycle is delay limited: a frame's uplink traffic leaves the
 relay in that frame's broadcast slot, never later, so each uplink slot
 carries the minimum of its own capacity and that broadcast slot's
 capacity toward its destination, and the relay buffers drain every frame.
+A trailing partial frame has no broadcast slot, so its uplinks carry
+nothing.
 
 Each preparation takes the trace the policy will run on, the budget and
 its tolerance, and solves whatever else it needs (a water-filling price,
 a common power, buffer duals) on that trace. The fixed-power variants
 solve their buffer-balance duals with calibrate.balance_duals, the dual
 solver of the proposed protocol, over capacities cached per common
-power; the six-mode variant alternates it with a budget solve of the
-common power.
+power, and read convergence off its probe record; the six-mode variant
+alternates it with a budget solve of the common power.
 """
 
 from __future__ import annotations
@@ -65,32 +67,13 @@ _TDBC_MODES = np.array([6, 1, 2])
 _MAX_POINTS = 200
 
 
-def _tdbc_frame_rates(
-    s1: np.ndarray,
-    s2: np.ndarray,
-    p_user1: np.ndarray,
-    p_user2: np.ndarray,
-    p_relay: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """End-to-end rate each uplink slot can push through its own frame's
-    broadcast slot. A trailing partial frame has no broadcast slot, so its
-    uplink slots carry nothing."""
-    n = len(s1)
-    cycle = np.arange(1, n + 1) % 3
-    up1 = np.zeros(n)
-    up2 = np.zeros(n)
-    i1 = np.flatnonzero(cycle == 1)
-    i1 = i1[i1 + 2 < n]
-    up1[i1] = np.minimum(capacity(p_user1[i1] * s1[i1]), capacity(p_relay[i1 + 2] * s2[i1 + 2]))
-    i2 = np.flatnonzero(cycle == 2)
-    i2 = i2[i2 + 1 < n]
-    up2[i2] = np.minimum(capacity(p_user2[i2] * s2[i2]), capacity(p_relay[i2 + 1] * s1[i2 + 1]))
-    return up1, up2
-
-
 def _tdbc_decisions(g: TraceGains, p_total: float, gamma: float | None) -> TraceDecisions:
     """The fixed cycle over a trace's gains g: every active node at the full
-    budget when gamma is None, water-filled at price gamma otherwise."""
+    budget when gamma is None, water-filled at price gamma otherwise.
+
+    Each complete frame caps its uplink slots at its own broadcast slot's
+    capacity toward their destination; a trailing partial frame has no
+    broadcast slot, so its uplink slots carry nothing."""
     s1, s2 = g.s1, g.s2
     n = len(s1)
     if gamma is None:
@@ -99,16 +82,22 @@ def _tdbc_decisions(g: TraceGains, p_total: float, gamma: float | None) -> Trace
         p_user1 = wf_power(1.0, gamma, g.inv1)
         p_user2 = wf_power(1.0, gamma, g.inv2)
         p_relay = broadcast_power(g, 1.0, 1.0, gamma)
-    up1, up2 = _tdbc_frame_rates(s1, s2, p_user1, p_user2, p_relay)
     cycle = np.arange(1, n + 1) % 3
     bc = cycle == 0
+    down1 = np.where(bc, capacity(p_relay * s1), 0.0)
+    down2 = np.where(bc, capacity(p_relay * s2), 0.0)
+    whole = n - n % 3  # slots in complete frames
+    u1, u2, b = slice(0, whole, 3), slice(1, whole, 3), slice(2, whole, 3)
+    up1, up2 = np.zeros(n), np.zeros(n)
+    up1[u1] = np.minimum(capacity(p_user1[u1] * s1[u1]), down2[b])
+    up2[u2] = np.minimum(capacity(p_user2[u2] * s2[u2]), down1[b])
     return TraceDecisions(
         mode=_TDBC_MODES[cycle],
         power=np.where(cycle == 1, p_user1, np.where(cycle == 2, p_user2, p_relay)),
         up1=up1,
         up2=up2,
-        down1=np.where(bc, capacity(p_relay * s1), 0.0),
-        down2=np.where(bc, capacity(p_relay * s2), 0.0),
+        down1=down1,
+        down2=down2,
     )
 
 
@@ -173,11 +162,6 @@ def _fixed_select(caps: tuple, mu1, mu2, power: float, modes: tuple) -> TraceDec
     )
 
 
-def _fixed_eval(s1, s2, mu1, mu2, power: float, modes: tuple, t: float) -> TraceDecisions:
-    """Fixed-power selection over a whole trace: capacity step, then selection step."""
-    return _fixed_select(_fixed_caps(s1, s2, power, modes, t), mu1, mu2, power, modes)
-
-
 def fixed_power_policy(
     kind: str, trace: ChannelTrace, p_total: float, tol_rate: float
 ) -> PreparedPolicy:
@@ -227,10 +211,11 @@ def fixed_power_policy(
     # the six-mode power starts near where its budget solves land (~0.6 x)
     power = p_total / 1.66 if six else p_total
     for _ in range(8 if six else 1):
-        at_power = lambda a, b: measure(a, b, power)[:2]  # noqa: E731
-        mu1, mu2, *_, converged = balance_duals(
+        at_power = lambda a, b: measure(a, b, power)  # noqa: E731
+        (mu1, mu2), probes = balance_duals(
             at_power, tol_rate=tol_rate, max_points=_MAX_POINTS, start=(mu1, mu2)
         )
+        converged = max(map(abs, probes[(mu1, mu2)][:2])) <= tol_rate
         if not (converged and six):
             break
         at = lambda p: measure(mu1, mu2, p)[2]  # noqa: E731
@@ -242,6 +227,6 @@ def fixed_power_policy(
             break
 
     def decide(tr: ChannelTrace) -> TraceDecisions:
-        return _fixed_eval(tr.s1, tr.s2, mu1, mu2, power, modes, t)
+        return _fixed_select(_fixed_caps(tr.s1, tr.s2, power, modes, t), mu1, mu2, power, modes)
 
     return PreparedPolicy(kind, decide, mu1, mu2, None, power, converged)

@@ -23,6 +23,11 @@ along that inner solution path. Nesting matters: under strongly
 asymmetric fading the region where both residuals are moderate is a thin
 diagonal band in the dual square, and independent coordinate updates
 step off the band into regimes where one direction is never scheduled.
+
+The dual search keeps the one record of what it probed: balance_duals
+returns every point with the value residual_fn gave there, and calibrate
+reads the price and the true residuals of the point it reports, and its
+iteration count, from that record.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "balance_duals",
     "find_root",
     "match_budget",
-    "solve_gamma",
 ]
 
 _MU_LO = 1e-3
@@ -151,14 +155,15 @@ def _solve_from(f, x: float, walk, done, **kw) -> tuple[float, float]:
 
 
 def balance_duals(
-    residual_fn: Callable[[float, float], tuple[float, float]],
+    residual_fn: Callable[[float, float], tuple],
     tol_rate: float,
     max_points: int,
     start: tuple[float, float] = (0.5, 0.5),
-) -> tuple[float, float, float, float, int, bool]:
+) -> tuple[tuple[float, float], dict[tuple[float, float], tuple]]:
     """Drive both signed rate residuals inside tol_rate over the dual
-    square. residual_fn(mu1, mu2) -> (c1, c2), each falling as its own
-    dual rises.
+    square. residual_fn(mu1, mu2) returns a tuple whose first two entries
+    are (c1, c2), each falling as its own dual rises; the search steers on
+    those two and carries any further entries unread.
 
     Two nested monotone solves through find_root: the inner one solves
     mu2 against c2 for a fixed mu1 (warm-bracketed around the previous
@@ -167,22 +172,25 @@ def balance_duals(
     in the direction that sinks c1, then solves c1 along the inner
     solution path. Solving one dual per level keeps the iterate on the
     narrow band where both traffic directions are scheduled, which a
-    simultaneous update steps off under asymmetric fading. Evaluations
-    are cached and capped at max_points; on exhaustion or a missing sign
-    change the best point seen is returned. Returns (mu1, mu2, c1, c2,
-    points_used, converged).
+    simultaneous update steps off under asymmetric fading. Each point is
+    evaluated once, and at most max_points (at least 1) are. Returns
+    ((mu1, mu2), probes): the first point that balances both residuals,
+    else, on exhaustion or a missing sign change, the first of the points
+    whose larger |residual| is smallest; and probes, every probed point's
+    residual_fn value keyed by the point, in probe order.
     """
-    cache: dict[tuple[float, float], tuple[float, float]] = {}
+    probes: dict[tuple[float, float], tuple] = {}
 
-    def probe(mu1: float, mu2: float) -> tuple[float, float]:
-        if (mu1, mu2) not in cache:
-            if len(cache) >= max_points:
+    def probe(mu1: float, mu2: float) -> tuple:
+        if (mu1, mu2) not in probes:
+            if len(probes) >= max_points:
                 raise _BudgetExhausted
-            cache[(mu1, mu2)] = residual_fn(mu1, mu2)
-        return cache[(mu1, mu2)]
+            probes[(mu1, mu2)] = residual_fn(mu1, mu2)
+        return probes[(mu1, mu2)]
 
+    worst = lambda value: max(abs(value[0]), abs(value[1]))  # noqa: E731
     guess = min(max(start[1], _MU_LO), _MU_HI)
-    found: tuple[float, float, float, float] | None = None
+    found: tuple[float, float] | None = None
     within = lambda c2: abs(c2) <= 0.5 * tol_rate  # noqa: E731
 
     def c1_at(mu1: float) -> float:
@@ -196,10 +204,10 @@ def balance_duals(
         c2_at = lambda m2: probe(mu1, m2)[1]  # noqa: E731
         lo = max(_MU_LO, guess - 0.08)
         guess = _solve_from(c2_at, lo, widen, within, xtol=1e-9, max_steps=40)[0]
-        c1, c2 = probe(mu1, guess)
-        if max(abs(c1), abs(c2)) <= tol_rate:
-            found = (mu1, guess, c1, c2)
-        return c1
+        value = probe(mu1, guess)
+        if worst(value) <= tol_rate:
+            found = (mu1, guess)
+        return value[0]
 
     x = min(max(start[0], _MU_LO), _MU_HI)
 
@@ -216,25 +224,31 @@ def balance_duals(
         _solve_from(c1_at, x, outward, balanced, xtol=1e-9, max_steps=40)
     except _BudgetExhausted:
         pass
-    if found is not None:
-        return (*found, len(cache), True)
-    if not cache:
-        return start[0], start[1], float("inf"), float("inf"), 0, False
-    # the first of the points whose larger residual is smallest
-    (mu1, mu2), (c1, c2) = min(cache.items(), key=lambda kv: max(map(abs, kv[1])))
-    return mu1, mu2, c1, c2, len(cache), max(abs(c1), abs(c2)) <= tol_rate
+    return found or min(probes, key=lambda point: worst(probes[point])), probes
 
 
-def solve_gamma(
-    power_resid: Callable[[float], float], warm: float, tol: float
-) -> tuple[float, float]:
-    """Find the power price. Spent power is nonincreasing in gamma, so
-    stepping out from the warm start until the residual changes sign
-    brackets the price within (1e-14, 1e14); find_root then closes the
-    bracket in log gamma. The first step grows with the residual, since a
-    warm start is usually close; later steps are x8. Returns (gamma,
-    achieved signed residual): the first probe within tol, else the probe
-    with the smallest |residual|."""
+def match_budget(
+    decide: Callable[[float], TraceDecisions], p_total: float, warm: float, tol: float
+) -> tuple[float, float, TraceDecisions]:
+    """Spend p_total on average: find the power price gamma at which the
+    relative power residual of decide(gamma) is within tol.
+
+    Spent power is nonincreasing in gamma, so stepping out from the warm
+    start until the residual changes sign brackets the price within
+    (1e-14, 1e14); find_root then closes the bracket in log gamma. The
+    first step grows with the residual, since a warm start is usually
+    close; later steps are x8. gamma is the first probe within tol, else
+    the probe with the smallest |residual|. Returns (gamma, its signed
+    residual, decide(gamma)), reusing the last probe's decisions when
+    gamma is that probe; they are released before the next decisions are
+    computed, so at most one set is alive at a time."""
+    held: tuple[float | None, TraceDecisions | None] = (None, None)
+
+    def resid(gamma: float) -> float:
+        nonlocal held
+        held = (None, None)  # release the previous probe's decisions first
+        held = (gamma, decide(gamma))
+        return (float(held[1].power.mean()) - p_total) / p_total
 
     def outward(r: float):
         g, step = warm, min(8.0, max(1.0 + 2.0 * abs(r), 1.0 + 4.0 * tol))
@@ -244,26 +258,7 @@ def solve_gamma(
             yield g
 
     within = lambda r: abs(r) <= tol  # noqa: E731
-    return _solve_from(power_resid, warm, outward, within, log=True, xtol=0.0, max_steps=80)
-
-
-def match_budget(
-    decide: Callable[[float], TraceDecisions], p_total: float, warm: float, tol: float
-) -> tuple[float, float, TraceDecisions]:
-    """Spend p_total on average: solve_gamma(warm, tol) finds the power
-    price gamma over the relative power residual of decide(gamma). Returns
-    (gamma, its signed residual, decide(gamma)), reusing the last probe's
-    decisions when gamma is that probe; they are released before the next
-    decisions are computed, so at most one set is alive at a time."""
-    held: tuple[float | None, TraceDecisions | None] = (None, None)
-
-    def resid(gamma: float) -> float:
-        nonlocal held
-        held = (None, None)  # release the previous probe's decisions first
-        held = (gamma, decide(gamma))
-        return (float(held[1].power.mean()) - p_total) / p_total
-
-    gamma, r = solve_gamma(resid, warm, tol)
+    gamma, r = _solve_from(resid, warm, outward, within, log=True, xtol=0.0, max_steps=80)
     if held[0] == gamma:
         return gamma, r, held[1]
     held = (None, None)
@@ -282,9 +277,8 @@ def calibrate(
     s1, s2 = trace.s1, trace.s2
     gains = TraceGains(s1, s2)  # one kernel for every probe on this trace
     t = optimal_time_share(trace.stats)
-    # (gamma, c1, c2, c3) of every dual point probed, before the bias
-    probed: dict[tuple[float, float], tuple[float, float, float, float]] = {}
     evaluations = 0
+    warm = 1.0  # the latest point's price starts the next price solve
     # aim most of a tolerance into inflow deficit: solving the shifted
     # residuals to +-0.12 tol lands the true residuals in
     # [-0.97 tol, -0.73 tol], still inside the convergence check, and that
@@ -292,33 +286,34 @@ def calibrate(
     # finite run the way they do at exactly critical load
     bias = 0.85 * tol_rate
 
-    def residuals(mu1: float, mu2: float) -> tuple[float, float]:
+    def residuals(mu1: float, mu2: float) -> tuple[float, ...]:
+        """The shifted residuals the search steers on, then the point's
+        price and its true residuals (c1, c2, c3)."""
+        nonlocal warm
+
         def decide(g: float) -> TraceDecisions:
             nonlocal evaluations
             evaluations += 1
             return decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
 
-        warm = next(reversed(probed.values()))[0] if probed else 1.0  # the latest point's price
         gamma, c3, dec = match_budget(decide, p_total, warm, 0.25 * tol_power)
+        warm = gamma
         c1, c2 = balance_residuals(dec)
-        probed[(mu1, mu2)] = (gamma, c1, c2, c3)
-        return c1 + bias, c2 + bias
+        return c1 + bias, c2 + bias, gamma, c1, c2, c3
 
     # the solver aims for the tighter biased band, but convergence is
     # judged on the true residuals against the configured tolerances: on
     # short traces the residuals move in coarse per-slot steps and the
     # narrow band can fall between reachable values even though the true
     # residuals sit well inside tolerance
-    mu1, mu2, _, _, used, _ = balance_duals(
-        residuals, tol_rate=0.12 * tol_rate, max_points=_MAX_POINTS
-    )
-    gamma, c1, c2, c3 = probed[(mu1, mu2)]  # balance_duals returns a probed point
+    (mu1, mu2), probes = balance_duals(residuals, tol_rate=0.12 * tol_rate, max_points=_MAX_POINTS)
+    gamma, c1, c2, c3 = probes[(mu1, mu2)][2:]
     return CalibrationResult(
         thresholds=Thresholds(mu1=mu1, mu2=mu2, gamma=gamma),
         residual_c1=abs(c1),
         residual_c2=abs(c2),
         residual_c3=abs(c3),
-        iterations=used,
+        iterations=len(probes),
         evaluations=evaluations,
         converged=abs(c1) <= tol_rate and abs(c2) <= tol_rate and abs(c3) <= tol_power,
     )

@@ -5,7 +5,8 @@ user-relay link, constant within a slot. sample_trace draws them
 exponentially distributed (Rayleigh amplitude fading), independent across
 slots and across the two links; a trace can also be built by hand from
 any finite nonnegative gains, for instance a transformed copy of a drawn
-one.
+one. ChannelTrace checks the gains once, when it is built; slots are read
+through its two gain arrays, so there is no per-slot type to check again.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "FadingStatistics",
-    "ChannelState",
     "ChannelTrace",
     "sample_trace",
     "check_real",
@@ -65,21 +65,6 @@ class FadingStatistics:
         check_real("fading mean omega2", self.omega2, positive=True)
 
 
-@dataclass(frozen=True)
-class ChannelState:
-    """Squared channel gains seen in one slot. Slot indices are 1-based."""
-
-    slot: int
-    s1: float
-    s2: float
-
-    def __post_init__(self) -> None:
-        if self.slot < 1:
-            raise ValueError("slot index is 1-based")
-        if not (0.0 <= self.s1 < math.inf and 0.0 <= self.s2 < math.inf):
-            raise ValueError("squared gains must be finite and nonnegative")
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelTrace:
     """A materialized fading realization: at least one slot of finite,
@@ -104,11 +89,6 @@ class ChannelTrace:
 
     def __len__(self) -> int:
         return int(self.s1.shape[0])
-
-    def state(self, slot: int) -> ChannelState:
-        if not 1 <= slot <= len(self):
-            raise ValueError(f"slot {slot} outside 1..{len(self)}")
-        return ChannelState(slot, float(self.s1[slot - 1]), float(self.s2[slot - 1]))
 
 
 def sample_trace(stats: FadingStatistics, n_slots: int, seed: int) -> ChannelTrace:

@@ -21,7 +21,7 @@ np.where, in fresh output arrays that are bit-identical to the selection.
 The multiple-access decoding order never needs interior time sharing: the
 metric is affine in the share t, so one of the endpoints t in {0, 1} is
 always optimal, and which endpoint wins is fixed by the long-term gain
-ordering rather than per slot.
+ordering rather than per slot; the slot rule rejects any other share.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelTrace, FadingStatistics
+from .channel import ChannelTrace, FadingStatistics, check_real
 
 __all__ = [
     "SELECTABLE_MODES",
@@ -64,10 +64,11 @@ class Thresholds:
     gamma: float
 
     def __post_init__(self) -> None:
+        check_real("mu1", self.mu1)
+        check_real("mu2", self.mu2)
+        check_real("gamma", self.gamma, positive=True)
         if not (0.0 < self.mu1 < 1.0 and 0.0 < self.mu2 < 1.0):
             raise ValueError("mu1 and mu2 must lie strictly inside (0, 1)")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
 
 
 @dataclass(frozen=True)
@@ -256,8 +257,11 @@ def _ma_powers(
     toward whichever user the gains favor (the other user's optimal power
     would clamp at 0), or both users transmit at the interior solution.
     Share 1 mirrors share 0 with the users swapped: user a is user 1 at
-    t = 0 and user 2 otherwise, and its own regime is tested first.
+    t = 0 and user 2 at t = 1, and its own regime is tested first. No
+    other share has these closed forms, so any other t is rejected.
     """
+    if t not in (0.0, 1.0):
+        raise ValueError(f"decoding share t must be 0 or 1, got {t!r}")
     gl = gamma * _LN2
     u = (mu1 - mu2) / gl
     first = t == 0.0
@@ -335,8 +339,8 @@ class TraceGains:
         self._work = None  # eight float and six bool rows, made by the first decide
 
     def decide(self, mu1: float, mu2: float, gamma: float, t: float) -> TraceDecisions:
-        """The slot rule over the trace at raw (unvalidated) duals; the
-        fresh outputs serve as scratch until they are filled."""
+        """The slot rule over the trace at raw (unvalidated) duals and share
+        t in {0, 1}; the fresh outputs serve as scratch until they are filled."""
         shape = self.s1.shape
         if self._work is None:
             self._work = (np.empty((8,) + shape), np.empty((6,) + shape, dtype=bool))
@@ -346,7 +350,6 @@ class TraceGains:
         scratch = (up1, up2, down1, down2, c12r, c21r, best, lam)
         powers = _selectable_powers(self, mu1, mu2, gamma, t, out, scratch, flags)
         caps = _selectable_caps(self, t, powers, (up1, up2, c12r, c21r, down1, down2))
-        _, _, c12r, c21r, _, _ = caps  # fresh arrays at an interior share
         p3 = np.add(p1_m3, p2_m3, out=p1_m3)
         lams = _selectable_metrics(mu1, mu2, gamma, powers, p3, caps, (best, lam, lam, lam), p2_m3)
         code = flags[4:].view(np.uint8)
@@ -370,8 +373,8 @@ class TraceGains:
 
 def mode_table(s1, s2, mu1, mu2, gamma, t: float) -> tuple[ModePowers, SelectionMetrics]:
     """Every mode's closed-form optimal power and its selection metric at
-    decoding share t, elementwise over gains and duals (scalars, or arrays
-    of one shape); a scalar comes back as a one-slot array."""
+    decoding share t, 0 or 1, elementwise over gains and duals (scalars,
+    or arrays of one shape); a scalar comes back as a one-slot array."""
     g = TraceGains(s1, s2)
     powers = _selectable_powers(g, mu1, mu2, gamma, t)
     p1_m1, p2_m2, p1_m3, p2_m3, pr_m6 = powers
@@ -404,9 +407,9 @@ def decide_trace(s1, s2, mu1, mu2, gamma, t, gains: TraceGains | None = None) ->
     """Vectorized decisions over gain arrays with raw (unvalidated) duals.
 
     Used by calibration and region scans, which must be able to probe
-    boundary dual values that the Thresholds type rejects. gains, the
-    TraceGains of (s1, s2), carries its constants and workspace from call
-    to call; it is built here when not given.
+    boundary dual values that the Thresholds type rejects; t must be 0 or
+    1. gains, the TraceGains of (s1, s2), carries its constants and
+    workspace from call to call; it is built here when not given.
     """
     if gains is None:
         gains = TraceGains(s1, s2)

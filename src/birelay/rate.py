@@ -5,7 +5,8 @@ All rates are in bits per symbol with unit-variance noise, so transmit
 powers double as receive SNRs once multiplied by the squared channel gain.
 No protocol runs through this module: the trace kernel in policy has its
 own array forms. It is kept, validated and written out per slot, as the
-independent reference that the tests check those array forms against.
+independent reference that the tests check those array forms against. A
+slot is passed as its two squared gains, read from a trace's arrays.
 """
 
 from __future__ import annotations
@@ -59,21 +60,22 @@ class LinkCapacities:
     c21r: float
 
 
-def link_capacities(ch, powers: PowerTriple, t: float) -> LinkCapacities:
-    """Evaluate all link capacities for one slot.
+def link_capacities(s1: float, s2: float, powers: PowerTriple, t: float) -> LinkCapacities:
+    """Evaluate all link capacities for one slot's squared gains s1, s2
+    (one entry of a ChannelTrace's arrays, which checked them).
 
     c12r = t*cap(p1*s1) + (1-t)*cap(p1*s1/(1+p2*s2)); c21r mirrors it with
     the complementary weights, so both are affine in t.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("time share t must lie in [0, 1]")
-    g1 = powers.p1 * ch.s1
-    g2 = powers.p2 * ch.s2
+    g1 = powers.p1 * s1
+    g2 = powers.p2 * s2
     return LinkCapacities(
         c1r=cap(g1),
         c2r=cap(g2),
-        cr1=cap(powers.pr * ch.s1),
-        cr2=cap(powers.pr * ch.s2),
+        cr1=cap(powers.pr * s1),
+        cr2=cap(powers.pr * s2),
         cr_sum=cap(g1 + g2),
         c12r=t * cap(g1) + (1.0 - t) * cap(g1 / (1.0 + g2)),
         c21r=(1.0 - t) * cap(g2) + t * cap(g2 / (1.0 + g1)),

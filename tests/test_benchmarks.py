@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from birelay import benchmarks
-from birelay.benchmarks import KINDS, _fixed_eval, fixed_power_policy, tdbc_policy
+from birelay.benchmarks import KINDS, _fixed_caps, _fixed_select, fixed_power_policy, tdbc_policy
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.engine import run
 from birelay.policy import balance_residuals
@@ -91,20 +91,25 @@ def test_tdbc_frames_are_self_contained():
 
 
 def test_tdbc_tail_frame_carries_nothing():
-    # the third frame has both uplink slots but no broadcast slot
-    n, p = 8, 1.0
-    trace = _trace(n=n)
-    prep = tdbc_policy("tdbc_no_pa", trace, p, TOL_POWER)
-    rep = run(trace, prep.decide)
-    s1, s2 = trace.s1, trace.s2
-    # only the two complete frames deliver; the tail spends power on air
-    want_r2 = float(np.minimum(np.log2(1 + p * s1[0:6:3]), np.log2(1 + p * s2[2:6:3])).sum()) / n
-    dec = prep.decide(trace)
-    assert dec.up1[6] == dec.up2[7] == 0.0
-    assert rep.final_queues.q1 == pytest.approx(0.0, abs=1e-12)
-    assert rep.final_queues.q2 == pytest.approx(0.0, abs=1e-12)
-    assert rep.avg_power == pytest.approx(1.0)
-    assert rep.r_r2 == pytest.approx(want_r2, rel=1e-12)
+    # the third frame has no broadcast slot: it holds uplink 1 only at
+    # n = 7, both uplink slots at n = 8
+    p = 1.0
+    for n in (7, 8):
+        trace = _trace(n=n)
+        prep = tdbc_policy("tdbc_no_pa", trace, p, TOL_POWER)
+        rep = run(trace, prep.decide)
+        s1, s2 = trace.s1, trace.s2
+        # only the two complete frames deliver; the tail spends power on air
+        cap = lambda x: np.log2(1 + p * x)  # noqa: E731
+        want_r2 = float(np.minimum(cap(s1[0:6:3]), cap(s2[2:6:3])).sum()) / n
+        want_r1 = float(np.minimum(cap(s2[1:6:3]), cap(s1[2:6:3])).sum()) / n
+        dec = prep.decide(trace)
+        assert not dec.up1[6:].any() and not dec.up2[6:].any()
+        assert rep.final_queues.q1 == pytest.approx(0.0, abs=1e-12)
+        assert rep.final_queues.q2 == pytest.approx(0.0, abs=1e-12)
+        assert rep.avg_power == pytest.approx(1.0)
+        assert rep.r_r2 == pytest.approx(want_r2, rel=1e-12)
+        assert rep.r_r1 == pytest.approx(want_r1, rel=1e-12)
 
 
 def test_tdbc_uplink_rate_is_frame_capped():
@@ -118,7 +123,8 @@ def test_tdbc_uplink_rate_is_frame_capped():
         assert dec.up1[i1] == pytest.approx(min(own1, dec.down2[ib]), rel=1e-12)
         assert dec.up2[i2] == pytest.approx(min(own2, dec.down1[ib]), rel=1e-12)
         # the broadcast slot's capacities are the relay's links at its power
-        r = link_capacities(trace.state(ib + 1), PowerTriple(0.0, 0.0, dec.power[ib]), 0.0)
+        relay = PowerTriple(0.0, 0.0, dec.power[ib])
+        r = link_capacities(trace.s1[ib], trace.s2[ib], relay, 0.0)
         assert dec.down1[ib] == pytest.approx(r.cr1, rel=1e-12)
         assert dec.down2[ib] == pytest.approx(r.cr2, rel=1e-12)
 
@@ -183,7 +189,7 @@ def test_fixed_power_rates_match_link_capacities():
     for i in range(len(trace)):
         m = int(dec.mode[i])
         triple = PowerTriple(p if m in (1, 3) else 0.0, p if m in (2, 3) else 0.0, p if m > 3 else 0.0)
-        r = link_capacities(trace.state(i + 1), triple, 0.5)
+        r = link_capacities(trace.s1[i], trace.s2[i], triple, 0.5)
         want = {1: (r.c1r, 0, 0, 0), 2: (0, r.c2r, 0, 0), 3: (r.c12r, r.c21r, 0, 0),
                 4: (0, 0, r.cr1, 0), 5: (0, 0, 0, r.cr2), 6: (0, 0, r.cr1, r.cr2)}[m]
         got = (dec.up1[i], dec.up2[i], dec.down1[i], dec.down2[i])
@@ -191,7 +197,9 @@ def test_fixed_power_rates_match_link_capacities():
 
 
 def _fixed_six(s1, s2, mu1, mu2, power=2.0):
-    return _fixed_eval(np.array(s1), np.array(s2), mu1, mu2, power, (1, 2, 3, 4, 5, 6), 0.5)
+    six = (1, 2, 3, 4, 5, 6)
+    caps = _fixed_caps(np.array(s1), np.array(s2), power, six, 0.5)
+    return _fixed_select(caps, mu1, mu2, power, six)
 
 
 def test_fixed_eval_tie_between_downlinks_goes_to_mode_4():
@@ -264,7 +272,7 @@ def test_fixed_power_capacities_are_computed_once_per_power(monkeypatch):
         powers.clear()
         fixed_power_policy("fixed_power_three_mode", trace, p_total, TOL_RATE)
         assert powers == [p_total]
-        # the nested power solve this replaced ran _fixed_eval 1019/428/184 times
+        # the nested power solve this replaced ran the capacity step 1019/428/184 times
         powers.clear()
         fixed_power_policy("fixed_power_six_mode", trace, p_total, TOL_RATE)
         assert 3 <= len(powers) <= 40
@@ -283,7 +291,8 @@ def test_fixed_power_six_mode_converges_on_the_sweep(omega1, pt_db):
     prep = fixed_power_policy("fixed_power_six_mode", trace, p_total, TOL_RATE)
     assert prep.converged
     six = (1, 2, 3, 4, 5, 6)
-    dec = _fixed_eval(trace.s1, trace.s2, prep.mu1, prep.mu2, prep.fixed_power, six, 0.5)
+    caps = _fixed_caps(trace.s1, trace.s2, prep.fixed_power, six, 0.5)
+    dec = _fixed_select(caps, prep.mu1, prep.mu2, prep.fixed_power, six)
     assert abs(dec.power.mean() - p_total) / p_total <= 1e-4
     c1, c2 = balance_residuals(dec)
     assert abs(c1) <= 0.01 and abs(c2) <= 0.01

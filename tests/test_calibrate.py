@@ -1,6 +1,7 @@
 """Dual calibration: residual structure, the nested search, end-to-end runs."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from birelay.calibrate import (
     CalibrationResult,
-    solve_gamma,
     balance_duals,
     calibrate,
     find_root,
+    match_budget,
 )
 import birelay.calibrate as calibrate_module
 from birelay.channel import FadingStatistics, sample_trace
@@ -86,43 +87,44 @@ def test_extreme_dual_starves_its_uplink():
 
 def test_solve_gamma_on_synthetic_curve():
     # spent power ~ 2/gamma, so the unit-budget root is gamma = 2
-    calls = []
+    def decide(g):
+        return SimpleNamespace(power=np.array([2.0 / g]))
 
-    def resid(g):
-        calls.append(g)
-        return 2.0 / g - 1.0
-
-    gamma, r = solve_gamma(resid, warm=0.001, tol=1e-4)
+    gamma, r, dec = match_budget(decide, 1.0, warm=0.001, tol=1e-4)
     assert gamma == pytest.approx(2.0, rel=1e-3)
     assert abs(r) <= 1e-4
-    gamma, r = solve_gamma(resid, warm=500.0, tol=1e-4)
+    assert dec.power[0] == 2.0 / gamma
+    gamma, r, _ = match_budget(decide, 1.0, warm=500.0, tol=1e-4)
     assert gamma == pytest.approx(2.0, rel=1e-3)
 
 
 def test_balance_duals_on_synthetic_residuals():
-    # linear coupled system with a known interior root
+    # linear coupled system with a known interior root; the third entry
+    # of each value rides along unread
     calls = []
 
     def residuals(mu1, mu2):
         calls.append((mu1, mu2))
-        return 0.56 - mu1 - 0.3 * mu2, 0.62 - mu2 - 0.3 * mu1
+        return 0.56 - mu1 - 0.3 * mu2, 0.62 - mu2 - 0.3 * mu1, "extra"
 
-    mu1, mu2, c1, c2, used, ok = balance_duals(residuals, 0.01, 200)
-    assert ok
-    assert used == len(calls)  # every probe cached exactly once
-    assert used <= 200
+    (mu1, mu2), probes = balance_duals(residuals, 0.01, 200)
+    assert list(probes) == calls  # every probe recorded once, in probe order
+    assert (mu1, mu2) in probes
+    assert len(probes) <= 200
     assert mu1 == pytest.approx((0.56 - 0.3 * 0.62) / 0.91, abs=0.02)
     assert mu2 == pytest.approx(0.62 - 0.3 * (0.56 - 0.3 * 0.62) / 0.91, abs=0.02)
+    c1, c2, _ = probes[(mu1, mu2)]
     assert max(abs(c1), abs(c2)) <= 0.01
+    assert all(value[2] == "extra" for value in probes.values())
 
 
 def test_balance_duals_reports_budget_exhaustion():
     def residuals(mu1, mu2):
         return 0.9 - mu1, 0.9 - mu2
 
-    mu1, mu2, _, _, used, ok = balance_duals(residuals, 0.001, 3)
-    assert used <= 3
-    assert not ok
+    point, probes = balance_duals(residuals, 0.001, 3)
+    assert len(probes) <= 3
+    assert max(map(abs, probes[point])) > 0.001
 
 
 def test_balance_duals_handles_saturated_regions():
@@ -134,8 +136,8 @@ def test_balance_duals_handles_saturated_regions():
         squash = lambda c: 8.0 if c > 0.12 else (-1.0 if c < -0.12 else c)
         return squash(c1), squash(c2)
 
-    mu1, mu2, c1, c2, used, ok = balance_duals(residuals, 0.01, 200)
-    assert ok
+    (mu1, mu2), probes = balance_duals(residuals, 0.01, 200)
+    assert max(map(abs, probes[(mu1, mu2)])) <= 0.01
     assert abs(mu1 - 0.45) < 0.05 and abs(mu2 - 0.3) < 0.05
 
 

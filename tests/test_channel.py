@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from birelay.channel import (
-    ChannelState,
-    ChannelTrace,
-    FadingStatistics,
-    sample_trace,
-)
+from birelay.channel import ChannelTrace, FadingStatistics, sample_trace
 
 
 def test_sample_trace_is_bit_identical():
@@ -68,29 +63,15 @@ def test_validation_errors():
         FadingStatistics(float("inf"), 1.0)
     with pytest.raises(ValueError):
         FadingStatistics(float("nan"), 1.0)
-    with pytest.raises(ValueError):
-        ChannelState(0, 1.0, 1.0)
-    for s1, s2 in ((-0.1, 1.0), (1.0, float("nan")), (float("inf"), 1.0)):
-        with pytest.raises(ValueError):
-            ChannelState(1, s1, s2)
 
 
 def test_trace_container_behavior():
     tr = sample_trace(FadingStatistics(1.0, 2.0), 10, 9)
     assert len(tr) == 10
-    states = [tr.state(k) for k in range(1, 11)]
-    assert [st.slot for st in states] == list(range(1, 11))
-    assert states[3].s1 == tr.s1[3]
-    st = tr.state(10)
-    assert st.slot == 10 and st.s2 == tr.s2[9]
-    with pytest.raises(ValueError):
-        tr.state(0)
-    with pytest.raises(ValueError):
-        tr.state(11)
     with pytest.raises(ValueError):
         tr.s1[0] = 5.0  # arrays are read-only
     with pytest.raises(TypeError):
-        iter(tr)  # slots are read through state() or the arrays
+        iter(tr)  # slots are read through the arrays
 
 
 def test_trace_rejects_mismatched_arrays():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birelay.channel import ChannelState, ChannelTrace, FadingStatistics, sample_trace
+from birelay.channel import ChannelTrace, FadingStatistics, sample_trace
 from birelay.engine import QueueState, run
 from birelay.policy import Thresholds, TraceDecisions, proposed_policy
 from birelay.rate import PowerTriple, link_capacities
@@ -57,9 +57,9 @@ def test_queue_state_validated():
 
 
 def test_uplink_modes_fill_buffers():
-    ch = ChannelState(1, 3.0, 1.0)
-    c1r = link_capacities(ch, PowerTriple(1.0, 0.0, 0.0), 0.0).c1r
-    c2r = link_capacities(ch, PowerTriple(0.0, 1.0, 0.0), 0.0).c2r
+    ch = (3.0, 1.0)  # one slot's squared gains (s1, s2)
+    c1r = link_capacities(*ch, PowerTriple(1.0, 0.0, 0.0), 0.0).c1r
+    c2r = link_capacities(*ch, PowerTriple(0.0, 1.0, 0.0), 0.0).c2r
     assert (c1r, c2r) == (2.0, 1.0)  # log2(1+3), log2(1+1)
     rep = _run(_decisions([1, 2, 1], up1=[c1r, 0.0, 0.5], up2=[0.0, c2r, 0.0]))
     assert rep.final_queues == QueueState(2.5, 1.0)
@@ -69,7 +69,7 @@ def test_uplink_modes_fill_buffers():
 
 
 def test_joint_uplink_fills_both():
-    r = link_capacities(ChannelState(1, 1.5, 2.5), PowerTriple(1.0, 1.0, 0.0), 1.0)
+    r = link_capacities(1.5, 2.5, PowerTriple(1.0, 1.0, 0.0), 1.0)
     rep = _run(_decisions([3], up1=[r.c12r], up2=[r.c21r]))
     assert rep.final_queues.q1 == pytest.approx(1.3219280948873624)
     assert rep.final_queues.q2 == pytest.approx(1.0)
@@ -94,7 +94,7 @@ def test_downlink_modes_clip_to_buffer():
 
 def test_broadcast_serves_both_from_pre_slot_levels():
     # cr1 = cr2 = 2.0 at pr = 1 on gains (3, 3)
-    r = link_capacities(ChannelState(1, 3.0, 3.0), PowerTriple(0.0, 0.0, 1.0), 0.0)
+    r = link_capacities(3.0, 3.0, PowerTriple(0.0, 0.0, 1.0), 0.0)
     rep = _run(
         _decisions([1, 2, 6], up1=[1.0, 0, 0], up2=[0, 3.0, 0], down1=[0, 0, r.cr1], down2=[0, 0, r.cr2])
     )

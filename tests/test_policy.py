@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birelay.channel import ChannelState, FadingStatistics, sample_trace
+from birelay.channel import FadingStatistics, sample_trace
 from birelay.oracle import _grid_search
 from birelay.policy import (
     SELECTABLE_MODES,
@@ -47,6 +47,35 @@ def test_thresholds_validated():
         Thresholds(0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         Thresholds(0.5, 0.5, 0.0)
+
+
+def test_thresholds_reject_non_finite_and_non_numbers():
+    # an infinite price used to pass, and the slot rule then found NaN
+    # metrics; a string dual used to raise TypeError
+    for bad in (
+        (0.5, 0.5, float("inf")),
+        (0.5, 0.5, float("nan")),
+        (float("nan"), 0.5, 1.0),
+        ("0.5", 0.5, 1.0),
+        (0.5, "0.5", 1.0),
+        (0.5, 0.5, "1.0"),
+        (0.5, 0.5, True),
+    ):
+        with pytest.raises(ValueError):
+            Thresholds(*bad)
+
+
+def test_slot_rule_rejects_an_interior_decoding_share():
+    # the joint multiple-access powers are solved at t = 0 or 1 only, so
+    # any other share would pair them with rates at a share they do not fit
+    s1, s2 = np.array([1.0, 0.4]), np.array([0.6, 2.0])
+    for t in (0.5, 1e-9, 1.0 - 1e-9, -1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError):
+            TraceGains(s1, s2).decide(0.4, 0.5, 0.3, t)
+        with pytest.raises(ValueError):
+            decide_trace(s1, s2, 0.4, 0.5, 0.3, t)
+        with pytest.raises(ValueError):
+            mode_table(s1, s2, 0.4, 0.5, 0.3, t)
 
 
 def test_uplink_power_frozen_value():
@@ -208,7 +237,7 @@ def _slot_rule_rates(s1, s2, th, t):
             3: PowerTriple(mp.p1_m3[i], mp.p2_m3[i], 0.0),
             6: PowerTriple(0.0, 0.0, mp.pr_m6[i]),
         }[mode]
-        r = link_capacities(ChannelState(i + 1, float(s1[i]), float(s2[i])), triple, t)
+        r = link_capacities(float(s1[i]), float(s2[i]), triple, t)
         rates = {
             1: (r.c1r, 0.0, 0.0, 0.0),
             2: (0.0, r.c2r, 0.0, 0.0),
@@ -283,9 +312,7 @@ def test_ma_split_matches_link_capacities():
     for t in (0.0, 0.5, 1.0):
         c12r, c21r = ma_split(s1, s2, p1, p2, t)
         for i in range(50):
-            r = link_capacities(
-                ChannelState(1, s1[i], s2[i]), PowerTriple(p1[i], p2[i], 0.0), t
-            )
+            r = link_capacities(s1[i], s2[i], PowerTriple(p1[i], p2[i], 0.0), t)
             assert c12r[i] == pytest.approx(r.c12r, rel=1e-14, abs=1e-15)
             assert c21r[i] == pytest.approx(r.c21r, rel=1e-14, abs=1e-15)
 

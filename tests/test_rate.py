@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from birelay.channel import ChannelState
 from birelay.rate import PowerTriple, cap, link_capacities
 
 
@@ -36,13 +35,13 @@ def test_power_triple_rejects_negative():
 
 def test_split_frozen_example():
     # receive SNRs 1.5 and 2.5; decoding order t=1 protects user 1's stream
-    ch = ChannelState(1, 1.5, 2.5)
+    ch = (1.5, 2.5)  # one slot's squared gains (s1, s2)
     p = PowerTriple(1.0, 1.0, 0.0)
-    r = link_capacities(ch, p, 1.0)
+    r = link_capacities(*ch, p, 1.0)
     assert r.c12r == pytest.approx(1.3219280948873624, rel=1e-15)  # log2(2.5)
     assert r.c21r == pytest.approx(1.0, rel=1e-15)  # log2(5/2.5)
     assert r.cr_sum == pytest.approx(2.321928094887362, rel=1e-15)  # log2(5)
-    r0 = link_capacities(ch, p, 0.0)
+    r0 = link_capacities(*ch, p, 0.0)
     assert r0.c21r == pytest.approx(1.8073549220576042, rel=1e-15)  # log2(3.5)
     assert r0.c12r == pytest.approx(2.321928094887362 - 1.8073549220576042, rel=1e-13)
 
@@ -54,24 +53,24 @@ def test_split_sums_to_joint_capacity():
         s1, s2 = rng.exponential(1.0, 2)
         p1, p2 = rng.uniform(0.0, 5.0, 2)
         t = float(rng.uniform(0.0, 1.0))
-        r = link_capacities(ChannelState(1, float(s1), float(s2)), PowerTriple(p1, p2, 0.0), t)
+        r = link_capacities(float(s1), float(s2), PowerTriple(p1, p2, 0.0), t)
         assert r.c12r + r.c21r == pytest.approx(r.cr_sum, rel=1e-12, abs=1e-12)
         assert r.c12r >= -1e-15 and r.c21r >= -1e-15
 
 
 def test_split_is_affine_in_t():
-    ch = ChannelState(1, 0.8, 2.2)
+    ch = (0.8, 2.2)
     p = PowerTriple(3.0, 1.5, 0.0)
-    r0 = link_capacities(ch, p, 0.0)
-    r1 = link_capacities(ch, p, 1.0)
-    rh = link_capacities(ch, p, 0.5)
+    r0 = link_capacities(*ch, p, 0.0)
+    r1 = link_capacities(*ch, p, 1.0)
+    rh = link_capacities(*ch, p, 0.5)
     assert rh.c12r == pytest.approx(0.5 * (r0.c12r + r1.c12r), rel=1e-14)
     assert rh.c21r == pytest.approx(0.5 * (r0.c21r + r1.c21r), rel=1e-14)
 
 
 def test_single_user_links():
-    ch = ChannelState(1, 3.0, 0.5)
-    r = link_capacities(ch, PowerTriple(1.0, 2.0, 4.0), 0.0)
+    ch = (3.0, 0.5)
+    r = link_capacities(*ch, PowerTriple(1.0, 2.0, 4.0), 0.0)
     assert r.c1r == pytest.approx(2.0, rel=1e-15)  # log2(1+3)
     assert r.c2r == pytest.approx(1.0, rel=1e-15)  # log2(1+1)
     assert r.cr1 == pytest.approx(cap(12.0), rel=1e-15)
@@ -79,9 +78,9 @@ def test_single_user_links():
 
 
 def test_rates_monotone_in_power():
-    ch = ChannelState(1, 1.3, 0.9)
-    lo = link_capacities(ch, PowerTriple(1.0, 1.0, 1.0), 0.5)
-    hi = link_capacities(ch, PowerTriple(2.0, 2.0, 2.0), 0.5)
+    ch = (1.3, 0.9)
+    lo = link_capacities(*ch, PowerTriple(1.0, 1.0, 1.0), 0.5)
+    hi = link_capacities(*ch, PowerTriple(2.0, 2.0, 2.0), 0.5)
     assert hi.c1r > lo.c1r
     assert hi.c2r > lo.c2r
     assert hi.cr1 > lo.cr1
@@ -90,9 +89,9 @@ def test_rates_monotone_in_power():
 
 
 def test_time_share_validated():
-    ch = ChannelState(1, 1.0, 1.0)
+    ch = (1.0, 1.0)
     p = PowerTriple(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        link_capacities(ch, p, -0.01)
+        link_capacities(*ch, p, -0.01)
     with pytest.raises(ValueError):
-        link_capacities(ch, p, 1.01)
+        link_capacities(*ch, p, 1.01)
