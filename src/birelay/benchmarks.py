@@ -23,15 +23,19 @@ relay in that frame's broadcast slot, never later, so each uplink slot
 carries the minimum of its own capacity and that broadcast slot's
 capacity toward its destination, and the relay buffers drain every frame.
 A trailing partial frame has no broadcast slot, so its uplinks carry
-nothing.
+nothing. That cap costs tdbc_pa more than tdbc_no_pa: water-filling each
+slot on its own rarely powers both an uplink slot and its frame's
+broadcast slot, and the cap keeps the smaller of the two, so tdbc_pa
+delivers less at every budget of the default sweep.
 
 Each preparation takes the trace the policy will run on, the budget and
 its tolerance, and solves whatever else it needs (a water-filling price,
 a common power, buffer duals) on that trace. The fixed-power variants
 solve their buffer-balance duals with calibrate.balance_duals, the dual
-solver of the proposed protocol, over capacities cached per common
-power, and read convergence off its probe record; the six-mode variant
-alternates it with a budget solve of the common power.
+solver of the proposed protocol with its dual-point budget, over
+capacities cached per common power, and read convergence off its probe
+record; the six-mode variant alternates it with a find_root solve of the
+common power.
 """
 
 from __future__ import annotations
@@ -63,8 +67,6 @@ KINDS = _TDBC_KINDS + _FIXED_KINDS
 
 # fixed cycle position (slot index mod 3) -> mode: broadcast, uplink 1, uplink 2
 _TDBC_MODES = np.array([6, 1, 2])
-# cap on the dual points one fixed-power dual solve evaluates
-_MAX_POINTS = 200
 
 
 def _tdbc_decisions(g: TraceGains, p_total: float, gamma: float | None) -> TraceDecisions:
@@ -212,14 +214,12 @@ def fixed_power_policy(
     power = p_total / 1.66 if six else p_total
     for _ in range(8 if six else 1):
         at_power = lambda a, b: measure(a, b, power)  # noqa: E731
-        (mu1, mu2), probes = balance_duals(
-            at_power, tol_rate=tol_rate, max_points=_MAX_POINTS, start=(mu1, mu2)
-        )
+        (mu1, mu2), probes = balance_duals(at_power, tol_rate=tol_rate, start=(mu1, mu2))
         converged = max(map(abs, probes[(mu1, mu2)][:2])) <= tol_rate
         if not (converged and six):
             break
         at = lambda p: measure(mu1, mu2, p)[2]  # noqa: E731
-        power = find_root(at, lo, at(lo), hi, at(hi), within, xtol=0.0, max_steps=60)[0]
+        power = find_root(at, lo, lambda r: [hi], within)[0]
         c1, c2, spent = measure(mu1, mu2, power)
         balanced = abs(c1) <= tol_rate and abs(c2) <= tol_rate
         converged = balanced and within(spent)

@@ -13,16 +13,19 @@ exactly critical load the clipped queues random-walk upward over any
 finite run, while a slight inflow deficit pins them.
 
 Structure of the search: every stage is a monotone 1-D solve through
-find_root, a bracketing false-position method with a bisection safeguard.
-The power price gamma is innermost, as spent power is nonincreasing in
-gamma. The buffer duals are solved by nesting: for a fixed mu1, the
-balance residual of buffer 2 falls monotonically as mu2 rises (a larger
-mu2 starves uplink 2 and feeds the broadcast toward user 1), so mu2 is
-solved first; the outer loop then solves mu1 on buffer 1's residual
-along that inner solution path. Nesting matters: under strongly
-asymmetric fading the region where both residuals are moderate is a thin
-diagonal band in the dual square, and independent coordinate updates
-step off the band into regimes where one direction is never scheduled.
+find_root, which walks from a start point to a sign change and closes it
+by false position with a bisection safeguard; no solve needs a step cap,
+and _MAX_POINTS caps the dual points of one dual search, here and in the
+fixed-power baselines. The power price gamma is innermost, as spent
+power is nonincreasing in gamma. The buffer duals are solved by nesting:
+for a fixed mu1, the balance residual of buffer 2 falls monotonically as
+mu2 rises (a larger mu2 starves uplink 2 and feeds the broadcast toward
+user 1), so mu2 is solved first; the outer loop then solves mu1 on
+buffer 1's residual along that inner solution path. Nesting matters:
+under strongly asymmetric fading the region where both residuals are
+moderate is a thin diagonal band in the dual square, and independent
+coordinate updates step off the band into regimes where one direction is
+never scheduled.
 
 The dual search keeps the one record of what it probed: balance_duals
 returns every point with the value residual_fn gave there, and calibrate
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .channel import ChannelTrace, check_real, check_tolerance
 from .policy import Thresholds, TraceDecisions, balance_residuals, decide_trace, optimal_time_share
@@ -50,7 +53,7 @@ __all__ = [
 
 _MU_LO = 1e-3
 _MU_HI = 1.0 - 1e-3
-# cap on the dual points one calibration evaluates
+# cap on the dual points one balance_duals call evaluates
 _MAX_POINTS = 400
 
 
@@ -78,43 +81,49 @@ class _BudgetExhausted(Exception):
 
 def find_root(
     f: Callable[[float], float],
-    a: float,
-    fa: float,
-    b: float,
-    fb: float,
+    x: float,
+    walk: Callable[[float], Iterable[float]],
     done: Callable[[float], bool],
     *,
     log: bool = False,
-    xtol: float,
-    max_steps: int,
+    xtol: float = 0.0,
 ) -> tuple[float, float]:
-    """Safeguarded bracketing root finder for a monotone residual f.
+    """Solve a monotone residual f, starting at x.
 
-    fa = f(a) and fb = f(b) are known and exactly one of them is > 0.
-    Each probe is an Illinois false-position step (Dowell & Jarratt, BIT
-    11, 1971) on r / (1 + |r|), which has the sign and root of r but stays
-    bounded, so a saturated residual (a relative balance residual reaches
-    1e12 where one direction is never scheduled) cannot pin the secant to
-    one end. The probe is the midpoint instead when the secant point is
-    not strictly inside the bracket or the previous secant step failed to
-    halve it, so every two probes at least halve the bracket. With
-    log=True the search runs in log x, and xtol is a width in log x.
+    Evaluates f at x and then at each point of walk(f(x)) until a residual
+    satisfies done or changes sign; that bracket is then closed by Illinois
+    false-position steps (Dowell & Jarratt, BIT 11, 1971) on r / (1 + |r|),
+    which has the sign and root of r but stays bounded, so a saturated
+    residual (a relative balance residual reaches 1e12 where one direction
+    is never scheduled) cannot pin the secant to one end. The probe is the
+    midpoint instead when the secant point is not strictly inside the
+    bracket or the previous secant step failed to halve it, so every two
+    probes at least halve the bracket. With log=True the bracket is closed
+    in log x, and xtol is a width in log x.
 
-    a and b are not evaluated again and no probe leaves (a, b). Returns
-    (x, f(x)) for the first probe that satisfies done; otherwise, once the
-    bracket is no wider than xtol, holds no further point, or max_steps
-    probes are spent, the point with the smallest |f| among a, b and the
-    probes (the later probe on ties, b before a).
+    No point is evaluated twice. Returns (x, f(x)) for the first point that
+    satisfies done, else the walk's last point when it ends with no sign
+    change, else, once the bracket is no wider than xtol or holds no
+    further point, the point with the smallest |f| among the bracket's ends
+    and its probes (the later one on ties).
     """
-    if (fa > 0.0) == (fb > 0.0):
-        raise ValueError("f(a) and f(b) must lie on opposite sides of zero")
+    r = f(x)
+    if done(r):
+        return x, r
+    for nxt in walk(r):
+        a, fa, x, r = x, r, nxt, f(nxt)
+        if done(r):
+            return x, r
+        if (r > 0.0) != (fa > 0.0):
+            break
+    else:
+        return x, r
     warp, unwarp = (math.log, math.exp) if log else (float, float)
-
     end = lambda x, r, u: [x, r, u, r / (1.0 + abs(r))]  # noqa: E731
-    ends = [end(a, fa, warp(a)), end(b, fb, warp(b))]
-    best = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    ends = [end(a, fa, warp(a)), end(x, r, warp(x))]
+    best = (a, fa) if abs(fa) < abs(r) else (x, r)
     bisect, last = False, -1
-    for _ in range(max_steps):
+    while True:
         (xa, ra, ua, ga), (xb, _, ub, gb) = ends
         width = abs(ub - ua)
         u = ub - gb * (ub - ua) / (gb - ga)
@@ -123,7 +132,7 @@ def find_root(
             u = 0.5 * (ua + ub)
         x = unwarp(u)
         if width <= xtol or not min(xa, xb) < x < max(xa, xb):
-            break
+            return best
         r = f(x)
         if done(r):
             return x, r
@@ -136,28 +145,11 @@ def find_root(
             ends[1 - i][3] *= 0.5
         ends[i], last = end(x, r, u), i
         bisect = secant and abs(ends[1][2] - ends[0][2]) > 0.5 * width
-    return best
-
-
-def _solve_from(f, x: float, walk, done, **kw) -> tuple[float, float]:
-    """Evaluate f at x, then step through walk(f(x)) toward the sign change
-    until a residual satisfies done or changes sign; a sign change is
-    closed by find_root(**kw). Returns (x, f(x)): the point found, or the
-    last one when the walk ends first."""
-    r = f(x)
-    for nxt in walk(r):
-        if done(r):
-            break
-        a, fa, x, r = x, r, nxt, f(nxt)
-        if (r > 0.0) != (fa > 0.0) and not done(r):
-            return find_root(f, a, fa, x, r, done, **kw)
-    return x, r
 
 
 def balance_duals(
     residual_fn: Callable[[float, float], tuple],
     tol_rate: float,
-    max_points: int,
     start: tuple[float, float] = (0.5, 0.5),
 ) -> tuple[tuple[float, float], dict[tuple[float, float], tuple]]:
     """Drive both signed rate residuals inside tol_rate over the dual
@@ -173,7 +165,7 @@ def balance_duals(
     solution path. Solving one dual per level keeps the iterate on the
     narrow band where both traffic directions are scheduled, which a
     simultaneous update steps off under asymmetric fading. Each point is
-    evaluated once, and at most max_points (at least 1) are. Returns
+    evaluated once, and at most _MAX_POINTS (at least 1) are. Returns
     ((mu1, mu2), probes): the first point that balances both residuals,
     else, on exhaustion or a missing sign change, the first of the points
     whose larger |residual| is smallest; and probes, every probed point's
@@ -183,7 +175,7 @@ def balance_duals(
 
     def probe(mu1: float, mu2: float) -> tuple:
         if (mu1, mu2) not in probes:
-            if len(probes) >= max_points:
+            if len(probes) >= _MAX_POINTS:
                 raise _BudgetExhausted
             probes[(mu1, mu2)] = residual_fn(mu1, mu2)
         return probes[(mu1, mu2)]
@@ -203,7 +195,7 @@ def balance_duals(
 
         c2_at = lambda m2: probe(mu1, m2)[1]  # noqa: E731
         lo = max(_MU_LO, guess - 0.08)
-        guess = _solve_from(c2_at, lo, widen, within, xtol=1e-9, max_steps=40)[0]
+        guess = find_root(c2_at, lo, widen, within, xtol=1e-9)[0]
         value = probe(mu1, guess)
         if worst(value) <= tol_rate:
             found = (mu1, guess)
@@ -221,7 +213,7 @@ def balance_duals(
 
     balanced = lambda _: found is not None  # noqa: E731
     try:
-        _solve_from(c1_at, x, outward, balanced, xtol=1e-9, max_steps=40)
+        find_root(c1_at, x, outward, balanced, xtol=1e-9)
     except _BudgetExhausted:
         pass
     return found or min(probes, key=lambda point: worst(probes[point])), probes
@@ -233,9 +225,9 @@ def match_budget(
     """Spend p_total on average: find the power price gamma at which the
     relative power residual of decide(gamma) is within tol.
 
-    Spent power is nonincreasing in gamma, so stepping out from the warm
-    start until the residual changes sign brackets the price within
-    (1e-14, 1e14); find_root then closes the bracket in log gamma. The
+    Spent power is nonincreasing in gamma, so find_root steps out from
+    the warm start until the residual changes sign, within (1e-14, 1e14),
+    and closes that bracket in log gamma. The
     first step grows with the residual, since a warm start is usually
     close; later steps are x8. gamma is the first probe within tol, else
     the probe with the smallest |residual|. Returns (gamma, its signed
@@ -258,7 +250,7 @@ def match_budget(
             yield g
 
     within = lambda r: abs(r) <= tol  # noqa: E731
-    gamma, r = _solve_from(resid, warm, outward, within, log=True, xtol=0.0, max_steps=80)
+    gamma, r = find_root(resid, warm, outward, within, log=True)
     if held[0] == gamma:
         return gamma, r, held[1]
     held = (None, None)
@@ -306,7 +298,7 @@ def calibrate(
     # short traces the residuals move in coarse per-slot steps and the
     # narrow band can fall between reachable values even though the true
     # residuals sit well inside tolerance
-    (mu1, mu2), probes = balance_duals(residuals, tol_rate=0.12 * tol_rate, max_points=_MAX_POINTS)
+    (mu1, mu2), probes = balance_duals(residuals, tol_rate=0.12 * tol_rate)
     gamma, c1, c2, c3 = probes[(mu1, mu2)][2:]
     return CalibrationResult(
         thresholds=Thresholds(mu1=mu1, mu2=mu2, gamma=gamma),

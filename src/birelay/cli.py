@@ -238,7 +238,10 @@ def _sweep_spec(args) -> RunSpec:
             check_real(name, value)
         if step <= 0.0:
             raise ValueError("pt-db-step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ValueError("power sweep range overflows: too many points")
+        count = int(math.floor(span + 1e-9)) + 1
         if count < 1:
             raise ValueError("empty power sweep")
         pt_db = tuple(start + k * step for k in range(count))

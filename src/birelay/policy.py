@@ -17,6 +17,10 @@ the gain-only constants and a fixed workspace, and its decide writes every
 intermediate in place, picks modes with comparisons and boolean masks, and
 assembles the decisions by multiplying values with 0/1 masks instead of
 np.where, in fresh output arrays that are bit-identical to the selection.
+The workspace stays: a rewrite that allocated each stage's temporaries
+afresh gave the same bits at about 1.5x the time per slot, as the C
+allocator trimmed and regrew its heap and each call faulted its pages in
+anew.
 
 The multiple-access decoding order never needs interior time sharing: the
 metric is affine in the share t, so one of the endpoints t in {0, 1} is

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from birelay import benchmarks
+from birelay import benchmarks, calibrate
 from birelay.benchmarks import KINDS, _fixed_caps, _fixed_select, fixed_power_policy, tdbc_policy
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.engine import run
@@ -222,7 +222,7 @@ def test_fixed_eval_tie_between_uplink_and_downlink_goes_to_mode_1():
     assert np.array_equal(dec.down1 + dec.down2 + dec.up2, np.zeros(2))
 
 
-def test_fixed_power_preparation_never_repeats_an_evaluation(monkeypatch):
+def _record_selections(monkeypatch):
     calls = []
     select = benchmarks._fixed_select
 
@@ -231,6 +231,11 @@ def test_fixed_power_preparation_never_repeats_an_evaluation(monkeypatch):
         return select(caps, mu1, mu2, power, modes)
 
     monkeypatch.setattr(benchmarks, "_fixed_select", recording)
+    return calls
+
+
+def test_fixed_power_preparation_never_repeats_an_evaluation(monkeypatch):
+    calls = _record_selections(monkeypatch)
     trace = _trace()
     for kind in ("fixed_power_six_mode", "fixed_power_three_mode"):
         for p_total in (0.1, 10.0):
@@ -243,13 +248,25 @@ def test_fixed_power_preparation_never_repeats_an_evaluation(monkeypatch):
 def test_six_mode_off_budget_is_not_converged(monkeypatch):
     # a power solve that ends off the budget (here: always at the bracket's
     # low end) must not be reported as converged, though the buffers balance
-    monkeypatch.setattr(benchmarks, "find_root", lambda f, a, fa, b, fb, done, **kw: (a, fa))
+    monkeypatch.setattr(benchmarks, "find_root", lambda f, x, walk, done, **kw: (x, f(x)))
     trace = _trace()
     prep = fixed_power_policy("fixed_power_six_mode", trace, 1.0, TOL_RATE)
     assert prep.fixed_power == 0.45
     c1, c2 = balance_residuals(prep.decide(trace))
     assert abs(c1) <= 0.01 and abs(c2) <= 0.01
     assert not prep.converged
+
+
+def test_fixed_power_dual_search_shares_the_calibration_budget(monkeypatch):
+    # one dual-point budget serves calibration and both baselines: at one
+    # point each preparation selects once and reports no convergence
+    calls = _record_selections(monkeypatch)
+    monkeypatch.setattr(calibrate, "_MAX_POINTS", 1)
+    for kind in ("fixed_power_six_mode", "fixed_power_three_mode"):
+        calls.clear()
+        prep = fixed_power_policy(kind, _trace(), 1.0, TOL_RATE)
+        assert len(calls) == 1
+        assert not prep.converged
 
 
 def _count_capacity_steps(monkeypatch):

@@ -107,10 +107,10 @@ def test_balance_duals_on_synthetic_residuals():
         calls.append((mu1, mu2))
         return 0.56 - mu1 - 0.3 * mu2, 0.62 - mu2 - 0.3 * mu1, "extra"
 
-    (mu1, mu2), probes = balance_duals(residuals, 0.01, 200)
+    (mu1, mu2), probes = balance_duals(residuals, 0.01)
     assert list(probes) == calls  # every probe recorded once, in probe order
     assert (mu1, mu2) in probes
-    assert len(probes) <= 200
+    assert len(probes) <= calibrate_module._MAX_POINTS
     assert mu1 == pytest.approx((0.56 - 0.3 * 0.62) / 0.91, abs=0.02)
     assert mu2 == pytest.approx(0.62 - 0.3 * (0.56 - 0.3 * 0.62) / 0.91, abs=0.02)
     c1, c2, _ = probes[(mu1, mu2)]
@@ -118,11 +118,12 @@ def test_balance_duals_on_synthetic_residuals():
     assert all(value[2] == "extra" for value in probes.values())
 
 
-def test_balance_duals_reports_budget_exhaustion():
+def test_balance_duals_reports_budget_exhaustion(monkeypatch):
     def residuals(mu1, mu2):
         return 0.9 - mu1, 0.9 - mu2
 
-    point, probes = balance_duals(residuals, 0.001, 3)
+    monkeypatch.setattr(calibrate_module, "_MAX_POINTS", 3)
+    point, probes = balance_duals(residuals, 0.001)
     assert len(probes) <= 3
     assert max(map(abs, probes[point])) > 0.001
 
@@ -136,7 +137,7 @@ def test_balance_duals_handles_saturated_regions():
         squash = lambda c: 8.0 if c > 0.12 else (-1.0 if c < -0.12 else c)
         return squash(c1), squash(c2)
 
-    (mu1, mu2), probes = balance_duals(residuals, 0.01, 200)
+    (mu1, mu2), probes = balance_duals(residuals, 0.01)
     assert max(map(abs, probes[(mu1, mu2)])) <= 0.01
     assert abs(mu1 - 0.45) < 0.05 and abs(mu2 - 0.3) < 0.05
 
@@ -272,6 +273,7 @@ def _monotone(kind, root, orient, scale, shape):
     swap=st.booleans(),
 )
 def test_find_root_properties(kind, ends, orient, scale, shape, tol, xtol_exp, swap):
+    # a start point and a one-point walk to the bracket's other end
     log = kind == "log"
     lo_u, root_u, hi_u = sorted(ends)
     if log:  # (1e-14, 1e14) on a log scale
@@ -290,26 +292,65 @@ def test_find_root_properties(kind, ends, orient, scale, shape, tol, xtol_exp, s
         probes.append((x, f(x)))
         return probes[-1][1]
 
-    x, r = find_root(recording, a, fa, b, fb, done, log=log, xtol=xtol, max_steps=1000)
-    # every probe lies strictly inside the bracket left by the probes before it
+    x, r = find_root(recording, a, lambda r: [b], done, log=log, xtol=xtol)
+    assert probes[:2] == [(a, fa), (b, fb)]
+    # every later probe lies strictly inside the bracket left by the probes before it
     bracket = {fa > 0.0: a, fb > 0.0: b}
-    for px, pr in probes:
+    for px, pr in probes[2:]:
         assert min(bracket.values()) < px < max(bracket.values())
         bracket[pr > 0.0] = px
-    # no point is evaluated twice, and neither end again
+    # no point is evaluated twice
     seen = [px for px, _ in probes]
-    assert len(set(seen)) == len(seen) and a not in seen and b not in seen
+    assert len(set(seen)) == len(seen)
     hits = [i for i, (_, pr) in enumerate(probes) if done(pr)]
     if hits:
         assert hits == [len(probes) - 1] and (x, r) == probes[-1]
     else:
-        pool = [(a, fa), (b, fb)] + probes
-        assert abs(r) == min(abs(v) for _, v in pool) and (x, r) in pool
+        assert abs(r) == min(abs(v) for _, v in probes) and (x, r) in probes
     warp = math.log if log else float
     width = abs(warp(b) - warp(a))
-    assert len(probes) <= 2 * max(0, math.ceil(math.log2(width / xtol))) + 2
+    assert len(probes) - 2 <= 2 * max(0, math.ceil(math.log2(width / xtol))) + 2
 
 
-def test_find_root_needs_a_sign_change():
-    with pytest.raises(ValueError):
-        find_root(lambda x: x, 1.0, 1.0, 2.0, 2.0, lambda r: False, xtol=1e-6, max_steps=10)
+def test_find_root_walk_without_a_sign_change_ends_at_its_last_point():
+    probes = []
+
+    def recording(x):
+        probes.append(x)
+        return x
+
+    assert find_root(recording, 1.0, lambda r: [2.0, 3.0], lambda r: False) == (3.0, 3.0)
+    assert probes == [1.0, 2.0, 3.0]
+
+
+def test_find_root_start_that_is_done_is_evaluated_once():
+    probes = []
+
+    def recording(x):
+        probes.append(x)
+        return x - 1.0
+
+    def walk(r):
+        raise AssertionError("walked from a start that was done")
+
+    assert find_root(recording, 1.0, walk, lambda r: r == 0.0) == (1.0, 0.0)
+    assert probes == [1.0]
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_find_root_step_residual_terminates_without_a_cap(log):
+    # the residual jumps from -1 to +1 at 0.3 and never enters the band, so
+    # only the bracket shrinking to nothing between two floats stops the
+    # solve; each two probes at least halve it
+    probes = []
+
+    def step(x):
+        probes.append(x)
+        return 1.0 if x > 0.3 else -1.0
+
+    x, r = find_root(step, 1e-3, lambda r: [1.0], lambda r: abs(r) <= 0.5, log=log)
+    assert abs(r) == 1.0 and x in probes
+    assert len(set(probes)) == len(probes) <= 2 + 2 * 64
+    below = max(p for p in probes if p <= 0.3)
+    above = min(p for p in probes if p > 0.3)
+    assert math.nextafter(below, 1.0) == above

@@ -201,6 +201,19 @@ def test_main_rejects_infinite_sweep_point(tmp_path):
     assert err.startswith("error:")
 
 
+def test_main_rejects_an_overflowing_sweep_range(tmp_path):
+    # the point count of these ranges is not a finite number
+    out_path = tmp_path / "x.csv"
+    for start, stop, step in (("-1e308", "1e308", "5"), ("0", "1e308", "1e-10")):
+        rc, out, err = _main(
+            ["sweep", f"--pt-db-start={start}", f"--pt-db-stop={stop}", f"--pt-db-step={step}",
+             "--protocols", "tdbc_no_pa", "--out", str(out_path)]
+        )
+        assert rc == 2
+        assert out == "" and not out_path.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_main_rejects_mistyped_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"slots": "7"}))
