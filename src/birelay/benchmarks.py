@@ -33,18 +33,16 @@ its tolerance, and solves whatever else it needs (a water-filling price,
 a common power, buffer duals) on that trace. The fixed-power variants
 solve their buffer-balance duals with calibrate.balance_duals, the dual
 solver of the proposed protocol with its dual-point budget, over
-capacities cached per common power, and read convergence off its probe
-record; the six-mode variant alternates it with a find_root solve of the
-common power.
+capacities computed once per common power, and read convergence off its
+probe record; between dual searches the six-mode variant rescales its
+common power by the power residual recorded at the duals found.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .calibrate import balance_duals, find_root, match_budget
+from .calibrate import balance_duals, match_budget
 from .channel import ChannelTrace, check_real, check_tolerance
 from .engine import PreparedPolicy
 from .policy import (
@@ -64,6 +62,8 @@ __all__ = ["KINDS", "tdbc_policy", "fixed_power_policy"]
 _TDBC_KINDS = ("tdbc_no_pa", "tdbc_pa")
 _FIXED_KINDS = ("fixed_power_six_mode", "fixed_power_three_mode")
 KINDS = _TDBC_KINDS + _FIXED_KINDS
+
+_ROUNDS = 8  # cap on the six-mode rounds of dual search and power rescale
 
 # fixed cycle position (slot index mod 3) -> mode: broadcast, uplink 1, uplink 2
 _TDBC_MODES = np.array([6, 1, 2])
@@ -171,59 +171,44 @@ def fixed_power_policy(
     its buffer duals (and, for the six-mode variant, the common power) on
     the given trace.
 
-    Each power's capacities are computed once, so a dual point costs one
-    selection step. balance_duals solves the duals at a fixed power; the
-    six-mode variant alternates that with a budget solve of the power at
-    fixed duals, each starting from the other's result, until the buffers
-    balance at the new power, and stops early when a dual solve fails or
-    after 8 rounds. The three-mode power is the budget. converged: at the
-    returned point both balance residuals meet tol_rate and a solved power
-    meets the budget to 1e-4."""
+    Each round computes the capacities once at its power, so a dual point
+    costs one selection step, and runs one balance_duals over them from
+    the last round's duals. It ends the loop when the buffers balance and
+    the power residual r at the returned duals is within 1e-4, when the
+    dual search fails, or after _ROUNDS rounds; otherwise the next round
+    runs at power / (1 + r). The three-mode power is the budget, spent
+    exactly in one round. The returned power is the one its duals were
+    solved at, and converged means both balance residuals meet tol_rate
+    and the power meets the budget to 1e-4 there."""
     if kind not in _FIXED_KINDS:
         raise ValueError(f"kind must be one of {_FIXED_KINDS}, got {kind!r}")
     check_real("power budget", p_total, positive=True)
     check_tolerance("tol_rate", tol_rate)
     six = kind == "fixed_power_six_mode"
     modes = (1, 2, 3, 4, 5, 6) if six else (1, 2, 6)
-    s1, s2 = trace.s1, trace.s2
     # even time share keeps the two multiple-access splits statistically
     # symmetric; a boundary share pins one direction's inflow behind
     # interference, which no dual choice can rebalance at vanishing SNR
     t = 0.5
-    # spent power lies between the common power and twice it (at most two
-    # nodes transmit at once), so [0.45, 1.05] x budget brackets its root
-    lo, hi = 0.45 * p_total, 1.05 * p_total
-    within = lambda r: abs(r) <= 1e-4  # noqa: E731
-    held: dict[float, tuple] = {}  # capacities at the bracket ends and the latest power
 
-    def caps(p: float) -> tuple:
-        if p not in held:
-            for q in set(held) - {lo, hi}:
-                del held[q]
-            held[p] = _fixed_caps(s1, s2, p, modes, t)
-        return held[p]
-
-    @functools.cache
-    def measure(mu1: float, mu2: float, p: float) -> tuple[float, float, float]:
-        """Balance residuals and relative power residual of one point."""
-        dec = _fixed_select(caps(p), mu1, mu2, p, modes)
+    def measure(a: float, b: float) -> tuple[float, float, float]:
+        """Balance residuals and power residual of a dual point at the round's power."""
+        dec = _fixed_select(caps, a, b, power, modes)
         return (*balance_residuals(dec), (float(dec.power.mean()) - p_total) / p_total)
 
-    mu1, mu2 = 0.5, 0.5
-    # the six-mode power starts near where its budget solves land (~0.6 x)
+    mu1, mu2, r = 0.5, 0.5, 0.0
+    # the six-mode power starts near where its rescales land (~0.6 x)
     power = p_total / 1.66 if six else p_total
-    for _ in range(8 if six else 1):
-        at_power = lambda a, b: measure(a, b, power)  # noqa: E731
-        (mu1, mu2), probes = balance_duals(at_power, tol_rate=tol_rate, start=(mu1, mu2))
-        converged = max(map(abs, probes[(mu1, mu2)][:2])) <= tol_rate
-        if not (converged and six):
-            break
-        at = lambda p: measure(mu1, mu2, p)[2]  # noqa: E731
-        power = find_root(at, lo, lambda r: [hi], within)[0]
-        c1, c2, spent = measure(mu1, mu2, power)
+    for _ in range(_ROUNDS):
+        # spent power is power x (1 + multiple-access share), so this power
+        # spends the budget with the last round's mode shares
+        power /= 1.0 + r
+        caps = _fixed_caps(trace.s1, trace.s2, power, modes, t)
+        (mu1, mu2), probes = balance_duals(measure, tol_rate=tol_rate, start=(mu1, mu2))
+        c1, c2, r = probes[(mu1, mu2)]
         balanced = abs(c1) <= tol_rate and abs(c2) <= tol_rate
-        converged = balanced and within(spent)
-        if balanced:
+        converged = balanced and abs(r) <= 1e-4
+        if converged or not balanced:
             break
 
     def decide(tr: ChannelTrace) -> TraceDecisions:

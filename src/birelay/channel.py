@@ -70,7 +70,7 @@ class ChannelTrace:
     """A materialized fading realization: at least one slot of finite,
     nonnegative gains, with the fading statistics it is read under.
 
-    The gain arrays are read-only, so a trace is a value.
+    The gains are read-only float copies of the caller's, so a trace is a value.
     """
 
     stats: FadingStatistics
@@ -78,6 +78,8 @@ class ChannelTrace:
     s2: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("s1", "s2"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         if self.s1.shape != self.s2.shape or self.s1.ndim != 1:
             raise ValueError("gain arrays must be 1-D and equally long")
         if self.s1.size == 0:

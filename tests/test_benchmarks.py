@@ -246,14 +246,20 @@ def test_fixed_power_preparation_never_repeats_an_evaluation(monkeypatch):
 
 
 def test_six_mode_off_budget_is_not_converged(monkeypatch):
-    # a power solve that ends off the budget (here: always at the bracket's
-    # low end) must not be reported as converged, though the buffers balance
-    monkeypatch.setattr(benchmarks, "find_root", lambda f, x, walk, done, **kw: (x, f(x)))
+    # with one round the power is never rescaled: the duals are solved and
+    # returned at the start power, off the budget, which must not be
+    # reported as converged, though judged afresh the buffers balance there
+    monkeypatch.setattr(benchmarks, "_ROUNDS", 1)
+    calls = _record_selections(monkeypatch)
     trace = _trace()
     prep = fixed_power_policy("fixed_power_six_mode", trace, 1.0, TOL_RATE)
-    assert prep.fixed_power == 0.45
-    c1, c2 = balance_residuals(prep.decide(trace))
+    assert prep.fixed_power == 1.0 / 1.66
+    assert {power for _, _, power in calls} == {prep.fixed_power}
+    assert (prep.mu1, prep.mu2, prep.fixed_power) in calls
+    dec = _fixed_six(trace.s1, trace.s2, prep.mu1, prep.mu2, prep.fixed_power)
+    c1, c2 = balance_residuals(dec)
     assert abs(c1) <= 0.01 and abs(c2) <= 0.01
+    assert abs(dec.power.mean() - 1.0) > 1e-4
     assert not prep.converged
 
 
@@ -269,30 +275,39 @@ def test_fixed_power_dual_search_shares_the_calibration_budget(monkeypatch):
         assert not prep.converged
 
 
-def _count_capacity_steps(monkeypatch):
-    powers = []
-    caps = benchmarks._fixed_caps
+def _count_steps(monkeypatch):
+    """The power of every capacity step, and the number of dual searches."""
+    powers, searches = [], []
+    caps, search = benchmarks._fixed_caps, benchmarks.balance_duals
 
-    def counting(s1, s2, power, modes, t):
+    def counting_caps(s1, s2, power, modes, t):
         powers.append(power)
         return caps(s1, s2, power, modes, t)
 
-    monkeypatch.setattr(benchmarks, "_fixed_caps", counting)
-    return powers
+    def counting_search(*args, **kwargs):
+        searches.append(None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(benchmarks, "_fixed_caps", counting_caps)
+    monkeypatch.setattr(benchmarks, "balance_duals", counting_search)
+    return powers, searches
 
 
 def test_fixed_power_capacities_are_computed_once_per_power(monkeypatch):
-    powers = _count_capacity_steps(monkeypatch)
+    powers, searches = _count_steps(monkeypatch)
     trace = sample_trace(_STATS, 10_000, 1234)
     for db in (-20.0, 0.0, 20.0):
         p_total = 10.0 ** (db / 10.0)
         powers.clear()
+        searches.clear()
         fixed_power_policy("fixed_power_three_mode", trace, p_total, TOL_RATE)
-        assert powers == [p_total]
-        # the nested power solve this replaced ran the capacity step 1019/428/184 times
+        assert powers == [p_total] and len(searches) == 1
+        # one capacity step per round, and one dual search over it
         powers.clear()
+        searches.clear()
         fixed_power_policy("fixed_power_six_mode", trace, p_total, TOL_RATE)
-        assert 3 <= len(powers) <= 40
+        assert len(powers) == len(searches)
+        assert len(powers) <= benchmarks._ROUNDS
         assert len(set(powers)) == len(powers)
 
 

@@ -74,6 +74,18 @@ def test_trace_container_behavior():
         iter(tr)  # slots are read through the arrays
 
 
+def test_trace_owns_its_gains():
+    # the trace checks and freezes copies: a later write to the caller's
+    # array neither reaches the trace nor fails, and a list is accepted
+    base = np.ones(6)
+    tr = ChannelTrace(stats=FadingStatistics(1.0, 1.0), s1=base[:3], s2=base[3:])
+    base[0] = -5.0
+    assert tr.s1.tolist() == [1.0, 1.0, 1.0]
+    assert not tr.s1.flags.writeable and not tr.s2.flags.writeable
+    listed = ChannelTrace(stats=FadingStatistics(1.0, 1.0), s1=[1, 2], s2=[0.5, 0.0])
+    assert listed.s1.dtype == np.float64 and listed.s2.tolist() == [0.5, 0.0]
+
+
 def test_trace_rejects_mismatched_arrays():
     with pytest.raises(ValueError):
         ChannelTrace(stats=FadingStatistics(1.0, 1.0), s1=np.ones(3), s2=np.ones(4))

@@ -3,8 +3,10 @@
 Unpacks the committed files of REF into a temporary directory with
 ``record_bench.export_commit``, runs each command of ``COMMANDS`` on REF
 and on the working tree, one at a time, and compares stdout, stderr and
-exit code. It stops at the first difference, shows it and exits 1; it
-exits 0 when every command matches.
+exit code. Every command runs: each prints ``same`` or ``DIFFERENT`` with
+the first lines of its difference, so a change that moves one command on
+purpose still shows which it left alone. It exits 1 if any command
+differed, else 0.
 
 Run from the repository root:
 
@@ -96,17 +98,20 @@ def main() -> int:
     parser.add_argument("ref", help="commit to compare against, e.g. HEAD")
     args = parser.parse_args()
     scratch = Path(tempfile.mkdtemp(prefix="compare_outputs-"))
+    differed = 0
     try:
         export_commit(args.ref, scratch)
         for argv in COMMANDS:
             shown = "birelay " + " ".join(argv)
             problems = first_difference(run(scratch, argv), run(ROOT, argv))
-            if problems:
-                print(f"DIFFERENT: {shown}", *problems, sep="\n")
-                return 1
-            print(f"same: {shown}", flush=True)
+            differed += bool(problems)
+            verdict = "DIFFERENT" if problems else "same"
+            print(f"{verdict}: {shown}", *problems, sep="\n", flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    if differed:
+        print(f"{differed} of {len(COMMANDS)} commands differ from {args.ref}")
+        return 1
     print(f"all {len(COMMANDS)} commands match {args.ref}")
     return 0
 
