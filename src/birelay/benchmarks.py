@@ -10,10 +10,11 @@ schemes:
   against their own link; the broadcast slot fills against the sum of the
   two downlink capacities (the two-link generalization of the same clamp).
   One shared price is solved for so the average spent power meets the budget.
-* fixed_power_six_mode: per-slot selection among all six modes by the
-  dual-weighted metrics without the power term, every transmitter at one
-  common power, scaled so the average spent power meets the budget (the
-  multiple-access mode spends double).
+* fixed_power_six_mode: per-slot selection among modes 1, 2, 3 and 6 by
+  the dual-weighted metrics without the power term, every transmitter at
+  one common power, scaled so the average spent power meets the budget
+  (the multiple-access mode spends double). Modes 4 and 5 never win: at one
+  power the broadcast mode's metric exceeds theirs by mu1*c2r and mu2*c1r.
 * fixed_power_three_mode: the same over the two single-user uplinks and
   the broadcast mode; one node transmits per slot, so the common power is
   the budget outright.
@@ -143,8 +144,6 @@ def _fixed_select(caps: tuple, mu1, mu2, power: float, modes: tuple) -> TraceDec
         1: lambda: (1.0 - mu1) * c1r,
         2: lambda: (1.0 - mu2) * c2r,
         3: lambda: (1.0 - mu1) * c12r + (1.0 - mu2) * c21r,
-        4: lambda: mu2 * c1r,
-        5: lambda: mu1 * c2r,
         6: lambda: mu1 * c2r + mu2 * c1r,
     }
     mode, wins = best_modes(modes, (lam[k]() for k in modes))
@@ -159,8 +158,8 @@ def _fixed_select(caps: tuple, mu1, mu2, power: float, modes: tuple) -> TraceDec
         power=of(*((k, 2.0 * power if k == 3 else power) for k in modes)),
         up1=of((1, c1r), (3, c12r)),
         up2=of((2, c2r), (3, c21r)),
-        down1=of((4, c1r), (6, c1r)),
-        down2=of((5, c2r), (6, c2r)),
+        down1=of((6, c1r)),
+        down2=of((6, c2r)),
     )
 
 
@@ -185,7 +184,7 @@ def fixed_power_policy(
     check_real("power budget", p_total, positive=True)
     check_tolerance("tol_rate", tol_rate)
     six = kind == "fixed_power_six_mode"
-    modes = (1, 2, 3, 4, 5, 6) if six else (1, 2, 6)
+    modes = (1, 2, 3, 6) if six else (1, 2, 6)
     # even time share keeps the two multiple-access splits statistically
     # symmetric; a boundary share pins one direction's inflow behind
     # interference, which no dual choice can rebalance at vanishing SNR

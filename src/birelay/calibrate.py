@@ -25,7 +25,9 @@ buffer 1's residual along that inner solution path. Nesting matters:
 under strongly asymmetric fading the region where both residuals are
 moderate is a thin diagonal band in the dual square, and independent
 coordinate updates step off the band into regimes where one direction is
-never scheduled.
+never scheduled. Both duals are solved in log-odds, with no box: there
+the band reaches duals within 1e-4 of 0 or 1. One doubling walk serves
+both levels, and each inner solve starts at the last inner solution.
 
 The dual search keeps the one record of what it probed: balance_duals
 returns every point with the value residual_fn gave there, and calibrate
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .channel import ChannelTrace, check_real, check_tolerance
 from .policy import Thresholds, TraceDecisions, balance_residuals, decide_trace, optimal_time_share
@@ -51,8 +53,9 @@ __all__ = [
     "match_budget",
 ]
 
-_MU_LO = 1e-3
-_MU_HI = 1.0 - 1e-3
+# float representability, not a tuning knob: past |u| = log 2**53 ~ 36.7
+# a dual 1/(1 + e**-u) rounds to 1.0, which Thresholds rejects
+_U_MAX = 36.0
 # cap on the dual points one balance_duals call evaluates
 _MAX_POINTS = 400
 
@@ -147,73 +150,67 @@ def find_root(
         bisect = secant and abs(ends[1][2] - ends[0][2]) > 0.5 * width
 
 
+def _walk(u: float, step: float, up: bool) -> Iterator[float]:
+    """Doubling steps from u, up or down, to |u| = _U_MAX."""
+    while (u < _U_MAX) if up else (u > -_U_MAX):
+        u = min(u + step, _U_MAX) if up else max(u - step, -_U_MAX)
+        step *= 2.0
+        yield u
+
+
 def balance_duals(
     residual_fn: Callable[[float, float], tuple],
     tol_rate: float,
     start: tuple[float, float] = (0.5, 0.5),
 ) -> tuple[tuple[float, float], dict[tuple[float, float], tuple]]:
-    """Drive both signed rate residuals inside tol_rate over the dual
+    """Drive both signed rate residuals inside tol_rate over the open dual
     square. residual_fn(mu1, mu2) returns a tuple whose first two entries
     are (c1, c2), each falling as its own dual rises; the search steers on
     those two and carries any further entries unread.
 
-    Two nested monotone solves through find_root: the inner one solves
-    mu2 against c2 for a fixed mu1 (warm-bracketed around the previous
-    inner solution, widened to the box edge only when the warm bracket
-    misses the sign change); the outer one brackets mu1 by doubling steps
-    in the direction that sinks c1, then solves c1 along the inner
-    solution path. Solving one dual per level keeps the iterate on the
-    narrow band where both traffic directions are scheduled, which a
-    simultaneous update steps off under asymmetric fading. Each point is
-    evaluated once, and at most _MAX_POINTS (at least 1) are. Returns
-    ((mu1, mu2), probes): the first point that balances both residuals,
-    else, on exhaustion or a missing sign change, the first of the points
-    whose larger |residual| is smallest; and probes, every probed point's
-    residual_fn value keyed by the point, in probe order.
+    Two nested monotone solves through find_root, both in log-odds
+    u = log(mu / (1 - mu)) with no box, each walking by doubling steps from
+    its start: the inner one solves u2 against c2 for a fixed u1, from the
+    previous inner solution; the outer one solves c1 along that inner
+    solution path, from start's mu1. Solving one dual per level keeps the
+    iterate on the narrow band where both traffic directions are scheduled,
+    which a simultaneous update steps off under asymmetric fading. Each
+    point is evaluated once, and at most _MAX_POINTS (at least 1) are.
+    Returns ((mu1, mu2), probes): the first point that balances both
+    residuals, else, on exhaustion or a missing sign change, the first of
+    the points whose larger |residual| is smallest; and probes, every probed
+    point's residual_fn value keyed by the point, in probe order.
     """
     probes: dict[tuple[float, float], tuple] = {}
+    duals = lambda *u: tuple(1.0 / (1.0 + math.exp(-x)) for x in u)  # noqa: E731
 
-    def probe(mu1: float, mu2: float) -> tuple:
-        if (mu1, mu2) not in probes:
+    def probe(u1: float, u2: float) -> tuple:
+        point = duals(u1, u2)
+        if point not in probes:
             if len(probes) >= _MAX_POINTS:
                 raise _BudgetExhausted
-            probes[(mu1, mu2)] = residual_fn(mu1, mu2)
-        return probes[(mu1, mu2)]
+            probes[point] = residual_fn(*point)
+        return probes[point]
 
     worst = lambda value: max(abs(value[0]), abs(value[1]))  # noqa: E731
-    guess = min(max(start[1], _MU_LO), _MU_HI)
+    u1, u2 = (math.log(mu / (1.0 - mu)) for mu in start)
     found: tuple[float, float] | None = None
     within = lambda c2: abs(c2) <= 0.5 * tol_rate  # noqa: E731
 
-    def c1_at(mu1: float) -> float:
-        """c1 at the inner solution mu2 of c2(mu1, .) = 0, warm-bracketed
-        around the previous one; notes a point that balances both."""
-        nonlocal guess, found
-
-        def widen(c2: float) -> list[float]:
-            return [min(_MU_HI, guess + 0.08), _MU_HI] if c2 > 0.0 else [_MU_LO]
-
-        c2_at = lambda m2: probe(mu1, m2)[1]  # noqa: E731
-        lo = max(_MU_LO, guess - 0.08)
-        guess = find_root(c2_at, lo, widen, within, xtol=1e-9)[0]
-        value = probe(mu1, guess)
+    def c1_at(v1: float) -> float:
+        """c1 at the inner solution u2 of c2(v1, .) = 0, solved from the
+        previous one; notes a point that balances both."""
+        nonlocal u2, found
+        c2_at = lambda v2: probe(v1, v2)[1]  # noqa: E731
+        u2 = find_root(c2_at, u2, lambda c2: _walk(u2, 0.1, c2 > 0.0), within, xtol=4e-9)[0]
+        value = probe(v1, u2)
         if worst(value) <= tol_rate:
-            found = (mu1, guess)
+            found = duals(v1, u2)
         return value[0]
-
-    x = min(max(start[0], _MU_LO), _MU_HI)
-
-    def outward(c1: float):
-        """mu1 steps that move c1 toward zero (c1 falls as mu1 rises), doubling."""
-        m, step = x, 0.12
-        while (m < _MU_HI) if c1 > 0.0 else (m > _MU_LO):
-            m = min(m + step, _MU_HI) if c1 > 0.0 else max(m - step, _MU_LO)
-            step *= 2.0
-            yield m
 
     balanced = lambda _: found is not None  # noqa: E731
     try:
-        find_root(c1_at, x, outward, balanced, xtol=1e-9)
+        find_root(c1_at, u1, lambda c1: _walk(u1, 1.0, c1 > 0.0), balanced, xtol=4e-9)
     except _BudgetExhausted:
         pass
     return found or min(probes, key=lambda point: worst(probes[point])), probes

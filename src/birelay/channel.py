@@ -96,14 +96,14 @@ class ChannelTrace:
 def sample_trace(stats: FadingStatistics, n_slots: int, seed: int) -> ChannelTrace:
     """Draw a fading trace of n_slots i.i.d. exponential gain pairs.
 
-    Gains come from inverse-CDF sampling, s = -omega*log(1-u), on uniform
-    draws from a seeded 64-bit generator, so the trace is a pure function of
-    (stats, n_slots, seed) and is bit-identical across runs on one machine
-    (the last bits of log1p come from the platform's math library).
+    Gains come from inverse-CDF sampling, s = -omega*log(1-u), in place on
+    the uniform draws of a seeded 64-bit generator, so the trace is a pure
+    function of (stats, n_slots, seed), bit-identical across runs on one
+    machine (the last bits of log1p come from the platform's math library).
     """
     check_int("n_slots", n_slots, 1)
     check_int("seed", seed, 0)
-    u = np.random.default_rng(seed).random((2, n_slots))
-    s1 = -stats.omega1 * np.log1p(-u[0])
-    s2 = -stats.omega2 * np.log1p(-u[1])
-    return ChannelTrace(stats=stats, s1=s1, s2=s2)
+    g = np.random.default_rng(seed).random((2, n_slots))
+    np.log1p(np.negative(g, out=g), out=g)
+    g *= np.array([[-stats.omega1], [-stats.omega2]])
+    return ChannelTrace(stats=stats, s1=g[0], s2=g[1])

@@ -197,24 +197,25 @@ def test_fixed_power_rates_match_link_capacities():
 
 
 def _fixed_six(s1, s2, mu1, mu2, power=2.0):
-    six = (1, 2, 3, 4, 5, 6)
+    six = (1, 2, 3, 6)
     caps = _fixed_caps(np.array(s1), np.array(s2), power, six, 0.5)
     return _fixed_select(caps, mu1, mu2, power, six)
 
 
-def test_fixed_eval_tie_between_downlinks_goes_to_mode_4():
-    # with link 2 dead the broadcast mode's metric equals mode 4's exactly,
-    # and mu2 > 1 - mu1 puts both above every uplink mode
+def test_fixed_eval_dead_link_broadcast_carries_the_one_downlink():
+    # with link 2 dead the broadcast mode's metric equals the dropped mode
+    # 4's exactly, and mu2 > 1 - mu1 puts it above every uplink mode: mode
+    # 6 carries mode 4's flows, at one transmitter's power
     dec = _fixed_six([1.5, 0.7], [0.0, 0.0], 0.8, 0.5)
-    assert dec.mode.tolist() == [4, 4]
+    assert dec.mode.tolist() == [6, 6]
     assert np.array_equal(dec.down1, np.log2(1.0 + 2.0 * np.array([1.5, 0.7])))
     assert np.array_equal(dec.down2, np.zeros(2))
     assert np.array_equal(dec.power, np.full(2, 2.0))
 
 
 def test_fixed_eval_tie_between_uplink_and_downlink_goes_to_mode_1():
-    # 1 - mu1 == mu2 exactly: modes 1 and 4 score the same (and, with link
-    # 2 dead, so do 3 and 6), and the lowest mode wins
+    # 1 - mu1 == mu2 exactly: modes 1 and 6 score the same (and, with link
+    # 2 dead, so does 3), and the lowest mode wins
     assert 1.0 - 0.75 == 0.25
     dec = _fixed_six([1.5, 0.7], [0.0, 0.0], 0.75, 0.25)
     assert dec.mode.tolist() == [1, 1]
@@ -322,7 +323,7 @@ def test_fixed_power_six_mode_converges_on_the_sweep(omega1, pt_db):
     p_total = 10.0 ** (pt_db / 10.0)
     prep = fixed_power_policy("fixed_power_six_mode", trace, p_total, TOL_RATE)
     assert prep.converged
-    six = (1, 2, 3, 4, 5, 6)
+    six = (1, 2, 3, 6)
     caps = _fixed_caps(trace.s1, trace.s2, prep.fixed_power, six, 0.5)
     dec = _fixed_select(caps, prep.mu1, prep.mu2, prep.fixed_power, six)
     assert abs(dec.power.mean() - p_total) / p_total <= 1e-4

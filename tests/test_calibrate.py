@@ -17,6 +17,7 @@ from birelay.calibrate import (
 )
 import birelay.calibrate as calibrate_module
 from birelay.channel import FadingStatistics, sample_trace
+from birelay.cli import RunSpec
 from birelay.policy import (
     Thresholds,
     TraceGains,
@@ -140,6 +141,28 @@ def test_balance_duals_handles_saturated_regions():
     (mu1, mu2), probes = balance_duals(residuals, 0.01)
     assert max(map(abs, probes[(mu1, mu2)])) <= 0.01
     assert abs(mu1 - 0.45) < 0.05 and abs(mu2 - 0.3) < 0.05
+
+
+def test_balance_duals_reaches_duals_at_the_edges():
+    # coupled linear residuals balanced at mu1 = 0.9996, mu2 = 2e-4, where
+    # strongly asymmetric fading puts the duals: no box around the square
+    # keeps the search from them
+    def residuals(mu1, mu2):
+        return 0.9996 - mu1 + 0.1 * (2e-4 - mu2), 2e-4 - mu2 + 0.1 * (0.9996 - mu1)
+
+    (mu1, mu2), probes = balance_duals(residuals, 1e-5)
+    assert max(map(abs, probes[(mu1, mu2)])) <= 1e-5
+    assert mu1 > 0.999 and mu2 < 1e-3
+
+
+@pytest.mark.parametrize("omegas", [(100.0, 1.0), (1.0, 100.0)])
+def test_calibrate_converges_under_strong_asymmetry(omegas):
+    # 100:1 fading at -10 dB on the default trace balances with the weak
+    # user's dual below 1e-3
+    trace = sample_trace(FadingStatistics(*omegas), RunSpec.n_slots, RunSpec.seed)
+    res = calibrate(trace, 0.1, RunSpec.tol_rate, RunSpec.tol_power)
+    assert res.converged
+    assert min(res.thresholds.mu1, res.thresholds.mu2) < 1e-3
 
 
 def test_calibrate_symmetric_point_converges():

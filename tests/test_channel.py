@@ -1,5 +1,7 @@
 """Channel trace sampling: distribution, determinism, container behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -23,6 +25,21 @@ def test_sample_trace_frozen_first_draws():
     assert tr.s1[1] == pytest.approx(2.275104185650305, rel=0, abs=0)
     assert tr.s2[0] == pytest.approx(2.0679355533410644, rel=0, abs=0)
     assert tr.s2[1] == pytest.approx(0.005279215132056956, rel=0, abs=0)
+
+
+def test_sample_trace_peak_memory_is_draws_plus_trace():
+    # the gains are computed in the buffer of uniform draws, so drawing
+    # holds that buffer and the trace's own copies (four floats a slot),
+    # not a temporary per link on top
+    n = 10_000
+    sample_trace(FadingStatistics(1.0, 1.0), 10, 1)  # first-call setup
+    tracemalloc.start()
+    try:
+        sample_trace(FadingStatistics(1.0, 1.0), n, 1234)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n
 
 
 def test_empirical_means_match_statistics():

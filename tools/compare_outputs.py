@@ -14,10 +14,11 @@ Run from the repository root:
 
 Each command is ``birelay.cli.main`` in a fresh interpreter that imports
 ``birelay`` from the side's own ``src/``. The list covers the default
-sweep as CSV and as JSON, a 10:1 sweep whose calibration fails (exit 1),
-the same sweep over the fixed-power baselines only, ``calibrate`` at the
-seven points of the benchmark's ``calibrate`` workload (the two 100:1
-points exit 1) and ``verify`` at three seeds. It takes about a minute.
+sweep as CSV and as JSON, a 10:1 sweep that exits 1 because the
+fixed-power baselines do not converge there, the same sweep over those
+baselines only, ``calibrate`` at the seven points of the benchmark's
+``calibrate`` workload (all exit 0) and ``verify`` at three seeds. It takes
+about a minute.
 """
 
 from __future__ import annotations
