@@ -17,17 +17,25 @@ find_root, which walks from a start point to a sign change and closes it
 by false position with a bisection safeguard; no solve needs a step cap,
 and _MAX_POINTS caps the dual points of one dual search, here and in the
 fixed-power baselines. The power price gamma is innermost, as spent
-power is nonincreasing in gamma. The buffer duals are solved by nesting:
-for a fixed mu1, the balance residual of buffer 2 falls monotonically as
-mu2 rises (a larger mu2 starves uplink 2 and feeds the broadcast toward
-user 1), so mu2 is solved first; the outer loop then solves mu1 on
-buffer 1's residual along that inner solution path. Nesting matters:
-under strongly asymmetric fading the region where both residuals are
-moderate is a thin diagonal band in the dual square, and independent
-coordinate updates step off the band into regimes where one direction is
-never scheduled. Both duals are solved in log-odds, with no box: there
-the band reaches duals within 1e-4 of 0 or 1. One doubling walk serves
-both levels, and each inner solve starts at the last inner solution.
+power is nonincreasing in gamma; each price solve starts at the last
+point's price, with a first step sized by the elasticity of spent power
+in gamma that the last solve measured. The buffer duals are solved by
+nesting: for a fixed mu1, the balance residual of buffer 2 falls
+monotonically as mu2 rises (a larger mu2 starves uplink 2 and feeds the
+broadcast toward user 1), so mu2 is solved first; the outer loop then
+solves mu1 on buffer 1's residual along that inner solution path.
+Nesting matters: under strongly asymmetric fading the region where both
+residuals are moderate is a thin diagonal band in the dual square, and
+independent coordinate updates step off the band into regimes where one
+direction is never scheduled. Both duals are solved in log-odds, with no
+box: there the band reaches duals within 1e-4 of 0 or 1. One doubling
+walk serves both levels, and each inner solve starts at the last inner
+solution. For calibrate the inner solve is inexact, with a forcing term
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): far from
+balance it stops once |c2| is small beside |c1|, since the outer step
+then needs only c1's sign and rough size; near balance it is the exact
+rule. A search that ends outside its narrow aim band reports the probe
+nearest the aim among those whose true residuals meet the tolerances.
 
 The dual search keeps the one record of what it probed: balance_duals
 returns every point with the value residual_fn gave there, and calibrate
@@ -58,6 +66,14 @@ __all__ = [
 _U_MAX = 36.0
 # cap on the dual points one balance_duals call evaluates
 _MAX_POINTS = 400
+# forcing constant of the inexact inner solve, which stops once
+# |c2| <= _THETA |c1| / (1 + |c1|): a quarter of the outer residual leaves
+# c1's sign and rough size, all the outer step reads, to c1 itself, and
+# the bound stays below _THETA where a residual saturates at 1e12
+_THETA = 0.25
+# a hinted first price step is capped at the walk's own x8 step, so a
+# near-flat measured elasticity cannot leap decades in gamma
+_LOG_8 = math.log(8.0)
 
 
 @dataclass(frozen=True)
@@ -162,6 +178,8 @@ def balance_duals(
     residual_fn: Callable[[float, float], tuple],
     tol_rate: float,
     start: tuple[float, float] = (0.5, 0.5),
+    *,
+    inexact: bool = False,
 ) -> tuple[tuple[float, float], dict[tuple[float, float], tuple]]:
     """Drive both signed rate residuals inside tol_rate over the open dual
     square. residual_fn(mu1, mu2) returns a tuple whose first two entries
@@ -174,8 +192,15 @@ def balance_duals(
     previous inner solution; the outer one solves c1 along that inner
     solution path, from start's mu1. Solving one dual per level keeps the
     iterate on the narrow band where both traffic directions are scheduled,
-    which a simultaneous update steps off under asymmetric fading. Each
-    point is evaluated once, and at most _MAX_POINTS (at least 1) are.
+    which a simultaneous update steps off under asymmetric fading. The
+    inner solve stops once |c2| <= tol_rate / 2, or, when inexact, once
+    |c2| <= _THETA |c1| / (1 + |c1|) with c1 read at the same probe: an
+    outer iterate far from balance is not worth an exact inner solve, and
+    near balance the first bound is the larger. The fixed-power baselines
+    keep the exact rule: their residuals move in per-slot jumps, and the
+    inexact stop left unbalanced a six-mode point the exact rule balances
+    (1:100 fading at 0 dB on the default trace). Each point is evaluated
+    once, and at most _MAX_POINTS (at least 1) are.
     Returns ((mu1, mu2), probes): the first point that balances both
     residuals, else, on exhaustion or a missing sign change, the first of
     the points whose larger |residual| is smallest; and probes, every probed
@@ -183,19 +208,27 @@ def balance_duals(
     """
     probes: dict[tuple[float, float], tuple] = {}
     duals = lambda *u: tuple(1.0 / (1.0 + math.exp(-x)) for x in u)  # noqa: E731
+    last: tuple = ()
 
     def probe(u1: float, u2: float) -> tuple:
+        nonlocal last
         point = duals(u1, u2)
         if point not in probes:
             if len(probes) >= _MAX_POINTS:
                 raise _BudgetExhausted
             probes[point] = residual_fn(*point)
-        return probes[point]
+        last = probes[point]
+        return last
 
     worst = lambda value: max(abs(value[0]), abs(value[1]))  # noqa: E731
     u1, u2 = (math.log(mu / (1.0 - mu)) for mu in start)
     found: tuple[float, float] | None = None
-    within = lambda c2: abs(c2) <= 0.5 * tol_rate  # noqa: E731
+    theta = _THETA if inexact else 0.0
+
+    def within(c2: float) -> bool:
+        """The inner stop, with c1 read at the same probe."""
+        c1 = abs(last[0])
+        return abs(c2) <= max(0.5 * tol_rate, theta * c1 / (1.0 + c1))
 
     def c1_at(v1: float) -> float:
         """c1 at the inner solution u2 of c2(v1, .) = 0, solved from the
@@ -217,30 +250,47 @@ def balance_duals(
 
 
 def match_budget(
-    decide: Callable[[float], TraceDecisions], p_total: float, warm: float, tol: float
-) -> tuple[float, float, TraceDecisions]:
+    decide: Callable[[float], TraceDecisions],
+    p_total: float,
+    warm: float,
+    tol: float,
+    elasticity: float | None = None,
+) -> tuple[float, float, TraceDecisions, float | None]:
     """Spend p_total on average: find the power price gamma at which the
     relative power residual of decide(gamma) is within tol.
 
     Spent power is nonincreasing in gamma, so find_root steps out from
     the warm start until the residual changes sign, within (1e-14, 1e14),
-    and closes that bracket in log gamma. The
-    first step grows with the residual, since a warm start is usually
-    close; later steps are x8. gamma is the first probe within tol, else
-    the probe with the smallest |residual|. Returns (gamma, its signed
-    residual, decide(gamma)), reusing the last probe's decisions when
-    gamma is that probe; they are released before the next decisions are
-    computed, so at most one set is alive at a time."""
+    and closes that bracket in log gamma. The first step grows with the
+    residual r, since a warm start is usually close: with no elasticity
+    given it is a factor 1 + 2|r| (at least 1 + 4 tol), the step that
+    meets the budget where spent power falls as gamma**-0.5; given the
+    elasticity e of spent power in gamma from an earlier solve, it is
+    |r| / e in log gamma, the step that meets it where power falls as
+    gamma**-e. Either is capped at x8, and later steps are x8. gamma is
+    the first probe within tol, else the probe with the smallest
+    |residual|. Returns (gamma, its signed residual, decide(gamma), the
+    elasticity), reusing the last probe's decisions when gamma is that
+    probe; they are released before the next decisions are computed, so
+    at most one set is alive at a time. The elasticity returned is
+    -d log(power) / d log(gamma) between the last two probes, or the one
+    given when they do not measure a positive finite value."""
     held: tuple[float | None, TraceDecisions | None] = (None, None)
+    spent: list[tuple[float, float]] = []
 
     def resid(gamma: float) -> float:
         nonlocal held
         held = (None, None)  # release the previous probe's decisions first
         held = (gamma, decide(gamma))
-        return (float(held[1].power.mean()) - p_total) / p_total
+        spent.append((gamma, float(held[1].power.mean())))
+        return (spent[-1][1] - p_total) / p_total
 
     def outward(r: float):
-        g, step = warm, min(8.0, max(1.0 + 2.0 * abs(r), 1.0 + 4.0 * tol))
+        if elasticity is None:
+            step = min(8.0, max(1.0 + 2.0 * abs(r), 1.0 + 4.0 * tol))
+        else:
+            step = math.exp(min(abs(r) / elasticity, _LOG_8))
+        g = warm
         while (g < 1e14) if r > 0.0 else (g > 1e-14):
             g = g * step if r > 0.0 else g / step
             step = 8.0
@@ -248,10 +298,15 @@ def match_budget(
 
     within = lambda r: abs(r) <= tol  # noqa: E731
     gamma, r = find_root(resid, warm, outward, within, log=True)
+    if len(spent) >= 2 and min(spent[-1][1], spent[-2][1]) > 0.0:
+        (ga, pa), (gb, pb) = spent[-2:]
+        slope = -math.log(pb / pa) / math.log(gb / ga)
+        if 0.0 < slope < math.inf:
+            elasticity = slope
     if held[0] == gamma:
-        return gamma, r, held[1]
+        return gamma, r, held[1], elasticity
     held = (None, None)
-    return gamma, r, decide(gamma)
+    return gamma, r, decide(gamma), elasticity
 
 
 def calibrate(
@@ -267,35 +322,49 @@ def calibrate(
     gains = TraceGains(s1, s2)  # one kernel for every probe on this trace
     t = optimal_time_share(trace.stats)
     evaluations = 0
-    warm = 1.0  # the latest point's price starts the next price solve
+    # the latest point's price starts the next price solve, and the
+    # elasticity of spent power in gamma that solve measured sizes its
+    # first step
+    warm, elasticity = 1.0, None
     # aim most of a tolerance into inflow deficit: solving the shifted
     # residuals to +-0.12 tol lands the true residuals in
     # [-0.97 tol, -0.73 tol], still inside the convergence check, and that
     # sub-critical drift keeps the clipped queues from wandering up over a
     # finite run the way they do at exactly critical load
-    bias = 0.85 * tol_rate
+    bias, aim = 0.85 * tol_rate, 0.12 * tol_rate
 
     def residuals(mu1: float, mu2: float) -> tuple[float, ...]:
         """The shifted residuals the search steers on, then the point's
         price and its true residuals (c1, c2, c3)."""
-        nonlocal warm
+        nonlocal warm, elasticity
 
         def decide(g: float) -> TraceDecisions:
             nonlocal evaluations
             evaluations += 1
             return decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
 
-        gamma, c3, dec = match_budget(decide, p_total, warm, 0.25 * tol_power)
-        warm = gamma
+        warm, c3, dec, elasticity = match_budget(
+            decide, p_total, warm, 0.25 * tol_power, elasticity
+        )
         c1, c2 = balance_residuals(dec)
-        return c1 + bias, c2 + bias, gamma, c1, c2, c3
+        return c1 + bias, c2 + bias, warm, c1, c2, c3
+
+    (mu1, mu2), probes = balance_duals(residuals, tol_rate=aim, inexact=True)
+    shifted = lambda point: max(map(abs, probes[point][:2]))  # noqa: E731
+
+    def meets(point: tuple[float, float]) -> bool:
+        c1, c2, c3 = probes[point][3:]
+        return abs(c1) <= tol_rate and abs(c2) <= tol_rate and abs(c3) <= tol_power
 
     # the solver aims for the tighter biased band, but convergence is
     # judged on the true residuals against the configured tolerances: on
     # short traces the residuals move in coarse per-slot steps and the
     # narrow band can fall between reachable values even though the true
-    # residuals sit well inside tolerance
-    (mu1, mu2), probes = balance_duals(residuals, tol_rate=0.12 * tol_rate)
+    # residuals sit well inside tolerance, so a search that ends outside
+    # the band reports the probe nearest the aim among those that meet
+    # the tolerances, if there is one
+    if shifted((mu1, mu2)) > aim:
+        mu1, mu2 = min(filter(meets, probes), key=shifted, default=(mu1, mu2))
     gamma, c1, c2, c3 = probes[(mu1, mu2)][2:]
     return CalibrationResult(
         thresholds=Thresholds(mu1=mu1, mu2=mu2, gamma=gamma),
@@ -304,5 +373,5 @@ def calibrate(
         residual_c3=abs(c3),
         iterations=len(probes),
         evaluations=evaluations,
-        converged=abs(c1) <= tol_rate and abs(c2) <= tol_rate and abs(c3) <= tol_power,
+        converged=meets((mu1, mu2)),
     )

@@ -142,7 +142,7 @@ def test_criterion_04_constraint_satisfaction(point_runs):
         "balance and budget constraints met at the queue edge",
         ok,
         f"worst scheduled-rate mismatch {worst_rate:.4f}, worst power mismatch "
-        f"{worst_power:.4f}, worst end queue {worst_queue:.4f} of sum rate "
+        f"{worst_power:.4f}, worst end queue {worst_queue:.7f} of sum rate "
         f"(delivered-rate gap {worst_delivered:.4f} is the queue remainder)",
     )
 

@@ -91,12 +91,67 @@ def test_solve_gamma_on_synthetic_curve():
     def decide(g):
         return SimpleNamespace(power=np.array([2.0 / g]))
 
-    gamma, r, dec = match_budget(decide, 1.0, warm=0.001, tol=1e-4)
+    gamma, r, dec, _ = match_budget(decide, 1.0, warm=0.001, tol=1e-4)
     assert gamma == pytest.approx(2.0, rel=1e-3)
     assert abs(r) <= 1e-4
     assert dec.power[0] == 2.0 / gamma
-    gamma, r, _ = match_budget(decide, 1.0, warm=500.0, tol=1e-4)
+    gamma, r, _, _ = match_budget(decide, 1.0, warm=500.0, tol=1e-4)
     assert gamma == pytest.approx(2.0, rel=1e-3)
+
+
+def _unhinted_price_solve(decide, p_total, warm, tol):
+    """The price solve with no elasticity, written out as the reference: a
+    first step of 1 + 2|r| (at least 1 + 4 tol), then x8, closed in log
+    gamma."""
+
+    def outward(r):
+        g, step = warm, min(8.0, max(1.0 + 2.0 * abs(r), 1.0 + 4.0 * tol))
+        while (g < 1e14) if r > 0.0 else (g > 1e-14):
+            g = g * step if r > 0.0 else g / step
+            step = 8.0
+            yield g
+
+    resid = lambda g: (float(decide(g).power.mean()) - p_total) / p_total  # noqa: E731
+    return find_root(resid, warm, outward, lambda r: abs(r) <= tol, log=True)
+
+
+@pytest.mark.parametrize("e", [1.0, 4.7])
+def test_match_budget_first_step_follows_the_measured_elasticity(e):
+    # spent power 3 / gamma**e over the elasticities calibration meets from
+    # 20 dB down to -20 dB; the first solve measures e, and a second solve
+    # at a budget 2 % away, started from the first price with that hint,
+    # meets the budget within two probes
+    probes = []
+
+    def decide(g):
+        probes.append(g)
+        return SimpleNamespace(power=np.array([3.0 / g**e]))
+
+    tol = 1.25e-3
+    gamma, r, _, hint = match_budget(decide, 1.0, 1.0, tol)
+    assert abs(r) <= tol and hint == pytest.approx(e, rel=1e-9)
+    for budget in (0.98, 1.02):
+        probes.clear()
+        _, r, _, measured = match_budget(decide, budget, gamma, tol, hint)
+        assert abs(r) <= tol and len(probes) <= 2
+        assert measured == pytest.approx(e, rel=1e-9)
+        # with no hint the probes are the fixed first step's, and more
+        for warm in (gamma, 1.0):
+            probes.clear()
+            match_budget(decide, budget, warm, tol)
+            unhinted = list(probes)
+            probes.clear()
+            _unhinted_price_solve(decide, budget, warm, tol)
+            assert unhinted == probes and len(probes) > 2
+
+
+def test_match_budget_keeps_a_hint_it_cannot_measure():
+    # a warm start within tol probes once, and a flat spent power measures
+    # no positive elasticity: the hint given comes back
+    flat = lambda g: SimpleNamespace(power=np.array([2.0]))  # noqa: E731
+    assert match_budget(flat, 2.0, 1.0, 1e-3, 2.5)[3] == 2.5
+    assert match_budget(flat, 1.0, 1.0, 1e-3, 2.5)[3] == 2.5
+    assert match_budget(flat, 1.0, 1.0, 1e-3)[3] is None
 
 
 def test_balance_duals_on_synthetic_residuals():
@@ -163,6 +218,39 @@ def test_calibrate_converges_under_strong_asymmetry(omegas):
     res = calibrate(trace, 0.1, RunSpec.tol_rate, RunSpec.tol_power)
     assert res.converged
     assert min(res.thresholds.mu1, res.thresholds.mu2) < 1e-3
+
+
+def test_calibrate_falls_back_to_a_probe_within_tolerance(monkeypatch):
+    # 1:1 fading at -15 dB on this trace: the search ends outside the
+    # narrow aim band, and the point it reports is the probe nearest the
+    # aim among those whose true residuals meet the tolerances
+    calls = []
+
+    def recording(s1, s2, mu1, mu2, gamma, t, gains=None):
+        calls.append((mu1, mu2, gamma))
+        return decide_trace(s1, s2, mu1, mu2, gamma, t, gains=gains)
+
+    monkeypatch.setattr(calibrate_module, "decide_trace", recording)
+    res = _calibrate(_trace(n_slots=10_000, seed=99), p_total=10.0**-1.5)
+    assert res.converged
+    th = res.thresholds
+    assert (th.mu1, th.mu2, th.gamma) in calls
+    assert res.residual_c1 <= 0.01 and res.residual_c2 <= 0.01 and res.residual_c3 <= 0.005
+
+
+def test_calibrate_slot_rule_runs_stay_within_the_measured_count():
+    # 1:1 and 10:1 at 0 dB and 100:1 at -10 dB on the default trace take
+    # 426 slot-rule runs in all with the inexact inner solve and the
+    # measured price step (672 with an exact inner solve and a fixed first
+    # price step); the bound is that count plus 10 %
+    points = ((1.0, 0.0), (10.0, 0.0), (100.0, -10.0))
+    total = 0
+    for omega1, db in points:
+        trace = sample_trace(FadingStatistics(omega1, 1.0), RunSpec.n_slots, RunSpec.seed)
+        res = calibrate(trace, 10.0 ** (db / 10.0), RunSpec.tol_rate, RunSpec.tol_power)
+        assert res.converged
+        total += res.evaluations
+    assert total <= 468
 
 
 def test_calibrate_symmetric_point_converges():
