@@ -24,7 +24,6 @@ from .policy import (
     optimal_time_share,
     proposed_policy,
 )
-from .rate import LinkCapacities, PowerTriple, cap, link_capacities
 
 __version__ = "0.1.0"
 
@@ -32,9 +31,7 @@ __all__ = [
     "CalibrationResult",
     "ChannelTrace",
     "FadingStatistics",
-    "LinkCapacities",
     "ModePowers",
-    "PowerTriple",
     "PreparedPolicy",
     "ProtocolPolicy",
     "QueueState",
@@ -44,10 +41,8 @@ __all__ = [
     "Thresholds",
     "TraceDecisions",
     "TraceGains",
-    "cap",
     "decide_trace",
     "fixed_power_policy",
-    "link_capacities",
     "optimal_time_share",
     "proposed_policy",
     "run",

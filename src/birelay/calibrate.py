@@ -19,23 +19,29 @@ and _MAX_POINTS caps the dual points of one dual search, here and in the
 fixed-power baselines. The power price gamma is innermost, as spent
 power is nonincreasing in gamma; each price solve starts at the last
 point's price, with a first step sized by the elasticity of spent power
-in gamma that the last solve measured. The buffer duals are solved by
-nesting: for a fixed mu1, the balance residual of buffer 2 falls
-monotonically as mu2 rises (a larger mu2 starves uplink 2 and feeds the
-broadcast toward user 1), so mu2 is solved first; the outer loop then
-solves mu1 on buffer 1's residual along that inner solution path.
-Nesting matters: under strongly asymmetric fading the region where both
-residuals are moderate is a thin diagonal band in the dual square, and
-independent coordinate updates step off the band into regimes where one
-direction is never scheduled. Both duals are solved in log-odds, with no
-box: there the band reaches duals within 1e-4 of 0 or 1. One doubling
-walk serves both levels, and each inner solve starts at the last inner
-solution. For calibrate the inner solve is inexact, with a forcing term
-(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): far from
-balance it stops once |c2| is small beside |c1|, since the outer step
-then needs only c1's sign and rough size; near balance it is the exact
-rule. A search that ends outside its narrow aim band reports the probe
-nearest the aim among those whose true residuals meet the tolerances.
+in gamma that the last solve measured and every later step by the one
+measured between its own last two probes. A price probe is priced only
+as tightly as the search needs: one whose true balance residuals miss
+tol_rate cannot be reported as converged, so its power residual need
+only meet tol_power, while any other meets a quarter of it. The buffer
+duals are solved by nesting: for a fixed mu1, the balance residual of
+buffer 2 falls monotonically as mu2 rises (a larger mu2 starves uplink 2
+and feeds the broadcast toward user 1), so mu2 is solved first; the
+outer loop then solves mu1 on buffer 1's residual along that inner
+solution path. Nesting matters: under strongly asymmetric fading the
+region where both residuals are moderate is a thin diagonal band in the
+dual square, and independent coordinate updates step off the band into
+regimes where one direction is never scheduled. Both duals are solved in
+log-odds, with no box: there the band reaches duals within 1e-4 of
+either end. One doubling walk serves both levels, and each inner solve
+starts at the last inner solution. For calibrate the inner solve is
+inexact, with a forcing term (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982): far from balance it stops once |c2| is small
+beside |c1|, since the outer step then needs only c1's sign and rough
+size; near balance it is the exact rule, and the first probe inside the
+aim band ends the search. A search that ends outside its narrow aim band
+reports the probe nearest the aim among those whose true residuals meet
+the tolerances.
 
 The dual search keeps the one record of what it probed: balance_duals
 returns every point with the value residual_fn gave there, and calibrate
@@ -71,8 +77,8 @@ _MAX_POINTS = 400
 # c1's sign and rough size, all the outer step reads, to c1 itself, and
 # the bound stays below _THETA where a residual saturates at 1e12
 _THETA = 0.25
-# a hinted first price step is capped at the walk's own x8 step, so a
-# near-flat measured elasticity cannot leap decades in gamma
+# every price step is capped at x8, so a near-flat measured elasticity
+# cannot leap decades in gamma
 _LOG_8 = math.log(8.0)
 
 
@@ -196,10 +202,13 @@ def balance_duals(
     inner solve stops once |c2| <= tol_rate / 2, or, when inexact, once
     |c2| <= _THETA |c1| / (1 + |c1|) with c1 read at the same probe: an
     outer iterate far from balance is not worth an exact inner solve, and
-    near balance the first bound is the larger. The fixed-power baselines
-    keep the exact rule: their residuals move in per-slot jumps, and the
-    inexact stop left unbalanced a six-mode point the exact rule balances
-    (1:100 fading at 0 dB on the default trace). Each point is evaluated
+    near balance the first bound is the larger; when inexact, a probe
+    that balances both residuals also ends the inner solve, and with it
+    the search. The fixed-power baselines keep the exact rule, walking on
+    to |c2| <= tol_rate / 2: their residuals move in per-slot jumps, and
+    either inexact stop leaves unbalanced a six-mode point the exact rule
+    balances on the default trace (1:100 fading at 0 dB for the forcing
+    term, 1:1 at -20 dB for the stop in band). Each point is evaluated
     once, and at most _MAX_POINTS (at least 1) are.
     Returns ((mu1, mu2), probes): the first point that balances both
     residuals, else, on exhaustion or a missing sign change, the first of
@@ -226,8 +235,11 @@ def balance_duals(
     theta = _THETA if inexact else 0.0
 
     def within(c2: float) -> bool:
-        """The inner stop, with c1 read at the same probe."""
+        """The inner stop, with c1 read at the same probe; when inexact, a
+        probe that balances both ends it, and c1_at notes that probe."""
         c1 = abs(last[0])
+        if inexact and max(c1, abs(c2)) <= tol_rate:
+            return True
         return abs(c2) <= max(0.5 * tol_rate, theta * c1 / (1.0 + c1))
 
     def c1_at(v1: float) -> float:
@@ -255,26 +267,30 @@ def match_budget(
     warm: float,
     tol: float,
     elasticity: float | None = None,
+    band: Callable[[TraceDecisions], float] | None = None,
 ) -> tuple[float, float, TraceDecisions, float | None]:
     """Spend p_total on average: find the power price gamma at which the
-    relative power residual of decide(gamma) is within tol.
+    relative power residual of decide(gamma) is within tol, or, given a
+    band, within band(decisions) at each probe.
 
     Spent power is nonincreasing in gamma, so find_root steps out from
     the warm start until the residual changes sign, within (1e-14, 1e14),
-    and closes that bracket in log gamma. The first step grows with the
-    residual r, since a warm start is usually close: with no elasticity
-    given it is a factor 1 + 2|r| (at least 1 + 4 tol), the step that
-    meets the budget where spent power falls as gamma**-0.5; given the
-    elasticity e of spent power in gamma from an earlier solve, it is
-    |r| / e in log gamma, the step that meets it where power falls as
-    gamma**-e. Either is capped at x8, and later steps are x8. gamma is
-    the first probe within tol, else the probe with the smallest
+    and closes that bracket in log gamma. Each step grows with the
+    residual r of the probe it leaves, since a warm start is usually
+    close. With no elasticity given the first is a factor 1 + 2|r| (at
+    least 1 + 4 tol), the step that meets the budget where spent power
+    falls as gamma**-0.5; given the elasticity e of spent power in gamma
+    from an earlier solve, it is |r| / e in log gamma, the step that meets
+    it where power falls as gamma**-e. Each later step is |r| / e with e
+    measured between the last two probes, at least 4 tol in log gamma, or
+    x8 where that e is not positive and finite; no step exceeds x8. gamma
+    is the first probe within its band, else the probe with the smallest
     |residual|. Returns (gamma, its signed residual, decide(gamma), the
     elasticity), reusing the last probe's decisions when gamma is that
     probe; they are released before the next decisions are computed, so
-    at most one set is alive at a time. The elasticity returned is
-    -d log(power) / d log(gamma) between the last two probes, or the one
-    given when they do not measure a positive finite value."""
+    at most one set is alive at a time. The elasticity returned is the
+    one between the last two probes, or the one given when they do not
+    measure a positive finite value."""
     held: tuple[float | None, TraceDecisions | None] = (None, None)
     spent: list[tuple[float, float]] = []
 
@@ -285,6 +301,14 @@ def match_budget(
         spent.append((gamma, float(held[1].power.mean())))
         return (spent[-1][1] - p_total) / p_total
 
+    def measured() -> float | None:
+        """-d log(power) / d log(gamma) between the last two probes."""
+        if len(spent) < 2 or min(spent[-1][1], spent[-2][1]) <= 0.0:
+            return None
+        (ga, pa), (gb, pb) = spent[-2:]
+        slope = -math.log(pb / pa) / math.log(gb / ga)
+        return slope if 0.0 < slope < math.inf else None
+
     def outward(r: float):
         if elasticity is None:
             step = min(8.0, max(1.0 + 2.0 * abs(r), 1.0 + 4.0 * tol))
@@ -293,16 +317,15 @@ def match_budget(
         g = warm
         while (g < 1e14) if r > 0.0 else (g > 1e-14):
             g = g * step if r > 0.0 else g / step
-            step = 8.0
             yield g
+            e = measured()
+            last = (spent[-1][1] - p_total) / p_total
+            step = 8.0 if e is None else math.exp(min(max(abs(last) / e, 4.0 * tol), _LOG_8))
 
-    within = lambda r: abs(r) <= tol  # noqa: E731
+    # done is asked right after each probe, so held[1] holds its decisions
+    within = lambda r: abs(r) <= (tol if band is None else band(held[1]))  # noqa: E731
     gamma, r = find_root(resid, warm, outward, within, log=True)
-    if len(spent) >= 2 and min(spent[-1][1], spent[-2][1]) > 0.0:
-        (ga, pa), (gb, pb) = spent[-2:]
-        slope = -math.log(pb / pa) / math.log(gb / ga)
-        if 0.0 < slope < math.inf:
-            elasticity = slope
+    elasticity = measured() or elasticity
     if held[0] == gamma:
         return gamma, r, held[1], elasticity
     held = (None, None)
@@ -333,6 +356,14 @@ def calibrate(
     # finite run the way they do at exactly critical load
     bias, aim = 0.85 * tol_rate, 0.12 * tol_rate
 
+    def band(dec: TraceDecisions) -> float:
+        """A probe whose true balance residuals miss tol_rate cannot be
+        reported as converged, and its c1, c2 barely move with a power
+        error within tol_power, so its price is accepted at tol_power; one
+        that could be reported is priced to a quarter of it."""
+        balanced = max(map(abs, balance_residuals(dec))) <= tol_rate
+        return 0.25 * tol_power if balanced else tol_power
+
     def residuals(mu1: float, mu2: float) -> tuple[float, ...]:
         """The shifted residuals the search steers on, then the point's
         price and its true residuals (c1, c2, c3)."""
@@ -344,7 +375,7 @@ def calibrate(
             return decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
 
         warm, c3, dec, elasticity = match_budget(
-            decide, p_total, warm, 0.25 * tol_power, elasticity
+            decide, p_total, warm, 0.25 * tol_power, elasticity, band
         )
         c1, c2 = balance_residuals(dec)
         return c1 + bias, c2 + bias, warm, c1, c2, c3

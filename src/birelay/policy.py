@@ -145,7 +145,7 @@ def optimal_time_share(stats: FadingStatistics) -> float:
 
 
 def capacity(x, out=None):
-    """log2(1 + x) elementwise; rate.cap is the validated per-slot form."""
+    """log2(1 + x) elementwise."""
     return np.log2(np.add(1.0, x, out=out), out=out)
 
 

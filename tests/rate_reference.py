@@ -1,12 +1,12 @@
-"""Instantaneous capacity formulas for the six transmission modes, one slot
-at a time.
+"""Reference capacity formulas for the six transmission modes, one slot
+at a time, for the tests.
 
 All rates are in bits per symbol with unit-variance noise, so transmit
 powers double as receive SNRs once multiplied by the squared channel gain.
-No protocol runs through this module: the trace kernel in policy has its
-own array forms. It is kept, validated and written out per slot, as the
-independent reference that the tests check those array forms against. A
-slot is passed as its two squared gains, read from a trace's arrays.
+No protocol runs through this module: the trace kernel in birelay.policy
+has its own array forms, and the tests check those against these,
+validated and written out per slot. A slot is passed as its two squared
+gains, read from a trace's arrays.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ def test_tracer_wraps_exactly_the_live_targets():
         tracer.uninstall()
     assert wrapped == [
         "channel.sample_trace",
-        "rate.cap",
         "policy.decide_trace",
         "engine.run",
         "calibrate.calibrate",

@@ -8,7 +8,7 @@ from birelay.benchmarks import KINDS, _fixed_caps, _fixed_select, fixed_power_po
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.engine import run
 from birelay.policy import balance_residuals
-from birelay.rate import PowerTriple, link_capacities
+from rate_reference import PowerTriple, link_capacities
 
 _STATS = FadingStatistics(1.0, 1.0)
 _CYCLE = {1: 1, 2: 2, 0: 6}  # slot index mod 3 -> mode

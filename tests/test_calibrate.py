@@ -99,20 +99,34 @@ def test_solve_gamma_on_synthetic_curve():
     assert gamma == pytest.approx(2.0, rel=1e-3)
 
 
-def _unhinted_price_solve(decide, p_total, warm, tol):
-    """The price solve with no elasticity, written out as the reference: a
-    first step of 1 + 2|r| (at least 1 + 4 tol), then x8, closed in log
-    gamma."""
+def _price_solve(decide, p_total, warm, tol, first, remeasure=True):
+    """The price solve written out as the reference: a first step of
+    first(r), then, with remeasure, |r| / e in log gamma with e measured
+    between the last two probes (at least 4 tol, at most x8), else x8;
+    closed in log gamma."""
+    spent = []
+
+    def resid(g):
+        spent.append((g, float(decide(g).power.mean())))
+        return (spent[-1][1] - p_total) / p_total
 
     def outward(r):
-        g, step = warm, min(8.0, max(1.0 + 2.0 * abs(r), 1.0 + 4.0 * tol))
+        g, step = warm, first(r)
         while (g < 1e14) if r > 0.0 else (g > 1e-14):
             g = g * step if r > 0.0 else g / step
-            step = 8.0
             yield g
+            (ga, pa), (gb, pb) = spent[-2:]
+            e, last = -math.log(pb / pa) / math.log(gb / ga), (pb - p_total) / p_total
+            step = math.exp(min(max(abs(last) / e, 4.0 * tol), math.log(8.0))) if remeasure else 8.0
 
-    resid = lambda g: (float(decide(g).power.mean()) - p_total) / p_total  # noqa: E731
     return find_root(resid, warm, outward, lambda r: abs(r) <= tol, log=True)
+
+
+def _unhinted_price_solve(decide, p_total, warm, tol):
+    """The price solve with no elasticity: a first step of 1 + 2|r| (at
+    least 1 + 4 tol), and every later step re-measured."""
+    first = lambda r: min(8.0, max(1.0 + 2.0 * abs(r), 1.0 + 4.0 * tol))  # noqa: E731
+    return _price_solve(decide, p_total, warm, tol, first)
 
 
 @pytest.mark.parametrize("e", [1.0, 4.7])
@@ -145,6 +159,28 @@ def test_match_budget_first_step_follows_the_measured_elasticity(e):
             assert unhinted == probes and len(probes) > 2
 
 
+@pytest.mark.parametrize("warm", [3.6, 2.5])
+def test_match_budget_walk_re_measures_a_misstated_hint(warm):
+    # spent power 3 / gamma, hinted as 3 / gamma**4.7, from a warm start
+    # 20 % off: the hinted first step falls short of the root, and the
+    # elasticity measured across it sizes the next step, where a x8 walk
+    # overshoots and leaves a wide bracket to close
+    probes = []
+
+    def decide(g):
+        probes.append(g)
+        return SimpleNamespace(power=np.array([3.0 / g]))
+
+    tol = 1.25e-3
+    _, r, _, measured = match_budget(decide, 1.0, warm, tol, 4.7)
+    walked = len(probes)
+    assert abs(r) <= tol and measured == pytest.approx(1.0, rel=1e-9)
+    probes.clear()
+    first = lambda r: math.exp(min(abs(r) / 4.7, math.log(8.0)))  # noqa: E731
+    _, r = _price_solve(decide, 1.0, warm, tol, first, remeasure=False)
+    assert abs(r) <= tol and walked < len(probes)
+
+
 def test_match_budget_keeps_a_hint_it_cannot_measure():
     # a warm start within tol probes once, and a flat spent power measures
     # no positive elasticity: the hint given comes back
@@ -172,6 +208,23 @@ def test_balance_duals_on_synthetic_residuals():
     c1, c2, _ = probes[(mu1, mu2)]
     assert max(abs(c1), abs(c2)) <= 0.01
     assert all(value[2] == "extra" for value in probes.values())
+
+
+def test_balance_duals_inexact_stops_at_the_first_probe_in_band():
+    # c1 is 0 from the start, so the inexact inner stop is the exact one
+    # until a probe has 0.5 tol < |c2| <= tol: the inexact search returns
+    # that probe and probes nothing after it, while the exact search, the
+    # baselines' rule, walks on to |c2| <= 0.5 tol
+    def residuals(mu1, mu2):
+        return 0.5 - mu1, 0.7 - mu2 - 0.1 * (mu1 - 0.5)
+
+    in_band = lambda value: max(map(abs, value)) <= 0.01  # noqa: E731
+    point, probes = balance_duals(residuals, 0.01, inexact=True)
+    exact_point, exact = balance_duals(residuals, 0.01)
+    first = next(p for p in exact if in_band(exact[p]))
+    assert point == first == list(probes)[-1]
+    assert list(probes) == list(exact)[: len(probes)] and len(exact) > len(probes)
+    assert exact_point != first and abs(exact[exact_point][1]) <= 0.005 < abs(exact[first][1])
 
 
 def test_balance_duals_reports_budget_exhaustion(monkeypatch):
@@ -240,9 +293,10 @@ def test_calibrate_falls_back_to_a_probe_within_tolerance(monkeypatch):
 
 def test_calibrate_slot_rule_runs_stay_within_the_measured_count():
     # 1:1 and 10:1 at 0 dB and 100:1 at -10 dB on the default trace take
-    # 426 slot-rule runs in all with the inexact inner solve and the
-    # measured price step (672 with an exact inner solve and a fixed first
-    # price step); the bound is that count plus 10 %
+    # 314 slot-rule runs in all with the price band, the re-measured price
+    # walk and the stop at the first probe in band (426 without them, 672
+    # with an exact inner solve and a fixed first price step); the bound is
+    # that count plus 10 %
     points = ((1.0, 0.0), (10.0, 0.0), (100.0, -10.0))
     total = 0
     for omega1, db in points:
@@ -250,7 +304,30 @@ def test_calibrate_slot_rule_runs_stay_within_the_measured_count():
         res = calibrate(trace, 10.0 ** (db / 10.0), RunSpec.tol_rate, RunSpec.tol_power)
         assert res.converged
         total += res.evaluations
-    assert total <= 468
+    assert total <= 345
+
+
+def test_calibrate_prices_a_point_to_the_band_it_needs(monkeypatch):
+    # 1:1 fading at 0 dB on the default trace: a probe whose true balance
+    # residuals meet tol_rate is priced to a quarter of tol_power, and any
+    # other, which cannot be reported as converged, to tol_power, a band
+    # the search uses
+    record = {}
+
+    def recording(*args, **kwargs):
+        point, probes = balance_duals(*args, **kwargs)
+        record.update(probes)
+        return point, probes
+
+    monkeypatch.setattr(calibrate_module, "balance_duals", recording)
+    trace = sample_trace(_STATS, RunSpec.n_slots, RunSpec.seed)
+    res = calibrate(trace, 1.0, RunSpec.tol_rate, RunSpec.tol_power)
+    assert res.converged
+    balanced = [max(map(abs, v[3:5])) <= RunSpec.tol_rate for v in record.values()]
+    c3 = [abs(v[5]) for v in record.values()]
+    assert all(c <= 0.25 * RunSpec.tol_power for c, b in zip(c3, balanced) if b)
+    assert all(c <= RunSpec.tol_power for c in c3)
+    assert any(c > 0.25 * RunSpec.tol_power for c, b in zip(c3, balanced) if not b)
 
 
 def test_calibrate_symmetric_point_converges():

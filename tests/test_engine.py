@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from birelay.channel import ChannelTrace, FadingStatistics, sample_trace
 from birelay.engine import QueueState, run
 from birelay.policy import Thresholds, TraceDecisions, proposed_policy
-from birelay.rate import PowerTriple, link_capacities
+from rate_reference import PowerTriple, link_capacities
 
 _STATS = FadingStatistics(1.0, 1.0)
 

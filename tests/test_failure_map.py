@@ -6,7 +6,9 @@ in 5 dB steps, on the default trace (10 000 slots, seed 1234). FAILING
 holds, per protocol, the points that did not converge when the map was
 recorded; a point outside it that fails is a regression, and a point in it
 that converges is progress. The full map is marked slow (run it with
-``-m slow``); Tier-1 runs a subset that holds both kinds of point.
+``-m slow``); Tier-1 runs a subset that holds both kinds of point. Under
+``-m slow``, ``proposed`` must also converge at every map point on the
+traces of seeds 7 and 99.
 """
 
 import functools
@@ -41,12 +43,12 @@ FAILING = {
 
 
 @functools.cache
-def _trace(w1, w2):
-    return sample_trace(FadingStatistics(float(w1), float(w2)), RunSpec.n_slots, RunSpec.seed)
+def _trace(w1, w2, seed=RunSpec.seed):
+    return sample_trace(FadingStatistics(float(w1), float(w2)), RunSpec.n_slots, seed)
 
 
-def _converged(protocol, w1, w2, db):
-    trace = _trace(w1, w2)
+def _converged(protocol, w1, w2, db, seed=RunSpec.seed):
+    trace = _trace(w1, w2, seed)
     p_total = 10.0 ** (db / 10.0)
     if protocol == "proposed":
         return calibrate(trace, p_total, RunSpec.tol_rate, RunSpec.tol_power).converged
@@ -80,3 +82,11 @@ def test_failures_stay_inside_the_map_on_the_subset(protocol):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_failures_stay_inside_the_map(protocol):
     assert _new_failures(protocol, MAP) == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [7, 99])
+def test_proposed_converges_on_the_map_on_other_traces(seed):
+    # the calibration's convergence is not a property of the default trace
+    # alone: on two other trace seeds it converges at every map point too
+    assert [pt for pt in MAP if not _converged("proposed", *pt, seed=seed)] == []

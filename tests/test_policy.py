@@ -22,7 +22,7 @@ from birelay.policy import (
     optimal_time_share,
     proposed_policy,
 )
-from birelay.rate import PowerTriple, link_capacities
+from rate_reference import PowerTriple, link_capacities
 
 _STATS = FadingStatistics(1.0, 1.0)
 _LN2 = math.log(2.0)
@@ -226,7 +226,7 @@ def test_decide_trace_handles_dead_links():
 def _slot_rule_rates(s1, s2, th, t):
     """Each slot's mode by _slot_rule_modes, with its spent power and
     (up1, up2, down1, down2) rates from the per-slot capacity formulas of
-    birelay.rate at mode_table's powers."""
+    rate_reference at mode_table's powers."""
     mp, lam = _table(s1, s2, th, t)
     modes = _slot_rule_modes(lam)
     rows = []

