@@ -33,15 +33,19 @@ region where both residuals are moderate is a thin diagonal band in the
 dual square, and independent coordinate updates step off the band into
 regimes where one direction is never scheduled. Both duals are solved in
 log-odds, with no box: there the band reaches duals within 1e-4 of
-either end. One doubling walk serves both levels, and each inner solve
-starts at the last inner solution. For calibrate the inner solve is
-inexact, with a forcing term (Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 19, 1982): far from balance it stops once |c2| is small
-beside |c1|, since the outer step then needs only c1's sign and rough
-size; near balance it is the exact rule, and the first probe inside the
-aim band ends the search. A search that ends outside its narrow aim band
-reports the probe nearest the aim among those whose true residuals meet
-the tolerances.
+either end. One doubling walk serves both levels. For calibrate each
+inner solve from the third on starts on the line through the last two
+inner solutions, a continuation predictor (Allgower & Georg, Numerical
+Continuation Methods, 1990, ch. 2), with a first step sized by the slope
+of c2 the last one measured (the baselines, whose residuals jump per
+slot, fail two more map points with it and start at the last one). The
+inner solve is also inexact, with a forcing term (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19, 1982): far from balance it stops once
+|c2| is small beside |c1|, since the outer step then needs only c1's
+sign and rough size; near balance it is the exact rule, and the first
+probe inside the aim band ends the search. A search that ends outside
+its narrow aim band reports the probe nearest the aim among those whose
+true residuals meet the tolerances.
 
 The dual search keeps the one record of what it probed: balance_duals
 returns every point with the value residual_fn gave there, and calibrate
@@ -195,21 +199,25 @@ def balance_duals(
     Two nested monotone solves through find_root, both in log-odds
     u = log(mu / (1 - mu)) with no box, each walking by doubling steps from
     its start: the inner one solves u2 against c2 for a fixed u1, from the
-    previous inner solution; the outer one solves c1 along that inner
-    solution path, from start's mu1. Solving one dual per level keeps the
-    iterate on the narrow band where both traffic directions are scheduled,
-    which a simultaneous update steps off under asymmetric fading. The
-    inner solve stops once |c2| <= tol_rate / 2, or, when inexact, once
+    previous inner solution with a first step of 0.1; the outer one solves
+    c1 along that inner solution path, from start's mu1. When inexact, an
+    inner solve from the third on starts on the line through the last two
+    solutions, with a first step |g2| / k, g = c / (1 + |c|) and k > 0 the
+    slope -dg2/du2 last measured between an inner solve's last two probes.
+    Solving one dual per level keeps the iterate on the narrow band where
+    both traffic directions are scheduled, which a simultaneous update
+    steps off under asymmetric fading. The inner solve stops once
+    |c2| <= tol_rate / 2, or, when inexact, once
     |c2| <= _THETA |c1| / (1 + |c1|) with c1 read at the same probe: an
     outer iterate far from balance is not worth an exact inner solve, and
-    near balance the first bound is the larger; when inexact, a probe
-    that balances both residuals also ends the inner solve, and with it
-    the search. The fixed-power baselines keep the exact rule, walking on
-    to |c2| <= tol_rate / 2: their residuals move in per-slot jumps, and
-    either inexact stop leaves unbalanced a six-mode point the exact rule
-    balances on the default trace (1:100 fading at 0 dB for the forcing
-    term, 1:1 at -20 dB for the stop in band). Each point is evaluated
-    once, and at most _MAX_POINTS (at least 1) are.
+    near balance the first bound is the larger; when inexact, a probe that
+    balances both residuals also ends the inner solve, and with it the
+    search. The fixed-power baselines keep the exact rule, walking on to
+    |c2| <= tol_rate / 2 from the last inner solution: their residuals move
+    in per-slot jumps, and either inexact stop leaves unbalanced a six-mode
+    point the exact rule balances on the default trace (1:100 fading at
+    0 dB for the forcing term, 1:1 at -20 dB for the stop in band). Each
+    point is evaluated once, and at most _MAX_POINTS (at least 1) are.
     Returns ((mu1, mu2), probes): the first point that balances both
     residuals, else, on exhaustion or a missing sign change, the first of
     the points whose larger |residual| is smallest; and probes, every probed
@@ -218,6 +226,7 @@ def balance_duals(
     probes: dict[tuple[float, float], tuple] = {}
     duals = lambda *u: tuple(1.0 / (1.0 + math.exp(-x)) for x in u)  # noqa: E731
     last: tuple = ()
+    trail: list[tuple[float, float]] = []  # (u2, g2) probed in the current inner solve
 
     def probe(u1: float, u2: float) -> tuple:
         nonlocal last
@@ -227,12 +236,15 @@ def balance_duals(
                 raise _BudgetExhausted
             probes[point] = residual_fn(*point)
         last = probes[point]
+        trail.append((u2, last[1] / (1.0 + abs(last[1]))))
         return last
 
     worst = lambda value: max(abs(value[0]), abs(value[1]))  # noqa: E731
     u1, u2 = (math.log(mu / (1.0 - mu)) for mu in start)
     found: tuple[float, float] | None = None
     theta = _THETA if inexact else 0.0
+    path: list[tuple[float, float]] = []  # (u1, u2) of each inner solution
+    slope: float | None = None  # -dg2/du2, as the last inner solve measured it
 
     def within(c2: float) -> bool:
         """The inner stop, with c1 read at the same probe; when inexact, a
@@ -244,10 +256,20 @@ def balance_duals(
 
     def c1_at(v1: float) -> float:
         """c1 at the inner solution u2 of c2(v1, .) = 0, solved from the
-        previous one; notes a point that balances both."""
-        nonlocal u2, found
+        previous one or the predicted start; notes a point that balances both."""
+        nonlocal u2, found, slope
+        if inexact and len(path) > 1:
+            (a1, a2), (b1, b2) = path[-2:]
+            u2 = min(max(b2 + (b2 - a2) / (b1 - a1) * (v1 - b1), -_U_MAX), _U_MAX)
         c2_at = lambda v2: probe(v1, v2)[1]  # noqa: E731
-        u2 = find_root(c2_at, u2, lambda c2: _walk(u2, 0.1, c2 > 0.0), within, xtol=4e-9)[0]
+        step = lambda c2: 0.1 if slope is None else abs(c2) / (1.0 + abs(c2)) / slope  # noqa: E731
+        trail.clear()
+        u2 = find_root(c2_at, u2, lambda c2: _walk(u2, step(c2), c2 > 0.0), within, xtol=4e-9)[0]
+        if inexact and len(trail) > 1:
+            (a, ga), (b, gb) = trail[-2:]
+            k = (ga - gb) / (b - a)
+            slope = k if 0.0 < k < math.inf else slope
+        path.append((v1, u2))
         value = probe(v1, u2)
         if worst(value) <= tol_rate:
             found = duals(v1, u2)
@@ -355,13 +377,16 @@ def calibrate(
     # sub-critical drift keeps the clipped queues from wandering up over a
     # finite run the way they do at exactly critical load
     bias, aim = 0.85 * tol_rate, 0.12 * tol_rate
+    measured = (0, (0.0, 0.0))  # evaluation count and balance residuals of the last price probe
 
     def band(dec: TraceDecisions) -> float:
         """A probe whose true balance residuals miss tol_rate cannot be
         reported as converged, and its c1, c2 barely move with a power
         error within tol_power, so its price is accepted at tol_power; one
         that could be reported is priced to a quarter of it."""
-        balanced = max(map(abs, balance_residuals(dec))) <= tol_rate
+        nonlocal measured
+        measured = (evaluations, balance_residuals(dec))
+        balanced = max(map(abs, measured[1])) <= tol_rate
         return 0.25 * tol_power if balanced else tol_power
 
     def residuals(mu1: float, mu2: float) -> tuple[float, ...]:
@@ -377,7 +402,7 @@ def calibrate(
         warm, c3, dec, elasticity = match_budget(
             decide, p_total, warm, 0.25 * tol_power, elasticity, band
         )
-        c1, c2 = balance_residuals(dec)
+        c1, c2 = measured[1] if measured[0] == evaluations else balance_residuals(dec)
         return c1 + bias, c2 + bias, warm, c1, c2, c3
 
     (mu1, mu2), probes = balance_duals(residuals, tol_rate=aim, inexact=True)

@@ -1,6 +1,7 @@
 """Dual calibration: residual structure, the nested search, end-to-end runs."""
 
 import math
+from itertools import groupby
 from types import SimpleNamespace
 
 import numpy as np
@@ -227,6 +228,80 @@ def test_balance_duals_inexact_stops_at_the_first_probe_in_band():
     assert exact_point != first and abs(exact[exact_point][1]) <= 0.005 < abs(exact[first][1])
 
 
+def _log_odds(mu):
+    return math.log(mu / (1.0 - mu))
+
+
+def _affine_path_residuals(mu1, mu2):
+    """Coupled residuals linear in log-odds: for every u1 the inner root is
+    u2 = 0.6 u1 - 0.5, an affine path, and c1 falls along it."""
+    u1, u2 = _log_odds(mu1), _log_odds(mu2)
+    return 0.2 * (1.5 - u1) + 0.05 * (0.4 - u2), 0.3 * (0.6 * u1 - 0.5 - u2)
+
+
+def test_balance_duals_inexact_predicts_each_inner_start_along_the_path():
+    # from the third inner solve on, the inexact search starts u2 on the
+    # line through the last two inner solutions and reaches the root
+    # within one probe of that start; restarting from the last inner
+    # solution with a 0.1 step, it walked 3 to 7 probes per solve here
+    (mu1, mu2), probes = balance_duals(_affine_path_residuals, 1e-3, inexact=True)
+    assert max(map(abs, probes[(mu1, mu2)])) <= 1e-3
+    solves = [[_log_odds(m2) for _, m2 in group] for _, group in groupby(probes, key=lambda p: p[0])]
+    outer = [_log_odds(m1) for m1 in dict.fromkeys(p[0] for p in probes)]
+    assert len(solves) >= 4
+    for i in range(2, len(solves)):
+        (a1, b1), (a2, b2) = outer[i - 2 : i], (solves[i - 2][-1], solves[i - 1][-1])
+        assert solves[i][0] == pytest.approx(b2 + (b2 - a2) / (b1 - a1) * (outer[i] - b1), abs=1e-9)
+        assert len(solves[i]) <= 2
+
+
+def _exact_search(residual_fn, tol, start):
+    """The exact dual search written out, the fixed-power baselines' path:
+    each inner solve walks from the last inner solution by doubling steps
+    from 0.1 in log-odds and stops at |c2| <= tol / 2; the outer solve walks
+    from start's u1 by doubling steps from 1 and stops at a point that
+    balances both. Returns every probed point, in probe order."""
+    probes, walk = {}, calibrate_module._walk
+    last = ()
+
+    def value(u1, u2):
+        nonlocal last
+        point = tuple(1.0 / (1.0 + math.exp(-u)) for u in (u1, u2))
+        if point not in probes:
+            probes[point] = residual_fn(*point)
+        last = probes[point]
+        return last
+
+    u1, u2 = (_log_odds(mu) for mu in start)
+
+    def c1_at(v1):
+        nonlocal u2
+        c2_at = lambda v2: value(v1, v2)[1]  # noqa: E731
+        inner = lambda c2: abs(c2) <= 0.5 * tol  # noqa: E731
+        u2 = find_root(c2_at, u2, lambda c2: walk(u2, 0.1, c2 > 0.0), inner, xtol=4e-9)[0]
+        return value(v1, u2)[0]
+
+    balanced = lambda _: max(abs(last[0]), abs(last[1])) <= tol  # noqa: E731
+    find_root(c1_at, u1, lambda c1: walk(u1, 1.0, c1 > 0.0), balanced, xtol=4e-9)
+    return list(probes)
+
+
+@pytest.mark.parametrize(
+    "residuals, tol, start",
+    [
+        (lambda a, b: (0.56 - a - 0.3 * b, 0.62 - b - 0.3 * a), 0.01, (0.5, 0.5)),
+        (lambda a, b: (0.9996 - a + 0.1 * (2e-4 - b), 2e-4 - b + 0.1 * (0.9996 - a)), 1e-5, (0.5, 0.5)),
+        (_affine_path_residuals, 1e-3, (0.5, 0.5)),
+        (_affine_path_residuals, 1e-3, (0.3, 0.8)),
+    ],
+)
+def test_balance_duals_exact_path_probes_as_written_out(residuals, tol, start):
+    # the fixed-power baselines' search keeps the last-solution start and
+    # the fixed 0.1 first step of every inner solve
+    _, probes = balance_duals(residuals, tol, start)
+    assert list(probes) == _exact_search(residuals, tol, start)
+
+
 def test_balance_duals_reports_budget_exhaustion(monkeypatch):
     def residuals(mu1, mu2):
         return 0.9 - mu1, 0.9 - mu2
@@ -293,10 +368,12 @@ def test_calibrate_falls_back_to_a_probe_within_tolerance(monkeypatch):
 
 def test_calibrate_slot_rule_runs_stay_within_the_measured_count():
     # 1:1 and 10:1 at 0 dB and 100:1 at -10 dB on the default trace take
-    # 314 slot-rule runs in all with the price band, the re-measured price
-    # walk and the stop at the first probe in band (426 without them, 672
-    # with an exact inner solve and a fixed first price step); the bound is
-    # that count plus 10 %
+    # 174 slot-rule runs in all with each inner dual solve started on the
+    # line through the last two inner solutions and its first step sized
+    # by the slope the last one measured (314 restarting from the last
+    # inner solution with a fixed step, 426 also without the price band,
+    # the re-measured price walk and the stop at the first probe in band);
+    # the bound is that count plus 10 %
     points = ((1.0, 0.0), (10.0, 0.0), (100.0, -10.0))
     total = 0
     for omega1, db in points:
@@ -304,7 +381,7 @@ def test_calibrate_slot_rule_runs_stay_within_the_measured_count():
         res = calibrate(trace, 10.0 ** (db / 10.0), RunSpec.tol_rate, RunSpec.tol_power)
         assert res.converged
         total += res.evaluations
-    assert total <= 345
+    assert total <= 191
 
 
 def test_calibrate_prices_a_point_to_the_band_it_needs(monkeypatch):
