@@ -117,9 +117,8 @@ def tdbc_policy(kind: str, trace: ChannelTrace, p_total: float, tol_power: float
         gamma, fixed, converged = None, p_total, True
     else:
         gains = TraceGains(trace.s1, trace.s2)
-
-        decide_at = lambda g: _tdbc_decisions(gains, p_total, g)  # noqa: E731
-        gamma, resid, _, _ = match_budget(decide_at, p_total, 1.0, 0.25 * tol_power)
+        spend = lambda g: float(_tdbc_decisions(gains, p_total, g).power.mean())  # noqa: E731
+        gamma, resid, _ = match_budget(spend, p_total, 1.0, 0.25 * tol_power)
         fixed, converged = None, abs(resid) <= tol_power
 
     def decide(tr: ChannelTrace) -> TraceDecisions:

@@ -50,7 +50,9 @@ true residuals meet the tolerances.
 The dual search keeps the one record of what it probed: balance_duals
 returns every point with the value residual_fn gave there, and calibrate
 reads the price and the true residuals of the point it reports, and its
-iteration count, from that record.
+iteration count, from that record. Within a point, match_budget sees
+only the mean power spent at each price, and one dict keeps each price
+probe's (c1, c2) for the price band and the point's reported residuals.
 """
 
 from __future__ import annotations
@@ -60,8 +62,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .channel import ChannelTrace, check_real, check_tolerance
-from .policy import Thresholds, TraceDecisions, balance_residuals, decide_trace, optimal_time_share
-from .policy import TraceGains
+from .policy import Thresholds, TraceGains, balance_residuals, decide_trace, optimal_time_share
 
 __all__ = [
     "CalibrationResult",
@@ -225,19 +226,16 @@ def balance_duals(
     """
     probes: dict[tuple[float, float], tuple] = {}
     duals = lambda *u: tuple(1.0 / (1.0 + math.exp(-x)) for x in u)  # noqa: E731
-    last: tuple = ()
-    trail: list[tuple[float, float]] = []  # (u2, g2) probed in the current inner solve
+    trail: list[tuple[float, tuple]] = []  # (u2, value) probed in the current inner solve
 
     def probe(u1: float, u2: float) -> tuple:
-        nonlocal last
         point = duals(u1, u2)
         if point not in probes:
             if len(probes) >= _MAX_POINTS:
                 raise _BudgetExhausted
             probes[point] = residual_fn(*point)
-        last = probes[point]
-        trail.append((u2, last[1] / (1.0 + abs(last[1]))))
-        return last
+        trail.append((u2, probes[point]))
+        return probes[point]
 
     worst = lambda value: max(abs(value[0]), abs(value[1]))  # noqa: E731
     u1, u2 = (math.log(mu / (1.0 - mu)) for mu in start)
@@ -249,7 +247,7 @@ def balance_duals(
     def within(c2: float) -> bool:
         """The inner stop, with c1 read at the same probe; when inexact, a
         probe that balances both ends it, and c1_at notes that probe."""
-        c1 = abs(last[0])
+        c1 = abs(trail[-1][1][0])
         if inexact and max(c1, abs(c2)) <= tol_rate:
             return True
         return abs(c2) <= max(0.5 * tol_rate, theta * c1 / (1.0 + c1))
@@ -266,8 +264,8 @@ def balance_duals(
         trail.clear()
         u2 = find_root(c2_at, u2, lambda c2: _walk(u2, step(c2), c2 > 0.0), within, xtol=4e-9)[0]
         if inexact and len(trail) > 1:
-            (a, ga), (b, gb) = trail[-2:]
-            k = (ga - gb) / (b - a)
+            (a, va), (b, vb) = trail[-2:]
+            k = (va[1] / (1.0 + abs(va[1])) - vb[1] / (1.0 + abs(vb[1]))) / (b - a)
             slope = k if 0.0 < k < math.inf else slope
         path.append((v1, u2))
         value = probe(v1, u2)
@@ -284,16 +282,16 @@ def balance_duals(
 
 
 def match_budget(
-    decide: Callable[[float], TraceDecisions],
+    spend: Callable[[float], float],
     p_total: float,
     warm: float,
     tol: float,
     elasticity: float | None = None,
-    band: Callable[[TraceDecisions], float] | None = None,
-) -> tuple[float, float, TraceDecisions, float | None]:
+    band: Callable[[float], float] | None = None,
+) -> tuple[float, float, float | None]:
     """Spend p_total on average: find the power price gamma at which the
-    relative power residual of decide(gamma) is within tol, or, given a
-    band, within band(decisions) at each probe.
+    relative residual of spend(gamma), the mean power spent at that price,
+    is within tol, or, given a band, within band(gamma) at each probe.
 
     Spent power is nonincreasing in gamma, so find_root steps out from
     the warm start until the residual changes sign, within (1e-14, 1e14),
@@ -305,22 +303,15 @@ def match_budget(
     from an earlier solve, it is |r| / e in log gamma, the step that meets
     it where power falls as gamma**-e. Each later step is |r| / e with e
     measured between the last two probes, at least 4 tol in log gamma, or
-    x8 where that e is not positive and finite; no step exceeds x8. gamma
-    is the first probe within its band, else the probe with the smallest
-    |residual|. Returns (gamma, its signed residual, decide(gamma), the
-    elasticity), reusing the last probe's decisions when gamma is that
-    probe; they are released before the next decisions are computed, so
-    at most one set is alive at a time. The elasticity returned is the
-    one between the last two probes, or the one given when they do not
-    measure a positive finite value."""
-    held: tuple[float | None, TraceDecisions | None] = (None, None)
+    x8 where that e is not positive and finite; no step exceeds x8. No
+    price is spent twice. Returns (gamma, its signed residual, the
+    elasticity): gamma the first probe within its band, else the probe
+    with the smallest |residual|; the elasticity between the last two
+    probes, or the one given when they measure no positive finite value."""
     spent: list[tuple[float, float]] = []
 
     def resid(gamma: float) -> float:
-        nonlocal held
-        held = (None, None)  # release the previous probe's decisions first
-        held = (gamma, decide(gamma))
-        spent.append((gamma, float(held[1].power.mean())))
+        spent.append((gamma, spend(gamma)))
         return (spent[-1][1] - p_total) / p_total
 
     def measured() -> float | None:
@@ -344,14 +335,10 @@ def match_budget(
             last = (spent[-1][1] - p_total) / p_total
             step = 8.0 if e is None else math.exp(min(max(abs(last) / e, 4.0 * tol), _LOG_8))
 
-    # done is asked right after each probe, so held[1] holds its decisions
-    within = lambda r: abs(r) <= (tol if band is None else band(held[1]))  # noqa: E731
+    # done is asked right after each probe, so spent[-1] is the probe judged
+    within = lambda r: abs(r) <= (tol if band is None else band(spent[-1][0]))  # noqa: E731
     gamma, r = find_root(resid, warm, outward, within, log=True)
-    elasticity = measured() or elasticity
-    if held[0] == gamma:
-        return gamma, r, held[1], elasticity
-    held = (None, None)
-    return gamma, r, decide(gamma), elasticity
+    return gamma, r, measured() or elasticity
 
 
 def calibrate(
@@ -377,32 +364,31 @@ def calibrate(
     # sub-critical drift keeps the clipped queues from wandering up over a
     # finite run the way they do at exactly critical load
     bias, aim = 0.85 * tol_rate, 0.12 * tol_rate
-    measured = (0, (0.0, 0.0))  # evaluation count and balance residuals of the last price probe
-
-    def band(dec: TraceDecisions) -> float:
-        """A probe whose true balance residuals miss tol_rate cannot be
-        reported as converged, and its c1, c2 barely move with a power
-        error within tol_power, so its price is accepted at tol_power; one
-        that could be reported is priced to a quarter of it."""
-        nonlocal measured
-        measured = (evaluations, balance_residuals(dec))
-        balanced = max(map(abs, measured[1])) <= tol_rate
-        return 0.25 * tol_power if balanced else tol_power
 
     def residuals(mu1: float, mu2: float) -> tuple[float, ...]:
         """The shifted residuals the search steers on, then the point's
         price and its true residuals (c1, c2, c3)."""
         nonlocal warm, elasticity
+        balance: dict[float, tuple[float, float]] = {}  # (c1, c2) of each price probe
 
-        def decide(g: float) -> TraceDecisions:
+        def spend(g: float) -> float:
             nonlocal evaluations
             evaluations += 1
-            return decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
+            dec = decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
+            balance[g] = balance_residuals(dec)
+            return float(dec.power.mean())
 
-        warm, c3, dec, elasticity = match_budget(
-            decide, p_total, warm, 0.25 * tol_power, elasticity, band
+        def band(g: float) -> float:
+            """A probe whose true balance residuals miss tol_rate cannot be
+            reported, and its c1, c2 barely move with a power error within
+            tol_power, so it is priced to tol_power; any other to a quarter."""
+            balanced = max(map(abs, balance[g])) <= tol_rate
+            return 0.25 * tol_power if balanced else tol_power
+
+        warm, c3, elasticity = match_budget(
+            spend, p_total, warm, 0.25 * tol_power, elasticity, band
         )
-        c1, c2 = measured[1] if measured[0] == evaluations else balance_residuals(dec)
+        c1, c2 = balance[warm]
         return c1 + bias, c2 + bias, warm, c1, c2, c3
 
     (mu1, mu2), probes = balance_duals(residuals, tol_rate=aim, inexact=True)

@@ -82,6 +82,8 @@ class RunSpec:
             raise ValueError(f"unknown protocols: {bad}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path, got {self.out!r}")
 
 
 def _p_total(pt_db) -> float:

@@ -217,7 +217,8 @@ def threshold_region_scan(
         for mu2 in mu_values:
             mu1f, mu2f = float(mu1), float(mu2)
             decide = lambda g: decide_trace(s1, s2, mu1f, mu2f, g, t, gains=gains)  # noqa: E731
-            _, _, dec, _ = match_budget(decide, p_total, 1.0, 0.005)
+            gamma = match_budget(lambda g: float(decide(g).power.mean()), p_total, 1.0, 0.005)[0]
+            dec = decide(gamma)
             c1, c2 = (abs(c) for c in balance_residuals(dec))
             sum_rate = float(dec.down1.mean()) + float(dec.down2.mean())
             balanced = c1 <= tol_rate and c2 <= tol_rate and sum_rate > 0.0

@@ -2,9 +2,7 @@
 
 import math
 from itertools import groupby
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -89,18 +87,33 @@ def test_extreme_dual_starves_its_uplink():
 
 def test_solve_gamma_on_synthetic_curve():
     # spent power ~ 2/gamma, so the unit-budget root is gamma = 2
-    def decide(g):
-        return SimpleNamespace(power=np.array([2.0 / g]))
+    def spend(g):
+        return 2.0 / g
 
-    gamma, r, dec, _ = match_budget(decide, 1.0, warm=0.001, tol=1e-4)
+    gamma, r, _ = match_budget(spend, 1.0, warm=0.001, tol=1e-4)
     assert gamma == pytest.approx(2.0, rel=1e-3)
     assert abs(r) <= 1e-4
-    assert dec.power[0] == 2.0 / gamma
-    gamma, r, _, _ = match_budget(decide, 1.0, warm=500.0, tol=1e-4)
+    gamma, r, _ = match_budget(spend, 1.0, warm=500.0, tol=1e-4)
     assert gamma == pytest.approx(2.0, rel=1e-3)
 
 
-def _price_solve(decide, p_total, warm, tol, first, remeasure=True):
+def test_match_budget_spends_each_price_once():
+    # a step in spent power at gamma = 1.5 (2.0 below, 0.9 from there)
+    # against a unit budget: no probe meets the tolerance, the bracket
+    # closes on the step, and the price returned is one already probed
+    prices = []
+
+    def spend(g):
+        prices.append(g)
+        return 2.0 if g < 1.5 else 0.9
+
+    gamma, r, _ = match_budget(spend, 1.0, 1.0, 1e-3)
+    assert abs(r) > 1e-3
+    assert gamma in prices
+    assert len(set(prices)) == len(prices)
+
+
+def _price_solve(spend, p_total, warm, tol, first, remeasure=True):
     """The price solve written out as the reference: a first step of
     first(r), then, with remeasure, |r| / e in log gamma with e measured
     between the last two probes (at least 4 tol, at most x8), else x8;
@@ -108,7 +121,7 @@ def _price_solve(decide, p_total, warm, tol, first, remeasure=True):
     spent = []
 
     def resid(g):
-        spent.append((g, float(decide(g).power.mean())))
+        spent.append((g, spend(g)))
         return (spent[-1][1] - p_total) / p_total
 
     def outward(r):
@@ -123,11 +136,11 @@ def _price_solve(decide, p_total, warm, tol, first, remeasure=True):
     return find_root(resid, warm, outward, lambda r: abs(r) <= tol, log=True)
 
 
-def _unhinted_price_solve(decide, p_total, warm, tol):
+def _unhinted_price_solve(spend, p_total, warm, tol):
     """The price solve with no elasticity: a first step of 1 + 2|r| (at
     least 1 + 4 tol), and every later step re-measured."""
     first = lambda r: min(8.0, max(1.0 + 2.0 * abs(r), 1.0 + 4.0 * tol))  # noqa: E731
-    return _price_solve(decide, p_total, warm, tol, first)
+    return _price_solve(spend, p_total, warm, tol, first)
 
 
 @pytest.mark.parametrize("e", [1.0, 4.7])
@@ -138,25 +151,25 @@ def test_match_budget_first_step_follows_the_measured_elasticity(e):
     # meets the budget within two probes
     probes = []
 
-    def decide(g):
+    def spend(g):
         probes.append(g)
-        return SimpleNamespace(power=np.array([3.0 / g**e]))
+        return 3.0 / g**e
 
     tol = 1.25e-3
-    gamma, r, _, hint = match_budget(decide, 1.0, 1.0, tol)
+    gamma, r, hint = match_budget(spend, 1.0, 1.0, tol)
     assert abs(r) <= tol and hint == pytest.approx(e, rel=1e-9)
     for budget in (0.98, 1.02):
         probes.clear()
-        _, r, _, measured = match_budget(decide, budget, gamma, tol, hint)
+        _, r, measured = match_budget(spend, budget, gamma, tol, hint)
         assert abs(r) <= tol and len(probes) <= 2
         assert measured == pytest.approx(e, rel=1e-9)
         # with no hint the probes are the fixed first step's, and more
         for warm in (gamma, 1.0):
             probes.clear()
-            match_budget(decide, budget, warm, tol)
+            match_budget(spend, budget, warm, tol)
             unhinted = list(probes)
             probes.clear()
-            _unhinted_price_solve(decide, budget, warm, tol)
+            _unhinted_price_solve(spend, budget, warm, tol)
             assert unhinted == probes and len(probes) > 2
 
 
@@ -168,27 +181,27 @@ def test_match_budget_walk_re_measures_a_misstated_hint(warm):
     # overshoots and leaves a wide bracket to close
     probes = []
 
-    def decide(g):
+    def spend(g):
         probes.append(g)
-        return SimpleNamespace(power=np.array([3.0 / g]))
+        return 3.0 / g
 
     tol = 1.25e-3
-    _, r, _, measured = match_budget(decide, 1.0, warm, tol, 4.7)
+    _, r, measured = match_budget(spend, 1.0, warm, tol, 4.7)
     walked = len(probes)
     assert abs(r) <= tol and measured == pytest.approx(1.0, rel=1e-9)
     probes.clear()
     first = lambda r: math.exp(min(abs(r) / 4.7, math.log(8.0)))  # noqa: E731
-    _, r = _price_solve(decide, 1.0, warm, tol, first, remeasure=False)
+    _, r = _price_solve(spend, 1.0, warm, tol, first, remeasure=False)
     assert abs(r) <= tol and walked < len(probes)
 
 
 def test_match_budget_keeps_a_hint_it_cannot_measure():
     # a warm start within tol probes once, and a flat spent power measures
     # no positive elasticity: the hint given comes back
-    flat = lambda g: SimpleNamespace(power=np.array([2.0]))  # noqa: E731
-    assert match_budget(flat, 2.0, 1.0, 1e-3, 2.5)[3] == 2.5
-    assert match_budget(flat, 1.0, 1.0, 1e-3, 2.5)[3] == 2.5
-    assert match_budget(flat, 1.0, 1.0, 1e-3)[3] is None
+    flat = lambda g: 2.0  # noqa: E731
+    assert match_budget(flat, 2.0, 1.0, 1e-3, 2.5)[2] == 2.5
+    assert match_budget(flat, 1.0, 1.0, 1e-3, 2.5)[2] == 2.5
+    assert match_budget(flat, 1.0, 1.0, 1e-3)[2] is None
 
 
 def test_balance_duals_on_synthetic_residuals():

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -225,6 +226,29 @@ def test_main_rejects_mistyped_config(tmp_path):
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_main_rejects_an_out_that_is_not_a_path(tmp_path):
+    # an integer out was opened as a file descriptor: the CSV went into
+    # whatever that descriptor was, which was then closed (fd 1 from
+    # {"out": true} closed the process's stdout), and the exit code was 0
+    read_end, write_end = os.pipe()
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {"out": write_end, "pt_db_list": [0.0], "protocols": ["tdbc_no_pa"], "slots": 300}
+    cfg_path.write_text(json.dumps(cfg))
+    try:
+        rc, out, err = _main(["sweep", "--config", str(cfg_path)])
+        with contextlib.suppress(OSError):  # already closed if the CSV went in
+            os.close(write_end)
+        written = os.read(read_end, 1 << 16)
+    finally:
+        os.close(read_end)
+    assert rc == 2 and out == "" and written == b""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "out" in err
+    for bad in (True, 1, 1.5, ["x.csv"]):
+        with pytest.raises(ValueError, match="out"):
+            RunSpec(out=bad)
+    assert RunSpec(out="x.csv").out == "x.csv"
 
 
 def test_main_rejects_wrongly_typed_sweep_lists(tmp_path):
