@@ -35,8 +35,10 @@ a common power, buffer duals) on that trace. The fixed-power variants
 solve their buffer-balance duals with calibrate.balance_duals, the dual
 solver of the proposed protocol with its dual-point budget, over
 capacities computed once per common power, and read convergence off its
-probe record; between dual searches the six-mode variant rescales its
-common power by the power residual recorded at the duals found.
+probe record. Each dual search starts from the last one's duals; one
+that does not balance from there runs once more from (0.5, 0.5), the
+search's own start. Between dual searches the six-mode variant rescales
+its common power by the power residual recorded at the duals found.
 """
 
 from __future__ import annotations
@@ -170,14 +172,16 @@ def fixed_power_policy(
     the given trace.
 
     Each round computes the capacities once at its power, so a dual point
-    costs one selection step, and runs one balance_duals over them from
-    the last round's duals. It ends the loop when the buffers balance and
-    the power residual r at the returned duals is within 1e-4, when the
-    dual search fails, or after _ROUNDS rounds; otherwise the next round
-    runs at power / (1 + r). The three-mode power is the budget, spent
-    exactly in one round. The returned power is the one its duals were
-    solved at, and converged means both balance residuals meet tol_rate
-    and the power meets the budget to 1e-4 there."""
+    costs one selection step, and runs balance_duals over them from the
+    last round's duals; those are only a guess, so a search from them that
+    does not balance runs once more from (0.5, 0.5), unless it started
+    there. It ends the loop when the buffers balance and the power
+    residual r at the returned duals is within 1e-4, when the dual search
+    fails, or after _ROUNDS rounds; otherwise the next round runs at
+    power / (1 + r). The three-mode power is the budget, spent exactly in
+    one round. The returned power is the one its duals were solved at, and
+    converged means both balance residuals meet tol_rate and the power
+    meets the budget to 1e-4 there."""
     if kind not in _FIXED_KINDS:
         raise ValueError(f"kind must be one of {_FIXED_KINDS}, got {kind!r}")
     check_real("power budget", p_total, positive=True)
@@ -202,9 +206,12 @@ def fixed_power_policy(
         # spends the budget with the last round's mode shares
         power /= 1.0 + r
         caps = _fixed_caps(trace.s1, trace.s2, power, modes, t)
-        (mu1, mu2), probes = balance_duals(measure, tol_rate=tol_rate, start=(mu1, mu2))
-        c1, c2, r = probes[(mu1, mu2)]
-        balanced = abs(c1) <= tol_rate and abs(c2) <= tol_rate
+        for start in dict.fromkeys([(mu1, mu2), (0.5, 0.5)]):
+            (mu1, mu2), probes = balance_duals(measure, tol_rate=tol_rate, start=start)
+            c1, c2, r = probes[(mu1, mu2)]
+            balanced = abs(c1) <= tol_rate and abs(c2) <= tol_rate
+            if balanced:
+                break
         converged = balanced and abs(r) <= 1e-4
         if converged or not balanced:
             break

@@ -33,19 +33,18 @@ region where both residuals are moderate is a thin diagonal band in the
 dual square, and independent coordinate updates step off the band into
 regimes where one direction is never scheduled. Both duals are solved in
 log-odds, with no box: there the band reaches duals within 1e-4 of
-either end. One doubling walk serves both levels. For calibrate each
-inner solve from the third on starts on the line through the last two
-inner solutions, a continuation predictor (Allgower & Georg, Numerical
-Continuation Methods, 1990, ch. 2), with a first step sized by the slope
-of c2 the last one measured (the baselines, whose residuals jump per
-slot, fail two more map points with it and start at the last one). The
-inner solve is also inexact, with a forcing term (Dembo, Eisenstat &
-Steihaug, SIAM J. Numer. Anal. 19, 1982): far from balance it stops once
-|c2| is small beside |c1|, since the outer step then needs only c1's
-sign and rough size; near balance it is the exact rule, and the first
-probe inside the aim band ends the search. A search that ends outside
-its narrow aim band reports the probe nearest the aim among those whose
-true residuals meet the tolerances.
+either end. One doubling walk serves both levels. Each inner solve from
+the third on starts on the line through the last two inner solutions, a
+continuation predictor (Allgower & Georg, Numerical Continuation
+Methods, 1990, ch. 2), with a first step sized by the slope of c2 the
+last one measured. The inner solve is also inexact, with a forcing term
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): far from
+balance it stops once |c2| is small beside |c1|, since the outer step
+then needs only c1's sign and rough size; near balance it stops at half
+the tolerance, and the first probe inside the aim band ends the search.
+The fixed-power baselines run the same search. A calibration that ends
+outside its narrow aim band reports the probe nearest the aim among
+those whose true residuals meet the tolerances.
 
 The dual search keeps the one record of what it probed: balance_duals
 returns every point with the value residual_fn gave there, and calibrate
@@ -77,7 +76,7 @@ __all__ = [
 _U_MAX = 36.0
 # cap on the dual points one balance_duals call evaluates
 _MAX_POINTS = 400
-# forcing constant of the inexact inner solve, which stops once
+# forcing constant of the inner dual solve, which stops once
 # |c2| <= _THETA |c1| / (1 + |c1|): a quarter of the outer residual leaves
 # c1's sign and rough size, all the outer step reads, to c1 itself, and
 # the bound stays below _THETA where a residual saturates at 1e12
@@ -189,8 +188,6 @@ def balance_duals(
     residual_fn: Callable[[float, float], tuple],
     tol_rate: float,
     start: tuple[float, float] = (0.5, 0.5),
-    *,
-    inexact: bool = False,
 ) -> tuple[tuple[float, float], dict[tuple[float, float], tuple]]:
     """Drive both signed rate residuals inside tol_rate over the open dual
     square. residual_fn(mu1, mu2) returns a tuple whose first two entries
@@ -199,26 +196,21 @@ def balance_duals(
 
     Two nested monotone solves through find_root, both in log-odds
     u = log(mu / (1 - mu)) with no box, each walking by doubling steps from
-    its start: the inner one solves u2 against c2 for a fixed u1, from the
-    previous inner solution with a first step of 0.1; the outer one solves
-    c1 along that inner solution path, from start's mu1. When inexact, an
-    inner solve from the third on starts on the line through the last two
-    solutions, with a first step |g2| / k, g = c / (1 + |c|) and k > 0 the
-    slope -dg2/du2 last measured between an inner solve's last two probes.
-    Solving one dual per level keeps the iterate on the narrow band where
-    both traffic directions are scheduled, which a simultaneous update
-    steps off under asymmetric fading. The inner solve stops once
-    |c2| <= tol_rate / 2, or, when inexact, once
-    |c2| <= _THETA |c1| / (1 + |c1|) with c1 read at the same probe: an
-    outer iterate far from balance is not worth an exact inner solve, and
-    near balance the first bound is the larger; when inexact, a probe that
-    balances both residuals also ends the inner solve, and with it the
-    search. The fixed-power baselines keep the exact rule, walking on to
-    |c2| <= tol_rate / 2 from the last inner solution: their residuals move
-    in per-slot jumps, and either inexact stop leaves unbalanced a six-mode
-    point the exact rule balances on the default trace (1:100 fading at
-    0 dB for the forcing term, 1:1 at -20 dB for the stop in band). Each
-    point is evaluated once, and at most _MAX_POINTS (at least 1) are.
+    its start: the inner one solves u2 against c2 for a fixed u1, the outer
+    one c1 along that inner solution path, from start's mu1. An inner
+    solve starts at the previous inner solution (start's mu2 for the
+    first) or, from the third on, on the line through the last two, with a
+    first step |g2| / k, g = c / (1 + |c|) and k > 0 the slope -dg2/du2
+    last measured between an inner solve's last two probes (0.1 before
+    one is measured). Solving one dual per level keeps the iterate on the
+    narrow band where both traffic directions are scheduled, which a
+    simultaneous update steps off under asymmetric fading. The inner solve
+    stops once |c2| <= max(tol_rate / 2, _THETA |c1| / (1 + |c1|)) with c1
+    read at the same probe: an outer iterate far from balance is not worth
+    an exact inner solve, and near balance the first bound is the larger;
+    a probe that balances both residuals also ends the inner solve, and
+    with it the search. Each point is evaluated once, and at most
+    _MAX_POINTS (at least 1) are.
     Returns ((mu1, mu2), probes): the first point that balances both
     residuals, else, on exhaustion or a missing sign change, the first of
     the points whose larger |residual| is smallest; and probes, every probed
@@ -240,30 +232,29 @@ def balance_duals(
     worst = lambda value: max(abs(value[0]), abs(value[1]))  # noqa: E731
     u1, u2 = (math.log(mu / (1.0 - mu)) for mu in start)
     found: tuple[float, float] | None = None
-    theta = _THETA if inexact else 0.0
     path: list[tuple[float, float]] = []  # (u1, u2) of each inner solution
     slope: float | None = None  # -dg2/du2, as the last inner solve measured it
 
     def within(c2: float) -> bool:
-        """The inner stop, with c1 read at the same probe; when inexact, a
-        probe that balances both ends it, and c1_at notes that probe."""
+        """The inner stop, with c1 read at the same probe; a probe that
+        balances both ends it, and c1_at notes that probe."""
         c1 = abs(trail[-1][1][0])
-        if inexact and max(c1, abs(c2)) <= tol_rate:
+        if max(c1, abs(c2)) <= tol_rate:
             return True
-        return abs(c2) <= max(0.5 * tol_rate, theta * c1 / (1.0 + c1))
+        return abs(c2) <= max(0.5 * tol_rate, _THETA * c1 / (1.0 + c1))
 
     def c1_at(v1: float) -> float:
         """c1 at the inner solution u2 of c2(v1, .) = 0, solved from the
         previous one or the predicted start; notes a point that balances both."""
         nonlocal u2, found, slope
-        if inexact and len(path) > 1:
+        if len(path) > 1:
             (a1, a2), (b1, b2) = path[-2:]
             u2 = min(max(b2 + (b2 - a2) / (b1 - a1) * (v1 - b1), -_U_MAX), _U_MAX)
         c2_at = lambda v2: probe(v1, v2)[1]  # noqa: E731
         step = lambda c2: 0.1 if slope is None else abs(c2) / (1.0 + abs(c2)) / slope  # noqa: E731
         trail.clear()
         u2 = find_root(c2_at, u2, lambda c2: _walk(u2, step(c2), c2 > 0.0), within, xtol=4e-9)[0]
-        if inexact and len(trail) > 1:
+        if len(trail) > 1:
             (a, va), (b, vb) = trail[-2:]
             k = (va[1] / (1.0 + abs(va[1])) - vb[1] / (1.0 + abs(vb[1]))) / (b - a)
             slope = k if 0.0 < k < math.inf else slope
@@ -391,7 +382,7 @@ def calibrate(
         c1, c2 = balance[warm]
         return c1 + bias, c2 + bias, warm, c1, c2, c3
 
-    (mu1, mu2), probes = balance_duals(residuals, tol_rate=aim, inexact=True)
+    (mu1, mu2), probes = balance_duals(residuals, tol_rate=aim)
     shifted = lambda point: max(map(abs, probes[point][:2]))  # noqa: E731
 
     def meets(point: tuple[float, float]) -> bool:

@@ -246,6 +246,22 @@ def test_fixed_power_preparation_never_repeats_an_evaluation(monkeypatch):
             assert len(set(calls)) == len(calls)
 
 
+def test_fixed_power_selection_runs_stay_within_the_measured_count(monkeypatch):
+    # both baselines at 1:1 fading and -20, 0 and 20 dB on the default trace
+    # take 190 selection steps in all with each inner dual solve started on
+    # the line through the last two inner solutions, stopped by the forcing
+    # term or at the first probe in band, and its first step sized by the
+    # slope the last one measured (345 restarting every inner solve from
+    # the last inner solution with a fixed step and solving it to tol / 2);
+    # the bound is that count plus 10 %
+    calls = _record_selections(monkeypatch)
+    trace = sample_trace(_STATS, 10_000, 1234)
+    for kind in ("fixed_power_six_mode", "fixed_power_three_mode"):
+        for db in (-20.0, 0.0, 20.0):
+            assert fixed_power_policy(kind, trace, 10.0 ** (db / 10.0), TOL_RATE).converged
+    assert len(calls) <= 209
+
+
 def test_six_mode_off_budget_is_not_converged(monkeypatch):
     # with one round the power is never rescaled: the duals are solved and
     # returned at the start power, off the budget, which must not be

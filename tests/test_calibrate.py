@@ -195,6 +195,26 @@ def test_match_budget_walk_re_measures_a_misstated_hint(warm):
     assert abs(r) <= tol and walked < len(probes)
 
 
+def test_match_budget_walk_steps_at_least_four_tolerances():
+    # spent power falls steeply (as gamma**-50) from 1.9 times the budget,
+    # then slowly (0.002 over a factor 64 in gamma): after the first step
+    # |r| / e is 0.0024, under 4 tol = 0.004 in log gamma, so the floor
+    # sets the next step, and no two probes of the walk are closer
+    probes = []
+
+    def spend(g):
+        probes.append(g)
+        return 1.0 + 0.9 * g**-50.0 + 0.002 * (1.0 - math.log(g) / math.log(64.0))
+
+    tol = 1e-3
+    _, r, _ = match_budget(spend, 1.0, 1.0, tol)
+    assert abs(r) <= tol
+    steps = [math.log(b / a) for a, b in zip(probes, probes[1:])]
+    assert len(steps) >= 3 and all(step > 0.0 for step in steps)
+    assert all(step >= 4.0 * tol - 1e-12 for step in steps)
+    assert any(step == pytest.approx(4.0 * tol, rel=1e-9) for step in steps)
+
+
 def test_match_budget_keeps_a_hint_it_cannot_measure():
     # a warm start within tol probes once, and a flat spent power measures
     # no positive elasticity: the hint given comes back
@@ -225,20 +245,17 @@ def test_balance_duals_on_synthetic_residuals():
 
 
 def test_balance_duals_inexact_stops_at_the_first_probe_in_band():
-    # c1 is 0 from the start, so the inexact inner stop is the exact one
-    # until a probe has 0.5 tol < |c2| <= tol: the inexact search returns
-    # that probe and probes nothing after it, while the exact search, the
-    # baselines' rule, walks on to |c2| <= 0.5 tol
+    # c1 is 0 from the start, so the forcing-term inner stop is |c2| <= tol / 2
+    # until a probe has tol / 2 < |c2| <= tol: the search returns that
+    # probe, the first in band, and probes nothing after it
     def residuals(mu1, mu2):
         return 0.5 - mu1, 0.7 - mu2 - 0.1 * (mu1 - 0.5)
 
     in_band = lambda value: max(map(abs, value)) <= 0.01  # noqa: E731
-    point, probes = balance_duals(residuals, 0.01, inexact=True)
-    exact_point, exact = balance_duals(residuals, 0.01)
-    first = next(p for p in exact if in_band(exact[p]))
+    point, probes = balance_duals(residuals, 0.01)
+    first = next(p for p in probes if in_band(probes[p]))
     assert point == first == list(probes)[-1]
-    assert list(probes) == list(exact)[: len(probes)] and len(exact) > len(probes)
-    assert exact_point != first and abs(exact[exact_point][1]) <= 0.005 < abs(exact[first][1])
+    assert abs(probes[first][1]) > 0.005
 
 
 def _log_odds(mu):
@@ -253,11 +270,11 @@ def _affine_path_residuals(mu1, mu2):
 
 
 def test_balance_duals_inexact_predicts_each_inner_start_along_the_path():
-    # from the third inner solve on, the inexact search starts u2 on the
+    # from the third inner solve on, the search starts u2 on the
     # line through the last two inner solutions and reaches the root
     # within one probe of that start; restarting from the last inner
     # solution with a 0.1 step, it walked 3 to 7 probes per solve here
-    (mu1, mu2), probes = balance_duals(_affine_path_residuals, 1e-3, inexact=True)
+    (mu1, mu2), probes = balance_duals(_affine_path_residuals, 1e-3)
     assert max(map(abs, probes[(mu1, mu2)])) <= 1e-3
     solves = [[_log_odds(m2) for _, m2 in group] for _, group in groupby(probes, key=lambda p: p[0])]
     outer = [_log_odds(m1) for m1 in dict.fromkeys(p[0] for p in probes)]
@@ -266,53 +283,6 @@ def test_balance_duals_inexact_predicts_each_inner_start_along_the_path():
         (a1, b1), (a2, b2) = outer[i - 2 : i], (solves[i - 2][-1], solves[i - 1][-1])
         assert solves[i][0] == pytest.approx(b2 + (b2 - a2) / (b1 - a1) * (outer[i] - b1), abs=1e-9)
         assert len(solves[i]) <= 2
-
-
-def _exact_search(residual_fn, tol, start):
-    """The exact dual search written out, the fixed-power baselines' path:
-    each inner solve walks from the last inner solution by doubling steps
-    from 0.1 in log-odds and stops at |c2| <= tol / 2; the outer solve walks
-    from start's u1 by doubling steps from 1 and stops at a point that
-    balances both. Returns every probed point, in probe order."""
-    probes, walk = {}, calibrate_module._walk
-    last = ()
-
-    def value(u1, u2):
-        nonlocal last
-        point = tuple(1.0 / (1.0 + math.exp(-u)) for u in (u1, u2))
-        if point not in probes:
-            probes[point] = residual_fn(*point)
-        last = probes[point]
-        return last
-
-    u1, u2 = (_log_odds(mu) for mu in start)
-
-    def c1_at(v1):
-        nonlocal u2
-        c2_at = lambda v2: value(v1, v2)[1]  # noqa: E731
-        inner = lambda c2: abs(c2) <= 0.5 * tol  # noqa: E731
-        u2 = find_root(c2_at, u2, lambda c2: walk(u2, 0.1, c2 > 0.0), inner, xtol=4e-9)[0]
-        return value(v1, u2)[0]
-
-    balanced = lambda _: max(abs(last[0]), abs(last[1])) <= tol  # noqa: E731
-    find_root(c1_at, u1, lambda c1: walk(u1, 1.0, c1 > 0.0), balanced, xtol=4e-9)
-    return list(probes)
-
-
-@pytest.mark.parametrize(
-    "residuals, tol, start",
-    [
-        (lambda a, b: (0.56 - a - 0.3 * b, 0.62 - b - 0.3 * a), 0.01, (0.5, 0.5)),
-        (lambda a, b: (0.9996 - a + 0.1 * (2e-4 - b), 2e-4 - b + 0.1 * (0.9996 - a)), 1e-5, (0.5, 0.5)),
-        (_affine_path_residuals, 1e-3, (0.5, 0.5)),
-        (_affine_path_residuals, 1e-3, (0.3, 0.8)),
-    ],
-)
-def test_balance_duals_exact_path_probes_as_written_out(residuals, tol, start):
-    # the fixed-power baselines' search keeps the last-solution start and
-    # the fixed 0.1 first step of every inner solve
-    _, probes = balance_duals(residuals, tol, start)
-    assert list(probes) == _exact_search(residuals, tol, start)
 
 
 def test_balance_duals_reports_budget_exhaustion(monkeypatch):

@@ -7,8 +7,8 @@ holds, per protocol, the points that did not converge when the map was
 recorded; a point outside it that fails is a regression, and a point in it
 that converges is progress. The full map is marked slow (run it with
 ``-m slow``); Tier-1 runs a subset that holds both kinds of point. Under
-``-m slow``, ``proposed`` must also converge at every map point on the
-traces of seeds 7 and 99.
+``-m slow`` the same rule holds on the traces of seeds 7 and 99, against
+the failing points recorded for each, where ``proposed`` fails nowhere.
 """
 
 import functools
@@ -24,7 +24,18 @@ PROTOCOLS = ("proposed", "fixed_power_six_mode", "fixed_power_three_mode")
 RATIOS = ((1, 1), (10, 1), (1, 10), (100, 1), (1, 100))
 BUDGETS_DB = tuple(range(-20, 25, 5))
 MAP = tuple((w1, w2, db) for w1, w2 in RATIOS for db in BUDGETS_DB)
-SUBSET = ((1, 1, -20), (1, 1, 20), (10, 1, -15), (10, 1, 0), (1, 10, 0), (100, 1, -10))
+# (1, 100, 0): the six-mode baseline converges there only because a
+# dual search from the last round's duals that does not balance runs
+# again from the centre
+SUBSET = (
+    (1, 1, -20),
+    (1, 1, 20),
+    (10, 1, -15),
+    (10, 1, 0),
+    (1, 10, 0),
+    (100, 1, -10),
+    (1, 100, 0),
+)
 
 
 def _span(w1, w2, lo, hi):
@@ -39,6 +50,32 @@ FAILING = {
     "proposed": set(),
     "fixed_power_six_mode": _THREE_MODE | {(100, 1, 0)},
     "fixed_power_three_mode": _THREE_MODE,
+}
+# the same record on the traces of seeds 7 and 99
+FAILING_ON = {
+    RunSpec.seed: FAILING,
+    7: {
+        "proposed": set(),
+        "fixed_power_six_mode": _span(10, 1, -20, -10)
+        | _span(1, 10, -20, -10)
+        | _span(100, 1, -20, 0)
+        | _span(1, 100, -20, -5),
+        "fixed_power_three_mode": _span(10, 1, -20, -15)
+        | _span(1, 10, -20, -15)
+        | _span(100, 1, -20, -5)
+        | _span(1, 100, -20, -5),
+    },
+    99: {
+        "proposed": set(),
+        "fixed_power_six_mode": _span(10, 1, -20, -5)
+        | _span(1, 10, -20, -10)
+        | _span(100, 1, -20, -5)
+        | _span(1, 100, -20, -5),
+        "fixed_power_three_mode": _span(10, 1, -20, -10)
+        | _span(1, 10, -20, -20)
+        | _span(100, 1, -20, -5)
+        | _span(1, 100, -20, -5),
+    },
 }
 
 
@@ -55,17 +92,21 @@ def _converged(protocol, w1, w2, db, seed=RunSpec.seed):
     return fixed_power_policy(protocol, trace, p_total, RunSpec.tol_rate).converged
 
 
-def _new_failures(protocol, points):
-    """The points that fail outside the recorded map; every point runs, so
-    a recorded failure that starts to raise is caught too."""
-    failed = [pt for pt in points if not _converged(protocol, *pt)]
-    return [pt for pt in failed if pt not in FAILING[protocol]]
+def _new_failures(protocol, points, seed=RunSpec.seed):
+    """The points that fail outside the recorded map of the seed's trace;
+    every point runs, so a recorded failure that starts to raise is caught
+    too."""
+    failed = [pt for pt in points if not _converged(protocol, *pt, seed=seed)]
+    return [pt for pt in failed if pt not in FAILING_ON[seed][protocol]]
 
 
 def test_recorded_map_is_the_stated_one():
     assert len(MAP) == 45
     assert [len(FAILING[p]) for p in PROTOCOLS] == [0, 15, 14]
     assert all(FAILING[p] <= set(MAP) for p in PROTOCOLS)
+    assert [len(FAILING_ON[7][p]) for p in PROTOCOLS] == [0, 15, 12]
+    assert [len(FAILING_ON[99][p]) for p in PROTOCOLS] == [0, 15, 12]
+    assert all(FAILING_ON[s][p] <= set(MAP) for s in (7, 99) for p in PROTOCOLS)
     # the Tier-1 subset holds points that converge and, for every protocol
     # that fails anywhere, points that fail
     for p in PROTOCOLS:
@@ -86,7 +127,8 @@ def test_failures_stay_inside_the_map(protocol):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [7, 99])
-def test_proposed_converges_on_the_map_on_other_traces(seed):
-    # the calibration's convergence is not a property of the default trace
-    # alone: on two other trace seeds it converges at every map point too
-    assert [pt for pt in MAP if not _converged("proposed", *pt, seed=seed)] == []
+def test_failures_stay_inside_the_map_on_other_traces(seed):
+    # the failing points are not a property of the default trace alone: on
+    # two other trace seeds the calibration converges at every map point
+    # too, and each baseline fails only where it was recorded to
+    assert {p: _new_failures(p, MAP, seed) for p in PROTOCOLS} == {p: [] for p in PROTOCOLS}
