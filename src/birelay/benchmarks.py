@@ -37,8 +37,10 @@ solver of the proposed protocol with its dual-point budget, over
 capacities computed once per common power, and read convergence off its
 probe record. Each dual search starts from the last one's duals; one
 that does not balance from there runs once more from (0.5, 0.5), the
-search's own start. Between dual searches the six-mode variant rescales
-its common power by the power residual recorded at the duals found.
+search's own start; where neither balances, the duals of the one that
+came closer are reported. Between dual searches the six-mode variant
+rescales its common power by the power residual recorded at the duals
+found.
 """
 
 from __future__ import annotations
@@ -175,7 +177,9 @@ def fixed_power_policy(
     costs one selection step, and runs balance_duals over them from the
     last round's duals; those are only a guess, so a search from them that
     does not balance runs once more from (0.5, 0.5), unless it started
-    there. It ends the loop when the buffers balance and the power
+    there, and where neither balances the round keeps the duals of the
+    one whose larger |balance residual| is smaller (the warm start's on a
+    tie). It ends the loop when the buffers balance and the power
     residual r at the returned duals is within 1e-4, when the dual search
     fails, or after _ROUNDS rounds; otherwise the next round runs at
     power / (1 + r). The three-mode power is the budget, spent exactly in
@@ -206,12 +210,15 @@ def fixed_power_policy(
         # spends the budget with the last round's mode shares
         power /= 1.0 + r
         caps = _fixed_caps(trace.s1, trace.s2, power, modes, t)
+        searched = []  # (larger |balance residual|, duals, power residual) per search
         for start in dict.fromkeys([(mu1, mu2), (0.5, 0.5)]):
-            (mu1, mu2), probes = balance_duals(measure, tol_rate=tol_rate, start=start)
-            c1, c2, r = probes[(mu1, mu2)]
-            balanced = abs(c1) <= tol_rate and abs(c2) <= tol_rate
-            if balanced:
+            point, probes = balance_duals(measure, tol_rate=tol_rate, start=start)
+            c1, c2, r = probes[point]
+            searched.append((max(abs(c1), abs(c2)), point, r))
+            if searched[-1][0] <= tol_rate:
                 break
+        worst, (mu1, mu2), r = min(searched, key=lambda s: s[0])
+        balanced = worst <= tol_rate
         converged = balanced and abs(r) <= 1e-4
         if converged or not balanced:
             break

@@ -120,7 +120,8 @@ def find_root(
     """Solve a monotone residual f, starting at x.
 
     Evaluates f at x and then at each point of walk(f(x)) until a residual
-    satisfies done or changes sign; that bracket is then closed by Illinois
+    satisfies done or changes sign, or a walk step does not move, which
+    ends the walk; a sign change's bracket is then closed by Illinois
     false-position steps (Dowell & Jarratt, BIT 11, 1971) on r / (1 + |r|),
     which has the sign and root of r but stays bounded, so a saturated
     residual (a relative balance residual reaches 1e12 where one direction
@@ -140,6 +141,8 @@ def find_root(
     if done(r):
         return x, r
     for nxt in walk(r):
+        if nxt == x:
+            return x, r
         a, fa, x, r = x, r, nxt, f(nxt)
         if done(r):
             return x, r

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,7 +53,8 @@ COLUMNS = (
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything one sweep needs; identical specs give identical bytes."""
+    """Everything one sweep, or one calibration at pt_db's one point,
+    needs; identical specs give identical bytes."""
 
     omega1: float = 1.0
     omega2: float = 1.0
@@ -77,6 +78,8 @@ class RunSpec:
         check_int("seed", self.seed, 0)
         check_tolerance("tol_rate", self.tol_rate)
         check_tolerance("tol_power", self.tol_power)
+        if not self.protocols:
+            raise ValueError("protocol list is empty")
         bad = [p for p in self.protocols if p not in PROTOCOLS]
         if bad:
             raise ValueError(f"unknown protocols: {bad}")
@@ -188,42 +191,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> dict:
-    """The --config file's JSON object; its keys are the subcommand's
-    option names, spelled as the parsed arguments are (pt_db_list)."""
-    if args.config is None:
-        return {}
-    with open(args.config) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+def _options(args) -> dict:
+    """The subcommand's options: the --config file's JSON object, its keys
+    spelled as the parsed arguments are (pt_db_list), overlaid by every
+    flag given on the command line."""
+    opts = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            opts = json.load(fh)
+        if not isinstance(opts, dict):
+            raise ValueError("config file must hold a JSON object")
     known = set(vars(args)) - {"command", "config"}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(opts) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return data
+    flags = vars(args).items()
+    return opts | {key: flag for key, flag in flags if flag is not None and key in known}
 
 
-def _pick(args, cfg: dict, key: str, default):
-    """The flag's value if given, else the config file's, else default."""
-    flag = getattr(args, key, None)
-    return flag if flag is not None else cfg.get(key, default)
-
-
-def _given(args, cfg: dict, *keys: str) -> dict:
-    """The options among keys that the user gave, by flag or in the config
-    file, by their dataclass field names (slots is n_slots); the fields
-    left out keep the dataclass defaults."""
-    return {
-        "n_slots" if key == "slots" else key: _pick(args, cfg, key, None)
-        for key in keys
-        if getattr(args, key, None) is not None or key in cfg
-    }
+def _spec(opts: dict, **values) -> RunSpec:
+    """The RunSpec of the options that name its fields (slots is n_slots),
+    overlaid by values; the fields left out keep the dataclass defaults."""
+    names = {field.name for field in fields(RunSpec)}
+    given = {"n_slots" if key == "slots" else key: value for key, value in opts.items()}
+    return RunSpec(**{key: value for key, value in given.items() if key in names} | values)
 
 
 def _sweep_spec(args) -> RunSpec:
-    cfg = _load_config(args)
-    pt_list = _pick(args, cfg, "pt_db_list", None)
+    opts = _options(args)
+    pt_list = opts.get("pt_db_list")
     if isinstance(pt_list, str):
         pt_db = tuple(float(x) for x in pt_list.split(","))
     elif isinstance(pt_list, (list, tuple)):
@@ -233,9 +229,9 @@ def _sweep_spec(args) -> RunSpec:
     elif pt_list is not None:
         raise ValueError("pt_db_list must be a comma separated string or a list")
     else:
-        start = _pick(args, cfg, "pt_db_start", -20.0)
-        stop = _pick(args, cfg, "pt_db_stop", 20.0)
-        step = _pick(args, cfg, "pt_db_step", 5.0)
+        start = opts.get("pt_db_start", -20.0)
+        stop = opts.get("pt_db_stop", 20.0)
+        step = opts.get("pt_db_step", 5.0)
         for name, value in (("pt_db_start", start), ("pt_db_stop", stop), ("pt_db_step", step)):
             check_real(name, value)
         if step <= 0.0:
@@ -247,17 +243,14 @@ def _sweep_spec(args) -> RunSpec:
         if count < 1:
             raise ValueError("empty power sweep")
         pt_db = tuple(start + k * step for k in range(count))
-    fields = _given(
-        args, cfg, "omega1", "omega2", "slots", "seed", "fmt", "out", "tol_rate", "tol_power"
-    )
-    protocols = _pick(args, cfg, "protocols", None)
+    protocols = opts.pop("protocols", None)
     if isinstance(protocols, str):
-        fields["protocols"] = tuple(p.strip() for p in protocols.split(","))
+        opts["protocols"] = tuple(p.strip() for p in protocols.split(","))
     elif isinstance(protocols, (list, tuple)):
-        fields["protocols"] = tuple(protocols)
+        opts["protocols"] = tuple(protocols)
     elif protocols is not None:
         raise ValueError("protocols must be a comma separated string or a list")
-    return RunSpec(pt_db=pt_db, **fields)
+    return _spec(opts, pt_db=pt_db)
 
 
 def cmd_sweep(args) -> int:
@@ -268,13 +261,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
-    stats = FadingStatistics(_pick(args, cfg, "omega1", 1.0), _pick(args, cfg, "omega2", 1.0))
-    p_total = _p_total(_pick(args, cfg, "pt_db", 10.0))
-    n_slots = _pick(args, cfg, "slots", RunSpec.n_slots)
-    trace = sample_trace(stats, n_slots, _pick(args, cfg, "seed", RunSpec.seed))
-    tol_rate = _pick(args, cfg, "tol_rate", RunSpec.tol_rate)
-    result = calibrate(trace, p_total, tol_rate, _pick(args, cfg, "tol_power", RunSpec.tol_power))
+    opts = _options(args)
+    spec = _spec(opts, pt_db=(opts.get("pt_db", 10.0),))
+    trace = sample_trace(FadingStatistics(spec.omega1, spec.omega2), spec.n_slots, spec.seed)
+    result = calibrate(trace, _p_total(spec.pt_db[0]), spec.tol_rate, spec.tol_power)
     th = result.thresholds
     print(f"mu1={th.mu1!r} mu2={th.mu2!r} gamma={th.gamma!r}")
     print(
@@ -316,10 +306,10 @@ def _verify_lines(draws: int, grid_points: int, seed: int) -> list[tuple[str, bo
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    seed = _pick(args, cfg, "seed", 1234)
-    draws = _pick(args, cfg, "draws", 200)
-    grid_points = _pick(args, cfg, "grid_points", 800)
+    opts = _options(args)
+    seed = opts.get("seed", 1234)
+    draws = opts.get("draws", 200)
+    grid_points = opts.get("grid_points", 800)
     check_int("seed", seed, 0)
     check_int("draws", draws, 1)
     check_int("grid_points", grid_points, 100)

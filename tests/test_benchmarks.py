@@ -345,3 +345,25 @@ def test_fixed_power_six_mode_converges_on_the_sweep(omega1, pt_db):
     assert abs(dec.power.mean() - p_total) / p_total <= 1e-4
     c1, c2 = balance_residuals(dec)
     assert abs(c1) <= 0.01 and abs(c2) <= 0.01
+
+
+def test_fixed_power_reports_the_closer_of_two_failed_searches(monkeypatch):
+    # six-mode 1:100 at -5 dB: neither the warm-started search of the last
+    # round nor its retry from (0.5, 0.5) balances, and the warm start's
+    # duals come closer (max |c| 0.0481 against the centre's 0.0524)
+    searches = []
+    search = benchmarks.balance_duals
+
+    def recording(*args, **kwargs):
+        point, probes = search(*args, **kwargs)
+        searches.append((kwargs["start"], point, max(map(abs, probes[point][:2]))))
+        return point, probes
+
+    monkeypatch.setattr(benchmarks, "balance_duals", recording)
+    trace = sample_trace(FadingStatistics(1.0, 100.0), 10_000, 1234)
+    prep = fixed_power_policy("fixed_power_six_mode", trace, 10.0 ** -0.5, TOL_RATE)
+    (_, warm, warm_worst), (centre_start, centre, centre_worst) = searches[-2:]
+    assert centre_start == (0.5, 0.5)
+    assert TOL_RATE < warm_worst < centre_worst
+    assert (prep.mu1, prep.mu2) == warm
+    assert not prep.converged

@@ -585,6 +585,30 @@ def test_find_root_start_that_is_done_is_evaluated_once():
     assert probes == [1.0]
 
 
+def test_find_root_walk_step_that_does_not_move_ends_the_walk():
+    # a price walk whose step rounds to a factor of 1 proposes its start
+    # again; that point is not evaluated twice, and the walk ends there
+    probes = []
+
+    def recording(x):
+        probes.append(x)
+        return x - 2.0
+
+    assert find_root(recording, 1.0, lambda r: [1.0, 3.0], lambda r: False) == (1.0, -1.0)
+    assert probes == [1.0]
+
+
+@pytest.mark.parametrize("seed, pt_db", [(1234, -20.0), (7, -20.0), (99, 0.0)])
+def test_calibrate_returns_on_a_thirty_slot_trace(seed, pt_db):
+    # a price bracket closed across a one-slot jump in spent power measured
+    # an elasticity of order 1e14 between two adjacent floats, and the next
+    # price walk's first step then rounded to a factor of 1 and probed its
+    # warm price again, dividing by a zero log-ratio of prices
+    result = calibrate(sample_trace(_STATS, 30, seed), 10.0 ** (pt_db / 10.0), 0.01, 0.005)
+    assert isinstance(result, CalibrationResult)
+    assert result.evaluations >= result.iterations >= 1
+
+
 @pytest.mark.parametrize("log", [False, True])
 def test_find_root_step_residual_terminates_without_a_cap(log):
     # the residual jumps from -1 to +1 at 0.3 and never enters the band, so

@@ -310,6 +310,38 @@ def test_main_leaves_options_not_given_to_the_dataclass_defaults(monkeypatch):
     assert np.array_equal(trace.s1, want.s1) and np.array_equal(trace.s2, want.s2)
 
 
+def test_main_sweep_on_a_thirty_slot_trace_reports_without_a_traceback():
+    rc, out, err = _main(["sweep", "--slots", "30", "--pt-db-list=-20", "--protocols", "proposed"])
+    assert rc in (0, 1)
+    assert err == ""
+    assert out.splitlines()[1].startswith("proposed,-20.0,")
+
+
+def test_an_empty_protocol_list_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="protocol"):
+        RunSpec(protocols=())
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg_path.write_text(json.dumps({"protocols": []}))
+    rc, out, err = _main(["sweep", "--config", str(cfg_path), "--out", str(out_path)])
+    assert rc == 2
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_main_calibrate_checks_its_options_before_drawing_the_trace(monkeypatch):
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return sample_trace(*args)
+
+    monkeypatch.setattr(cli_module, "sample_trace", counted)
+    rc, out, err = _main(["calibrate", "--tol-rate", "0.5"])
+    assert rc == 2
+    assert out == "" and err.startswith("error:") and "tol_rate" in err
+    assert drawn == []
+
+
 def test_main_rejects_unknown_config_keys(tmp_path):
     # a misspelt key used to be dropped silently, so the run went ahead on
     # the default it meant to change
