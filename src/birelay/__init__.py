@@ -13,10 +13,8 @@ from .benchmarks import fixed_power_policy, tdbc_policy
 from .calibrate import CalibrationResult
 from .channel import ChannelTrace, FadingStatistics, sample_trace
 from .engine import PreparedPolicy, ProtocolPolicy, QueueState, RateReport, run
-from .oracle import ScanPoint, threshold_region_scan
+from .oracle import threshold_region_scan
 from .policy import (
-    ModePowers,
-    SelectionMetrics,
     Thresholds,
     TraceDecisions,
     TraceGains,
@@ -31,13 +29,10 @@ __all__ = [
     "CalibrationResult",
     "ChannelTrace",
     "FadingStatistics",
-    "ModePowers",
     "PreparedPolicy",
     "ProtocolPolicy",
     "QueueState",
     "RateReport",
-    "ScanPoint",
-    "SelectionMetrics",
     "Thresholds",
     "TraceDecisions",
     "TraceGains",

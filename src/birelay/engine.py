@@ -77,13 +77,15 @@ def _lindley(arrive: np.ndarray, serve: np.ndarray) -> tuple[float, float, float
     q_k = max(q_{k-1} + a_k - c_k, 0) unrolls to q_k = S_k - min(0, min_{j<=k} S_j)
     with S = cumsum(a) - cumsum(c); whatever arrived and is not left over
     was delivered. Taking the two running sums apart keeps a buffer that is
-    never served at exactly zero delivered, and delivered <= arrived holds
-    exactly because the final level is never negative.
+    never served at exactly zero delivered. The final level is never
+    negative, and is clamped to what arrived (rounding in the sums lifts it
+    above that when a buffer is served before its only arrival), so
+    0 <= delivered <= arrived holds exactly.
     """
     arrived = np.cumsum(arrive)
     s = arrived - np.cumsum(serve)
-    q = float(s[-1] - min(0.0, s.min()))
     total = float(arrived[-1])
+    q = min(float(s[-1] - min(0.0, s.min())), total)
     return total, q, total - q
 
 

@@ -9,19 +9,20 @@ branch and bound, with the same argmax and value as an exhaustive search.
 
 The checks behind `birelay verify` and the acceptance criteria take
 arrays of random draws (see sample_draws), one entry per draw, and return
-the worst value they found.
+the worst value they found. They read the closed forms through mode_table,
+keyed by mode; the dominated modes 4 and 5 are computed only here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .calibrate import match_budget
 from .channel import ChannelTrace, check_real, check_tolerance
 from .policy import (
+    SELECTABLE_MODES,
     TraceGains,
     balance_residuals,
     broadcast_power,
@@ -36,7 +37,6 @@ __all__ = [
     "broadcast_root_residual",
     "time_share_at_boundary",
     "downlink_dominance",
-    "ScanPoint",
     "threshold_region_scan",
 ]
 
@@ -135,17 +135,13 @@ def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]
     tables = {t: mode_table(s1, s2, mu1, mu2, gamma, t) for t in (0.0, 1.0)}
     worst_gap, worst_step = -math.inf, 0.0
     for i, t in enumerate(np.where(mu1 >= mu2, 0.0, 1.0)):
-        pw, lam = tables[t]
+        powers, metrics = tables[t]
         p = np.linspace(0.0, 10.0 / gamma[i], points)
-        for mode, powers, metric in (
-            (1, (pw.p1_m1,), lam.lambda1),
-            (2, (pw.p2_m2,), lam.lambda2),
-            (3, (pw.p1_m3, pw.p2_m3), lam.lambda3),
-            (6, (pw.pr_m6,), lam.lambda6),
-        ):
+        for mode in SELECTABLE_MODES:
             at, value = _grid_search(mode, p, s1[i], s2[i], mu1[i], mu2[i], gamma[i], t)
-            worst_gap = max(worst_gap, value - metric[i])
-            worst_step = max(worst_step, *(abs(q[i] - p[k]) / p[1] for q, k in zip(powers, at)))
+            worst_gap = max(worst_gap, value - metrics[mode][i])
+            steps = (abs(q[i] - p[k]) / p[1] for q, k in zip(powers[mode], at))
+            worst_step = max(worst_step, *steps)
     return float(worst_gap), float(worst_step)
 
 
@@ -160,48 +156,45 @@ def broadcast_root_residual(s1, s2, mu1, mu2, gamma) -> tuple[float, int]:
     return float(worst), int(np.count_nonzero(pr > 0.0))
 
 
-def time_share_at_boundary(s1, s2, mu1, mu2, gamma, *, slope_ties: bool = False) -> bool:
+def time_share_at_boundary(s1, s2, mu1, mu2, gamma) -> bool:
     """Whether every draw's multiple-access metric, profiled over 101
     decoding shares t at unit user powers, peaks at t = 0 or t = 1 (the
     profile is affine in t), and, unless the draw is a tie, at the end the
-    dual order picks (0 when mu1 >= mu2). A tie is duals within 1e-9 of
-    each other or, with slope_ties, a profile whose end slope is within
-    1e-9 of zero: flat to rounding, so np.argmax may take either end."""
+    dual order picks (0 when mu1 >= mu2). A tie is a profile whose end
+    slope is within 1e-9 of zero, as under equal duals or a dead link:
+    flat to rounding, so np.argmax may take either end."""
     ts = np.linspace(0.0, 1.0, 101)
     cols = (np.asarray(x)[:, None] for x in (s1, s2, mu1, mu2, gamma))
     profile = _t_profile(*cols, 1.0, 1.0, ts)
     t_best = ts[np.argmax(profile, axis=1)]
-    tie_gap = profile[:, -1] - profile[:, 0] if slope_ties else mu1 - mu2
+    tie = np.abs(profile[:, -1] - profile[:, 0]) <= 1e-9
     at_end = (t_best == 0.0) | (t_best == 1.0)
-    picked = (t_best == np.where(mu1 >= mu2, 0.0, 1.0)) | (np.abs(tie_gap) <= 1e-9)
+    picked = (t_best == np.where(mu1 >= mu2, 0.0, 1.0)) | tie
     return bool(np.all(at_end & picked))
 
 
 def downlink_dominance(s1, s2, mu1, mu2, gamma) -> float:
-    """Worst advantage of a single-user downlink mode (4 or 5) over the
-    broadcast mode 6, each at its closed-form power."""
-    _, lam = mode_table(s1, s2, mu1, mu2, gamma, 0.0)
-    return float(np.max(np.maximum(lam.lambda4, lam.lambda5) - lam.lambda6))
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """One probed dual pair: rate-balance residuals at matched power."""
-
-    mu1: float
-    mu2: float
-    residual_c1: float
-    residual_c2: float
-    sum_rate: float
-    balanced: bool
+    """Worst advantage of a single-user downlink mode over the broadcast
+    mode 6, each at its closed-form power, over arrays of draws. Mode 4
+    serves user 1 alone out of buffer 2 and mode 5 user 2 out of buffer 1:
+    the relay water-fills one link, at power [mu/(gamma*ln2) - 1/s]^+ with
+    mu the dual of the buffer it drains (1/0 = +inf)."""
+    _, metrics = mode_table(s1, s2, mu1, mu2, gamma, 0.0)
+    downlinks = []
+    for mu, s in ((mu2, s1), (mu1, s2)):
+        inv = np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0.0)
+        p = np.maximum(mu / (gamma * math.log(2.0)) - inv, 0.0)
+        downlinks.append(mu * np.log2(1.0 + p * s) - gamma * p)
+    return float(np.max(np.maximum(*downlinks) - metrics[6]))
 
 
 def threshold_region_scan(
     trace: ChannelTrace, p_total: float, mu_values: np.ndarray, tol_rate: float = 0.02
-) -> list[ScanPoint]:
-    """Probe every dual pair from mu_values (the boundary values 0 and 1
-    included) on trace, a short one for speed, matching the power budget
-    at each point by solving for gamma to 0.5 %.
+) -> list[tuple[float, float]]:
+    """The balanced dual pairs (mu1, mu2), in probe order, among every pair
+    from mu_values (the boundary values 0 and 1 included) probed on trace,
+    a short one for speed, matching the power budget at each point by
+    solving for gamma to 0.5 %.
 
     A point is balanced when both relative rate residuals are within
     tol_rate and the delivered sum rate is positive. Boundary dual values
@@ -212,7 +205,7 @@ def threshold_region_scan(
     s1, s2 = trace.s1, trace.s2
     gains = TraceGains(s1, s2)
     t = optimal_time_share(trace.stats)
-    out = []
+    balanced = []
     for mu1 in mu_values:
         for mu2 in mu_values:
             mu1f, mu2f = float(mu1), float(mu2)
@@ -221,6 +214,6 @@ def threshold_region_scan(
             dec = decide(gamma)
             c1, c2 = (abs(c) for c in balance_residuals(dec))
             sum_rate = float(dec.down1.mean()) + float(dec.down2.mean())
-            balanced = c1 <= tol_rate and c2 <= tol_rate and sum_rate > 0.0
-            out.append(ScanPoint(mu1f, mu2f, c1, c2, sum_rate, balanced))
-    return out
+            if c1 <= tol_rate and c2 <= tol_rate and sum_rate > 0.0:
+                balanced.append((mu1f, mu2f))
+    return balanced

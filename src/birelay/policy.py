@@ -7,10 +7,10 @@ gamma times the power the mode spends, evaluated at the mode's own optimal
 transmit power. Those optimal powers have water-filling style closed forms;
 the broadcast mode's power is the root of a quadratic. The slot then uses
 whichever of the two uplink modes, the multiple-access mode, or the
-broadcast mode scores highest. The two single-user downlink modes are
-always dominated by the broadcast mode (their metric drops one nonnegative
-term), so they are never selected; only mode_table computes them, for the
-dominance check.
+broadcast mode scores highest. The two single-user downlink modes 4 and 5
+are always dominated by the broadcast mode (their metric drops one
+nonnegative term), so they are never selected and nothing here computes
+them; only the oracle's dominance check does.
 
 The whole-trace rule is a kernel built once per trace: TraceGains holds
 the gain-only constants and a fixed workspace, and its decide writes every
@@ -41,8 +41,6 @@ from .channel import ChannelTrace, FadingStatistics, check_real
 __all__ = [
     "SELECTABLE_MODES",
     "Thresholds",
-    "ModePowers",
-    "SelectionMetrics",
     "TraceDecisions",
     "TraceGains",
     "optimal_time_share",
@@ -73,33 +71,6 @@ class Thresholds:
         check_real("gamma", self.gamma, positive=True)
         if not (0.0 < self.mu1 < 1.0 and 0.0 < self.mu2 < 1.0):
             raise ValueError("mu1 and mu2 must lie strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class ModePowers:
-    """Per-mode optimal transmit powers, clamped at 0: arrays from
-    mode_table, one entry per slot."""
-
-    p1_m1: np.ndarray
-    p2_m2: np.ndarray
-    p1_m3: np.ndarray
-    p2_m3: np.ndarray
-    pr_m4: np.ndarray
-    pr_m5: np.ndarray
-    pr_m6: np.ndarray
-
-
-@dataclass(frozen=True)
-class SelectionMetrics:
-    """Dual-weighted net benefit of each mode at its optimal power: arrays
-    from mode_table, one entry per slot."""
-
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    lambda3: np.ndarray
-    lambda4: np.ndarray
-    lambda5: np.ndarray
-    lambda6: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,22 +346,20 @@ class TraceGains:
         return TraceDecisions(mode, power, up1, up2, down1, down2)
 
 
-def mode_table(s1, s2, mu1, mu2, gamma, t: float) -> tuple[ModePowers, SelectionMetrics]:
-    """Every mode's closed-form optimal power and its selection metric at
-    decoding share t, 0 or 1, elementwise over gains and duals (scalars,
-    or arrays of one shape); a scalar comes back as a one-slot array."""
+def mode_table(s1, s2, mu1, mu2, gamma, t: float) -> tuple[dict, dict]:
+    """The selectable modes' closed-form optimal powers and selection
+    metrics at decoding share t, 0 or 1, elementwise over gains and duals
+    (scalars, or arrays of one shape); a scalar comes back as a one-slot
+    array. Both dicts are keyed by SELECTABLE_MODES: powers[k] is the tuple
+    of mode k's transmitter powers, (p1, p2) for mode 3, and metrics[k] is
+    mode k's metric."""
     g = TraceGains(s1, s2)
     powers = _selectable_powers(g, mu1, mu2, gamma, t)
     p1_m1, p2_m2, p1_m3, p2_m3, pr_m6 = powers
-    pr_m4, pr_m5 = wf_power(mu2, gamma, g.inv1), wf_power(mu1, gamma, g.inv2)
     caps = _selectable_caps(g, t, powers)
-    lam1, lam2, lam3, lam6 = _selectable_metrics(mu1, mu2, gamma, powers, p1_m3 + p2_m3, caps)
-    lam4 = _metric(((mu2, capacity(pr_m4 * g.s1)),), gamma, pr_m4)
-    lam5 = _metric(((mu1, capacity(pr_m5 * g.s2)),), gamma, pr_m5)
-    return (
-        ModePowers(p1_m1, p2_m2, p1_m3, p2_m3, pr_m4, pr_m5, pr_m6),
-        SelectionMetrics(lam1, lam2, lam3, lam4, lam5, lam6),
-    )
+    metrics = _selectable_metrics(mu1, mu2, gamma, powers, p1_m3 + p2_m3, caps)
+    by_mode = ((p1_m1,), (p2_m2,), (p1_m3, p2_m3), (pr_m6,))
+    return dict(zip(SELECTABLE_MODES, by_mode)), dict(zip(SELECTABLE_MODES, metrics))
 
 
 def proposed_policy(

@@ -1,7 +1,6 @@
 """Command line front end: sweep plumbing, deterministic output, exit codes."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -453,7 +452,8 @@ def test_main_verify_fails_on_a_shifted_joint_uplink_power(monkeypatch):
     def shifted(s1, s2, mu1, mu2, gamma, t):
         powers, metrics = exact(s1, s2, mu1, mu2, gamma, t)
         # three steps of the check's grid [0, 10/gamma] at 150 points
-        powers = dataclasses.replace(powers, p1_m3=powers.p1_m3 + 3 * (10.0 / gamma) / 149)
+        p1, p2 = powers[3]
+        powers[3] = (p1 + 3 * (10.0 / gamma) / 149, p2)
         return powers, metrics
 
     monkeypatch.setattr(oracle, "mode_table", shifted)
@@ -470,7 +470,8 @@ def test_main_verify_fails_on_a_lowered_joint_uplink_metric(monkeypatch):
 
     def lowered(s1, s2, mu1, mu2, gamma, t):
         powers, metrics = exact(s1, s2, mu1, mu2, gamma, t)
-        return powers, dataclasses.replace(metrics, lambda3=metrics.lambda3 - 1e-5)
+        metrics[3] = metrics[3] - 1e-5
+        return powers, metrics
 
     monkeypatch.setattr(oracle, "mode_table", lowered)
     rc, lines = _verify_small()

@@ -104,6 +104,14 @@ def test_broadcast_serves_both_from_pre_slot_levels():
     assert rep.final_queues.q2 == pytest.approx(1.0)
 
 
+def test_service_before_the_only_arrival_delivers_nothing():
+    # the running sums give a final level of 0.1 + 9e-17 here, more than
+    # arrived, which read as a negative delivered rate
+    rep = _run(_decisions([6, 2], up2=[0.0, 0.1], down1=[1.1, 0.0]))
+    assert rep.r_r1 == 0.0
+    assert rep.final_queues.q2 == 0.1
+
+
 def test_run_rejects_unknown_mode():
     for bad in ([7], [0], [-1], [1.0]):
         with pytest.raises(ValueError):
@@ -200,7 +208,10 @@ def test_run_matches_sequential_buffers(slots):
     assert rep.final_queues.q2 == pytest.approx(q2, abs=scale)
     assert rep.r_r1 * n == pytest.approx(out1, abs=scale)
     assert rep.r_r2 * n == pytest.approx(out2, abs=scale)
-    # never more out than in, direction by direction
-    assert rep.r_r2 <= rep.r_1r
-    assert rep.r_r1 <= rep.r_2r
+    # never more out than in, nor less than nothing, direction by direction;
+    # and never more left over than arrived
+    assert 0.0 <= rep.r_r2 <= rep.r_1r
+    assert 0.0 <= rep.r_r1 <= rep.r_2r
+    assert rep.final_queues.q1 / n <= rep.r_1r
+    assert rep.final_queues.q2 / n <= rep.r_2r
     assert rep.mode_freq == tuple(mode.count(k) / n for k in range(1, 7))

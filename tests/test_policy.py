@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birelay.channel import FadingStatistics, sample_trace
-from birelay.oracle import _grid_search
+from birelay.oracle import _grid_search, downlink_dominance
 from birelay.policy import (
     SELECTABLE_MODES,
     Thresholds,
@@ -36,7 +36,7 @@ def _table(s1, s2, th, t=0.0):
 def _slot_rule_modes(lam):
     """Each slot's mode by an independent argmax over the selectable modes'
     metrics (ties to the first, as in the slot rule)."""
-    stacked = np.stack((lam.lambda1, lam.lambda2, lam.lambda3, lam.lambda6))
+    stacked = np.stack([lam[k] for k in SELECTABLE_MODES])
     return np.array(SELECTABLE_MODES)[np.argmax(stacked, axis=0)]
 
 
@@ -82,22 +82,22 @@ def test_uplink_power_frozen_value():
     # water-filling: (1 - 0.4)/(0.3*ln2) - 1/2
     th = Thresholds(0.4, 0.5, 0.3)
     p, _ = _table(2.0, 1.0, th)
-    assert p.p1_m1[0] == pytest.approx(2.3853900817779268, rel=1e-14)
+    assert p[1][0][0] == pytest.approx(2.3853900817779268, rel=1e-14)
 
 
 def test_uplink_power_clamps_to_zero():
     th = Thresholds(0.4, 0.5, 0.3)
     p, _ = _table(0.2, 1.0, th)  # 1/s1 = 5 beats the level
-    assert p.p1_m1[0] == 0.0
+    assert p[1][0][0] == 0.0
     p0, _ = _table(0.0, 1.0, th)  # dead link
-    assert p0.p1_m1[0] == 0.0
+    assert p0[1][0][0] == 0.0
 
 
 def test_broadcast_power_frozen_value():
     th = Thresholds(0.3, 0.6, 0.2)
     p, m = _table(1.0, 2.0, th)
-    assert p.pr_m6[0] == pytest.approx(5.667565036388642, rel=1e-12)
-    assert m.lambda6[0] == pytest.approx(1.5961932950885824, rel=1e-12)
+    assert p[6][0][0] == pytest.approx(5.667565036388642, rel=1e-12)
+    assert m[6][0] == pytest.approx(1.5961932950885824, rel=1e-12)
 
 
 def test_broadcast_power_root_residual():
@@ -110,9 +110,9 @@ def test_broadcast_power_root_residual():
     gamma = rng.uniform(0.05, 2.0, n)
     s1 = rng.exponential(1.0, n)
     s2 = rng.exponential(1.0, n)
-    p, _ = mode_table(s1, s2, mu1, mu2, gamma, 0.0)
-    on = p.pr_m6 > 0.0
-    lhs = mu2 * s1 / (1.0 + p.pr_m6 * s1) + mu1 * s2 / (1.0 + p.pr_m6 * s2)
+    (pr,) = mode_table(s1, s2, mu1, mu2, gamma, 0.0)[0][6]
+    on = pr > 0.0
+    lhs = mu2 * s1 / (1.0 + pr * s1) + mu1 * s2 / (1.0 + pr * s2)
     assert np.all(np.abs(lhs - gamma * _LN2)[on] / (gamma * _LN2)[on] < 1e-8)
     assert np.count_nonzero(on) > n // 2
 
@@ -123,21 +123,22 @@ def test_broadcast_power_equal_gains_closed_form():
     s = np.array([0.5, 1.0, 3.0])
     p, _ = _table(s, s, th)
     want = np.maximum((th.mu1 + th.mu2) / (th.gamma * _LN2) - 1.0 / s, 0.0)
-    assert p.pr_m6 == pytest.approx(want, rel=1e-10, abs=1e-12)
+    assert p[6][0] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_broadcast_power_zero_when_marginal_rate_too_small():
     th = Thresholds(0.1, 0.1, 5.0)  # power price far above any marginal gain
     p, _ = _table(1.0, 1.0, th)
-    assert p.pr_m6[0] == 0.0
+    assert p[6][0][0] == 0.0
 
 
 def test_ma_interior_frozen_values():
     # both users transmit; stationarity checked against the frozen literals
     th = Thresholds(0.35, 0.25, 0.15)
     p, _ = _table(3.0, 1.0, th, optimal_time_share(FadingStatistics(3.0, 1.0)))  # t = 0
-    assert p.p1_m3[0] == pytest.approx(5.7707801635558535, rel=1e-12)
-    assert p.p2_m3[0] == pytest.approx(0.44269504088896316, rel=1e-12)
+    p1, p2 = p[3]
+    assert p1[0] == pytest.approx(5.7707801635558535, rel=1e-12)
+    assert p2[0] == pytest.approx(0.44269504088896316, rel=1e-12)
 
 
 def test_ma_powers_mirror_symmetry():
@@ -148,10 +149,10 @@ def test_ma_powers_mirror_symmetry():
         for _ in range(200)
     ]
     s1, s2, mu1, mu2, gamma = np.array(rows).T
-    a, _ = mode_table(s1, s2, mu1, mu2, gamma, 0.0)
-    b, _ = mode_table(s2, s1, mu2, mu1, gamma, 1.0)
-    assert a.p1_m3 == pytest.approx(b.p2_m3, rel=1e-11, abs=1e-12)
-    assert a.p2_m3 == pytest.approx(b.p1_m3, rel=1e-11, abs=1e-12)
+    a1, a2 = mode_table(s1, s2, mu1, mu2, gamma, 0.0)[0][3]
+    b1, b2 = mode_table(s2, s1, mu2, mu1, gamma, 1.0)[0][3]
+    assert a1 == pytest.approx(b2, rel=1e-11, abs=1e-12)
+    assert a2 == pytest.approx(b1, rel=1e-11, abs=1e-12)
 
 
 def test_broadcast_dominates_single_user_downlinks():
@@ -161,9 +162,7 @@ def test_broadcast_dominates_single_user_downlinks():
         for _ in range(2000)
     ]
     s1, s2, mu1, mu2, gamma = np.array(rows).T
-    _, m = mode_table(s1, s2, mu1, mu2, gamma, 0.0)
-    assert np.all(m.lambda6 >= m.lambda4 - 1e-12)
-    assert np.all(m.lambda6 >= m.lambda5 - 1e-12)
+    assert downlink_dominance(s1, s2, mu1, mu2, gamma) <= 1e-12
 
 
 def test_ma_never_beats_best_uplink_under_equal_duals():
@@ -175,7 +174,7 @@ def test_ma_never_beats_best_uplink_under_equal_duals():
     ]
     s1, s2, mu, gamma = np.array(rows).T
     _, m = mode_table(s1, s2, mu, mu, gamma, 0.0)
-    assert np.all(m.lambda3 <= np.maximum(m.lambda1, m.lambda2) + 1e-9)
+    assert np.all(m[3] <= np.maximum(m[1], m[2]) + 1e-9)
 
 
 def _select(*metrics):
@@ -202,16 +201,11 @@ def test_decide_trace_picks_the_best_metric():
     t = optimal_time_share(_STATS)
     dec = decide_trace(s1, s2, th.mu1, th.mu2, th.gamma, t)
     powers, metrics = _table(s1, s2, th, t)
+    assert tuple(powers) == tuple(metrics) == SELECTABLE_MODES
     assert np.array_equal(dec.mode, _slot_rule_modes(metrics))
     # the spent power belongs to the chosen mode only
-    own = {
-        1: powers.p1_m1,
-        2: powers.p2_m2,
-        3: powers.p1_m3 + powers.p2_m3,
-        6: powers.pr_m6,
-    }
     for k in SELECTABLE_MODES:
-        assert np.array_equal(dec.power[dec.mode == k], own[k][dec.mode == k])
+        assert np.array_equal(dec.power[dec.mode == k], sum(powers[k])[dec.mode == k])
 
 
 def test_decide_trace_handles_dead_links():
@@ -231,12 +225,10 @@ def _slot_rule_rates(s1, s2, th, t):
     modes = _slot_rule_modes(lam)
     rows = []
     for i, mode in enumerate(modes):
-        triple = {
-            1: PowerTriple(mp.p1_m1[i], 0.0, 0.0),
-            2: PowerTriple(0.0, mp.p2_m2[i], 0.0),
-            3: PowerTriple(mp.p1_m3[i], mp.p2_m3[i], 0.0),
-            6: PowerTriple(0.0, 0.0, mp.pr_m6[i]),
-        }[mode]
+        p = [q[i] for q in mp[mode]]
+        triple = PowerTriple(
+            *{1: (p[0], 0.0, 0.0), 2: (0.0, p[0], 0.0), 3: (*p, 0.0), 6: (0.0, 0.0, p[0])}[mode]
+        )
         r = link_capacities(float(s1[i]), float(s2[i]), triple, t)
         rates = {
             1: (r.c1r, 0.0, 0.0, 0.0),
@@ -334,9 +326,9 @@ def test_closed_form_never_beaten_by_grid_smoke():
         t = optimal_time_share(stats)
         _, metrics = mode_table(s1, s2, mu1, mu2, gamma, t)
         p = np.linspace(0.0, 10.0 / gamma, 500)
-        for mode, lam in ((1, metrics.lambda1), (2, metrics.lambda2), (3, metrics.lambda3), (6, metrics.lambda6)):
+        for mode in SELECTABLE_MODES:
             _, g_val = _grid_search(mode, p, s1, s2, mu1, mu2, gamma, t)
-            assert g_val <= lam[0] + 1e-6
+            assert g_val <= metrics[mode][0] + 1e-6
 
 
 _MIRROR_MODE = np.array([0, 2, 1, 3, 5, 4, 6])
