@@ -128,7 +128,7 @@ def tdbc_policy(kind: str, trace: ChannelTrace, p_total: float, tol_power: float
     def decide(tr: ChannelTrace) -> TraceDecisions:
         return _tdbc_decisions(TraceGains(tr.s1, tr.s2), p_total, gamma)
 
-    return PreparedPolicy(kind, decide, None, None, gamma, fixed, converged)
+    return PreparedPolicy(decide, None, None, gamma, fixed, converged)
 
 
 def _fixed_caps(s1, s2, power: float, modes: tuple, t: float) -> tuple:
@@ -226,4 +226,4 @@ def fixed_power_policy(
     def decide(tr: ChannelTrace) -> TraceDecisions:
         return _fixed_select(_fixed_caps(tr.s1, tr.s2, power, modes, t), mu1, mu2, power, modes)
 
-    return PreparedPolicy(kind, decide, mu1, mu2, None, power, converged)
+    return PreparedPolicy(decide, mu1, mu2, None, power, converged)

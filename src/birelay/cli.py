@@ -106,7 +106,7 @@ def _prepare(name: str, spec: RunSpec, p_total: float, trace) -> PreparedPolicy:
         result = calibrate(trace, p_total, spec.tol_rate, spec.tol_power)
         th = result.thresholds
         decide = policy.proposed_policy(th, trace.stats)
-        return PreparedPolicy(name, decide, th.mu1, th.mu2, th.gamma, None, result.converged)
+        return PreparedPolicy(decide, th.mu1, th.mu2, th.gamma, None, result.converged)
     if name in ("tdbc_no_pa", "tdbc_pa"):
         return benchmarks.tdbc_policy(name, trace, p_total, spec.tol_power)
     return benchmarks.fixed_power_policy(name, trace, p_total, spec.tol_rate)
@@ -240,8 +240,6 @@ def _sweep_spec(args) -> RunSpec:
         if not math.isfinite(span):
             raise ValueError("power sweep range overflows: too many points")
         count = int(math.floor(span + 1e-9)) + 1
-        if count < 1:
-            raise ValueError("empty power sweep")
         pt_db = tuple(start + k * step for k in range(count))
     protocols = opts.pop("protocols", None)
     if isinstance(protocols, str):

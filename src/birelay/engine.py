@@ -20,29 +20,18 @@ import numpy as np
 from .channel import ChannelTrace
 from .policy import TraceDecisions
 
-__all__ = ["QueueState", "RateReport", "ProtocolPolicy", "PreparedPolicy", "run"]
+__all__ = ["RateReport", "ProtocolPolicy", "PreparedPolicy", "run"]
 
 ProtocolPolicy = Callable[[ChannelTrace], TraceDecisions]
-
-
-@dataclass(frozen=True)
-class QueueState:
-    """Relay buffer occupancies in bits/symbol units (q1 holds user-1
-    traffic awaiting delivery to user 2, q2 the reverse)."""
-
-    q1: float
-    q2: float
-
-    def __post_init__(self) -> None:
-        if self.q1 < 0.0 or self.q2 < 0.0:
-            raise ValueError("queues cannot be negative")
 
 
 @dataclass(frozen=True)
 class RateReport:
     """Averages of one run. r_1r / r_2r are rates into the relay buffers,
     r_r1 / r_r2 delivered rates out of them; sum_rate = r_r1 + r_r2 counts
-    only delivered traffic. mode_freq is indexed by mode-1."""
+    only delivered traffic. mode_freq is indexed by mode-1. q1 and q2 are
+    the relay buffers' final levels in bits/symbol units (q1 holds user-1
+    traffic awaiting delivery to user 2, q2 the reverse)."""
 
     r_1r: float
     r_2r: float
@@ -51,7 +40,8 @@ class RateReport:
     sum_rate: float
     avg_power: float
     mode_freq: tuple[float, float, float, float, float, float]
-    final_queues: QueueState
+    q1: float
+    q2: float
     n_slots: int
 
 
@@ -61,7 +51,6 @@ class PreparedPolicy:
     buffer duals, power price, and common transmit power, each None where
     the protocol has none."""
 
-    name: str
     decide: ProtocolPolicy
     mu1: float | None
     mu2: float | None
@@ -78,8 +67,9 @@ def _lindley(arrive: np.ndarray, serve: np.ndarray) -> tuple[float, float, float
     with S = cumsum(a) - cumsum(c); whatever arrived and is not left over
     was delivered. Taking the two running sums apart keeps a buffer that is
     never served at exactly zero delivered. The final level is never
-    negative, and is clamped to what arrived (rounding in the sums lifts it
-    above that when a buffer is served before its only arrival), so
+    negative (S_n >= min S, and the flows run admits are nonnegative), and
+    is clamped to what arrived (rounding in the sums lifts it above that
+    when a buffer is served before its only arrival), so
     0 <= delivered <= arrived holds exactly.
     """
     arrived = np.cumsum(arrive)
@@ -117,6 +107,7 @@ def run(trace: ChannelTrace, policy: ProtocolPolicy) -> RateReport:
         sum_rate=(out1 + out2) / n,
         avg_power=float(dec.power.mean()),
         mode_freq=tuple(int(c) / n for c in counts),
-        final_queues=QueueState(q1, q2),
+        q1=q1,
+        q2=q2,
         n_slots=n,
     )

@@ -192,9 +192,9 @@ def threshold_region_scan(
     trace: ChannelTrace, p_total: float, mu_values: np.ndarray, tol_rate: float = 0.02
 ) -> list[tuple[float, float]]:
     """The balanced dual pairs (mu1, mu2), in probe order, among every pair
-    from mu_values (the boundary values 0 and 1 included) probed on trace,
-    a short one for speed, matching the power budget at each point by
-    solving for gamma to 0.5 %.
+    from mu_values (each in [0, 1], the boundary values included) probed
+    on trace, a short one for speed, matching the power budget at each
+    point by solving for gamma to 0.5 %.
 
     A point is balanced when both relative rate residuals are within
     tol_rate and the delivered sum rate is positive. Boundary dual values
@@ -202,6 +202,9 @@ def threshold_region_scan(
     """
     check_real("power budget", p_total, positive=True)
     check_tolerance("tol_rate", tol_rate)
+    mu_values = np.asarray(mu_values, dtype=float)
+    if not np.all((mu_values >= 0.0) & (mu_values <= 1.0)):
+        raise ValueError(f"mu_values must lie in [0, 1], got {mu_values.tolist()!r}")
     s1, s2 = trace.s1, trace.s2
     gains = TraceGains(s1, s2)
     t = optimal_time_share(trace.stats)

@@ -125,11 +125,10 @@ def test_criterion_04_constraint_satisfaction(point_runs):
         # while the realized run checks the budget and the queue edge
         worst_rate = max(worst_rate, result.residual_c1, result.residual_c2)
         worst_power = max(worst_power, abs(report.avg_power - p_total) / p_total)
-        q = report.final_queues
         worst_queue = max(
             worst_queue,
-            (q.q1 / report.n_slots) / report.sum_rate,
-            (q.q2 / report.n_slots) / report.sum_rate,
+            (report.q1 / report.n_slots) / report.sum_rate,
+            (report.q2 / report.n_slots) / report.sum_rate,
         )
         worst_delivered = max(
             worst_delivered,

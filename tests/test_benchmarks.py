@@ -84,8 +84,8 @@ def test_tdbc_frames_are_self_contained():
     assert rep.r_r1 == pytest.approx(want_r1, rel=1e-12)
     # everything ingested leaves in the same frame, so the buffers end
     # empty up to the rounding of the running sums
-    assert rep.final_queues.q1 == pytest.approx(0.0, abs=1e-12)
-    assert rep.final_queues.q2 == pytest.approx(0.0, abs=1e-12)
+    assert rep.q1 == pytest.approx(0.0, abs=1e-12)
+    assert rep.q2 == pytest.approx(0.0, abs=1e-12)
     assert rep.r_1r == pytest.approx(rep.r_r2, rel=1e-14)
     assert rep.r_2r == pytest.approx(rep.r_r1, rel=1e-14)
 
@@ -105,8 +105,8 @@ def test_tdbc_tail_frame_carries_nothing():
         want_r1 = float(np.minimum(cap(s2[1:6:3]), cap(s1[2:6:3])).sum()) / n
         dec = prep.decide(trace)
         assert not dec.up1[6:].any() and not dec.up2[6:].any()
-        assert rep.final_queues.q1 == pytest.approx(0.0, abs=1e-12)
-        assert rep.final_queues.q2 == pytest.approx(0.0, abs=1e-12)
+        assert rep.q1 == pytest.approx(0.0, abs=1e-12)
+        assert rep.q2 == pytest.approx(0.0, abs=1e-12)
         assert rep.avg_power == pytest.approx(1.0)
         assert rep.r_r2 == pytest.approx(want_r2, rel=1e-12)
         assert rep.r_r1 == pytest.approx(want_r1, rel=1e-12)
@@ -163,7 +163,6 @@ def test_every_kind_produces_throughput():
             prep = tdbc_policy(kind, trace, 1.0, TOL_POWER)
         else:
             prep = fixed_power_policy(kind, trace, 1.0, TOL_RATE)
-        assert prep.name == kind
         rep = run(trace, prep.decide)
         assert rep.sum_rate > 0.0
 

@@ -214,6 +214,17 @@ def test_main_rejects_an_overflowing_sweep_range(tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_main_rejects_a_reversed_sweep_range(tmp_path):
+    # a range with no point leaves the power sweep empty
+    out_path = tmp_path / "x.csv"
+    rc, out, err = _main(
+        ["sweep", "--pt-db-start", "10", "--pt-db-stop", "0", "--out", str(out_path)]
+    )
+    assert rc == 2
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "empty" in err
+
+
 def test_main_rejects_mistyped_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"slots": "7"}))

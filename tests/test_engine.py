@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birelay.channel import ChannelTrace, FadingStatistics, sample_trace
-from birelay.engine import QueueState, run
+from birelay.engine import run
 from birelay.policy import Thresholds, TraceDecisions, proposed_policy
 from rate_reference import PowerTriple, link_capacities
 
@@ -49,20 +49,13 @@ def _reference(dec):
     return q1, q2, out1, out2
 
 
-def test_queue_state_validated():
-    with pytest.raises(ValueError):
-        QueueState(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        QueueState(0.0, -1.0)
-
-
 def test_uplink_modes_fill_buffers():
     ch = (3.0, 1.0)  # one slot's squared gains (s1, s2)
     c1r = link_capacities(*ch, PowerTriple(1.0, 0.0, 0.0), 0.0).c1r
     c2r = link_capacities(*ch, PowerTriple(0.0, 1.0, 0.0), 0.0).c2r
     assert (c1r, c2r) == (2.0, 1.0)  # log2(1+3), log2(1+1)
     rep = _run(_decisions([1, 2, 1], up1=[c1r, 0.0, 0.5], up2=[0.0, c2r, 0.0]))
-    assert rep.final_queues == QueueState(2.5, 1.0)
+    assert (rep.q1, rep.q2) == (2.5, 1.0)
     assert (rep.r_1r, rep.r_2r) == (2.5 / 3, 1.0 / 3)
     assert rep.r_r1 == rep.r_r2 == 0.0
     assert rep.mode_freq == (2 / 3, 1 / 3, 0.0, 0.0, 0.0, 0.0)
@@ -71,8 +64,8 @@ def test_uplink_modes_fill_buffers():
 def test_joint_uplink_fills_both():
     r = link_capacities(1.5, 2.5, PowerTriple(1.0, 1.0, 0.0), 1.0)
     rep = _run(_decisions([3], up1=[r.c12r], up2=[r.c21r]))
-    assert rep.final_queues.q1 == pytest.approx(1.3219280948873624)
-    assert rep.final_queues.q2 == pytest.approx(1.0)
+    assert rep.q1 == pytest.approx(1.3219280948873624)
+    assert rep.q2 == pytest.approx(1.0)
     assert rep.r_1r == pytest.approx(1.3219280948873624)
     assert rep.mode_freq[2] == 1.0
 
@@ -81,15 +74,15 @@ def test_downlink_modes_clip_to_buffer():
     # mode 4 serves user 1 out of buffer 2: capacity 2.0 clipped to 0.7
     rep = _run(_decisions([2, 4], up2=[0.7, 0.0], down1=[0.0, 2.0]))
     assert rep.r_r1 * 2 == pytest.approx(0.7)
-    assert rep.final_queues == QueueState(0.0, 0.0)
+    assert (rep.q1, rep.q2) == (0.0, 0.0)
     # mode 5 serves user 2 out of buffer 1: capacity 1.0, buffer has more
     rep = _run(_decisions([1, 5], up1=[5.0, 0.0], down2=[0.0, 1.0]))
     assert rep.r_r2 * 2 == pytest.approx(1.0)
-    assert rep.final_queues.q1 == pytest.approx(4.0)
+    assert rep.q1 == pytest.approx(4.0)
     # service on an empty buffer delivers nothing
     rep = _run(_decisions([4, 5, 6], down1=[1.0, 0.0, 3.0], down2=[0.0, 1.0, 3.0]))
     assert rep.sum_rate == 0.0
-    assert rep.final_queues == QueueState(0.0, 0.0)
+    assert (rep.q1, rep.q2) == (0.0, 0.0)
 
 
 def test_broadcast_serves_both_from_pre_slot_levels():
@@ -100,8 +93,8 @@ def test_broadcast_serves_both_from_pre_slot_levels():
     )
     assert rep.r_r1 * 3 == pytest.approx(2.0)  # from buffer 2
     assert rep.r_r2 * 3 == pytest.approx(1.0)  # from buffer 1, clipped
-    assert rep.final_queues.q1 == pytest.approx(0.0)
-    assert rep.final_queues.q2 == pytest.approx(1.0)
+    assert rep.q1 == pytest.approx(0.0)
+    assert rep.q2 == pytest.approx(1.0)
 
 
 def test_service_before_the_only_arrival_delivers_nothing():
@@ -109,7 +102,7 @@ def test_service_before_the_only_arrival_delivers_nothing():
     # arrived, which read as a negative delivered rate
     rep = _run(_decisions([6, 2], up2=[0.0, 0.1], down1=[1.1, 0.0]))
     assert rep.r_r1 == 0.0
-    assert rep.final_queues.q2 == 0.1
+    assert rep.q2 == 0.1
 
 
 def test_run_rejects_unknown_mode():
@@ -146,17 +139,17 @@ def test_run_accounting_and_conservation():
     assert report.r_r2 * n <= report.r_1r * n + 1e-9
     assert report.r_r1 * n <= report.r_2r * n + 1e-9
     # ingested minus delivered sits in the final buffers, exactly
-    assert report.final_queues.q1 == pytest.approx(
+    assert report.q1 == pytest.approx(
         (report.r_1r - report.r_r2) * n, rel=1e-9, abs=1e-9
     )
-    assert report.final_queues.q2 == pytest.approx(
+    assert report.q2 == pytest.approx(
         (report.r_2r - report.r_r1) * n, rel=1e-9, abs=1e-9
     )
     assert report.avg_power > 0.0
     # the closed-form recursion matches the slot-by-slot buffers
     q1, q2, out1, out2 = _reference(policy(trace))
-    assert report.final_queues.q1 == pytest.approx(q1, rel=1e-12, abs=1e-9)
-    assert report.final_queues.q2 == pytest.approx(q2, rel=1e-12, abs=1e-9)
+    assert report.q1 == pytest.approx(q1, rel=1e-12, abs=1e-9)
+    assert report.q2 == pytest.approx(q2, rel=1e-12, abs=1e-9)
     assert report.r_r1 == pytest.approx(out1 / n, rel=1e-12)
     assert report.r_r2 == pytest.approx(out2 / n, rel=1e-12)
 
@@ -180,7 +173,7 @@ def test_run_respects_policy_modes():
     report = run(trace, uplink_only)
     assert report.mode_freq[0] == 1.0
     assert report.r_r1 == report.r_r2 == 0.0
-    assert report.final_queues.q1 == pytest.approx(report.r_1r * 300, rel=1e-12)
+    assert report.q1 == pytest.approx(report.r_1r * 300, rel=1e-12)
     assert report.avg_power == pytest.approx(1.0, rel=1e-12)
 
 
@@ -204,14 +197,16 @@ def test_run_matches_sequential_buffers(slots):
     n = len(slots)
     q1, q2, out1, out2 = _reference(dec)
     scale = 1e-12 * (1.0 + sum(a + b for _, a, b in slots))
-    assert rep.final_queues.q1 == pytest.approx(q1, abs=scale)
-    assert rep.final_queues.q2 == pytest.approx(q2, abs=scale)
+    assert rep.q1 == pytest.approx(q1, abs=scale)
+    assert rep.q2 == pytest.approx(q2, abs=scale)
     assert rep.r_r1 * n == pytest.approx(out1, abs=scale)
     assert rep.r_r2 * n == pytest.approx(out2, abs=scale)
     # never more out than in, nor less than nothing, direction by direction;
     # and never more left over than arrived
     assert 0.0 <= rep.r_r2 <= rep.r_1r
     assert 0.0 <= rep.r_r1 <= rep.r_2r
-    assert rep.final_queues.q1 / n <= rep.r_1r
-    assert rep.final_queues.q2 / n <= rep.r_2r
+    assert 0.0 <= rep.q1
+    assert 0.0 <= rep.q2
+    assert rep.q1 / n <= rep.r_1r
+    assert rep.q2 / n <= rep.r_2r
     assert rep.mode_freq == tuple(mode.count(k) / n for k in range(1, 7))

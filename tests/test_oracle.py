@@ -195,3 +195,6 @@ def test_region_scan_validates_budget():
     for bad in (0.0, 0.5, float("nan"), "0.02"):
         with pytest.raises(ValueError):
             threshold_region_scan(trace, 1.0, np.array([0.5]), tol_rate=bad)
+    for bad in ([1.5], [-0.5, 0.4], [float("inf")], [float("nan")]):
+        with pytest.raises(ValueError, match="mu_values"):
+            threshold_region_scan(trace, 1.0, np.array(bad))

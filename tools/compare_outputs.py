@@ -20,8 +20,7 @@ baselines only, ``calibrate`` at the seven points of the benchmark's
 ``calibrate`` workload (all exit 0), ``verify`` at three seeds, a
 ``proposed`` sweep at -20 dB on a 30-slot trace, the short-trace path of
 calibration, and a six-mode fixed-power sweep on a 2-slot trace, the
-short-trace path of a baseline: 16 commands in all. It takes about a
-minute.
+short-trace path of a baseline. It takes about a minute.
 """
 
 from __future__ import annotations
