@@ -64,18 +64,24 @@ def _lindley(arrive: np.ndarray, serve: np.ndarray) -> tuple[float, float, float
     starts empty.
 
     q_k = max(q_{k-1} + a_k - c_k, 0) unrolls to q_k = S_k - min(0, min_{j<=k} S_j)
-    with S = cumsum(a) - cumsum(c); whatever arrived and is not left over
-    was delivered. Taking the two running sums apart keeps a buffer that is
-    never served at exactly zero delivered. The final level is never
-    negative (S_n >= min S, and the flows run admits are nonnegative), and
-    is clamped to what arrived (rounding in the sums lifts it above that
-    when a buffer is served before its only arrival), so
+    with S = A - C, A = cumsum(a) and C = cumsum(c); whatever arrived and is
+    not left over was delivered. The final level is S_n when S never falls
+    below zero, else the tail sum after j = argmin S, where the level is 0:
+    (A_n - A_j) - (C_n - C_j). Only the slots after j enter it, so a buffer
+    served before its only arrival keeps exactly that arrival and delivers
+    0, and a buffer that is never served delivers exactly 0. The level is
+    at most A_n - A_j <= A_n (A and C never fall, as the flows run admits
+    are nonnegative) and is clamped at zero against rounding, so
     0 <= delivered <= arrived holds exactly.
     """
-    arrived = np.cumsum(arrive)
-    s = arrived - np.cumsum(serve)
+    arrived, served = np.cumsum(arrive), np.cumsum(serve)
+    s = arrived - served
     total = float(arrived[-1])
-    q = min(float(s[-1] - min(0.0, s.min())), total)
+    j = int(np.argmin(s))
+    if s[j] < 0.0:
+        q = max(float((arrived[-1] - arrived[j]) - (served[-1] - served[j])), 0.0)
+    else:
+        q = float(s[-1])
     return total, q, total - q
 
 

@@ -6,6 +6,9 @@ module is evidence rather than tautology: grid searches over transmit
 power, a sweep over the decoding time share, and a feasibility scan over
 the dual plane. The 2-D grid of the multiple-access mode is searched by
 branch and bound, with the same argmax and value as an exhaustive search.
+The grid searches take draws in chunks, one row per draw: each stage is
+one array pass over the chunk, the log rows are shared by all four modes,
+and the values are those of searching each draw alone.
 
 The checks behind `birelay verify` and the acceptance criteria take
 arrays of random draws (see sample_draws), one entry per draw, and return
@@ -41,64 +44,101 @@ __all__ = [
 ]
 
 
-def _grid_search(mode, p, s1, s2, mu1, mu2, gamma, t):
-    """Grid indices of one selectable mode's (1, 2, 3 or 6) best powers on
-    axis p (one index per power axis) and the metric there; no validation."""
-    if mode == 3:
-        return _ma_search(p, s1, s2, mu1, mu2, gamma, t)
-    if mode == 6:
-        vals = mu1 * np.log2(1.0 + p * s2) + mu2 * np.log2(1.0 + p * s1) - gamma * p
-    else:
-        weight, s = {1: (1.0 - mu1, s1), 2: (1.0 - mu2, s2)}[mode]
-        vals = weight * np.log2(1.0 + p * s) - gamma * p
-    k = int(np.argmax(vals))
-    return (k,), vals[k]
-
-
 _BLOCK = 40  # points per block side in the multiple-access search
+# grid cells (draws x padded axis) per chunk of grid_optimality: each row
+# array, 125 KB, stays under glibc's 128 KiB mmap threshold and in cache
+_CHUNK_CELLS = 16_000
 
 
 def _ma_metric(x, y, a, row, col):
-    """a*log2(1 + x[i] + y[j]) + row[i] + col[j] at every (i, j), in place."""
-    vals = np.add.outer(x, y)
+    """a*log2(1 + x[i] + y[j]) + row[i] + col[j] at every (i, j), in place,
+    for each leading index: x, row are (..., m), y, col (..., n), a (...)."""
+    vals = x[..., :, None] + y[..., None, :]
     vals += 1.0
     np.log2(vals, out=vals)
-    vals *= a
-    vals += row[:, None]
-    vals += col[None, :]
+    vals *= a[..., None, None]
+    vals += row[..., :, None]
+    vals += col[..., None, :]
     return vals
 
 
-def _ma_search(p, s1, s2, mu1, mu2, gamma, t):
-    """Indices (i, j) and value of the best multiple-access metric on p x p.
+def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t) -> dict:
+    """Per selectable mode (1, 2, 3, 6), the grid indices of each draw's best
+    powers (one index array per power axis) and the metric there.
+
+    Row d of p is draw d's power axis; the gains, duals, price and decoding
+    shares t are 1-D arrays with one entry per row. The log rows are computed
+    once, on the axis padded to whole blocks with p = 0, and shared by all
+    four modes; no validation.
+    """
+    n, points = p.shape
+    s1, s2, mu1, mu2, gamma, t = (
+        np.asarray(v, dtype=float)[:, None] for v in (s1, s2, mu1, mu2, gamma, t)
+    )
+    gp = np.zeros((n, -(-points // _BLOCK) * _BLOCK))
+    gp[:, :points] = p
+    x, y = gp * s1, gp * s2
+    gp *= gamma
+    l1, l2 = np.log2(1.0 + x), np.log2(1.0 + y)
+
+    def best(vals):
+        k = np.argmax(vals[:, :points], axis=1)
+        return (k,), vals[np.arange(n), k]
+
+    found = {
+        1: best((1.0 - mu1) * l1 - gp),
+        2: best((1.0 - mu2) * l2 - gp),
+        6: best(mu1 * l2 + mu2 * l1 - gp),
+    }
+    a = (1.0 - mu1) * (1.0 - t) + (1.0 - mu2) * t
+    row = t * (mu2 - mu1) * l1 - gp
+    col = (1.0 - t) * (mu1 - mu2) * l2 - gp
+    del l1, l2, gp
+    row[:, points:] = col[:, points:] = -math.inf
+    found[3] = _ma_search(x, y, a[:, 0], row, col, points)
+    return found
+
+
+def _ma_search(x, y, a, row, col, points):
+    """Indices (i, j) and value of each draw's best multiple-access metric.
 
     The metric (1-mu1)*c12r + (1-mu2)*c21r - gamma*(p1+p2), with
     c12r = t*l1 + (1-t)*(lsum - l2) and c21r = (1-t)*l2 + t*(lsum - l1),
     is _ma_metric(x, y, a, row, col) with x = p*s1, y = p*s2 and a >= 0 for
-    duals in [0, 1]. A block's bound is _ma_metric at its largest x, y, row
-    and col; all its steps but log2 round monotonically, so only log2's
-    last-place error can lift an element over the bound. Blocks run in
-    falling bound order until the next bound plus a 1e-9 relative margin is
-    below the best; ties go to the lowest flat index, as in np.argmax.
+    duals in [0, 1]; row d of x, y, row and col belongs to draw d, padded
+    from points to whole blocks with x = y = 0 and row = col = -inf, which
+    no grid point can lose to. A block's bound is _ma_metric at its largest
+    x, y, row and col; all its steps but log2 round monotonically, so only
+    log2's last-place error can lift an element over the bound. Each draw
+    runs its blocks in falling bound order until the next bound plus a 1e-9
+    relative margin is below its best; ties go to the lowest flat index, as
+    in np.argmax. All draws run together, one block each per round.
     """
-    x, y = p * s1, p * s2
-    a = (1.0 - mu1) * (1.0 - t) + (1.0 - mu2) * t
-    row = t * (mu2 - mu1) * np.log2(1.0 + x) - gamma * p
-    col = (1.0 - t) * (mu1 - mu2) * np.log2(1.0 + y) - gamma * p
-    starts = np.arange(0, p.size, _BLOCK)
-    x_hi, y_hi, row_hi, col_hi = (np.maximum.reduceat(v, starts) for v in (x, y, row, col))
-    bound = _ma_metric(x_hi, y_hi, a, row_hi, col_hi)
-    best, at = -math.inf, (0, 0)
-    for k in np.argsort(bound, axis=None)[::-1]:
-        if bound.flat[k] + 1e-9 * (1.0 + abs(best)) < best:
+    n, nb = x.shape[0], x.shape[1] // _BLOCK
+    starts = np.arange(0, x.shape[1], _BLOCK)
+    hi = (np.maximum.reduceat(v, starts, axis=1) for v in (x, y, row, col))
+    x_hi, y_hi, row_hi, col_hi = hi
+    bound = _ma_metric(x_hi, y_hi, a, row_hi, col_hi).reshape(n, nb * nb)
+    order = np.argsort(bound, axis=1)[:, ::-1]
+    xb, yb, rb, cb = (v.reshape(n, nb, _BLOCK) for v in (x, y, row, col))
+    best, at = np.full(n, -math.inf), np.zeros(n, dtype=np.intp)
+    live = np.arange(n)
+    for r in range(nb * nb):
+        k = order[live, r]
+        go = ~(bound[live, k] + 1e-9 * (1.0 + np.abs(best[live])) < best[live])
+        live, k = live[go], k[go]
+        if live.size == 0:
             break
-        rows, cols = (slice(b * _BLOCK, (b + 1) * _BLOCK) for b in divmod(int(k), starts.size))
-        vals = _ma_metric(x[rows], y[cols], a, row[rows], col[cols])
-        i, j = divmod(int(np.argmax(vals)), vals.shape[1])
-        ij = (rows.start + i, cols.start + j)
-        if vals[i, j] > best or (vals[i, j] == best and ij < at):
-            best, at = vals[i, j], ij
-    return at, best
+        bi, bj = np.divmod(k, nb)
+        vals = _ma_metric(xb[live, bi], yb[live, bj], a[live], rb[live, bi], cb[live, bj])
+        vals = vals.reshape(live.size, _BLOCK * _BLOCK)
+        k = np.argmax(vals, axis=1)
+        value = vals[np.arange(live.size), k]
+        i, j = np.divmod(k, _BLOCK)
+        ij = (bi * _BLOCK + i) * points + bj * _BLOCK + j
+        won = (value > best[live]) | ((value == best[live]) & (ij < at[live]))
+        best[live[won]], at[live[won]] = value[won], ij[won]
+    return np.divmod(at, points), best
 
 
 def _t_profile(s1, s2, mu1, mu2, gamma, p1, p2, ts):
@@ -126,23 +166,43 @@ def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]
     argmax offset in grid steps of the closed-form powers of modes 1, 2, 3
     and 6 against a grid search on [0, 10/gamma] per power axis. Exact:
     same argmax and value as an exhaustive search; blocks that provably
-    cannot hold the maximum are skipped.
+    cannot hold the maximum are skipped. Draws are searched in chunks of
+    at most _CHUNK_CELLS grid cells, one array pass per stage, and every
+    argmax and value is the one a search of that draw alone gives.
 
     Each draw is checked at the decoding share its dual order favours
     (t = 0 when mu1 >= mu2): the share the policy picks when the link with
-    the larger fading mean also has the larger dual.
+    the larger fading mean also has the larger dual. Raises ValueError for
+    fewer than 2 points, no draws or draw arrays of unequal length.
     """
-    tables = {t: mode_table(s1, s2, mu1, mu2, gamma, t) for t in (0.0, 1.0)}
-    worst_gap, worst_step = -math.inf, 0.0
-    for i, t in enumerate(np.where(mu1 >= mu2, 0.0, 1.0)):
-        powers, metrics = tables[t]
-        p = np.linspace(0.0, 10.0 / gamma[i], points)
-        for mode in SELECTABLE_MODES:
-            at, value = _grid_search(mode, p, s1[i], s2[i], mu1[i], mu2[i], gamma[i], t)
-            worst_gap = max(worst_gap, value - metrics[mode][i])
-            steps = (abs(q[i] - p[k]) / p[1] for q, k in zip(powers[mode], at))
-            worst_step = max(worst_step, *steps)
-    return float(worst_gap), float(worst_step)
+    draws = [np.asarray(v, dtype=float) for v in (s1, s2, mu1, mu2, gamma)]
+    if points < 2:
+        raise ValueError(f"grid needs at least 2 points per axis, got {points!r}")
+    if len({v.shape for v in draws}) != 1 or draws[0].ndim != 1:
+        raise ValueError("draws must be 1-D arrays of one length")
+    if draws[0].size == 0:
+        raise ValueError("no draws to check")
+    s1, s2, mu1, mu2, gamma = draws
+    t = np.where(mu1 >= mu2, 0.0, 1.0)
+    (powers0, metrics0), (powers1, metrics1) = (
+        mode_table(s1, s2, mu1, mu2, gamma, share) for share in (0.0, 1.0)
+    )
+    # each draw's closed forms at its own share
+    powers, metrics = {}, {}
+    for m in SELECTABLE_MODES:
+        powers[m] = [np.where(t == 0.0, *q) for q in zip(powers0[m], powers1[m])]
+        metrics[m] = np.where(t == 0.0, metrics0[m], metrics1[m])
+    gaps, steps = [], [0.0]
+    rows = max(1, _CHUNK_CELLS // (-(-points // _BLOCK) * _BLOCK))
+    for lo in range(0, s1.size, rows):
+        at = slice(lo, lo + rows)
+        p = np.linspace(0.0, 10.0 / gamma[at], points, axis=1)
+        found = _grid_maxima(p, s1[at], s2[at], mu1[at], mu2[at], gamma[at], t[at])
+        for mode, (where, value) in found.items():
+            gaps.append(np.max(value - metrics[mode][at]))
+            for q, k in zip(powers[mode], where):
+                steps.append(np.max(np.abs(q[at] - p[np.arange(k.size), k]) / p[:, 1]))
+    return float(np.max(gaps)), float(np.max(steps))
 
 
 def broadcast_root_residual(s1, s2, mu1, mu2, gamma) -> tuple[float, int]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birelay.channel import ChannelTrace, FadingStatistics, sample_trace
-from birelay.engine import run
+from birelay.engine import _lindley, run
 from birelay.policy import Thresholds, TraceDecisions, proposed_policy
 from rate_reference import PowerTriple, link_capacities
 
@@ -103,6 +103,15 @@ def test_service_before_the_only_arrival_delivers_nothing():
     rep = _run(_decisions([6, 2], up2=[0.0, 0.1], down1=[1.1, 0.0]))
     assert rep.r_r1 == 0.0
     assert rep.q2 == 0.1
+
+
+def test_service_before_the_only_arrival_leaves_no_rounding_residue():
+    # the running sums leave 1.1e-16 delivered out of a buffer that was
+    # served (1.3485) before its only arrival (0.33994)
+    assert _lindley(np.array([0.0, 0.33994]), np.array([1.3485, 0.0])) == (0.33994, 0.33994, 0.0)
+    rep = _run(_decisions([6, 1], up1=[0.0, 0.33994], down2=[1.3485, 0.0]))
+    assert rep.r_r2 == 0.0
+    assert rep.q1 == 0.33994
 
 
 def test_run_rejects_unknown_mode():

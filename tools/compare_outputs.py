@@ -17,10 +17,12 @@ Each command is ``birelay.cli.main`` in a fresh interpreter that imports
 sweep as CSV and as JSON, a 10:1 sweep that exits 1 because the
 fixed-power baselines do not converge there, the same sweep over those
 baselines only, ``calibrate`` at the seven points of the benchmark's
-``calibrate`` workload (all exit 0), ``verify`` at three seeds, a
-``proposed`` sweep at -20 dB on a 30-slot trace, the short-trace path of
-calibration, and a six-mode fixed-power sweep on a 2-slot trace, the
-short-trace path of a baseline. It takes about a minute.
+``calibrate`` workload (all exit 0), ``verify`` at three seeds,
+``verify`` on 37 draws of 801 points (a partial block on each axis and a
+draw count that does not fill its last chunk), a ``proposed`` sweep at
+-20 dB on a 30-slot trace, the short-trace path of calibration, and a
+six-mode fixed-power sweep on a 2-slot trace, the short-trace path of a
+baseline. It takes about a minute.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ COMMANDS = (
         for o1, o2, db in _CALIBRATE_POINTS
     ),
     *(("verify", "--seed", str(seed)) for seed in (1, 7, 1234)),
+    ("verify", "--draws", "37", "--grid-points", "801"),
     ("sweep", "--slots", "30", "--pt-db-list=-20", "--protocols", "proposed"),
     ("sweep", "--slots", "2", "--pt-db-list=0", "--protocols", "fixed_power_six_mode"),
 )
