@@ -93,7 +93,7 @@ def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t) -> dict:
     a = (1.0 - mu1) * (1.0 - t) + (1.0 - mu2) * t
     row = t * (mu2 - mu1) * l1 - gp
     col = (1.0 - t) * (mu1 - mu2) * l2 - gp
-    del l1, l2, gp
+    del l1, l2, gp  # a chunk's peak memory is its count of live row arrays
     row[:, points:] = col[:, points:] = -math.inf
     found[3] = _ma_search(x, y, a[:, 0], row, col, points)
     return found
