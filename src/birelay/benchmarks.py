@@ -59,6 +59,7 @@ from .policy import (
     capacity,
     ma_split,
     pick,
+    trace_mean,
     wf_power,
 )
 
@@ -121,7 +122,7 @@ def tdbc_policy(kind: str, trace: ChannelTrace, p_total: float, tol_power: float
         gamma, fixed, converged = None, p_total, True
     else:
         gains = TraceGains(trace.s1, trace.s2)
-        spend = lambda g: float(_tdbc_decisions(gains, p_total, g).power.mean())  # noqa: E731
+        spend = lambda g: trace_mean(_tdbc_decisions(gains, p_total, g).power)  # noqa: E731
         gamma, resid, _ = match_budget(spend, p_total, 1.0, 0.25 * tol_power)
         fixed, converged = None, abs(resid) <= tol_power
 
@@ -200,7 +201,7 @@ def fixed_power_policy(
     def measure(a: float, b: float) -> tuple[float, float, float]:
         """Balance residuals and power residual of a dual point at the round's power."""
         dec = _fixed_select(caps, a, b, power, modes)
-        return (*balance_residuals(dec), (float(dec.power.mean()) - p_total) / p_total)
+        return (*balance_residuals(dec), (trace_mean(dec.power) - p_total) / p_total)
 
     mu1, mu2, r = 0.5, 0.5, 0.0
     # the six-mode power starts near where its rescales land (~0.6 x)

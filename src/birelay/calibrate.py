@@ -61,7 +61,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .channel import ChannelTrace, check_real, check_tolerance
-from .policy import Thresholds, TraceGains, balance_residuals, decide_trace, optimal_time_share
+from .policy import (
+    Thresholds,
+    TraceGains,
+    balance_residuals,
+    decide_trace,
+    optimal_time_share,
+    trace_mean,
+)
 
 __all__ = [
     "CalibrationResult",
@@ -370,7 +377,7 @@ def calibrate(
             evaluations += 1
             dec = decide_trace(s1, s2, mu1, mu2, g, t, gains=gains)
             balance[g] = balance_residuals(dec)
-            return float(dec.power.mean())
+            return trace_mean(dec.power)
 
         def band(g: float) -> float:
             """A probe whose true balance residuals miss tol_rate cannot be

@@ -22,6 +22,15 @@ afresh gave the same bits at about 1.5x the time per slot, as the C
 allocator trimmed and regrew its heap and each call faulted its pages in
 anew.
 
+decide runs the multiple-access mode's closed forms only on the slots
+where both users transmit, gathered into the leading entries of workspace
+rows; mode_table, which the oracle checks, runs them on every slot. On the
+other slots the mode's powers are one user's uplink power and 0, so its
+rates are that uplink mode's to the last bit (1 + 0*s = 1 and x/1 = x),
+its metric equals lambda1 or lambda2 bit for bit, and the slot rule's
+strict > gives the tie to the uplink mode: there decide scores mode 3 as
+-inf, which loses in the same way, and the decisions are bit-identical.
+
 The multiple-access decoding order never needs interior time sharing: the
 metric is affine in the share t, so one of the endpoints t in {0, 1} is
 always optimal, and which endpoint wins is fixed by the long-term gain
@@ -96,11 +105,18 @@ class TraceDecisions:
 def balance_residuals(dec: TraceDecisions) -> tuple[float, float]:
     """Relative (inflow - service) of buffers 1 and 2 over the decisions,
     without queue clipping."""
-    d1 = float(dec.down1.mean())
-    d2 = float(dec.down2.mean())
-    c1 = (float(dec.up1.mean()) - d2) / max(d2, _EPS)
-    c2 = (float(dec.up2.mean()) - d1) / max(d1, _EPS)
+    d1 = trace_mean(dec.down1)
+    d2 = trace_mean(dec.down2)
+    c1 = (trace_mean(dec.up1) - d2) / max(d2, _EPS)
+    c2 = (trace_mean(dec.up2) - d1) / max(d1, _EPS)
     return c1, c2
+
+
+def trace_mean(x) -> float:
+    """float(x.mean()) of a 1-D float array, bit for bit: the sum by
+    add.reduce over the count is what np.mean computes, without the
+    dispatch that costs more than a 10k-slot sum."""
+    return float(np.add.reduce(x)) / len(x)
 
 
 def optimal_time_share(stats: FadingStatistics) -> float:
@@ -223,61 +239,75 @@ def best_modes(modes, metrics, best=None, wins=None, code=(None, None)):
     return mode.astype(int), wins
 
 
-def _ma_powers(
-    g, mu1, mu2, gamma, t, p1_m1, p2_m2, out=(None,) * 2, work=(None,) * 5, flags=(None,) * 3
-):
-    """Jointly optimal user powers (p1_m3, p2_m3) of the multiple-access mode.
-
-    Three regimes per slot: the mode degenerates to its uplink mode 1 or 2
-    toward whichever user the gains favor (the other user's optimal power
-    would clamp at 0), or both users transmit at the interior solution.
-    Share 1 mirrors share 0 with the users swapped: user a is user 1 at
-    t = 0 and user 2 at t = 1, and its own regime is tested first. No
-    other share has these closed forms, so any other t is rejected.
+def _ma_regimes(g, mu1, mu2, gamma, t, work=(None,) * 2, flags=(None,) * 3):
+    """Bool masks (alone1, alone2, both) of the multiple-access mode's three
+    regimes per slot: the mode degenerates to its uplink mode 1 or 2 toward
+    whichever user the gains favor (the other user's optimal power would
+    clamp at 0), or both users transmit at the interior solution. Share 1
+    mirrors share 0 with the users swapped: user a is user 1 at t = 0 and
+    user 2 at t = 1, and its own regime is tested first. No other share has
+    these closed forms, so any other t is rejected.
     """
     if t not in (0.0, 1.0):
         raise ValueError(f"decoding share t must be 0 or 1, got {t!r}")
-    gl = gamma * _LN2
-    u = (mu1 - mu2) / gl
+    u = (mu1 - mu2) / (gamma * _LN2)
     first = t == 0.0
-    sa, sb, inv_b = (g.s1, g.s2, g.inv2) if first else (g.s2, g.s1, g.inv1)
-    mua, mub, alone_pa, alone_pb = (mu1, mu2, p1_m1, p2_m2) if first else (mu2, mu1, p2_m2, p1_m1)
-    pa, pb = out if first else out[::-1]
-    v, x, *masks = work
+    sa, sb, mua, mub = (g.s1, g.s2, mu1, mu2) if first else (g.s2, g.s1, mu2, mu1)
+    v, x = work
     alone_a, alone_b, both = flags[:3]
     v = np.multiply(u, sa, out=v)
     x = np.add(v, 1.0, out=x) if first else np.subtract(1.0, v, out=x)
     alone_a = np.less_equal(np.multiply(sb, x, out=x), sa, out=alone_a)
     x = np.multiply(sb, 1.0 - mub, out=x)
-    alone_b = np.greater_equal(x, np.multiply(sa, 1.0 - mua, out=pa), out=alone_b)
+    alone_b = np.greater_equal(x, np.multiply(sa, 1.0 - mua, out=v), out=alone_b)
     alone_b = np.logical_and(alone_b, np.logical_not(alone_a, out=both), out=alone_b)
     both = np.logical_not(np.logical_or(alone_a, alone_b, out=both), out=both)
-    alone_a, alone_b, both = map(as_float, (alone_a, alone_b, both), masks)
-    # interior powers [u*sa/den - 1/sb]^+ and [(1 - mua)/gl - u*sb/den]^+
-    v = np.maximum(np.subtract(np.divide(v, g.den, out=v), inv_b, out=v), 0.0, out=v)
-    x = np.divide(np.multiply(u, sb, out=x), g.den, out=x)
-    x = np.maximum(np.subtract((1.0 - mua) / gl, x, out=x), 0.0, out=x)
-    pa = pick(((alone_pa, alone_a), (x, both)), pa, x)
-    pb = pick(((alone_pb, alone_b), (v, both)), pb, v)
+    return (alone_a, alone_b, both) if first else (alone_b, alone_a, both)
+
+
+def _ma_interior(s1, s2, den, inv_b, mu1, mu2, gamma, t, out=(None, None)):
+    """Interior powers (p1, p2) of the multiple-access mode, meaningful
+    where _ma_regimes finds both users transmitting: [(1 - mua)/gl -
+    u*sb/den]^+ for user a and [u*sa/den - inv_b]^+ for user b, with
+    gl = gamma*ln2, u = (mu1 - mu2)/gl, den = s1 - s2 and inv_b = 1/sb."""
+    gl = gamma * _LN2
+    u = (mu1 - mu2) / gl
+    first = t == 0.0
+    sa, sb, mua = (s1, s2, mu1) if first else (s2, s1, mu2)
+    pa, pb = out if first else out[::-1]
+    pb = np.divide(np.multiply(u, sa, out=pb), den, out=pb)
+    pb = np.maximum(np.subtract(pb, inv_b, out=pb), 0.0, out=pb)
+    pa = np.divide(np.multiply(u, sb, out=pa), den, out=pa)
+    pa = np.maximum(np.subtract((1.0 - mua) / gl, pa, out=pa), 0.0, out=pa)
     return (pa, pb) if first else (pb, pa)
 
 
-def _selectable_powers(g, mu1, mu2, gamma, t, out=(None,) * 5, work=(None,) * 8, flags=(None,) * 3):
-    """Optimal powers (p1_m1, p2_m2, p1_m3, p2_m3, pr_m6) of the selectable modes."""
+def _ma_powers(g, mu1, mu2, gamma, t, p1_m1, p2_m2):
+    """Jointly optimal user powers (p1_m3, p2_m3) of the multiple-access
+    mode on every slot: a user's uplink power p1_m1 or p2_m2 where the mode
+    leaves the slot to that user alone, the interior powers where both
+    transmit."""
+    alone1, alone2, both = map(as_float, _ma_regimes(g, mu1, mu2, gamma, t))
+    inv_b = g.inv2 if t == 0.0 else g.inv1
+    p1, p2 = _ma_interior(g.s1, g.s2, g.den, inv_b, mu1, mu2, gamma, t)
+    return pick(((p1_m1, alone1), (p1, both))), pick(((p2_m2, alone2), (p2, both)))
+
+
+def _link_powers(g, mu1, mu2, gamma, out=(None,) * 3, work=(None,) * 8, flags=(None,) * 2):
+    """Optimal powers (p1_m1, p2_m2, pr_m6) of the one-transmitter modes."""
     p1_m1 = wf_power(1.0 - mu1, gamma, g.inv1, out[0])
     p2_m2 = wf_power(1.0 - mu2, gamma, g.inv2, out[1])
-    p1_m3, p2_m3 = _ma_powers(g, mu1, mu2, gamma, t, p1_m1, p2_m2, out[2:4], work[:5], flags)
-    return p1_m1, p2_m2, p1_m3, p2_m3, broadcast_power(g, mu1, mu2, gamma, out[4], work, flags)
+    return p1_m1, p2_m2, broadcast_power(g, mu1, mu2, gamma, out[2], work, flags)
 
 
-def _selectable_caps(g, t, powers, out=(None,) * 6):
-    """Capacities (c1r, c2r, c12r, c21r, cr1, cr2) the selectable modes reach at powers."""
-    p1_m1, p2_m2, p1_m3, p2_m3, pr_m6 = powers
+def _link_caps(g, powers, out=(None,) * 4):
+    """Capacities (c1r, c2r, cr1, cr2) the one-transmitter modes reach at powers."""
+    p1_m1, p2_m2, pr_m6 = powers
     c1r = capacity(np.multiply(p1_m1, g.s1, out=out[0]), out[0])
     c2r = capacity(np.multiply(p2_m2, g.s2, out=out[1]), out[1])
-    cr1 = capacity(np.multiply(pr_m6, g.s1, out=out[4]), out[4])
-    cr2 = capacity(np.multiply(pr_m6, g.s2, out=out[5]), out[5])
-    return (c1r, c2r, *ma_split(g.s1, g.s2, p1_m3, p2_m3, t, out[2:4]), cr1, cr2)
+    cr1 = capacity(np.multiply(pr_m6, g.s1, out=out[2]), out[2])
+    cr2 = capacity(np.multiply(pr_m6, g.s2, out=out[3]), out[3])
+    return c1r, c2r, cr1, cr2
 
 
 def _metric(terms, gamma, power, out=None, tmp=None):
@@ -285,23 +315,31 @@ def _metric(terms, gamma, power, out=None, tmp=None):
     return np.subtract(pick(terms, out, tmp), np.multiply(gamma, power, out=tmp), out=out)
 
 
-def _selectable_metrics(mu1, mu2, gamma, powers, p3, caps, out=(None,) * 4, tmp=None):
-    """Metrics lambda1, lambda2, lambda3, lambda6 of the selectable modes,
-    made one at a time; p3 = p1_m3 + p2_m3."""
-    p1_m1, p2_m2, _, _, pr_m6 = powers
-    c1r, c2r, c12r, c21r, cr1, cr2 = caps
+def _ma_metric(mu1, mu2, gamma, c12r, c21r, p3, out=None, tmp=None):
+    """The multiple-access mode's metric lambda3; p3 = p1_m3 + p2_m3."""
+    return _metric(((1.0 - mu1, c12r), (1.0 - mu2, c21r)), gamma, p3, out, tmp)
+
+
+def _selectable_metrics(mu1, mu2, gamma, powers, caps, lam3, out=(None,) * 3, tmp=None):
+    """Metrics lambda1, lambda2, lambda3 and lambda6 of the selectable
+    modes, made one at a time but for the given lam3."""
+    p1_m1, p2_m2, pr_m6 = powers
+    c1r, c2r, cr1, cr2 = caps
     yield _metric(((1.0 - mu1, c1r),), gamma, p1_m1, out[0], tmp)
     yield _metric(((1.0 - mu2, c2r),), gamma, p2_m2, out[1], tmp)
-    yield _metric(((1.0 - mu1, c12r), (1.0 - mu2, c21r)), gamma, p3, out[2], tmp)
-    yield _metric(((mu1, cr2), (mu2, cr1)), gamma, pr_m6, out[3], tmp)
+    yield lam3
+    yield _metric(((mu1, cr2), (mu2, cr1)), gamma, pr_m6, out[2], tmp)
 
 
 class TraceGains:
     """One trace's gains, what the slot rule needs of them whatever the
     duals (1/s1 and 1/s2 with 1/0 = +inf, the s1 == s2-safe difference
-    s1 - s2, and s1 + s2), and a scratch workspace. Built once per trace,
-    so the hundreds of dual points of a calibration each allocate only
-    their decisions."""
+    s1 - s2, and s1 + s2), and a scratch workspace of nine float and six
+    bool rows. Built once per trace, so the hundreds of dual points of a
+    calibration each allocate only their decisions and the index of the
+    slots where both users transmit in the multiple-access mode, the only
+    slots on which decide computes that mode (exact, as the module
+    docstring says)."""
 
     def __init__(self, s1, s2) -> None:
         s1, s2 = (np.atleast_1d(np.asarray(s, dtype=float)) for s in (s1, s2))
@@ -311,22 +349,35 @@ class TraceGains:
         self.inv1, self.inv2 = inv
         self.den = np.where(s1 == s2, 1.0, s1 - s2)  # interior MA regime implies s1 != s2
         self.ssum = s1 + s2
-        self._work = None  # eight float and six bool rows, made by the first decide
+        self._work = None  # made by the first decide
 
     def decide(self, mu1: float, mu2: float, gamma: float, t: float) -> TraceDecisions:
         """The slot rule over the trace at raw (unvalidated) duals and share
         t in {0, 1}; the fresh outputs serve as scratch until they are filled."""
         shape = self.s1.shape
         if self._work is None:
-            self._work = (np.empty((8,) + shape), np.empty((6,) + shape, dtype=bool))
-        (p2_m2, p1_m3, p2_m3, pr_m6, c12r, c21r, best, lam), flags = self._work
+            self._work = (np.empty((9,) + shape), np.empty((6,) + shape, dtype=bool))
+        (p2_m2, pr_m6, c12r, c21r, p3, lam3, best, lam, tmp), flags = self._work
         power, up1, up2, down1, down2 = (np.empty(shape) for _ in range(5))
-        out = (power, p2_m2, p1_m3, p2_m3, pr_m6)
-        scratch = (up1, up2, down1, down2, c12r, c21r, best, lam)
-        powers = _selectable_powers(self, mu1, mu2, gamma, t, out, scratch, flags)
-        caps = _selectable_caps(self, t, powers, (up1, up2, c12r, c21r, down1, down2))
+        scratch = (up1, up2, down1, down2, c12r, c21r, p3, lam3)
+        powers = _link_powers(self, mu1, mu2, gamma, (power, p2_m2, pr_m6), scratch, flags)
+        # mode 3 on its interior slots only, gathered into the first m
+        # entries of rows; elsewhere lambda3 is -inf, which loses as the
+        # uplink metric it equals there would lose the tie
+        idx = np.flatnonzero(_ma_regimes(self, mu1, mu2, gamma, t, (up1, up2), flags)[2])
+        m = len(idx)
+        inv_b = self.inv2 if t == 0.0 else self.inv1
+        s1, s2, den, inv_b = (
+            np.take(x, idx, out=row[:m], mode="clip")
+            for x, row in zip((self.s1, self.s2, self.den, inv_b), (up1, up2, down1, down2))
+        )
+        p1_m3, p2_m3 = _ma_interior(s1, s2, den, inv_b, mu1, mu2, gamma, t, (p3[:m], tmp[:m]))
+        c12r, c21r = ma_split(s1, s2, p1_m3, p2_m3, t, (c12r[:m], c21r[:m]))
         p3 = np.add(p1_m3, p2_m3, out=p1_m3)
-        lams = _selectable_metrics(mu1, mu2, gamma, powers, p3, caps, (best, lam, lam, lam), p2_m3)
+        lam3.fill(-np.inf)
+        np.put(lam3, idx, _ma_metric(mu1, mu2, gamma, c12r, c21r, p3, best[:m], lam[:m]))
+        caps = _link_caps(self, powers, (up1, up2, down1, down2))
+        lams = _selectable_metrics(mu1, mu2, gamma, powers, caps, lam3, (best, lam, lam), tmp)
         code = flags[4:].view(np.uint8)
         mode, (is1, is2, is3, is6) = best_modes(SELECTABLE_MODES, lams, best, flags[:4], code)
         # each output sums value * mask over the modes that set it, one float
@@ -335,7 +386,6 @@ class TraceGains:
         for on, scaled, added in (
             (is1, (power, up1), ()),
             (is2, (up2,), ((power, p2_m2),)),
-            (is3, (), ((power, p3), (up1, c12r), (up2, c21r))),
             (is6, (down1, down2), ((power, pr_m6),)),
         ):
             on = as_float(on, lam)
@@ -343,6 +393,12 @@ class TraceGains:
                 row *= on
             for row, value in added:
                 row += np.multiply(value, on, out=value)
+        # then mode 3's terms, added at its interior slots only: elsewhere
+        # its mask is 0, and adding 0 * value leaves a row as it is
+        on = as_float(np.take(is3, idx, out=flags[4][:m], mode="clip"), lam[:m])
+        for row, value in ((power, p3), (up1, c12r), (up2, c21r)):
+            part = np.take(row, idx, out=best[:m], mode="clip")
+            np.put(row, idx, np.add(part, np.multiply(value, on, out=value), out=part))
         return TraceDecisions(mode, power, up1, up2, down1, down2)
 
 
@@ -354,10 +410,10 @@ def mode_table(s1, s2, mu1, mu2, gamma, t: float) -> tuple[dict, dict]:
     of mode k's transmitter powers, (p1, p2) for mode 3, and metrics[k] is
     mode k's metric."""
     g = TraceGains(s1, s2)
-    powers = _selectable_powers(g, mu1, mu2, gamma, t)
-    p1_m1, p2_m2, p1_m3, p2_m3, pr_m6 = powers
-    caps = _selectable_caps(g, t, powers)
-    metrics = _selectable_metrics(mu1, mu2, gamma, powers, p1_m3 + p2_m3, caps)
+    powers = p1_m1, p2_m2, pr_m6 = _link_powers(g, mu1, mu2, gamma)
+    p1_m3, p2_m3 = _ma_powers(g, mu1, mu2, gamma, t, p1_m1, p2_m2)
+    lam3 = _ma_metric(mu1, mu2, gamma, *ma_split(g.s1, g.s2, p1_m3, p2_m3, t), p1_m3 + p2_m3)
+    metrics = _selectable_metrics(mu1, mu2, gamma, powers, _link_caps(g, powers), lam3)
     by_mode = ((p1_m1,), (p2_m2,), (p1_m3, p2_m3), (pr_m6,))
     return dict(zip(SELECTABLE_MODES, by_mode)), dict(zip(SELECTABLE_MODES, metrics))
 

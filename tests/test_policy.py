@@ -15,12 +15,15 @@ from birelay.policy import (
     Thresholds,
     TraceDecisions,
     TraceGains,
+    _ma_regimes,
+    balance_residuals,
     best_modes,
     decide_trace,
     ma_split,
     mode_table,
     optimal_time_share,
     proposed_policy,
+    trace_mean,
 )
 from rate_reference import PowerTriple, link_capacities
 
@@ -546,3 +549,99 @@ def test_trace_kernel_allocates_only_its_outputs():
     outputs = sum(getattr(dec, f).nbytes for f in _FIELDS)
     assert outputs == 6 * 8 * 10_000
     assert peak <= outputs + 8192
+
+
+def _interior(s1, s2, mu1, mu2, gamma, t):
+    """The slots where both users transmit in the multiple-access mode."""
+    return _ma_regimes(TraceGains(s1, s2), mu1, mu2, gamma, t)[2]
+
+
+_near_edge_dual = st.one_of(
+    st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6), st.floats(1e-3, 1.0 - 1e-3)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_gain, _gain, st.booleans()), min_size=1, max_size=12),
+    _near_edge_dual,
+    _near_edge_dual,
+    st.floats(math.log(1e-6), math.log(1e6)),
+    st.sampled_from((0.0, 1.0)),
+)
+def test_ma_metric_off_the_interior_is_an_uplink_metric(slots, mu1, mu2, log_gamma, t):
+    # the slot rule computes mode 3 only where both users transmit; this is
+    # exact because elsewhere its metric is the one-user uplink metric to
+    # the last bit, which wins mode 3's tie, and so the rule never picks it
+    s1 = np.array([a for a, _, _ in slots])
+    s2 = np.array([a if same else b for a, b, same in slots])
+    gamma = math.exp(log_gamma)
+    alone1, alone2, both = _ma_regimes(TraceGains(s1, s2), mu1, mu2, gamma, t)
+    assert not (alone1 & alone2).any() and np.array_equal(both, ~(alone1 | alone2))
+    _, lam = mode_table(s1, s2, mu1, mu2, gamma, t)
+    assert lam[3][alone1].tobytes() == lam[1][alone1].tobytes()
+    assert lam[3][alone2].tobytes() == lam[2][alone2].tobytes()
+    assert not (decide_trace(s1, s2, mu1, mu2, gamma, t).mode[~both] == 3).any()
+
+
+def _all_interior(t, n=300, seed=5):
+    """A trace and duals at which every slot is interior: at t = 0 with
+    mu1 > mu2, each s2 lies strictly between s1/(u*s1 + 1) and
+    s1*(1 - mu1)/(1 - mu2), with u = (mu1 - mu2)/(gamma*ln2); t = 1 mirrors
+    it with the users and duals swapped. At these duals mode 3 wins on
+    about half of the slots and mode 6 on the rest."""
+    mu1, mu2, gamma = 0.4, 0.3, 0.1
+    u = (mu1 - mu2) / (gamma * _LN2)
+    rng = np.random.default_rng(seed)
+    s1 = rng.uniform(1.0, 5.0, n)
+    lo, hi = s1 / (u * s1 + 1.0), s1 * (1.0 - mu1) / (1.0 - mu2)
+    s2 = lo + rng.uniform(0.01, 0.99, n) * (hi - lo)
+    return (s1, s2, mu1, mu2, gamma) if t == 0.0 else (s2, s1, mu2, mu1, gamma)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_trace_kernel_edges_of_the_interior_set_match_nested_where(t):
+    # no interior slot: with mu1 == mu2 each slot goes to one user alone
+    rng = np.random.default_rng(8)
+    s1, s2 = rng.exponential(1.0, (2, 500))
+    s2[:50] = s1[:50]
+    s1[50:60] = 0.0
+    args = (s1, s2, 0.45, 0.45, 0.2, t)
+    assert not _interior(*args).any()
+    assert _same_bytes(decide_trace(*args), _ref_decide_trace(*args))
+    # every slot interior
+    s1, s2, mu1, mu2, gamma = _all_interior(t)
+    assert _interior(s1, s2, mu1, mu2, gamma, t).all()
+    dec = decide_trace(s1, s2, mu1, mu2, gamma, t)
+    assert _same_bytes(dec, _ref_decide_trace(s1, s2, mu1, mu2, gamma, t))
+    assert 0 < np.count_nonzero(dec.mode == 3) < len(s1)  # mode 3 both wins and loses
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_trace_kernel_rejects_a_nan_metric_inside_and_outside_the_interior_set(t):
+    s1, s2 = np.array([1.0, 2.0, 0.5, 3.0]), np.array([2.0, 2.5, 0.7, 4.0])
+    # a NaN gain lands in the interior set (each regime test is a comparison)
+    nan1 = s1.copy()
+    nan1[1] = np.nan
+    assert np.array_equal(_interior(nan1, s2, 0.45, 0.45, 0.2, t), [False, True, False, False])
+    # a NaN price leaves every slot outside it (s2 > s1 on each at mu1 == mu2)
+    args = (s1, s2, 0.45, 0.45, np.nan, t) if t == 0.0 else (s2, s1, 0.45, 0.45, np.nan, t)
+    assert not _interior(*args).any()
+    for bad in ((nan1, s2, 0.45, 0.45, 0.2, t), args):
+        for decide in (decide_trace, _ref_decide_trace):
+            with pytest.raises(ValueError, match="selection metric is NaN"):
+                decide(*bad)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 10_000])
+def test_trace_means_equal_numpy_mean_bit_for_bit(n):
+    # lengths on both sides of numpy's pairwise-summation blocks; values
+    # spread over many magnitudes so the sum order shows in the last bits
+    rng = np.random.default_rng(n)
+    rows = [rng.exponential(1.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n) for _ in range(5)]
+    dec = TraceDecisions(np.ones(n, dtype=int), *rows)
+    for x in rows:
+        assert trace_mean(x).hex() == float(x.mean()).hex()
+    d1, d2 = float(dec.down1.mean()), float(dec.down2.mean())
+    want = ((float(dec.up1.mean()) - d2) / d2, (float(dec.up2.mean()) - d1) / d1)
+    assert [c.hex() for c in balance_residuals(dec)] == [c.hex() for c in want]

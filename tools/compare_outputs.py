@@ -15,14 +15,16 @@ Run from the repository root:
 Each command is ``birelay.cli.main`` in a fresh interpreter that imports
 ``birelay`` from the side's own ``src/``. The list covers the default
 sweep as CSV and as JSON, a 10:1 sweep that exits 1 because the
-fixed-power baselines do not converge there, the same sweep over those
+fixed-power baselines do not converge there, its 1:10 mirror, which also
+exits 1 and runs the multiple-access closed forms at decoding share 1
+through the engine and every baseline, the 10:1 sweep over those
 baselines only, ``calibrate`` at the seven points of the benchmark's
 ``calibrate`` workload (all exit 0), ``verify`` at three seeds,
 ``verify`` on 37 draws of 801 points (a partial block on each axis and a
 draw count that does not fill its last chunk), a ``proposed`` sweep at
 -20 dB on a 30-slot trace, the short-trace path of calibration, and a
 six-mode fixed-power sweep on a 2-slot trace, the short-trace path of a
-baseline. It takes about a minute.
+baseline: 18 commands in all. It takes about a minute.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ COMMANDS = (
     ("sweep",),
     ("sweep", "--format", "json"),
     ("sweep", "--omega1", "10", "--pt-db-list=-10,0", "--format", "json"),
+    ("sweep", "--omega2", "10", "--pt-db-list=-10,0", "--format", "json"),
     (
         "sweep",
         "--omega1",
