@@ -38,16 +38,16 @@ capacities computed once per common power, and read convergence off its
 probe record. Each dual search starts from the last one's duals; one
 that does not balance from there runs once more from (0.5, 0.5), the
 search's own start; where neither balances, the duals of the one that
-came closer are reported. Between dual searches the six-mode variant
-rescales its common power by the power residual recorded at the duals
-found.
+came closer by calibrate.imbalance are reported. Between dual searches
+the six-mode variant rescales its common power by the power residual
+recorded at the duals found.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .calibrate import balance_duals, match_budget
+from .calibrate import balance_duals, imbalance, match_budget
 from .channel import ChannelTrace, check_real, check_tolerance
 from .engine import PreparedPolicy
 from .policy import (
@@ -179,8 +179,9 @@ def fixed_power_policy(
     last round's duals; those are only a guess, so a search from them that
     does not balance runs once more from (0.5, 0.5), unless it started
     there, and where neither balances the round keeps the duals of the
-    one whose larger |balance residual| is smaller (the warm start's on a
-    tie). It ends the loop when the buffers balance and the power
+    one with the smaller calibrate.imbalance (the warm start's on a tie),
+    which prefers a probe that schedules both directions. It ends the
+    loop when the buffers balance and the power
     residual r at the returned duals is within 1e-4, when the dual search
     fails, or after _ROUNDS rounds; otherwise the next round runs at
     power / (1 + r). The three-mode power is the budget, spent exactly in
@@ -211,17 +212,16 @@ def fixed_power_policy(
         # spends the budget with the last round's mode shares
         power /= 1.0 + r
         caps = _fixed_caps(trace.s1, trace.s2, power, modes, t)
-        searched = []  # (larger |balance residual|, duals, power residual) per search
+        searched = []  # (not balanced, imbalance, duals, power residual) per search
         for start in dict.fromkeys([(mu1, mu2), (0.5, 0.5)]):
             point, probes = balance_duals(measure, tol_rate=tol_rate, start=start)
             c1, c2, r = probes[point]
-            searched.append((max(abs(c1), abs(c2)), point, r))
-            if searched[-1][0] <= tol_rate:
+            searched.append((max(abs(c1), abs(c2)) > tol_rate, imbalance(probes[point]), point, r))
+            if not searched[-1][0]:
                 break
-        worst, (mu1, mu2), r = min(searched, key=lambda s: s[0])
-        balanced = worst <= tol_rate
-        converged = balanced and abs(r) <= 1e-4
-        if converged or not balanced:
+        unbalanced, _, (mu1, mu2), r = min(searched, key=lambda s: s[:2])
+        converged = not unbalanced and abs(r) <= 1e-4
+        if converged or unbalanced:
             break
 
     def decide(tr: ChannelTrace) -> TraceDecisions:

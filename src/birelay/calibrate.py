@@ -52,6 +52,7 @@ reads the price and the true residuals of the point it reports, and its
 iteration count, from that record. Within a point, match_budget sees
 only the mean power spent at each price, and one dict keeps each price
 probe's (c1, c2) for the price band and the point's reported residuals.
+threshold_region_scan maps the dual plane with the same price solve.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .channel import ChannelTrace, check_real, check_tolerance
 from .policy import (
@@ -76,6 +79,7 @@ __all__ = [
     "balance_duals",
     "find_root",
     "match_budget",
+    "threshold_region_scan",
 ]
 
 # float representability, not a tuning knob: past |u| = log 2**53 ~ 36.7
@@ -201,8 +205,8 @@ def balance_duals(
 ) -> tuple[tuple[float, float], dict[tuple[float, float], tuple]]:
     """Drive both signed rate residuals inside tol_rate over the open dual
     square. residual_fn(mu1, mu2) returns a tuple whose first two entries
-    are (c1, c2), each falling as its own dual rises; the search steers on
-    those two and carries any further entries unread.
+    are (c1, c2), relative residuals >= -1 each falling as its own dual
+    rises; the search steers on those two and carries the rest unread.
 
     Two nested monotone solves through find_root, both in log-odds
     u = log(mu / (1 - mu)) with no box, each walking by doubling steps from
@@ -223,8 +227,9 @@ def balance_duals(
     _MAX_POINTS (at least 1) are.
     Returns ((mu1, mu2), probes): the first point that balances both
     residuals, else, on exhaustion or a missing sign change, the first of
-    the points whose larger |residual| is smallest; and probes, every probed
-    point's residual_fn value keyed by the point, in probe order.
+    the points whose imbalance is smallest, which prefers a probe that
+    schedules both directions; and probes, every probed point's
+    residual_fn value keyed by the point, in probe order.
     """
     probes: dict[tuple[float, float], tuple] = {}
     duals = lambda *u: tuple(1.0 / (1.0 + math.exp(-x)) for x in u)  # noqa: E731
@@ -239,7 +244,6 @@ def balance_duals(
         trail.append((u2, probes[point]))
         return probes[point]
 
-    worst = lambda value: max(abs(value[0]), abs(value[1]))  # noqa: E731
     u1, u2 = (math.log(mu / (1.0 - mu)) for mu in start)
     found: tuple[float, float] | None = None
     path: list[tuple[float, float]] = []  # (u1, u2) of each inner solution
@@ -270,7 +274,7 @@ def balance_duals(
             slope = k if 0.0 < k < math.inf else slope
         path.append((v1, u2))
         value = probe(v1, u2)
-        if worst(value) <= tol_rate:
+        if max(abs(value[0]), abs(value[1])) <= tol_rate:
             found = duals(v1, u2)
         return value[0]
 
@@ -279,7 +283,16 @@ def balance_duals(
         find_root(c1_at, u1, lambda c1: _walk(u1, 1.0, c1 > 0.0), balanced, xtol=4e-9)
     except _BudgetExhausted:
         pass
-    return found or min(probes, key=lambda point: worst(probes[point])), probes
+    return found or min(probes, key=lambda point: imbalance(probes[point])), probes
+
+
+def imbalance(value: tuple) -> float:
+    """The larger |c / (2 + c)| of a probe's residuals (c1, c2, ...), which
+    ranks failed dual searches. A rate residual c = (u - d) / d is >= -1,
+    so c / (2 + c) = (u - d) / (u + d) lies in [-1, 1] with c's sign and
+    root; by |c|, unbounded above, a probe that never schedules one
+    direction (c = -1) would outrank one a single slot pushes past +1."""
+    return max(abs(c / (2.0 + c)) for c in value[:2])
 
 
 def match_budget(
@@ -418,3 +431,40 @@ def calibrate(
         evaluations=evaluations,
         converged=meets((mu1, mu2)),
     )
+
+
+def threshold_region_scan(
+    trace: ChannelTrace, p_total: float, mu_values: np.ndarray, tol_rate: float = 0.02
+) -> list[tuple[float, float]]:
+    """The balanced dual pairs (mu1, mu2), in probe order, among every pair
+    from mu_values (each in [0, 1], the boundary values included) probed
+    on trace, a short one for speed. Each pair is priced once, solving
+    gamma to the power budget to 0.5 %, and judged on the decisions its
+    price solve recorded at the price it returned.
+
+    A point is balanced when both relative rate residuals are within
+    tol_rate and the delivered sum rate is positive. Boundary dual values
+    can never balance: one side of each rate pairing collapses to zero.
+    """
+    check_real("power budget", p_total, positive=True)
+    check_tolerance("tol_rate", tol_rate)
+    mu_values = np.asarray(mu_values, dtype=float)
+    if not np.all((mu_values >= 0.0) & (mu_values <= 1.0)):
+        raise ValueError(f"mu_values must lie in [0, 1], got {mu_values.tolist()!r}")
+    gains = TraceGains(trace.s1, trace.s2)
+    t = optimal_time_share(trace.stats)
+    balanced = []
+    for mu1 in map(float, mu_values):
+        for mu2 in map(float, mu_values):
+            decided = {}  # the decisions of each price probe
+
+            def spend(g: float) -> float:
+                decided[g] = decide_trace(trace.s1, trace.s2, mu1, mu2, g, t, gains=gains)
+                return trace_mean(decided[g].power)
+
+            dec = decided[match_budget(spend, p_total, 1.0, 0.005)[0]]
+            c1, c2 = balance_residuals(dec)
+            sum_rate = trace_mean(dec.down1) + trace_mean(dec.down2)
+            if abs(c1) <= tol_rate and abs(c2) <= tol_rate and sum_rate > 0.0:
+                balanced.append((mu1, mu2))
+    return balanced

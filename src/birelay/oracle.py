@@ -3,12 +3,13 @@
 Everything here recomputes selection metrics from the raw capacity
 formulas and searches them exhaustively, so agreement with the policy
 module is evidence rather than tautology: grid searches over transmit
-power, a sweep over the decoding time share, and a feasibility scan over
-the dual plane. The 2-D grid of the multiple-access mode is searched by
-branch and bound, with the same argmax and value as an exhaustive search.
-The grid searches take draws in chunks, one row per draw: each stage is
-one array pass over the chunk, the log rows are shared by all four modes,
-and the values are those of searching each draw alone.
+power and a sweep over the decoding time share. Nothing here calibrates
+or prices a dual point, so no check shares a code path with calibration.
+The 2-D grid of the multiple-access mode is searched by branch and bound,
+with the same argmax and value as an exhaustive search. The grid searches
+take draws in chunks, one row per draw: each stage is one array pass over
+the chunk, the log rows are shared by all four modes, and the values are
+those of searching each draw alone.
 
 The checks behind `birelay verify` and the acceptance criteria take
 arrays of random draws (see sample_draws), one entry per draw, and return
@@ -22,17 +23,7 @@ import math
 
 import numpy as np
 
-from .calibrate import match_budget
-from .channel import ChannelTrace, check_real, check_tolerance
-from .policy import (
-    SELECTABLE_MODES,
-    TraceGains,
-    balance_residuals,
-    broadcast_power,
-    decide_trace,
-    mode_table,
-    optimal_time_share,
-)
+from .policy import TraceGains, broadcast_power, mode_table
 
 __all__ = [
     "sample_draws",
@@ -40,7 +31,6 @@ __all__ = [
     "broadcast_root_residual",
     "time_share_at_boundary",
     "downlink_dominance",
-    "threshold_region_scan",
 ]
 
 
@@ -171,8 +161,9 @@ def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]
     argmax and value is the one a search of that draw alone gives.
 
     Each draw is checked at the decoding share its dual order favours
-    (t = 0 when mu1 >= mu2): the share the policy picks when the link with
-    the larger fading mean also has the larger dual. Raises ValueError for
+    (t = 0 when mu1 >= mu2), the optimal one; the policy fixes its share
+    from the fading means, which agrees where the link with the larger
+    fading mean also has the larger dual. Raises ValueError for
     fewer than 2 points, no draws or draw arrays of unequal length.
     """
     draws = [np.asarray(v, dtype=float) for v in (s1, s2, mu1, mu2, gamma)]
@@ -184,14 +175,13 @@ def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]
         raise ValueError("no draws to check")
     s1, s2, mu1, mu2, gamma = draws
     t = np.where(mu1 >= mu2, 0.0, 1.0)
-    (powers0, metrics0), (powers1, metrics1) = (
+    (powers, metrics), (powers1, metrics1) = (
         mode_table(s1, s2, mu1, mu2, gamma, share) for share in (0.0, 1.0)
     )
-    # each draw's closed forms at its own share
-    powers, metrics = {}, {}
-    for m in SELECTABLE_MODES:
-        powers[m] = [np.where(t == 0.0, *q) for q in zip(powers0[m], powers1[m])]
-        metrics[m] = np.where(t == 0.0, metrics0[m], metrics1[m])
+    # mode 3 at each draw's own share; modes 1, 2 and 6 do not depend on
+    # the share, so both tables hold the same values for them
+    powers[3] = [np.where(t == 0.0, *q) for q in zip(powers[3], powers1[3])]
+    metrics[3] = np.where(t == 0.0, metrics[3], metrics1[3])
     gaps, steps = [], [0.0]
     rows = max(1, _CHUNK_CELLS // (-(-points // _BLOCK) * _BLOCK))
     for lo in range(0, s1.size, rows):
@@ -247,36 +237,3 @@ def downlink_dominance(s1, s2, mu1, mu2, gamma) -> float:
         downlinks.append(mu * np.log2(1.0 + p * s) - gamma * p)
     return float(np.max(np.maximum(*downlinks) - metrics[6]))
 
-
-def threshold_region_scan(
-    trace: ChannelTrace, p_total: float, mu_values: np.ndarray, tol_rate: float = 0.02
-) -> list[tuple[float, float]]:
-    """The balanced dual pairs (mu1, mu2), in probe order, among every pair
-    from mu_values (each in [0, 1], the boundary values included) probed
-    on trace, a short one for speed, matching the power budget at each
-    point by solving for gamma to 0.5 %.
-
-    A point is balanced when both relative rate residuals are within
-    tol_rate and the delivered sum rate is positive. Boundary dual values
-    can never balance: one side of each rate pairing collapses to zero.
-    """
-    check_real("power budget", p_total, positive=True)
-    check_tolerance("tol_rate", tol_rate)
-    mu_values = np.asarray(mu_values, dtype=float)
-    if not np.all((mu_values >= 0.0) & (mu_values <= 1.0)):
-        raise ValueError(f"mu_values must lie in [0, 1], got {mu_values.tolist()!r}")
-    s1, s2 = trace.s1, trace.s2
-    gains = TraceGains(s1, s2)
-    t = optimal_time_share(trace.stats)
-    balanced = []
-    for mu1 in mu_values:
-        for mu2 in mu_values:
-            mu1f, mu2f = float(mu1), float(mu2)
-            decide = lambda g: decide_trace(s1, s2, mu1f, mu2f, g, t, gains=gains)  # noqa: E731
-            gamma = match_budget(lambda g: float(decide(g).power.mean()), p_total, 1.0, 0.005)[0]
-            dec = decide(gamma)
-            c1, c2 = (abs(c) for c in balance_residuals(dec))
-            sum_rate = float(dec.down1.mean()) + float(dec.down2.mean())
-            if c1 <= tol_rate and c2 <= tol_rate and sum_rate > 0.0:
-                balanced.append((mu1f, mu2f))
-    return balanced

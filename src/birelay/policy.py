@@ -31,10 +31,13 @@ its metric equals lambda1 or lambda2 bit for bit, and the slot rule's
 strict > gives the tie to the uplink mode: there decide scores mode 3 as
 -inf, which loses in the same way, and the decisions are bit-identical.
 
-The multiple-access decoding order never needs interior time sharing: the
-metric is affine in the share t, so one of the endpoints t in {0, 1} is
-always optimal, and which endpoint wins is fixed by the long-term gain
-ordering rather than per slot; the slot rule rejects any other share.
+The multiple-access metric is affine in the decoding share t, with slope
+(mu2 - mu1)*(log2(1 + x) + log2(1 + y) - log2(1 + x + y)) at x = p1*s1,
+y = p2*s2, so the dual order picks the optimal end: t = 0 when
+mu1 >= mu2. optimal_time_share fixes t from the fading means as a rule
+instead, and the slot rule rejects any share but 0 and 1. The rules agree
+at all nine default-sweep points, and disagree at 17 of 27 calibrated 1:1
+points (seeds 1234, 7, 99) at a cost of at most 6e-6 in the Lagrangian.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ def trace_mean(x) -> float:
 
 
 def optimal_time_share(stats: FadingStatistics) -> float:
-    """Boundary decoding share: 0 when link 1 is the stronger on average."""
+    """Decoding share by rule: 0 when link 1 is the stronger on average."""
     return 0.0 if stats.omega1 >= stats.omega2 else 1.0
 
 
@@ -183,9 +186,10 @@ def broadcast_power(g, mu1, mu2, gamma, out=None, work=(None,) * 8, flags=(None,
     down = as_float(np.logical_not(up, out=flags[1]), m2)
     num = pick(((np.multiply(-2.0, c, out=x), up), (np.subtract(sq, b, out=y), down)), x, y)
     den = pick(((np.add(b, sq, out=b), up), (np.multiply(2.0, a, out=a), down)), b, a)
-    # the root where c < 0 and den > 0, else 0; den + 1 keeps dropped quotients finite
-    keep = np.greater(den, 0.0, out=flags[0])
-    keep = np.logical_and(keep, np.less(c, 0.0, out=flags[1]), out=keep)
+    # the root where c < 0, else 0; there den > 0 untested: b + sq where
+    # b > 0, 2a >= 2gl**3 where b <= 0 (duals in [0, 1]; a underflows only
+    # at gl < 1e-108). den + 1 keeps dropped quotients finite
+    keep = np.less(c, 0.0, out=flags[0])
     den = np.add(den, as_float(np.logical_not(keep, out=flags[1]), m2), out=den)
     root = np.maximum(np.divide(num, den, out=out), 0.0, out=out)
     return np.multiply(root, as_float(keep, m1), out=out)
@@ -216,14 +220,13 @@ def best_modes(modes, metrics, best=None, wins=None, code=(None, None)):
     and a NaN metric raises. Returns the mode per slot and wins, the bool
     masks of the slots each mode takes. metrics may reuse one buffer (each
     is read before the next is made); best, wins and code (two uint8 rows)
-    are optional scratch."""
+    are optional scratch. A given best must be the buffer the first metric
+    was written into, as the running best starts there."""
     metrics = iter(metrics)
     first = next(metrics)
     if best is None:
         best = np.array(first, dtype=float)
         wins = np.empty((len(modes),) + best.shape, dtype=bool)
-    elif best is not first:
-        np.copyto(best, first)
     for gt, lam in zip(wins[1:], metrics):
         np.greater(lam, best, out=gt)
         np.maximum(best, lam, out=best)  # propagates NaN from any candidate

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from birelay.benchmarks import tdbc_policy
-from birelay.calibrate import calibrate
+from birelay.calibrate import calibrate, threshold_region_scan
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.cli import RunSpec, emit, run_sweep
 from birelay.engine import run
@@ -21,7 +21,6 @@ from birelay.oracle import (
     downlink_dominance,
     grid_optimality,
     sample_draws,
-    threshold_region_scan,
     time_share_at_boundary,
 )
 from birelay.policy import proposed_policy
@@ -62,7 +61,8 @@ def test_criterion_01_closed_form_power_optimality():
     draws, points = 1000, 600
     t0 = time.perf_counter()
     # each draw is checked at the boundary time share its dual order
-    # favours, the one the policy's joint-uplink forms assume
+    # favours, the optimal one; the policy fixes its share from the fading
+    # means instead, which agrees with the dual order on the default sweep
     worst_gap, worst_step = grid_optimality(*sample_draws(rng, draws), points)
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-6 and worst_step <= 1.000001 and elapsed <= 60.0

@@ -346,6 +346,19 @@ def test_fixed_power_six_mode_converges_on_the_sweep(omega1, pt_db):
     assert abs(c1) <= 0.01 and abs(c2) <= 0.01
 
 
+@pytest.mark.parametrize("kind", ["fixed_power_six_mode", "fixed_power_three_mode"])
+def test_failed_fixed_power_search_schedules_both_directions(kind):
+    # 100:1 at -10 dB cannot balance: one slot more of uplink 1 takes c1
+    # from -1 past +1, so ranking by |c| reported the all-broadcast start
+    # (0.5, 0.5) and a sum rate of 0; the bounded rank reports a probe
+    # that schedules both directions
+    trace = sample_trace(FadingStatistics(100.0, 1.0), 10_000, 1234)
+    prep = fixed_power_policy(kind, trace, 0.1, TOL_RATE)
+    assert not prep.converged
+    assert (prep.mu1, prep.mu2) != (0.5, 0.5)
+    assert run(trace, prep.decide).sum_rate > 0.0
+
+
 def test_fixed_power_reports_the_closer_of_two_failed_searches(monkeypatch):
     # six-mode 1:100 at -5 dB: neither the warm-started search of the last
     # round nor its retry from (0.5, 0.5) balances, and the warm start's

@@ -3,6 +3,7 @@
 import math
 from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from birelay.calibrate import (
     calibrate,
     find_root,
     match_budget,
+    threshold_region_scan,
 )
 import birelay.calibrate as calibrate_module
 from birelay.channel import FadingStatistics, sample_trace
@@ -321,6 +323,22 @@ def test_balance_duals_reaches_duals_at_the_edges():
     assert mu1 > 0.999 and mu2 < 1e-3
 
 
+def test_balance_duals_reports_the_smallest_bounded_imbalance():
+    # c1 jumps from +1.5 to -1 (a direction never scheduled) with no root
+    # between, so the search fails; ranked by |c| the -1 probes would win,
+    # by |c / (2 + c)| (1 against 0.43) a +1.5 probe does
+    def residuals(mu1, mu2):
+        return (1.5 if mu1 < 0.7 else -1.0), 0.3 - mu2
+
+    point, probes = balance_duals(residuals, 0.01)
+    assert {probes[p][0] for p in probes} == {-1.0, 1.5}
+    assert probes[point][0] == 1.5
+    rank = calibrate_module.imbalance
+    assert rank(probes[point]) == min(map(rank, probes.values()))
+    assert rank((-1.0, 0.0)) == 1.0
+    assert rank((1.5, -0.5)) == pytest.approx(1.5 / 3.5)
+
+
 @pytest.mark.parametrize("omegas", [(100.0, 1.0), (1.0, 100.0)])
 def test_calibrate_converges_under_strong_asymmetry(omegas):
     # 100:1 fading at -10 dB on the default trace balances with the weak
@@ -626,3 +644,50 @@ def test_find_root_step_residual_terminates_without_a_cap(log):
     below = max(p for p in probes if p <= 0.3)
     above = min(p for p in probes if p > 0.3)
     assert math.nextafter(below, 1.0) == above
+
+
+def test_region_scan_boundary_duals_cannot_balance():
+    trace = sample_trace(FadingStatistics(1.0, 1.0), 1500, 2)
+    assert threshold_region_scan(trace, 1.0, np.array([0.0, 1.0])) == []
+
+
+def test_region_scan_interior_point_balances():
+    # the balanced set is a thin band through the calibrated interior point,
+    # so a fine local grid must hit it while coarse offsets miss it
+    trace = sample_trace(FadingStatistics(1.0, 1.0), 4000, 1234)
+    balanced = threshold_region_scan(trace, 10.0, np.array([0.36, 0.365, 0.37]), tol_rate=0.05)
+    assert 0 < len(balanced) < 9
+
+
+def test_region_scan_validates_budget():
+    trace = sample_trace(FadingStatistics(1.0, 1.0), 50, 0)
+    for bad in (0.0, float("nan"), float("inf"), "1"):
+        with pytest.raises(ValueError):
+            threshold_region_scan(trace, bad, np.array([0.5]))
+    for bad in (0.0, 0.5, float("nan"), "0.02"):
+        with pytest.raises(ValueError):
+            threshold_region_scan(trace, 1.0, np.array([0.5]), tol_rate=bad)
+    for bad in ([1.5], [-0.5, 0.4], [float("inf")], [float("nan")]):
+        with pytest.raises(ValueError, match="mu_values"):
+            threshold_region_scan(trace, 1.0, np.array(bad))
+
+
+def test_region_scan_prices_each_pair_once(monkeypatch):
+    # a pair is judged on the decisions its price solve recorded at the
+    # price it returned, so the slot rule never runs twice at one
+    # (mu1, mu2, gamma); the balanced pairs are those of pricing each
+    # returned price afresh
+    calls = []
+    decide = calibrate_module.decide_trace
+
+    def recording(s1, s2, mu1, mu2, gamma, t, gains=None):
+        calls.append((mu1, mu2, gamma))
+        return decide(s1, s2, mu1, mu2, gamma, t, gains=gains)
+
+    monkeypatch.setattr(calibrate_module, "decide_trace", recording)
+    trace = sample_trace(FadingStatistics(1.0, 1.0), 4000, 1234)
+    grid = [0.36, 0.365, 0.37]
+    balanced = threshold_region_scan(trace, 10.0, np.array(grid), tol_rate=0.05)
+    assert balanced == [(0.36, 0.37), (0.365, 0.365), (0.37, 0.36)]
+    assert len(set(calls)) == len(calls)
+    assert list(dict.fromkeys(call[:2] for call in calls)) == [(a, b) for a in grid for b in grid]

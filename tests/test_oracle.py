@@ -1,11 +1,10 @@
-"""Brute-force oracle machinery: grids, t profile, dual-plane scan."""
+"""Brute-force oracle machinery: grids and the t profile."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from birelay.channel import FadingStatistics, sample_trace
 from birelay.oracle import (
     _BLOCK,
     _CHUNK_CELLS,
@@ -13,7 +12,6 @@ from birelay.oracle import (
     _t_profile,
     grid_optimality,
     sample_draws,
-    threshold_region_scan,
     time_share_at_boundary,
 )
 
@@ -246,29 +244,3 @@ def test_time_share_at_boundary_ties():
     # equal duals leave the profile flat too
     equal = [np.array([x]) for x in (1e-20, 1.0, 0.4, 0.4, 0.5)]
     assert time_share_at_boundary(*equal)
-
-
-def test_region_scan_boundary_duals_cannot_balance():
-    trace = sample_trace(FadingStatistics(1.0, 1.0), 1500, 2)
-    assert threshold_region_scan(trace, 1.0, np.array([0.0, 1.0])) == []
-
-
-def test_region_scan_interior_point_balances():
-    # the balanced set is a thin band through the calibrated interior point,
-    # so a fine local grid must hit it while coarse offsets miss it
-    trace = sample_trace(FadingStatistics(1.0, 1.0), 4000, 1234)
-    balanced = threshold_region_scan(trace, 10.0, np.array([0.36, 0.365, 0.37]), tol_rate=0.05)
-    assert 0 < len(balanced) < 9
-
-
-def test_region_scan_validates_budget():
-    trace = sample_trace(FadingStatistics(1.0, 1.0), 50, 0)
-    for bad in (0.0, float("nan"), float("inf"), "1"):
-        with pytest.raises(ValueError):
-            threshold_region_scan(trace, bad, np.array([0.5]))
-    for bad in (0.0, 0.5, float("nan"), "0.02"):
-        with pytest.raises(ValueError):
-            threshold_region_scan(trace, 1.0, np.array([0.5]), tol_rate=bad)
-    for bad in ([1.5], [-0.5, 0.4], [float("inf")], [float("nan")]):
-        with pytest.raises(ValueError, match="mu_values"):
-            threshold_region_scan(trace, 1.0, np.array(bad))

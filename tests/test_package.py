@@ -1,10 +1,17 @@
 """The package namespace: seven exported names, every other type and
-function imported from its own module."""
+function imported from its own module; and guards on the source itself:
+the oracle shares no code path with calibration, the command line loads
+no test-only dependency, and every module parses as Python 3.10."""
 
+import ast
 import importlib
+import subprocess
 import sys
+from pathlib import Path
 
 import birelay
+
+SRC = Path(birelay.__file__).resolve().parent
 
 EXPORTED = {
     "FadingStatistics",
@@ -27,7 +34,7 @@ MODULE_ONLY = {
     "TraceGains": "policy",
     "decide_trace": "policy",
     "optimal_time_share": "policy",
-    "threshold_region_scan": "oracle",
+    "threshold_region_scan": "calibrate",
 }
 
 
@@ -45,3 +52,46 @@ def test_dropped_names_import_from_their_modules():
     for name, module in MODULE_ONLY.items():
         assert not hasattr(birelay, name)
         assert hasattr(importlib.import_module(f"birelay.{module}"), name)
+
+
+def _imported_modules(path):
+    """The module of every import statement in a source file, relative ones
+    as written: ".calibrate" for both from .calibrate import x and
+    from . import calibrate."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names += ["." * node.level + alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + node.module)
+    return names
+
+
+def test_oracle_imports_nothing_from_calibration():
+    # the oracle checks the slot rule's closed forms independently of
+    # calibration, so it must not reach calibrate's pricing at all
+    names = _imported_modules(SRC / "oracle.py")
+    assert ".policy" in names
+    assert [n for n in names if n.split(".")[-1] == "calibrate"] == []
+
+
+def test_command_line_loads_no_test_dependency():
+    # the runtime needs numpy only; scipy, hypothesis and pytest serve the tests
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import birelay.cli; "
+        "print(*sorted({'numpy', 'scipy', 'hypothesis', 'pytest'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["numpy"]
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10 while CI runs 3.11
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -18,6 +18,7 @@ from birelay.policy import (
     _ma_regimes,
     balance_residuals,
     best_modes,
+    broadcast_power,
     decide_trace,
     ma_split,
     mode_table,
@@ -645,3 +646,43 @@ def test_trace_means_equal_numpy_mean_bit_for_bit(n):
     d1, d2 = float(dec.down1.mean()), float(dec.down2.mean())
     want = ((float(dec.up1.mean()) - d2) / d2, (float(dec.up2.mean()) - d1) / d1)
     assert [c.hex() for c in balance_residuals(dec)] == [c.hex() for c in want]
+
+
+def _broadcast_power_two_tests(s1, s2, mu1, mu2, gamma):
+    """broadcast_power's steps in its own order, but with the root kept
+    only where both den > 0 and c < 0, as the kernel once tested."""
+    gl = gamma * _LN2
+    a = gl * s1 * s2
+    b = gl * (s1 + s2) - (mu1 + mu2) * s1 * s2
+    c = gl - mu1 * s2 - mu2 * s1
+    sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    up = (b > 0.0).astype(float)
+    down = (~(b > 0.0)).astype(float)
+    num = -2.0 * c * up + (sq - b) * down
+    den = (b + sq) * up + 2.0 * a * down
+    keep = (den > 0.0) & (c < 0.0)
+    return np.maximum(num / (den + (~keep).astype(float)), 0.0) * keep.astype(float)
+
+
+_wide_gain = st.one_of(st.just(0.0), st.floats(-150.0, 150.0).map(lambda e: 10.0**e))
+_corner_dual = st.one_of(st.sampled_from((0.0, 1e-3, 1.0 - 1e-3, 1.0)), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_wide_gain, _wide_gain, st.booleans()), min_size=1, max_size=12),
+    _corner_dual,
+    _corner_dual,
+    st.floats(-14.0, 14.0),
+)
+def test_broadcast_power_needs_only_the_sign_of_c(slots, mu1, mu2, log10_gamma):
+    # the kernel keeps the root where c < 0 and no longer tests den > 0,
+    # which holds wherever c < 0 at these prices; dead and equal links,
+    # dual corners and overflowing gain products included, bit for bit
+    s1 = np.array([a for a, _, _ in slots])
+    s2 = np.array([a if same else b for a, b, same in slots])
+    gamma = 10.0**log10_gamma
+    with np.errstate(all="ignore"):
+        got = broadcast_power(TraceGains(s1, s2), mu1, mu2, gamma)
+        want = _broadcast_power_two_tests(s1, s2, mu1, mu2, gamma)
+    assert got.tobytes() == want.tobytes()
