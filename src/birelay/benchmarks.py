@@ -38,9 +38,10 @@ capacities computed once per common power, and read convergence off its
 probe record. Each dual search starts from the last one's duals; one
 that does not balance from there runs once more from (0.5, 0.5), the
 search's own start; where neither balances, the duals of the one that
-came closer by calibrate.imbalance are reported. Between dual searches
-the six-mode variant rescales its common power by the power residual
-recorded at the duals found.
+came closer by calibrate.imbalance are reported. Between dual searches,
+and once more after a dual search that fails, the six-mode variant
+rescales its common power by the power residual recorded at the duals
+found.
 """
 
 from __future__ import annotations
@@ -185,9 +186,12 @@ def fixed_power_policy(
     residual r at the returned duals is within 1e-4, when the dual search
     fails, or after _ROUNDS rounds; otherwise the next round runs at
     power / (1 + r). The three-mode power is the budget, spent exactly in
-    one round. The returned power is the one its duals were solved at, and
-    converged means both balance residuals meet tol_rate and the power
-    meets the budget to 1e-4 there."""
+    one round. The returned power is the one its duals were solved at,
+    except where a six-mode dual search fails: the loop then still
+    rescales the power to power / (1 + r), so the point spends about the
+    budget, not r off it. converged means both balance residuals meet
+    tol_rate and the power meets the budget to 1e-4 at the power the
+    duals were solved at; a failed point is never converged."""
     if kind not in _FIXED_KINDS:
         raise ValueError(f"kind must be one of {_FIXED_KINDS}, got {kind!r}")
     check_real("power budget", p_total, positive=True)
@@ -221,6 +225,10 @@ def fixed_power_policy(
                 break
         unbalanced, _, (mu1, mu2), r = min(searched, key=lambda s: s[:2])
         converged = not unbalanced and abs(r) <= 1e-4
+        if unbalanced and six:
+            # no later round can balance, but the rescale still brings the
+            # spend at the duals found close to the budget
+            power /= 1.0 + r
         if converged or unbalanced:
             break
 

@@ -9,7 +9,9 @@ The 2-D grid of the multiple-access mode is searched by branch and bound,
 with the same argmax and value as an exhaustive search. The grid searches
 take draws in chunks, one row per draw: each stage is one array pass over
 the chunk, the log rows are shared by all four modes, and the values are
-those of searching each draw alone.
+those of searching each draw alone. Every chunk writes its stages in place
+into one workspace, made once per grid_optimality call, so the chunks
+neither allocate nor free row arrays.
 
 The checks behind `birelay verify` and the acceptance criteria take
 arrays of random draws (see sample_draws), one entry per draw, and return
@@ -35,15 +37,28 @@ __all__ = [
 
 
 _BLOCK = 40  # points per block side in the multiple-access search
-# grid cells (draws x padded axis) per chunk of grid_optimality: each row
-# array, 125 KB, stays under glibc's 128 KiB mmap threshold and in cache
+# grid cells (draws x padded axis) per chunk of grid_optimality: one
+# chunk's row arrays stay in cache, and its workspace is about 1.1 MB
 _CHUNK_CELLS = 16_000
 
 
-def _ma_metric(x, y, a, row, col):
-    """a*log2(1 + x[i] + y[j]) + row[i] + col[j] at every (i, j), in place,
-    for each leading index: x, row are (..., m), y, col (..., n), a (...)."""
-    vals = x[..., :, None] + y[..., None, :]
+def _padded(points: int) -> int:
+    """Length of an axis of points padded to whole blocks."""
+    return -(-points // _BLOCK) * _BLOCK
+
+
+def _workspace(rows: int, points: int) -> np.ndarray:
+    """Scratch for _grid_maxima on up to rows draws of an axis of points:
+    seven row arrays over the padded axis and a (rows, _BLOCK, _BLOCK)
+    block buffer, in one flat array that every chunk overwrites."""
+    return np.empty(rows * (7 * _padded(points) + _BLOCK * _BLOCK))
+
+
+def _ma_metric(x, y, a, row, col, out=None):
+    """a*log2(1 + x[i] + y[j]) + row[i] + col[j] at every (i, j), in place
+    in out if given, for each leading index: x, row are (..., m), y, col
+    (..., n), a (...)."""
+    vals = np.add(x[..., :, None], y[..., None, :], out=out)
     vals += 1.0
     np.log2(vals, out=vals)
     vals *= a[..., None, None]
@@ -52,44 +67,60 @@ def _ma_metric(x, y, a, row, col):
     return vals
 
 
-def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t) -> dict:
+def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t, work=None) -> dict:
     """Per selectable mode (1, 2, 3, 6), the grid indices of each draw's best
     powers (one index array per power axis) and the metric there.
 
     Row d of p is draw d's power axis; the gains, duals, price and decoding
     shares t are 1-D arrays with one entry per row. The log rows are computed
     once, on the axis padded to whole blocks with p = 0, and shared by all
-    four modes; no validation.
+    four modes; no validation. Every stage is written in place into work, a
+    _workspace for at least as many draws and points, whose old contents
+    do not matter; without one, a fresh workspace is made.
     """
     n, points = p.shape
+    width = _padded(points)
+    if work is None:
+        work = _workspace(n, points)
+    cells = n * width
+    gp, x, y, l1, l2, u, v = work[: 7 * cells].reshape(7, n, width)
+    blocks = work[7 * cells : 7 * cells + n * _BLOCK**2].reshape(n, _BLOCK, _BLOCK)
     s1, s2, mu1, mu2, gamma, t = (
-        np.asarray(v, dtype=float)[:, None] for v in (s1, s2, mu1, mu2, gamma, t)
+        np.asarray(c, dtype=float)[:, None] for c in (s1, s2, mu1, mu2, gamma, t)
     )
-    gp = np.zeros((n, -(-points // _BLOCK) * _BLOCK))
     gp[:, :points] = p
-    x, y = gp * s1, gp * s2
+    gp[:, points:] = 0.0
+    np.multiply(gp, s1, out=x)
+    np.multiply(gp, s2, out=y)
     gp *= gamma
-    l1, l2 = np.log2(1.0 + x), np.log2(1.0 + y)
+    for lg, g in ((l1, x), (l2, y)):
+        np.log2(np.add(g, 1.0, out=lg), out=lg)
 
     def best(vals):
-        k = np.argmax(vals[:, :points], axis=1)
+        """Each draw's argmax and value of the metric vals - gp, in place.
+        The padding is set to -inf, which never wins, so that np.argmax runs
+        on the whole rows and need not copy them out of a partial block."""
+        vals -= gp
+        vals[:, points:] = -math.inf
+        k = np.argmax(vals, axis=1)
         return (k,), vals[np.arange(n), k]
 
     found = {
-        1: best((1.0 - mu1) * l1 - gp),
-        2: best((1.0 - mu2) * l2 - gp),
-        6: best(mu1 * l2 + mu2 * l1 - gp),
+        1: best(np.multiply(1.0 - mu1, l1, out=u)),
+        2: best(np.multiply(1.0 - mu2, l2, out=u)),
     }
+    np.multiply(mu1, l2, out=u)
+    found[6] = best(np.add(u, np.multiply(mu2, l1, out=v), out=u))
     a = (1.0 - mu1) * (1.0 - t) + (1.0 - mu2) * t
-    row = t * (mu2 - mu1) * l1 - gp
-    col = (1.0 - t) * (mu1 - mu2) * l2 - gp
-    del l1, l2, gp  # a chunk's peak memory is its count of live row arrays
+    # the log rows become the row and column terms of the 2-D metric
+    row = np.subtract(np.multiply(t * (mu2 - mu1), l1, out=l1), gp, out=l1)
+    col = np.subtract(np.multiply((1.0 - t) * (mu1 - mu2), l2, out=l2), gp, out=l2)
     row[:, points:] = col[:, points:] = -math.inf
-    found[3] = _ma_search(x, y, a[:, 0], row, col, points)
+    found[3] = _ma_search(x, y, a[:, 0], row, col, points, blocks)
     return found
 
 
-def _ma_search(x, y, a, row, col, points):
+def _ma_search(x, y, a, row, col, points, blocks):
     """Indices (i, j) and value of each draw's best multiple-access metric.
 
     The metric (1-mu1)*c12r + (1-mu2)*c21r - gamma*(p1+p2), with
@@ -102,7 +133,9 @@ def _ma_search(x, y, a, row, col, points):
     log2's last-place error can lift an element over the bound. Each draw
     runs its blocks in falling bound order until the next bound plus a 1e-9
     relative margin is below its best; ties go to the lowest flat index, as
-    in np.argmax. All draws run together, one block each per round.
+    in np.argmax. All draws run together, one block each per round, and
+    each round writes its metric into the leading rows of blocks, an
+    (n, _BLOCK, _BLOCK) buffer for the n draws.
     """
     n, nb = x.shape[0], x.shape[1] // _BLOCK
     starts = np.arange(0, x.shape[1], _BLOCK)
@@ -120,8 +153,9 @@ def _ma_search(x, y, a, row, col, points):
         if live.size == 0:
             break
         bi, bj = np.divmod(k, nb)
-        vals = _ma_metric(xb[live, bi], yb[live, bj], a[live], rb[live, bi], cb[live, bj])
-        vals = vals.reshape(live.size, _BLOCK * _BLOCK)
+        vals = _ma_metric(
+            xb[live, bi], yb[live, bj], a[live], rb[live, bi], cb[live, bj], blocks[: live.size]
+        ).reshape(live.size, _BLOCK * _BLOCK)
         k = np.argmax(vals, axis=1)
         value = vals[np.arange(live.size), k]
         i, j = np.divmod(k, _BLOCK)
@@ -158,7 +192,8 @@ def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]
     same argmax and value as an exhaustive search; blocks that provably
     cannot hold the maximum are skipped. Draws are searched in chunks of
     at most _CHUNK_CELLS grid cells, one array pass per stage, and every
-    argmax and value is the one a search of that draw alone gives.
+    argmax and value is the one a search of that draw alone gives. All
+    chunks write their stages into one workspace, made once per call.
 
     Each draw is checked at the decoding share its dual order favours
     (t = 0 when mu1 >= mu2), the optimal one; the policy fixes its share
@@ -183,11 +218,12 @@ def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]
     powers[3] = [np.where(t == 0.0, *q) for q in zip(powers[3], powers1[3])]
     metrics[3] = np.where(t == 0.0, metrics[3], metrics1[3])
     gaps, steps = [], [0.0]
-    rows = max(1, _CHUNK_CELLS // (-(-points // _BLOCK) * _BLOCK))
+    rows = min(s1.size, max(1, _CHUNK_CELLS // _padded(points)))
+    work = _workspace(rows, points)  # shared by the chunks
     for lo in range(0, s1.size, rows):
         at = slice(lo, lo + rows)
         p = np.linspace(0.0, 10.0 / gamma[at], points, axis=1)
-        found = _grid_maxima(p, s1[at], s2[at], mu1[at], mu2[at], gamma[at], t[at])
+        found = _grid_maxima(p, s1[at], s2[at], mu1[at], mu2[at], gamma[at], t[at], work)
         for mode, (where, value) in found.items():
             gaps.append(np.max(value - metrics[mode][at]))
             for q, k in zip(powers[mode], where):

@@ -279,6 +279,19 @@ def test_six_mode_off_budget_is_not_converged(monkeypatch):
     assert not prep.converged
 
 
+@pytest.mark.parametrize("omega1, pt_db", [(100.0, -15.0), (10.0, -20.0)])
+def test_failed_six_mode_point_still_spends_the_budget(omega1, pt_db):
+    # no dual point balances these points, so the round loop ends on a
+    # failed dual search; the power is still rescaled by the residual found
+    # there, so the point spends about the budget, not 2 % over it (100:1)
+    # or 40 % under it (10:1) at the power its duals were solved at
+    trace = sample_trace(FadingStatistics(omega1, 1.0), 10_000, 1234)
+    p_total = 10.0 ** (pt_db / 10.0)
+    prep = fixed_power_policy("fixed_power_six_mode", trace, p_total, TOL_RATE)
+    assert not prep.converged
+    assert run(trace, prep.decide).avg_power == pytest.approx(p_total, rel=0.005)
+
+
 def test_fixed_power_dual_search_shares_the_calibration_budget(monkeypatch):
     # one dual-point budget serves calibration and both baselines: at one
     # point each preparation selects once and reports no convergence

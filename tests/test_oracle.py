@@ -1,15 +1,18 @@
 """Brute-force oracle machinery: grids and the t profile."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from birelay import oracle
 from birelay.oracle import (
     _BLOCK,
     _CHUNK_CELLS,
     _grid_maxima,
     _t_profile,
+    _workspace,
     grid_optimality,
     sample_draws,
     time_share_at_boundary,
@@ -166,6 +169,66 @@ def test_ma_block_search_equals_exhaustive_grid_bit_for_bit():
                 for mode, (at, value) in found.items():
                     got = (tuple(int(i[d]) for i in at), float(value[d]).hex())
                     assert got == want[k][mode], (points, len(batch), k, mode)
+
+
+def _chunk(draws, points, ends=None):
+    """The _grid_maxima arguments of draws on an axis of points from 0 to
+    ends (one per draw), by default grid_optimality's 10/gamma."""
+    s1, s2, mu1, mu2, gamma = draws
+    p = np.linspace(0.0, 10.0 / gamma if ends is None else ends, points, axis=1)
+    return p, s1, s2, mu1, mu2, gamma, np.where(mu1 >= mu2, 0.0, 1.0)
+
+
+def test_grid_maxima_ignores_what_its_workspace_held():
+    # a workspace filled with NaN, then reused by a partial last chunk that
+    # lays its rows over the first chunk's: every chunk rewrites its stages
+    # and padding, so each draw's argmax and value are the exhaustive ones.
+    # Axes that end at 1 put many maxima on the last point, which on 801
+    # points sits in a partial block with the padding
+    rng = np.random.default_rng(28)
+    for points in (800, 801):
+        rows = _chunk_rows(points)
+        work = _workspace(rows, points)
+        work.fill(np.nan)
+        for n in (rows, rows // 2 + 1):
+            draws = sample_draws(rng, n)
+            ends = np.array([(10.0 / g, 1.0, 1e6)[d % 3] for d, g in enumerate(draws[4])])
+            chunk = _chunk(draws, points, ends)
+            found = _grid_maxima(*chunk, work)
+            for d in range(n):
+                want = _exhaustive(chunk[0][d], *(v[d] for v in chunk[1:]))
+                for mode, (at, value) in found.items():
+                    got = (tuple(int(i[d]) for i in at), float(value[d]).hex())
+                    assert got == want[mode], (points, n, d, mode)
+
+
+@pytest.mark.parametrize("points", [800, 801])
+def test_grid_maxima_allocates_no_row_arrays_on_a_workspace(monkeypatch, points):
+    # on a given workspace, a whole chunk (20 draws x 800 points, or 19 x
+    # 801 with a partial last block) allocates less than one row array
+    # (about 125 KB) before the block search, and peaks below 400 KB in
+    # all, on the block bounds, their order and numpy's iteration buffers;
+    # fresh arrays for each stage took 1.2 MB
+    rows = _chunk_rows(points)
+    chunk = _chunk(sample_draws(np.random.default_rng(8), rows), points)
+    work = _workspace(rows, points)
+    _grid_maxima(*chunk, work)
+    search, before_search = oracle._ma_search, []
+
+    def record(*args):
+        before_search.append(tracemalloc.get_traced_memory()[1] - base)
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_ma_search", record)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _grid_maxima(*chunk, work)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert before_search[0] < chunk[0].nbytes, before_search
+    assert peak < 400_000, peak
 
 
 def test_ma_block_search_breaks_ties_at_the_lowest_flat_index():

@@ -1,18 +1,25 @@
-"""Print three acceptance-criterion quantities on further trace seeds.
+"""Print six acceptance-criterion quantities on further trace seeds.
 
 The acceptance criteria are judged on the trace of seed 1234 alone, and
-some of their margins are thin. This report recomputes three of their
+some of their margins are thin. This report recomputes six of their
 quantities, the way ``tests/test_acceptance.py`` computes them, on seeds
 1234, 7, 99, 2024, 5 and 11, so a reader can tell a knife-edge move from
 seed luck:
 
-* criterion 4: the worst end queue, as a share of the sum rate, over the
-  calibrated 1:1 points at -10, 0, 10 and 20 dB (bound 0.02, lower is
+* criterion 3: the largest joint-uplink (mode 3) frequency over the
+  calibrated 1:1 points at -10, 0, 10 and 20 dB (bound 0.01, lower is
   better);
+* criterion 4: the worst end queue, as a share of the sum rate, over the
+  same points (bound 0.02, lower is better);
 * criterion 5: the tightest margin, sum rate of ``proposed`` minus 0.99 x
   a baseline's, over the default sweep (bound 0, higher is better);
+* criterion 6: the budget in dB at which ``tdbc_no_pa`` matches the sum
+  rate of ``proposed`` at 14 dB (bounds 18 to 22 dB);
 * criterion 7: ``proposed`` over ``fixed_power_three_mode`` at -10 dB
-  (bound 1.2, higher is better).
+  (bound 1.2, higher is better);
+* criterion 8: the sum-rate increments of ``proposed`` at 10 dB from
+  omega1 = 1 to 2 and from 2 to 5 (both positive, the second at most the
+  first).
 
 It gates nothing: the criteria stay on seed 1234 at their stated bounds,
 and this script always exits 0 once it has printed its table. Run from
@@ -20,7 +27,7 @@ the repository root:
 
     python3 tools/criterion_margins.py
 
-It takes about 7 seconds on a 2-CPU machine.
+It takes about 10 seconds on a 2-CPU machine.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from birelay.benchmarks import tdbc_policy  # noqa: E402
 from birelay.calibrate import calibrate  # noqa: E402
 from birelay.channel import FadingStatistics, sample_trace  # noqa: E402
 from birelay.cli import RunSpec, run_sweep  # noqa: E402
@@ -38,20 +46,43 @@ from birelay.engine import run  # noqa: E402
 from birelay.policy import proposed_policy  # noqa: E402
 
 SEEDS = (1234, 7, 99, 2024, 5, 11)
-POINT_DBS = (-10.0, 0.0, 10.0, 20.0)  # criterion 4's calibrated points
+POINT_DBS = (-10.0, 0.0, 10.0, 20.0)  # criteria 3 and 4's calibrated points
 
 
-def worst_end_queue(seed: int) -> float:
-    """Criterion 4: the largest final buffer level per slot over the sum
-    rate, across both buffers and the calibrated 1:1 points."""
-    trace = sample_trace(FadingStatistics(1.0, 1.0), 10_000, seed)
-    worst = 0.0
+def run_point(seed: int, omega1: float, pt_db: float):
+    """The calibrated ``proposed`` run at fading means (omega1, 1) and
+    budget pt_db on the 10 000-slot trace of seed, and that trace."""
+    trace = sample_trace(FadingStatistics(omega1, 1.0), 10_000, seed)
+    result = calibrate(trace, 10.0 ** (pt_db / 10.0), tol_rate=0.01, tol_power=0.005)
+    return run(trace, proposed_policy(result.thresholds, trace.stats)), trace
+
+
+def point_margins(seed: int) -> tuple[float, float, float, float, float]:
+    """Criteria 3, 4, 6 and 8 on the trace of seed: the largest joint-uplink
+    frequency and the largest final buffer level per slot over the sum rate,
+    across both buffers and the calibrated 1:1 points; the tdbc_no_pa
+    crossing in dB; and the omega1 = 1 to 2 and 2 to 5 sum-rate increments."""
+    joint, queue = 0.0, 0.0
     for pt_db in POINT_DBS:
-        result = calibrate(trace, 10.0 ** (pt_db / 10.0), tol_rate=0.01, tol_power=0.005)
-        report = run(trace, proposed_policy(result.thresholds, trace.stats))
+        report, trace = run_point(seed, 1.0, pt_db)
+        joint = max(joint, report.mode_freq[2])
         for q in (report.q1, report.q2):
-            worst = max(worst, (q / report.n_slots) / report.sum_rate)
-    return worst
+            queue = max(queue, (q / report.n_slots) / report.sum_rate)
+        if pt_db == 10.0:
+            rate_10 = report.sum_rate
+    report, trace = run_point(seed, 1.0, 14.0)
+    target = report.sum_rate
+
+    def tdbc_rate(pt_db: float) -> float:
+        prep = tdbc_policy("tdbc_no_pa", trace, 10.0 ** (pt_db / 10.0), tol_power=0.005)
+        return run(trace, prep.decide).sum_rate
+
+    lo, hi = 14.0, 30.0
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if tdbc_rate(mid) < target else (lo, mid)
+    rate_2, rate_5 = (run_point(seed, omega1, 10.0)[0].sum_rate for omega1 in (2.0, 5.0))
+    return joint, queue, 0.5 * (lo + hi), rate_2 - rate_10, rate_5 - rate_2
 
 
 def sweep_margins(seed: int) -> tuple[float, str, float]:
@@ -71,12 +102,23 @@ def sweep_margins(seed: int) -> tuple[float, str, float]:
 
 
 def main() -> int:
-    head = ("seed", "c4 end queue (<= 0.02)", "c5 margin (>= 0)", "against", "c7 ratio (>= 1.2)")
-    print("{:<5} {:<23} {:<17} {:<33} {}".format(*head))
+    head = (
+        "seed",
+        "c3 joint (<= 0.01)",
+        "c4 end queue (<= 0.02)",
+        "c5 margin (>= 0)",
+        "against",
+        "c6 dB (18-22)",
+        "c7 ratio (>= 1.2)",
+        "c8 increments (0 < 2nd <= 1st)",
+    )
+    line = "{:<5} {:<18} {:<23} {:<17} {:<33} {:<14} {:<18} {}"
+    print(line.format(*head))
     for seed in SEEDS:
-        queue = worst_end_queue(seed)
+        joint, queue, crossing, gain_12, gain_25 = point_margins(seed)
         margin, against, ratio = sweep_margins(seed)
-        print(f"{seed:<5} {queue:<23.7f} {margin:<+17.4f} {against:<33} {ratio:.3f}")
+        cells = (f"{joint:.4f}", f"{queue:.7f}", f"{margin:+.4f}", against, f"{crossing:.2f}")
+        print(line.format(seed, *cells, f"{ratio:.3f}", f"{gain_12:.4f} then {gain_25:.4f}"))
     return 0
 
 

@@ -15,7 +15,12 @@ Each run is ``python3 bench/run.py --workload W --seed N --seconds S
 --trace 0`` in its own checkout, one at a time, with S the declared
 ``run_seconds``. Pair k runs seed k + 1 on both sides, and the side that
 runs first alternates from pair to pair, so drift in the machine's load
-falls on both sides. After the pairs come three alternating pairs of
+falls on both sides. Each untraced run also records, from deltas of
+``resource.getrusage(RUSAGE_CHILDREN)``, the CPU seconds and minor page
+faults of the run's process tree per attempted operation; these include
+the set-up children of ``bench/run.py``, which are the same on both
+sides. Unlike ``ok_per_s`` they do not drift with the machine's speed,
+and they feed no gate. After the pairs come three alternating pairs of
 ``--trace 1`` runs (traced pair k runs seed k + 1, same S): their layer
 metrics (seconds and counts per cycle of the workload's operation list)
 show where a change in the end-to-end numbers comes from, and as medians
@@ -30,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -87,11 +93,22 @@ def src_lines(root: Path) -> int:
 def bench_run(
     root: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0
 ) -> dict:
-    """One benchmark run in checkout root; returns its final JSON object."""
+    """One benchmark run in checkout root; returns its final JSON object,
+    with the run's child CPU seconds and minor page faults per attempted
+    operation under "per_op"."""
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     args += ["--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(command + args, cwd=root, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    ops = result["attempted"]  # at least one cycle of operations
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    result["per_op"] = {
+        "child_cpu_s": cpu / ops,
+        "child_minflt": (after.ru_minflt - before.ru_minflt) / ops,
+    }
+    return result
 
 
 def tier1(root: Path) -> dict:
@@ -160,6 +177,10 @@ def main() -> int:
                         name: spread([r["metrics"][name]["value"] for r in results])
                         for name in better
                     },
+                    "per_op": {
+                        name: spread([r["per_op"][name] for r in results])
+                        for name in results[0]["per_op"]
+                    },
                 }
             traced: dict[str, list[dict]] = {"parent": [], "change": []}
             for k in range(TRACED_PAIRS):
@@ -195,6 +216,10 @@ def main() -> int:
                 "layers": (
                     f"{TRACED_PAIRS} alternating --trace 1 pairs, seeds 1..{TRACED_PAIRS}, "
                     "values per cycle"
+                ),
+                "per_op": (
+                    "getrusage(RUSAGE_CHILDREN) deltas over each untraced run, per "
+                    "attempted operation: CPU seconds (user + system) and minor faults"
                 ),
             },
             "workloads": workloads,
