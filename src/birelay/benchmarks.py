@@ -19,15 +19,17 @@ schemes:
   the broadcast mode; one node transmits per slot, so the common power is
   the budget outright.
 
-The fixed cycle is delay limited: a frame's uplink traffic leaves the
-relay in that frame's broadcast slot, never later, so each uplink slot
-carries the minimum of its own capacity and that broadcast slot's
-capacity toward its destination, and the relay buffers drain every frame.
-A trailing partial frame has no broadcast slot, so its uplinks carry
-nothing. That cap costs tdbc_pa more than tdbc_no_pa: water-filling each
-slot on its own rarely powers both an uplink slot and its frame's
-broadcast slot, and the cap keeps the smaller of the two, so tdbc_pa
-delivers less at every budget of the default sweep.
+The fixed cycle is computed by slot role: uplink 1, uplink 2 and the
+broadcast each get their powers and capacities on their own slots only.
+It is delay limited: a frame's uplink traffic leaves the relay in that
+frame's broadcast slot, never later, so each uplink slot carries the
+minimum of its own capacity and that broadcast slot's capacity toward
+its destination, and the relay buffers drain every frame. A trailing
+partial frame has no broadcast slot, so its uplinks carry nothing. That
+cap costs tdbc_pa more than tdbc_no_pa: water-filling each slot on its
+own rarely powers both an uplink slot and its frame's broadcast slot,
+and the cap keeps the smaller of the two, so tdbc_pa delivers less at
+every budget of the default sweep.
 
 Each preparation takes the trace the policy will run on, the budget and
 its tolerance, and solves whatever else it needs (a water-filling price,
@@ -72,42 +74,33 @@ KINDS = _TDBC_KINDS + _FIXED_KINDS
 
 _ROUNDS = 8  # cap on the six-mode rounds of dual search and power rescale
 
-# fixed cycle position (slot index mod 3) -> mode: broadcast, uplink 1, uplink 2
-_TDBC_MODES = np.array([6, 1, 2])
-
 
 def _tdbc_decisions(g: TraceGains, p_total: float, gamma: float | None) -> TraceDecisions:
     """The fixed cycle over a trace's gains g: every active node at the full
     budget when gamma is None, water-filled at price gamma otherwise.
 
-    Each complete frame caps its uplink slots at its own broadcast slot's
-    capacity toward their destination; a trailing partial frame has no
-    broadcast slot, so its uplink slots carry nothing."""
-    s1, s2 = g.s1, g.s2
-    n = len(s1)
+    Each role is computed on its own slots only: uplink 1 on 0::3, uplink 2
+    on 1::3, the broadcast on 2::3. Each complete frame caps its uplink
+    slots at its own broadcast slot's capacity toward their destination; a
+    trailing partial frame has no broadcast slot, so its uplink slots spend
+    power but carry nothing."""
+    n = len(g.s1)
+    u1, u2, b = slice(0, None, 3), slice(1, None, 3), slice(2, None, 3)
+    relay = TraceGains(g.s1[b], g.s2[b])
     if gamma is None:
-        p_user1 = p_user2 = p_relay = np.full(n, p_total)
+        power = np.full(n, p_total)
     else:
-        p_user1 = wf_power(1.0, gamma, g.inv1)
-        p_user2 = wf_power(1.0, gamma, g.inv2)
-        p_relay = broadcast_power(g, 1.0, 1.0, gamma)
-    cycle = np.arange(1, n + 1) % 3
-    bc = cycle == 0
-    down1 = np.where(bc, capacity(p_relay * s1), 0.0)
-    down2 = np.where(bc, capacity(p_relay * s2), 0.0)
-    whole = n - n % 3  # slots in complete frames
-    u1, u2, b = slice(0, whole, 3), slice(1, whole, 3), slice(2, whole, 3)
-    up1, up2 = np.zeros(n), np.zeros(n)
-    up1[u1] = np.minimum(capacity(p_user1[u1] * s1[u1]), down2[b])
-    up2[u2] = np.minimum(capacity(p_user2[u2] * s2[u2]), down1[b])
-    return TraceDecisions(
-        mode=_TDBC_MODES[cycle],
-        power=np.where(cycle == 1, p_user1, np.where(cycle == 2, p_user2, p_relay)),
-        up1=up1,
-        up2=up2,
-        down1=down1,
-        down2=down2,
-    )
+        power = np.empty(n)
+        power[u1] = wf_power(1.0, gamma, g.inv1[u1])
+        power[u2] = wf_power(1.0, gamma, g.inv2[u2])
+        power[b] = broadcast_power(relay, 1.0, 1.0, gamma)
+    up1, up2, down1, down2 = (np.zeros(n) for _ in range(4))
+    down1[b] = capacity(power[b] * relay.s1)
+    down2[b] = capacity(power[b] * relay.s2)
+    f = len(relay.s1)  # complete frames
+    up1[u1][:f] = np.minimum(capacity(power[u1][:f] * g.s1[u1][:f]), down2[b])
+    up2[u2][:f] = np.minimum(capacity(power[u2][:f] * g.s2[u2][:f]), down1[b])
+    return TraceDecisions(np.tile([1, 2, 6], n // 3 + 1)[:n], power, up1, up2, down1, down2)
 
 
 def tdbc_policy(kind: str, trace: ChannelTrace, p_total: float, tol_power: float) -> PreparedPolicy:

@@ -240,6 +240,10 @@ def _sweep_spec(args) -> RunSpec:
         if not math.isfinite(span):
             raise ValueError("power sweep range overflows: too many points")
         count = int(math.floor(span + 1e-9)) + 1
+        # the budget rises with the point, so the two end points bound every
+        # point's: check them before building the points
+        for pt in (start, start + (count - 1) * step):
+            _p_total(pt)
         pt_db = tuple(start + k * step for k in range(count))
     protocols = opts.pop("protocols", None)
     if isinstance(protocols, str):

@@ -100,8 +100,8 @@ def run(trace: ChannelTrace, policy: ProtocolPolicy) -> RateReport:
         raise ValueError(f"decision arrays must all have the trace length {n}")
     if not np.issubdtype(mode.dtype, np.integer) or mode.min() < 1 or mode.max() > 6:
         raise ValueError("modes must be integers in 1..6")
-    if not all(np.all(a >= 0.0) for a in flows):
-        raise ValueError("decided rates and powers must be nonnegative")
+    if not all(0.0 <= a.min() and a.max() < np.inf for a in flows):  # NaN fails both
+        raise ValueError("decided rates and powers must be finite and nonnegative")
     in1, q1, out2 = _lindley(dec.up1, dec.down2)
     in2, q2, out1 = _lindley(dec.up2, dec.down1)
     counts = np.bincount(mode, minlength=7)[1:]

@@ -7,7 +7,7 @@ from birelay import benchmarks, calibrate
 from birelay.benchmarks import KINDS, _fixed_caps, _fixed_select, fixed_power_policy, tdbc_policy
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.engine import run
-from birelay.policy import balance_residuals
+from birelay.policy import TraceGains, balance_residuals, broadcast_power, capacity, wf_power
 from rate_reference import PowerTriple, link_capacities
 
 _STATS = FadingStatistics(1.0, 1.0)
@@ -127,6 +127,49 @@ def test_tdbc_uplink_rate_is_frame_capped():
         r = link_capacities(trace.s1[ib], trace.s2[ib], relay, 0.0)
         assert dec.down1[ib] == pytest.approx(r.cr1, rel=1e-12)
         assert dec.down2[ib] == pytest.approx(r.cr2, rel=1e-12)
+
+
+def _tdbc_reference(g, p_total, gamma):
+    """The cycle by whole-trace formulas: every role's power and capacities
+    on every slot, each slot's role selected with np.where, the uplinks of
+    complete frames capped at their broadcast slot's capacity."""
+    s1, s2 = g.s1, g.s2
+    n = len(s1)
+    if gamma is None:
+        p_user1 = p_user2 = p_relay = np.full(n, p_total)
+    else:
+        p_user1 = wf_power(1.0, gamma, g.inv1)
+        p_user2 = wf_power(1.0, gamma, g.inv2)
+        p_relay = broadcast_power(g, 1.0, 1.0, gamma)
+    cycle = np.arange(1, n + 1) % 3
+    bc = cycle == 0
+    down1 = np.where(bc, capacity(p_relay * s1), 0.0)
+    down2 = np.where(bc, capacity(p_relay * s2), 0.0)
+    whole = n - n % 3
+    u1, u2, b = slice(0, whole, 3), slice(1, whole, 3), slice(2, whole, 3)
+    up1, up2 = np.zeros(n), np.zeros(n)
+    up1[u1] = np.minimum(capacity(p_user1[u1] * s1[u1]), down2[b])
+    up2[u2] = np.minimum(capacity(p_user2[u2] * s2[u2]), down1[b])
+    mode = np.array([_CYCLE[k % 3] for k in range(1, n + 1)])
+    power = np.where(cycle == 1, p_user1, np.where(cycle == 2, p_user2, p_relay))
+    return mode, power, up1, up2, down1, down2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 10_001])
+def test_tdbc_decisions_match_the_whole_trace_reference_bit_for_bit(n):
+    # the cycle computed by slot role is the whole-trace one to the last
+    # bit: a role computed on the wrong slots or a dropped tail slot shows
+    tr = _trace(n=n, seed=11)
+    s1 = tr.s1.copy()
+    s1[1::4] = 0.0  # dead links drive the water-filled powers to exactly 0
+    for s in (tr.s1, s1):
+        g = TraceGains(s, tr.s2)
+        for p_total, gamma in ((0.5, None), (3.0, None), (1.0, 0.2), (1.0, 1.7), (1.0, 40.0)):
+            got = benchmarks._tdbc_decisions(g, p_total, gamma)
+            want = _tdbc_reference(g, p_total, gamma)
+            for name, b in zip(("mode", "power", "up1", "up2", "down1", "down2"), want):
+                a = getattr(got, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_fixed_power_three_mode_spends_exactly_the_budget():

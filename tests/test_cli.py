@@ -5,6 +5,7 @@ import io
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ def test_main_rejects_an_overflowing_sweep_range(tmp_path):
         assert rc == 2
         assert out == "" and not out_path.exists()
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_main_rejects_a_long_sweep_range_before_building_it():
+    # two million points, the last far past the float budget: the range is
+    # refused on its end points, not after every point has been made
+    tracemalloc.start()
+    try:
+        rc, out, err = _main(["sweep", "--pt-db-start", "0", "--pt-db-stop", "2e6", "--pt-db-step", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "too large" in err
+    assert peak < 5e6
 
 
 def test_main_rejects_a_reversed_sweep_range(tmp_path):

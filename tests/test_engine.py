@@ -126,6 +126,15 @@ def test_run_rejects_unknown_mode():
         _run(_decisions([1, 2], up1=[1.0]))
 
 
+@pytest.mark.parametrize("flow", ["power", "up1", "up2", "down1", "down2"])
+def test_run_rejects_an_infinite_decision(flow):
+    # +inf passes a plain ">= 0" test; it would be reported as an infinite
+    # power or a NaN rate
+    dec = _decisions([1, 2, 6], **{flow: [0.5, np.inf, 0.5]})
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        _run(dec)
+
+
 def test_run_empty_trace_guards():
     # a one-slot trace is the minimum: the sampler refuses zero slots, and
     # so does the trace itself, so no empty trace reaches run

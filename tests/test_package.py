@@ -1,12 +1,14 @@
 """The package namespace: seven exported names, every other type and
 function imported from its own module; and guards on the source itself:
 the oracle shares no code path with calibration, the command line loads
-no test-only dependency, and every module parses as Python 3.10."""
+no test-only dependency, and every module parses as Python 3.10; and on
+the test configuration, under which a failing property test fails alone."""
 
 import ast
 import importlib
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import birelay
@@ -95,3 +97,27 @@ def test_every_module_parses_as_python_3_10():
     assert files
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # warnings are errors under pyproject.toml; reporting a failing @given
+    # test imports libcst inside hypothesis's plugin, whose deprecation
+    # warning must not turn into an INTERNALERROR that skips the rest
+    (tmp_path / "test_two.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+    """))
+    config = SRC.parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

@@ -22,9 +22,12 @@ baselines only, ``calibrate`` at the seven points of the benchmark's
 ``calibrate`` workload (all exit 0), ``verify`` at three seeds,
 ``verify`` on 37 draws of 801 points (a partial block on each axis and a
 draw count that does not fill its last chunk), a ``proposed`` sweep at
--20 dB on a 30-slot trace, the short-trace path of calibration, and a
+-20 dB on a 30-slot trace, the short-trace path of calibration, a
 six-mode fixed-power sweep on a 2-slot trace, the short-trace path of a
-baseline: 18 commands in all. It takes about a minute.
+baseline, and both fixed-cycle baselines at -10 and 20 dB on traces of 1,
+2 and 4 slots (one uplink slot, two uplink slots without their broadcast
+slot, and a complete frame with one trailing uplink slot): 21 commands in
+all. It takes about a minute.
 """
 
 from __future__ import annotations
@@ -77,6 +80,10 @@ COMMANDS = (
     ("verify", "--draws", "37", "--grid-points", "801"),
     ("sweep", "--slots", "30", "--pt-db-list=-20", "--protocols", "proposed"),
     ("sweep", "--slots", "2", "--pt-db-list=0", "--protocols", "fixed_power_six_mode"),
+    *(
+        ("sweep", "--slots", str(n), "--protocols", "tdbc_no_pa,tdbc_pa", "--pt-db-list=-10,20")
+        for n in (1, 2, 4)
+    ),
 )
 
 
