@@ -91,12 +91,16 @@ class RunSpec:
 
 def _p_total(pt_db) -> float:
     """Linear power budget of a dB value; the value must be a finite
-    number whose budget a float can hold."""
+    number whose budget a float can hold, neither overflowing nor
+    underflowing to 0."""
     check_real("pt_db", pt_db)
     try:
-        return 10.0 ** (pt_db / 10.0)
+        p_total = 10.0 ** (pt_db / 10.0)
     except OverflowError:
         raise ValueError(f"pt_db {pt_db!r} is too large") from None
+    if p_total == 0.0:
+        raise ValueError(f"pt_db {pt_db!r} is too small: its budget underflows to 0")
+    return p_total
 
 
 def _prepare(name: str, spec: RunSpec, p_total: float, trace) -> PreparedPolicy:

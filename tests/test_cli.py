@@ -216,17 +216,42 @@ def test_main_rejects_an_overflowing_sweep_range(tmp_path):
 
 
 def test_main_rejects_a_long_sweep_range_before_building_it():
-    # two million points, the last far past the float budget: the range is
-    # refused on its end points, not after every point has been made
-    tracemalloc.start()
-    try:
-        rc, out, err = _main(["sweep", "--pt-db-start", "0", "--pt-db-stop", "2e6", "--pt-db-step", "1"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rc == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "too large" in err
-    assert peak < 5e6
+    # about a million points or more, with an end point whose budget
+    # overflows a float or underflows to 0: the range is refused on its end
+    # points, not after every point has been made
+    for argv, reason in (
+        (["--pt-db-start", "0", "--pt-db-stop", "2e6", "--pt-db-step", "1"], "too large"),
+        (["--pt-db-start=-1e6", "--pt-db-stop=-5000", "--pt-db-step", "1", "--slots", "30",
+          "--protocols", "tdbc_no_pa"], "underflows"),
+    ):
+        tracemalloc.start()
+        try:
+            rc, out, err = _main(["sweep", *argv])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and reason in err
+        assert peak < 5e6
+
+
+def test_main_rejects_a_budget_that_underflows_before_drawing_the_trace(monkeypatch):
+    # 10 ** (-400) is 0.0 in floating point: a budget no protocol can spend
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return sample_trace(*args)
+
+    monkeypatch.setattr(cli_module, "sample_trace", counted)
+    for argv in (
+        ["calibrate", "--pt-db=-4000", "--slots", "200"],
+        ["sweep", "--pt-db-list=-4000", "--slots", "200", "--protocols", "tdbc_no_pa"],
+    ):
+        rc, out, err = _main(argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "-4000" in err
+    assert drawn == []
 
 
 def test_main_rejects_a_reversed_sweep_range(tmp_path):

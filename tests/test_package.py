@@ -1,8 +1,9 @@
 """The package namespace: seven exported names, every other type and
 function imported from its own module; and guards on the source itself:
-the oracle shares no code path with calibration, the command line loads
-no test-only dependency, and every module parses as Python 3.10; and on
-the test configuration, under which a failing property test fails alone."""
+the oracle shares no code path with calibration, the criterion margins
+report computes nothing of its own, the command line loads no test-only
+dependency, and every module parses as Python 3.10; and on the test
+configuration, under which a failing property test fails alone."""
 
 import ast
 import importlib
@@ -77,6 +78,22 @@ def test_oracle_imports_nothing_from_calibration():
     names = _imported_modules(SRC / "oracle.py")
     assert ".policy" in names
     assert [n for n in names if n.split(".")[-1] == "calibrate"] == []
+
+
+def test_margins_report_defines_no_quantity_of_its_own():
+    # the report prints the gate's quantities on further seeds, so it reads
+    # them from the helper the gate uses and runs no protocol itself
+    path = Path(__file__).resolve().parents[1] / "tools" / "criterion_margins.py"
+    names = _imported_modules(path)
+    assert "criteria" in names
+    assert [n for n in names if n.split(".")[0] == "birelay"] == []
+    running = {"calibrate", "run", "tdbc_policy", "fixed_power_policy", "run_sweep", "sample_trace"}
+    called = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+    assert called & running == set()
 
 
 def test_command_line_loads_no_test_dependency():

@@ -17,10 +17,15 @@ Each run is ``python3 bench/run.py --workload W --seed N --seconds S
 runs first alternates from pair to pair, so drift in the machine's load
 falls on both sides. Each untraced run also records, from deltas of
 ``resource.getrusage(RUSAGE_CHILDREN)``, the CPU seconds and minor page
-faults of the run's process tree per attempted operation; these include
-the set-up children of ``bench/run.py``, which are the same on both
-sides. Unlike ``ok_per_s`` they do not drift with the machine's speed,
-and they feed no gate. After the pairs come three alternating pairs of
+faults of the run's process tree per attempted operation. They are not
+an operation's cost: they include the set-up child of ``bench/run.py``,
+the fresh interpreter it starts before every operation, which is the
+same on both sides and dominates them. One set-up child alone takes
+about 5,100 minor faults and 0.3 to 0.4 CPU seconds, against the 5,300
+to 8,200 faults per operation in ``BENCH_28.json``, so a saving inside
+an operation shows diluted and the CPU figure mostly times interpreter
+start-up. Unlike ``ok_per_s`` they do not drift with the machine's
+speed, and they feed no gate. After the pairs come three alternating pairs of
 ``--trace 1`` runs (traced pair k runs seed k + 1, same S): their layer
 metrics (seconds and counts per cycle of the workload's operation list)
 show where a change in the end-to-end numbers comes from, and as medians
@@ -219,7 +224,9 @@ def main() -> int:
                 ),
                 "per_op": (
                     "getrusage(RUSAGE_CHILDREN) deltas over each untraced run, per "
-                    "attempted operation: CPU seconds (user + system) and minor faults"
+                    "attempted operation: CPU seconds (user + system) and minor faults; "
+                    "they include bench/run.py's set-up child (a fresh interpreter per "
+                    "operation), which dominates them, so they are not an operation's cost"
                 ),
             },
             "workloads": workloads,
