@@ -52,7 +52,8 @@ reads the price and the true residuals of the point it reports, and its
 iteration count, from that record. Within a point, match_budget sees
 only the mean power spent at each price, and one dict keeps each price
 probe's (c1, c2) for the price band and the point's reported residuals.
-threshold_region_scan maps the dual plane with the same price solve.
+Every probe runs the slot rule at the decoding share its duals' order
+picks, as the calibrated policy does.
 """
 
 from __future__ import annotations
@@ -61,15 +62,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
 from .channel import ChannelTrace, check_real, check_tolerance
 from .policy import (
     Thresholds,
     TraceGains,
+    _dual_order_share,
     balance_residuals,
     decide_trace,
-    optimal_time_share,
     trace_mean,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "balance_duals",
     "find_root",
     "match_budget",
-    "threshold_region_scan",
 ]
 
 # float representability, not a tuning knob: past |u| = log 2**53 ~ 36.7
@@ -366,7 +364,6 @@ def calibrate(
     check_tolerance("tol_power", tol_power)
     s1, s2 = trace.s1, trace.s2
     gains = TraceGains(s1, s2)  # one kernel for every probe on this trace
-    t = optimal_time_share(trace.stats)
     evaluations = 0
     # the latest point's price starts the next price solve, and the
     # elasticity of spent power in gamma that solve measured sizes its
@@ -384,6 +381,7 @@ def calibrate(
         price and its true residuals (c1, c2, c3)."""
         nonlocal warm, elasticity
         balance: dict[float, tuple[float, float]] = {}  # (c1, c2) of each price probe
+        t = _dual_order_share(mu1, mu2)
 
         def spend(g: float) -> float:
             nonlocal evaluations
@@ -432,39 +430,3 @@ def calibrate(
         converged=meets((mu1, mu2)),
     )
 
-
-def threshold_region_scan(
-    trace: ChannelTrace, p_total: float, mu_values: np.ndarray, tol_rate: float = 0.02
-) -> list[tuple[float, float]]:
-    """The balanced dual pairs (mu1, mu2), in probe order, among every pair
-    from mu_values (each in [0, 1], the boundary values included) probed
-    on trace, a short one for speed. Each pair is priced once, solving
-    gamma to the power budget to 0.5 %, and judged on the decisions its
-    price solve recorded at the price it returned.
-
-    A point is balanced when both relative rate residuals are within
-    tol_rate and the delivered sum rate is positive. Boundary dual values
-    can never balance: one side of each rate pairing collapses to zero.
-    """
-    check_real("power budget", p_total, positive=True)
-    check_tolerance("tol_rate", tol_rate)
-    mu_values = np.asarray(mu_values, dtype=float)
-    if not np.all((mu_values >= 0.0) & (mu_values <= 1.0)):
-        raise ValueError(f"mu_values must lie in [0, 1], got {mu_values.tolist()!r}")
-    gains = TraceGains(trace.s1, trace.s2)
-    t = optimal_time_share(trace.stats)
-    balanced = []
-    for mu1 in map(float, mu_values):
-        for mu2 in map(float, mu_values):
-            decided = {}  # the decisions of each price probe
-
-            def spend(g: float) -> float:
-                decided[g] = decide_trace(trace.s1, trace.s2, mu1, mu2, g, t, gains=gains)
-                return trace_mean(decided[g].power)
-
-            dec = decided[match_budget(spend, p_total, 1.0, 0.005)[0]]
-            c1, c2 = balance_residuals(dec)
-            sum_rate = trace_mean(dec.down1) + trace_mean(dec.down2)
-            if abs(c1) <= tol_rate and abs(c2) <= tol_rate and sum_rate > 0.0:
-                balanced.append((mu1, mu2))
-    return balanced

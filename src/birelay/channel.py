@@ -68,12 +68,12 @@ class FadingStatistics:
 @dataclass(frozen=True, eq=False)
 class ChannelTrace:
     """A materialized fading realization: at least one slot of finite,
-    nonnegative gains, with the fading statistics it is read under.
+    nonnegative gains, and nothing else. Every rule that runs on a trace
+    reads only its gains, never the statistics they were drawn under.
 
     The gains are read-only float copies of the caller's, so a trace is a value.
     """
 
-    stats: FadingStatistics
     s1: np.ndarray = field(repr=False)
     s2: np.ndarray = field(repr=False)
 
@@ -106,4 +106,4 @@ def sample_trace(stats: FadingStatistics, n_slots: int, seed: int) -> ChannelTra
     g = np.random.default_rng(seed).random((2, n_slots))
     np.log1p(np.negative(g, out=g), out=g)
     g *= np.array([[-stats.omega1], [-stats.omega2]])
-    return ChannelTrace(stats=stats, s1=g[0], s2=g[1])
+    return ChannelTrace(s1=g[0], s2=g[1])

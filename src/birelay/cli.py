@@ -109,7 +109,7 @@ def _prepare(name: str, spec: RunSpec, p_total: float, trace) -> PreparedPolicy:
     if name == "proposed":
         result = calibrate(trace, p_total, spec.tol_rate, spec.tol_power)
         th = result.thresholds
-        decide = policy.proposed_policy(th, trace.stats)
+        decide = policy.proposed_policy(th)
         return PreparedPolicy(decide, th.mu1, th.mu2, th.gamma, None, result.converged)
     if name in ("tdbc_no_pa", "tdbc_pa"):
         return benchmarks.tdbc_policy(name, trace, p_total, spec.tol_power)

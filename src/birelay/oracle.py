@@ -196,10 +196,10 @@ def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]
     chunks write their stages into one workspace, made once per call.
 
     Each draw is checked at the decoding share its dual order favours
-    (t = 0 when mu1 >= mu2), the optimal one; the policy fixes its share
-    from the fading means, which agrees where the link with the larger
-    fading mean also has the larger dual. Raises ValueError for
-    fewer than 2 points, no draws or draw arrays of unequal length.
+    (t = 0 when mu1 >= mu2), the optimal one and the one the policy takes;
+    the share is recomputed here, not read from the policy. Raises
+    ValueError for fewer than 2 points, no draws or draw arrays of unequal
+    length.
     """
     draws = [np.asarray(v, dtype=float) for v in (s1, s2, mu1, mu2, gamma)]
     if points < 2:

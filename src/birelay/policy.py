@@ -34,10 +34,9 @@ strict > gives the tie to the uplink mode: there decide scores mode 3 as
 The multiple-access metric is affine in the decoding share t, with slope
 (mu2 - mu1)*(log2(1 + x) + log2(1 + y) - log2(1 + x + y)) at x = p1*s1,
 y = p2*s2, so the dual order picks the optimal end: t = 0 when
-mu1 >= mu2. optimal_time_share fixes t from the fading means as a rule
-instead, and the slot rule rejects any share but 0 and 1. The rules agree
-at all nine default-sweep points, and disagree at 17 of 27 calibrated 1:1
-points (seeds 1234, 7, 99) at a cost of at most 6e-6 in the Lagrangian.
+mu1 >= mu2. The protocol takes its share from its duals by that rule, so
+a slot's decision depends on its gains and the duals alone; the raw
+kernels take t explicitly and reject any share but 0 and 1.
 """
 
 from __future__ import annotations
@@ -48,14 +47,13 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelTrace, FadingStatistics, check_real
+from .channel import ChannelTrace, check_real
 
 __all__ = [
     "SELECTABLE_MODES",
     "Thresholds",
     "TraceDecisions",
     "TraceGains",
-    "optimal_time_share",
     "mode_table",
     "proposed_policy",
     "decide_trace",
@@ -122,9 +120,9 @@ def trace_mean(x) -> float:
     return float(np.add.reduce(x)) / len(x)
 
 
-def optimal_time_share(stats: FadingStatistics) -> float:
-    """Decoding share by rule: 0 when link 1 is the stronger on average."""
-    return 0.0 if stats.omega1 >= stats.omega2 else 1.0
+def _dual_order_share(mu1: float, mu2: float) -> float:
+    """The optimal decoding share at the duals: 0 when mu1 >= mu2, else 1."""
+    return 0.0 if mu1 >= mu2 else 1.0
 
 
 # Array kernels shared with the baselines (package-internal, not in __all__).
@@ -421,13 +419,14 @@ def mode_table(s1, s2, mu1, mu2, gamma, t: float) -> tuple[dict, dict]:
     return dict(zip(SELECTABLE_MODES, by_mode)), dict(zip(SELECTABLE_MODES, metrics))
 
 
-def proposed_policy(
-    th: Thresholds, stats: FadingStatistics
-) -> Callable[[ChannelTrace], TraceDecisions]:
+def proposed_policy(th: Thresholds, stats=None) -> Callable[[ChannelTrace], TraceDecisions]:
     """Wrap calibrated thresholds as a whole-trace policy. Each slot's
     decision depends on its own gains only: buffer balance is enforced
-    through the duals, not through the buffer levels."""
-    t = optimal_time_share(stats)
+    through the duals, not through the buffer levels, and the decoding
+    share is the one the duals' order picks. stats has no effect; it is
+    accepted so that callers written when the share came from the fading
+    means still run."""
+    t = _dual_order_share(th.mu1, th.mu2)
 
     def _decide(trace: ChannelTrace) -> TraceDecisions:
         return decide_trace(trace.s1, trace.s2, th.mu1, th.mu2, th.gamma, t)
@@ -438,10 +437,10 @@ def proposed_policy(
 def decide_trace(s1, s2, mu1, mu2, gamma, t, gains: TraceGains | None = None) -> TraceDecisions:
     """Vectorized decisions over gain arrays with raw (unvalidated) duals.
 
-    Used by calibration and region scans, which must be able to probe
-    boundary dual values that the Thresholds type rejects; t must be 0 or
-    1. gains, the TraceGains of (s1, s2), carries its constants and
-    workspace from call to call; it is built here when not given.
+    Used by calibration, which must be able to probe dual values that the
+    Thresholds type rejects; t must be 0 or 1. gains, the TraceGains of
+    (s1, s2), carries its constants and workspace from call to call; it is
+    built here when not given.
     """
     if gains is None:
         gains = TraceGains(s1, s2)

@@ -1,21 +1,31 @@
-"""The quantities of acceptance criteria 3 to 8, one definition each.
+"""The quantities of acceptance criteria 3 to 8, one definition each, and
+criterion 9's scan of the dual plane.
 
 ``tests/test_acceptance.py`` judges them on the trace of seed 1234 and
 ``tools/criterion_margins.py`` prints them on further seeds, so the gate
-and the report always measure the same thing. Every trace has 10 000
-slots, and every calibration runs at the sweep's default tolerances.
+and the report always measure the same thing. Every trace of criteria 3
+to 8 has 10 000 slots, and every calibration runs at the sweep's default
+tolerances.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from birelay.benchmarks import tdbc_policy
-from birelay.calibrate import calibrate
-from birelay.channel import FadingStatistics, sample_trace
+from birelay.calibrate import calibrate, match_budget
+from birelay.channel import FadingStatistics, check_real, check_tolerance, sample_trace
 from birelay.cli import RunSpec, run_sweep
 from birelay.engine import run
-from birelay.policy import proposed_policy
+from birelay.policy import (
+    TraceGains,
+    _dual_order_share,
+    balance_residuals,
+    proposed_policy,
+    trace_mean,
+)
 
 POINT_DBS = (-10.0, 0.0, 10.0, 20.0)  # criteria 3 and 4's calibrated 1:1 points
 
@@ -25,7 +35,7 @@ def run_point(seed: int, omega1: float, pt_db: float):
     the calibrated ``proposed`` run."""
     trace = sample_trace(FadingStatistics(omega1, 1.0), 10_000, seed)
     result = calibrate(trace, 10.0 ** (pt_db / 10.0), tol_rate=0.01, tol_power=0.005)
-    return trace, result, run(trace, proposed_policy(result.thresholds, trace.stats))
+    return trace, result, run(trace, proposed_policy(result.thresholds))
 
 
 def point_runs(seed: int) -> dict:
@@ -93,3 +103,39 @@ def link_quality_gains(seed: int, runs: dict) -> tuple[tuple[float, ...], float,
     runs), 2 and 5, and its increments from 1 to 2 and from 2 to 5."""
     rates = (runs[10.0][2].sum_rate, *(run_point(seed, w, 10.0)[2].sum_rate for w in (2.0, 5.0)))
     return rates, rates[1] - rates[0], rates[2] - rates[1]
+
+
+def threshold_region_scan(trace, p_total: float, mu_values, tol_rate: float = 0.02) -> list:
+    """Criterion 9: the balanced dual pairs (mu1, mu2), in probe order,
+    among every pair from mu_values (each in [0, 1], the boundary values
+    included) probed on trace, a short one for speed. Each pair runs the
+    slot rule at the decoding share its order picks, is priced once by
+    calibration's price solve to the power budget to 0.5 %, and is judged
+    on the decisions that solve recorded at the price it returned.
+
+    A point is balanced when both relative rate residuals are within
+    tol_rate and the delivered sum rate is positive. Boundary dual values
+    can never balance: one side of each rate pairing collapses to zero.
+    """
+    check_real("power budget", p_total, positive=True)
+    check_tolerance("tol_rate", tol_rate)
+    mu_values = np.asarray(mu_values, dtype=float)
+    if not np.all((mu_values >= 0.0) & (mu_values <= 1.0)):
+        raise ValueError(f"mu_values must lie in [0, 1], got {mu_values.tolist()!r}")
+    gains = TraceGains(trace.s1, trace.s2)
+    balanced = []
+    for mu1 in map(float, mu_values):
+        for mu2 in map(float, mu_values):
+            t = _dual_order_share(mu1, mu2)
+            decided = {}  # the decisions of each price probe
+
+            def spend(g: float) -> float:
+                decided[g] = gains.decide(mu1, mu2, g, t)
+                return trace_mean(decided[g].power)
+
+            dec = decided[match_budget(spend, p_total, 1.0, 0.005)[0]]
+            c1, c2 = balance_residuals(dec)
+            sum_rate = trace_mean(dec.down1) + trace_mean(dec.down2)
+            if abs(c1) <= tol_rate and abs(c2) <= tol_rate and sum_rate > 0.0:
+                balanced.append((mu1, mu2))
+    return balanced

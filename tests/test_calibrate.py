@@ -14,7 +14,6 @@ from birelay.calibrate import (
     calibrate,
     find_root,
     match_budget,
-    threshold_region_scan,
 )
 import birelay.calibrate as calibrate_module
 from birelay.channel import FadingStatistics, sample_trace
@@ -24,8 +23,9 @@ from birelay.policy import (
     TraceGains,
     balance_residuals,
     decide_trace,
-    optimal_time_share,
+    proposed_policy,
 )
+from criteria import threshold_region_scan
 
 _STATS = FadingStatistics(1.0, 1.0)
 
@@ -38,10 +38,19 @@ def _calibrate(trace=None, p_total=1.0, tol_rate=0.01, tol_power=0.005):
     return calibrate(_trace() if trace is None else trace, p_total, tol_rate, tol_power)
 
 
-def _decisions(th, trace):
-    """The slot rule at th over trace, without queue clipping."""
-    t = optimal_time_share(trace.stats)
-    return decide_trace(trace.s1, trace.s2, th.mu1, th.mu2, th.gamma, t)
+@pytest.fixture
+def slot_rule_calls(monkeypatch):
+    """Every run of the slot rule, through decide_trace or its kernel
+    directly, as its (mu1, mu2, gamma, t), in call order."""
+    calls = []
+    decide = TraceGains.decide
+
+    def recording(self, mu1, mu2, gamma, t):
+        calls.append((mu1, mu2, gamma, t))
+        return decide(self, mu1, mu2, gamma, t)
+
+    monkeypatch.setattr(TraceGains, "decide", recording)
+    return calls
 
 
 def test_config_validated(monkeypatch):
@@ -69,7 +78,7 @@ def test_config_validated(monkeypatch):
 def test_spent_power_monotone_in_price():
     trace = _trace()
     powers = [
-        float(_decisions(Thresholds(0.4, 0.4, g), trace).power.mean())
+        float(proposed_policy(Thresholds(0.4, 0.4, g))(trace).power.mean())
         for g in (0.02, 0.1, 0.5, 2.0, 10.0)
     ]
     assert all(a >= b for a, b in zip(powers, powers[1:]))
@@ -77,12 +86,12 @@ def test_spent_power_monotone_in_price():
 
 
 def test_huge_price_spends_nothing():
-    assert _decisions(Thresholds(0.4, 0.4, 1e6), _trace()).power.max() == 0.0
+    assert proposed_policy(Thresholds(0.4, 0.4, 1e6))(_trace()).power.max() == 0.0
 
 
 def test_extreme_dual_starves_its_uplink():
     # mu1 near 1 makes receiving user-1 traffic nearly worthless
-    dec = _decisions(Thresholds(0.999, 0.4, 0.1), _trace())
+    dec = proposed_policy(Thresholds(0.999, 0.4, 0.1))(_trace())
     assert dec.up1.mean() < 0.01
     assert balance_residuals(dec)[0] < 0.0
 
@@ -349,21 +358,14 @@ def test_calibrate_converges_under_strong_asymmetry(omegas):
     assert min(res.thresholds.mu1, res.thresholds.mu2) < 1e-3
 
 
-def test_calibrate_falls_back_to_a_probe_within_tolerance(monkeypatch):
+def test_calibrate_falls_back_to_a_probe_within_tolerance(slot_rule_calls):
     # 1:1 fading at -15 dB on this trace: the search ends outside the
     # narrow aim band, and the point it reports is the probe nearest the
     # aim among those whose true residuals meet the tolerances
-    calls = []
-
-    def recording(s1, s2, mu1, mu2, gamma, t, gains=None):
-        calls.append((mu1, mu2, gamma))
-        return decide_trace(s1, s2, mu1, mu2, gamma, t, gains=gains)
-
-    monkeypatch.setattr(calibrate_module, "decide_trace", recording)
     res = _calibrate(_trace(n_slots=10_000, seed=99), p_total=10.0**-1.5)
     assert res.converged
     th = res.thresholds
-    assert (th.mu1, th.mu2, th.gamma) in calls
+    assert (th.mu1, th.mu2, th.gamma) in [call[:3] for call in slot_rule_calls]
     assert res.residual_c1 <= 0.01 and res.residual_c2 <= 0.01 and res.residual_c3 <= 0.005
 
 
@@ -445,7 +447,7 @@ def test_calibrated_duals_reproduce_residuals():
     # run of the slot rule there must give them back
     trace, p_total = _trace(), 1.0
     res = _calibrate(trace, p_total)
-    dec = _decisions(res.thresholds, trace)
+    dec = proposed_policy(res.thresholds)(trace)
     c1, c2 = balance_residuals(dec)
     c3 = (float(dec.power.mean()) - p_total) / p_total
     assert abs(c1) == pytest.approx(res.residual_c1, abs=1e-12)
@@ -454,37 +456,36 @@ def test_calibrated_duals_reproduce_residuals():
 
 
 @pytest.mark.parametrize("stats, p_total", [(_STATS, 1.0), (FadingStatistics(10.0, 1.0), 10.0)])
-def test_calibrate_never_repeats_an_evaluation(monkeypatch, stats, p_total):
+def test_calibrate_never_repeats_an_evaluation(slot_rule_calls, stats, p_total):
     # every (mu1, mu2, gamma) reaches the slot rule once, and the returned
     # point is one of them
-    calls = []
-
-    def recording(s1, s2, mu1, mu2, gamma, t, gains=None):
-        calls.append((mu1, mu2, gamma))
-        return decide_trace(s1, s2, mu1, mu2, gamma, t, gains=gains)
-
-    monkeypatch.setattr(calibrate_module, "decide_trace", recording)
     result = _calibrate(_trace(stats), p_total=p_total)
     th = result.thresholds
-    assert (th.mu1, th.mu2, th.gamma) in calls
-    assert len(set(calls)) == len(calls) == result.evaluations
-    assert len(calls) > result.iterations
+    points = [call[:3] for call in slot_rule_calls]
+    assert (th.mu1, th.mu2, th.gamma) in points
+    assert len(set(points)) == len(points) == result.evaluations
+    assert len(points) > result.iterations
 
 
-def test_calibrate_counts_its_slot_rule_runs(monkeypatch):
+def test_calibrate_counts_its_slot_rule_runs(slot_rule_calls):
     # the default 10k-slot trace at 1:1 fading and 0 dB: a bisection in
     # every 1-D solve needed 924 runs of the slot rule here
-    calls = []
-
-    def recording(s1, s2, mu1, mu2, gamma, t, gains=None):
-        calls.append((mu1, mu2, gamma))
-        return decide_trace(s1, s2, mu1, mu2, gamma, t, gains=gains)
-
-    monkeypatch.setattr(calibrate_module, "decide_trace", recording)
     result = _calibrate(_trace(n_slots=10_000, seed=1234))
     assert result.converged
-    assert result.evaluations == len(calls)
-    assert len(calls) <= 400
+    assert result.evaluations == len(slot_rule_calls)
+    assert len(slot_rule_calls) <= 400
+
+
+def test_calibrate_runs_the_slot_rule_at_the_dual_order_share(slot_rule_calls):
+    # 1:1 fading at 10 dB on the default trace: the balanced duals lie
+    # within 3e-3 of mu1 = mu2 and the search probes both sides of that
+    # diagonal; every probe decodes at t = 0 exactly where mu1 >= mu2, as
+    # the calibrated policy does
+    trace = sample_trace(_STATS, RunSpec.n_slots, RunSpec.seed)
+    assert calibrate(trace, 10.0, RunSpec.tol_rate, RunSpec.tol_power).converged
+    assert {mu1 >= mu2 for mu1, mu2, _, _ in slot_rule_calls} == {True, False}
+    assert all((t == 0.0) == (mu1 >= mu2) for mu1, mu2, _, t in slot_rule_calls)
+    assert {t for *_, t in slot_rule_calls} == {0.0, 1.0}
 
 
 def test_calibrate_builds_one_trace_kernel(monkeypatch):
@@ -646,6 +647,10 @@ def test_find_root_step_residual_terminates_without_a_cap(log):
     assert math.nextafter(below, 1.0) == above
 
 
+# criterion 9's scan of the dual plane lives with the criteria, in
+# tests/criteria.py; it prices each pair with match_budget
+
+
 def test_region_scan_boundary_duals_cannot_balance():
     trace = sample_trace(FadingStatistics(1.0, 1.0), 1500, 2)
     assert threshold_region_scan(trace, 1.0, np.array([0.0, 1.0])) == []
@@ -672,22 +677,16 @@ def test_region_scan_validates_budget():
             threshold_region_scan(trace, 1.0, np.array(bad))
 
 
-def test_region_scan_prices_each_pair_once(monkeypatch):
+def test_region_scan_prices_each_pair_once(slot_rule_calls):
     # a pair is judged on the decisions its price solve recorded at the
     # price it returned, so the slot rule never runs twice at one
-    # (mu1, mu2, gamma); the balanced pairs are those of pricing each
-    # returned price afresh
-    calls = []
-    decide = calibrate_module.decide_trace
-
-    def recording(s1, s2, mu1, mu2, gamma, t, gains=None):
-        calls.append((mu1, mu2, gamma))
-        return decide(s1, s2, mu1, mu2, gamma, t, gains=gains)
-
-    monkeypatch.setattr(calibrate_module, "decide_trace", recording)
+    # (mu1, mu2, gamma), and each pair runs at its dual-order share; the
+    # balanced pairs are those of pricing each returned price afresh
     trace = sample_trace(FadingStatistics(1.0, 1.0), 4000, 1234)
     grid = [0.36, 0.365, 0.37]
     balanced = threshold_region_scan(trace, 10.0, np.array(grid), tol_rate=0.05)
     assert balanced == [(0.36, 0.37), (0.365, 0.365), (0.37, 0.36)]
+    calls = slot_rule_calls
     assert len(set(calls)) == len(calls)
     assert list(dict.fromkeys(call[:2] for call in calls)) == [(a, b) for a in grid for b in grid]
+    assert all((t == 0.0) == (mu1 >= mu2) for mu1, mu2, _, t in calls)

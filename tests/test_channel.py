@@ -95,29 +95,28 @@ def test_trace_owns_its_gains():
     # the trace checks and freezes copies: a later write to the caller's
     # array neither reaches the trace nor fails, and a list is accepted
     base = np.ones(6)
-    tr = ChannelTrace(stats=FadingStatistics(1.0, 1.0), s1=base[:3], s2=base[3:])
+    tr = ChannelTrace(s1=base[:3], s2=base[3:])
     base[0] = -5.0
     assert tr.s1.tolist() == [1.0, 1.0, 1.0]
     assert not tr.s1.flags.writeable and not tr.s2.flags.writeable
-    listed = ChannelTrace(stats=FadingStatistics(1.0, 1.0), s1=[1, 2], s2=[0.5, 0.0])
+    listed = ChannelTrace(s1=[1, 2], s2=[0.5, 0.0])
     assert listed.s1.dtype == np.float64 and listed.s2.tolist() == [0.5, 0.0]
 
 
 def test_trace_rejects_mismatched_arrays():
     with pytest.raises(ValueError):
-        ChannelTrace(stats=FadingStatistics(1.0, 1.0), s1=np.ones(3), s2=np.ones(4))
+        ChannelTrace(s1=np.ones(3), s2=np.ones(4))
 
 
 def test_trace_rejects_empty_negative_and_non_finite_gains():
     # on such a trace calibration cannot converge (a negative gain) or
     # reports NaN residuals (no slot), so the trace itself refuses it
-    stats = FadingStatistics(1.0, 1.0)
     for bad in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf")):
         for s1, s2 in ((np.array([1.0, bad]), np.ones(2)), (np.ones(2), np.array([bad, 1.0]))):
             with pytest.raises(ValueError):
-                ChannelTrace(stats=stats, s1=s1, s2=s2)
+                ChannelTrace(s1=s1, s2=s2)
     with pytest.raises(ValueError):
-        ChannelTrace(stats=stats, s1=np.zeros(0), s2=np.zeros(0))
+        ChannelTrace(s1=np.zeros(0), s2=np.zeros(0))
     # zero gains (a dead link) and a single slot are a valid trace
-    trace = ChannelTrace(stats=stats, s1=np.zeros(1), s2=np.array([3.0]))
+    trace = ChannelTrace(s1=np.zeros(1), s2=np.array([3.0]))
     assert len(trace) == 1

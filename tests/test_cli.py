@@ -356,7 +356,6 @@ def test_main_leaves_options_not_given_to_the_dataclass_defaults(monkeypatch):
     [(trace, *rest)] = seen
     assert rest == [10.0, spec.tol_rate, spec.tol_power]
     want = sample_trace(FadingStatistics(1.0, 1.0), spec.n_slots, spec.seed)
-    assert trace.stats == want.stats
     assert np.array_equal(trace.s1, want.s1) and np.array_equal(trace.s2, want.s2)
 
 

@@ -32,7 +32,7 @@ def _decisions(mode, up1=None, up2=None, down1=None, down2=None, power=None):
 def _run(dec):
     """Run fixed decisions over a trace of matching length."""
     n = len(dec.mode)
-    trace = ChannelTrace(stats=_STATS, s1=np.ones(n), s2=np.ones(n))
+    trace = ChannelTrace(s1=np.ones(n), s2=np.ones(n))
     return run(trace, lambda tr: dec)
 
 
@@ -141,13 +141,13 @@ def test_run_empty_trace_guards():
     with pytest.raises(ValueError):
         sample_trace(_STATS, 0, 1)
     with pytest.raises(ValueError):
-        ChannelTrace(stats=_STATS, s1=np.zeros(0), s2=np.zeros(0))
+        ChannelTrace(s1=np.zeros(0), s2=np.zeros(0))
     assert _run(_decisions([6])).n_slots == 1
 
 
 def test_run_accounting_and_conservation():
     trace = sample_trace(_STATS, 2000, 13)
-    policy = proposed_policy(Thresholds(0.37, 0.36, 0.09), _STATS)
+    policy = proposed_policy(Thresholds(0.37, 0.36, 0.09))
     report = run(trace, policy)
     n = report.n_slots
     assert n == 2000
@@ -173,9 +173,8 @@ def test_run_accounting_and_conservation():
 
 
 def test_run_is_deterministic():
-    stats = FadingStatistics(1.3, 0.8)
-    trace = sample_trace(stats, 500, 99)
-    policy = proposed_policy(Thresholds(0.42, 0.33, 0.2), stats)
+    trace = sample_trace(FadingStatistics(1.3, 0.8), 500, 99)
+    policy = proposed_policy(Thresholds(0.42, 0.33, 0.2))
     a = run(trace, policy)
     b = run(trace, policy)
     assert a == b

@@ -3,9 +3,8 @@
 Each calibration runs on a drawn trace and on a transformed copy built by
 hand, and the two results must agree as the model says:
 
-* swap: exchanging the links (s1 with s2, omega1 with omega2) exchanges
-  mu1 with mu2 and keeps the sum rate, the power price and the common
-  power;
+* swap: exchanging the links (s1 with s2) exchanges mu1 with mu2 and
+  keeps the sum rate, the power price and the common power;
 * scale: gains times 4 at a quarter of the budget keeps every capacity, so
   the duals and the sum rate stay, the power price is 4 times as large
   and the common power a quarter as large. Times 4 is exact in floating
@@ -23,7 +22,7 @@ from birelay.benchmarks import fixed_power_policy
 from birelay.calibrate import calibrate
 from birelay.channel import ChannelTrace, FadingStatistics, sample_trace
 from birelay.engine import run
-from birelay.policy import decide_trace, optimal_time_share
+from birelay.policy import proposed_policy
 
 TOL_RATE, TOL_POWER = 0.01, 0.005
 MU_BOUND = 5e-3
@@ -34,13 +33,11 @@ def _trace(omega1, omega2):
 
 
 def _swapped(trace):
-    stats = FadingStatistics(trace.stats.omega2, trace.stats.omega1)
-    return ChannelTrace(stats=stats, s1=trace.s2, s2=trace.s1)
+    return ChannelTrace(s1=trace.s2, s2=trace.s1)
 
 
 def _scaled(trace, k=4.0):
-    stats = FadingStatistics(k * trace.stats.omega1, k * trace.stats.omega2)
-    return ChannelTrace(stats=stats, s1=k * trace.s1, s2=k * trace.s2)
+    return ChannelTrace(s1=k * trace.s1, s2=k * trace.s2)
 
 
 def _proposed(trace, p_total):
@@ -48,8 +45,7 @@ def _proposed(trace, p_total):
     result = calibrate(trace, p_total, TOL_RATE, TOL_POWER)
     assert result.converged
     th = result.thresholds
-    t = optimal_time_share(trace.stats)
-    dec = decide_trace(trace.s1, trace.s2, th.mu1, th.mu2, th.gamma, t)
+    dec = proposed_policy(th)(trace)
     return th.mu1, th.mu2, th.gamma, float(dec.down1.mean() + dec.down2.mean())
 
 

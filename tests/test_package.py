@@ -36,8 +36,6 @@ MODULE_ONLY = {
     "TraceDecisions": "policy",
     "TraceGains": "policy",
     "decide_trace": "policy",
-    "optimal_time_share": "policy",
-    "threshold_region_scan": "calibrate",
 }
 
 

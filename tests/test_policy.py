@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birelay.channel import FadingStatistics, sample_trace
+from birelay.channel import ChannelTrace, FadingStatistics, sample_trace
 from birelay.oracle import _grid_maxima, downlink_dominance
 from birelay.policy import (
     SELECTABLE_MODES,
@@ -22,7 +22,6 @@ from birelay.policy import (
     decide_trace,
     ma_split,
     mode_table,
-    optimal_time_share,
     proposed_policy,
     trace_mean,
 )
@@ -30,6 +29,8 @@ from rate_reference import PowerTriple, link_capacities
 
 _STATS = FadingStatistics(1.0, 1.0)
 _LN2 = math.log(2.0)
+# mode k of a slot is mode _MIRROR_MODE[k] of the slot with its links swapped
+_MIRROR_MODE = np.array([0, 2, 1, 3, 5, 4, 6])
 
 
 def _table(s1, s2, th, t=0.0):
@@ -139,7 +140,7 @@ def test_broadcast_power_zero_when_marginal_rate_too_small():
 def test_ma_interior_frozen_values():
     # both users transmit; stationarity checked against the frozen literals
     th = Thresholds(0.35, 0.25, 0.15)
-    p, _ = _table(3.0, 1.0, th, optimal_time_share(FadingStatistics(3.0, 1.0)))  # t = 0
+    p, _ = _table(3.0, 1.0, th, 0.0)
     p1, p2 = p[3]
     assert p1[0] == pytest.approx(5.7707801635558535, rel=1e-12)
     assert p2[0] == pytest.approx(0.44269504088896316, rel=1e-12)
@@ -202,7 +203,7 @@ def test_decide_trace_picks_the_best_metric():
     rng = np.random.default_rng(77)
     th = Thresholds(0.36, 0.41, 0.12)
     s1, s2 = np.array([rng.exponential(1.0, 2) for _ in range(300)]).T
-    t = optimal_time_share(_STATS)
+    t = 0.0
     dec = decide_trace(s1, s2, th.mu1, th.mu2, th.gamma, t)
     powers, metrics = _table(s1, s2, th, t)
     assert tuple(powers) == tuple(metrics) == SELECTABLE_MODES
@@ -249,7 +250,7 @@ def test_decide_trace_matches_slot_rule():
     s1 = rng.exponential(1.0, 300)
     s2 = rng.exponential(0.8, 300)
     th = Thresholds(0.33, 0.44, 0.2)
-    t = optimal_time_share(FadingStatistics(1.0, 0.8))
+    t = 0.0
     dec = decide_trace(s1, s2, th.mu1, th.mu2, th.gamma, t)
     modes, rows = _slot_rule_rates(s1, s2, th, t)
     assert np.array_equal(dec.mode, modes)
@@ -288,7 +289,7 @@ def test_proposed_policy_ignores_queues():
     # each slot is decided from its own gains: the decisions on a prefix of
     # the trace are the prefix of the decisions, so no state carries over
     th = Thresholds(0.4, 0.4, 0.1)
-    policy = proposed_policy(th, _STATS)
+    policy = proposed_policy(th)
     trace = sample_trace(_STATS, 500, 3)
     full = policy(trace)
     want = decide_trace(trace.s1, trace.s2, th.mu1, th.mu2, th.gamma, 0.0)
@@ -313,10 +314,44 @@ def test_ma_split_matches_link_capacities():
             assert c21r[i] == pytest.approx(r.c21r, rel=1e-14, abs=1e-15)
 
 
-def test_optimal_time_share_boundary():
-    assert optimal_time_share(FadingStatistics(2.0, 1.0)) == 0.0
-    assert optimal_time_share(FadingStatistics(1.0, 1.0)) == 0.0
-    assert optimal_time_share(FadingStatistics(0.5, 1.0)) == 1.0
+def test_proposed_policy_ignores_its_stats_argument():
+    # stats is accepted for callers written when the share came from the
+    # fading means; whatever it says, the decisions are those without it
+    trace = sample_trace(_STATS, 500, 8)
+    for th in (Thresholds(0.3, 0.2, 0.05), Thresholds(0.2, 0.3, 0.05)):
+        want = proposed_policy(th)(trace)
+        for stats in (FadingStatistics(10.0, 1.0), FadingStatistics(1.0, 10.0)):
+            got = proposed_policy(th, stats)(trace)
+            for name in ("mode", "power", "up1", "up2", "down1", "down2"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mu=st.floats(0.05, 0.3),
+    gap=st.one_of(st.just(0.0), st.floats(0.02, 0.1)),
+    gamma=st.floats(0.01, 0.1),
+    first=st.booleans(),
+)
+def test_proposed_policy_mirrors_under_a_link_swap(seed, mu, gap, gamma, first):
+    # swapping the links and the duals of a 1:1 trace mirrors the policy's
+    # decisions, as its share follows the duals' order; small duals and a
+    # low price put the multiple-access mode on some slots, except at
+    # mu1 = mu2, where no slot has both users transmit
+    mu1, mu2 = (mu + gap, mu) if first else (mu, mu + gap)
+    trace = sample_trace(_STATS, 200, seed)
+    dec = proposed_policy(Thresholds(mu1, mu2, gamma))(trace)
+    mir = proposed_policy(Thresholds(mu2, mu1, gamma))(ChannelTrace(s1=trace.s2, s2=trace.s1))
+    assert (dec.mode == 3).any() == (gap > 0.0)
+    busy = dec.power > 0.0
+    assert np.array_equal(_MIRROR_MODE[mir.mode[busy]], dec.mode[busy])
+    near = dict(rel=1e-12, abs=1e-12)
+    assert mir.power == pytest.approx(dec.power, **near)
+    assert mir.up1 == pytest.approx(dec.up2, **near)
+    assert mir.up2 == pytest.approx(dec.up1, **near)
+    assert mir.down1 == pytest.approx(dec.down2, **near)
+    assert mir.down2 == pytest.approx(dec.down1, **near)
 
 
 def test_closed_form_never_beaten_by_grid_smoke():
@@ -326,8 +361,7 @@ def test_closed_form_never_beaten_by_grid_smoke():
         mu1, mu2 = (float(x) for x in rng.uniform(0.1, 0.9, 2))
         gamma = float(rng.uniform(0.1, 1.0))
         s1, s2 = (float(x) for x in rng.exponential(1.0, 2))
-        stats = FadingStatistics(2.0, 1.0) if mu1 >= mu2 else FadingStatistics(1.0, 2.0)
-        t = optimal_time_share(stats)
+        t = 0.0 if mu1 >= mu2 else 1.0
         _, metrics = mode_table(s1, s2, mu1, mu2, gamma, t)
         p = np.linspace(0.0, 10.0 / gamma, 500)
         found = _grid_maxima(p[None, :], [s1], [s2], [mu1], [mu2], [gamma], [t])
@@ -335,8 +369,6 @@ def test_closed_form_never_beaten_by_grid_smoke():
             _, g_val = found[mode]
             assert g_val[0] <= metrics[mode][0] + 1e-6
 
-
-_MIRROR_MODE = np.array([0, 2, 1, 3, 5, 4, 6])
 
 
 @settings(max_examples=100, deadline=None)
