@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -197,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _options(args) -> dict:
     """The subcommand's options: the --config file's JSON object, its keys
-    spelled as the parsed arguments are (pt_db_list), overlaid by every
-    flag given on the command line."""
+    spelled as the parsed arguments are (pt_db_list) and none of its values
+    null, overlaid by every flag given on the command line."""
     opts = {}
     if args.config is not None:
         with open(args.config) as fh:
@@ -209,6 +210,9 @@ def _options(args) -> dict:
     unknown = sorted(set(opts) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    nulls = sorted(key for key, value in opts.items() if value is None)
+    if nulls:
+        raise ValueError(f"null config values: {', '.join(nulls)}")
     flags = vars(args).items()
     return opts | {key: flag for key, flag in flags if flag is not None and key in known}
 
@@ -259,8 +263,20 @@ def _sweep_spec(args) -> RunSpec:
     return _spec(opts, pt_db=pt_db)
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an out that cannot be opened as a file, before any work."""
+    if out is None:
+        return
+    if os.path.isdir(out) or not os.path.basename(out):
+        raise ValueError(f"out {out!r} does not name a file")
+    folder = os.path.dirname(out)
+    if folder and not os.path.isdir(folder):
+        raise ValueError(f"out {out!r}: directory {folder!r} does not exist")
+
+
 def cmd_sweep(args) -> int:
     spec = _sweep_spec(args)
+    _check_out(spec.out)
     rows = run_sweep(spec)
     emit(rows, spec.fmt, spec.out)
     return 0 if all(row["converged"] for row in rows) else 1

@@ -67,7 +67,7 @@ def _ma_metric(x, y, a, row, col, out=None):
     return vals
 
 
-def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t, work=None) -> dict:
+def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t, work) -> dict:
     """Per selectable mode (1, 2, 3, 6), the grid indices of each draw's best
     powers (one index array per power axis) and the metric there.
 
@@ -76,12 +76,10 @@ def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t, work=None) -> dict:
     once, on the axis padded to whole blocks with p = 0, and shared by all
     four modes; no validation. Every stage is written in place into work, a
     _workspace for at least as many draws and points, whose old contents
-    do not matter; without one, a fresh workspace is made.
+    do not matter.
     """
     n, points = p.shape
     width = _padded(points)
-    if work is None:
-        work = _workspace(n, points)
     cells = n * width
     gp, x, y, l1, l2, u, v = work[: 7 * cells].reshape(7, n, width)
     blocks = work[7 * cells : 7 * cells + n * _BLOCK**2].reshape(n, _BLOCK, _BLOCK)

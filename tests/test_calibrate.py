@@ -442,6 +442,19 @@ def test_calibrate_budget_of_one_cannot_converge(monkeypatch):
     assert res.iterations == 1
 
 
+def test_calibrate_saturated_price_with_balanced_rates_is_not_converged():
+    # a budget of 200 dB is beyond the price bracket: the price saturates and
+    # almost nothing of the budget is spent, while both rates still balance,
+    # so only the power residual can report the failure
+    res = _calibrate(_trace(n_slots=2000, seed=7), p_total=1e20)
+    assert res.thresholds.gamma == pytest.approx(5.0e-15, rel=0.01)
+    assert abs(res.residual_c1) == pytest.approx(0.0030, abs=1e-4)
+    assert abs(res.residual_c2) == pytest.approx(0.0015, abs=1e-4)
+    assert max(abs(res.residual_c1), abs(res.residual_c2)) <= 0.01
+    assert res.residual_c3 == pytest.approx(1.0, abs=1e-5)
+    assert not res.converged
+
+
 def test_calibrated_duals_reproduce_residuals():
     # the residuals are those of the probe at the returned point; a fresh
     # run of the slot rule there must give them back

@@ -33,26 +33,34 @@ def _main(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+# RunSpec keyword arguments it refuses, each with the name its message
+# gives the field: the empty sweep is "power sweep", fmt is "format"
+_BAD_SPECS = (
+    (dict(pt_db=()), "power sweep"),
+    (dict(pt_db=(float("inf"),)), "pt_db"),
+    (dict(pt_db=(0.0, float("nan"))), "pt_db"),
+    (dict(protocols=()), "protocol"),
+    (dict(protocols=("nope",)), "protocols"),
+    (dict(fmt="xml"), "format"),
+    (dict(n_slots="7"), "n_slots"),
+    (dict(n_slots=7.0), "n_slots"),
+    (dict(seed=-1), "seed"),
+    (dict(omega1=float("inf")), "omega1"),
+    (dict(tol_rate=float("nan")), "tol_rate"),
+    (dict(tol_rate=0.5), "tol_rate"),
+    (dict(tol_power=5.0), "tol_power"),
+    # an integer out would be opened as a file descriptor
+    (dict(out=True), "out"),
+    (dict(out=1), "out"),
+    (dict(out=1.5), "out"),
+    (dict(out=["x.csv"]), "out"),
+)
+
+
 def test_runspec_validated():
-    with pytest.raises(ValueError):
-        RunSpec(pt_db=())
-    with pytest.raises(ValueError):
-        RunSpec(protocols=("nope",))
-    with pytest.raises(ValueError):
-        RunSpec(fmt="xml")
-    for bad in (
-        dict(pt_db=(float("inf"),)),
-        dict(pt_db=(0.0, float("nan"))),
-        dict(n_slots="7"),
-        dict(n_slots=7.0),
-        dict(seed=-1),
-        dict(omega1=float("inf")),
-        dict(tol_rate=float("nan")),
-        dict(tol_rate=0.5),
-        dict(tol_power=5.0),
-    ):
-        with pytest.raises(ValueError):
-            RunSpec(**bad)
+    for kwargs, field in _BAD_SPECS:
+        with pytest.raises(ValueError, match=field):
+            RunSpec(**kwargs)
 
 
 def test_run_sweep_rows_are_complete(rows800):
@@ -170,49 +178,112 @@ def test_main_sweep_range_flags(tmp_path):
     assert [ln.split(",")[1] for ln in lines[1:]] == ["0.0", "5.0", "10.0"]
 
 
-def test_main_rejects_unknown_protocol(tmp_path):
-    rc, _, err = _main(
-        ["sweep", "--protocols", "nope", "--slots", "200", "--out", str(tmp_path / "x.csv")]
-    )
-    assert rc == 2
-    assert err.startswith("error:")
+def _row(name, argv, message, config=None):
+    return pytest.param(argv.split(), config, message, id=name)
 
 
-def test_main_rejects_nan_budget():
-    # NaN slips past a plain "<= 0" test; it must stop before calibrating
-    rc, out, err = _main(["calibrate", "--pt-db", "nan", "--slots", "200"])
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error:")
-
-
-def test_main_rejects_infinite_sweep_point(tmp_path):
-    out_path = tmp_path / "x.csv"
+# Command lines the boundary refuses: argv, the JSON object of a --config
+# file (None for no file), and what the one error line must say: a tuple of
+# words it names, or, as a string, the whole message it pins
+_REFUSED = [
+    _row("unknown-protocol", "sweep --protocols nope --slots 200 --out x.csv", ("nope",)),
+    # NaN slips past a plain "<= 0" test
+    _row("nan-budget", "calibrate --pt-db nan --slots 200", ("pt_db", "nan")),
+    _row("infinite-point", "sweep --pt-db-list=inf --protocols tdbc_no_pa --slots 200 --out x.csv",
+         ("pt_db", "inf")),
     # 4000 dB is finite but its linear budget overflows a float
-    for points in ("inf", "0,4000"):
-        rc, _, err = _main(
-            ["sweep", f"--pt-db-list={points}", "--protocols", "tdbc_no_pa", "--slots", "200",
-             "--out", str(out_path)]
-        )
-        assert rc == 2
-        assert err.startswith("error:")
-        assert not out_path.exists()
-    rc, _, err = _main(["calibrate", "--pt-db=4000", "--slots", "200"])
-    assert rc == 2
-    assert err.startswith("error:")
+    _row("huge-point", "sweep --pt-db-list=0,4000 --protocols tdbc_no_pa --slots 200 --out x.csv",
+         ("4000", "too large")),
+    _row("calibrate-huge-point", "calibrate --pt-db=4000 --slots 200", ("4000", "too large")),
+    # 10 ** (-400) is 0.0 in floating point: a budget no protocol can spend
+    _row("tiny-point", "sweep --pt-db-list=-4000 --slots 200 --protocols tdbc_no_pa",
+         ("-4000", "underflows")),
+    _row("calibrate-tiny-point", "calibrate --pt-db=-4000 --slots 200", ("-4000", "underflows")),
+    # ranges whose point count is not a finite number
+    _row("range-overflows", "sweep --pt-db-start=-1e308 --pt-db-stop=1e308 --pt-db-step=5"
+         " --protocols tdbc_no_pa --out x.csv", ("range overflows",)),
+    _row("range-overflows-by-step", "sweep --pt-db-start=0 --pt-db-stop=1e308"
+         " --pt-db-step=1e-10 --protocols tdbc_no_pa --out x.csv", ("range overflows",)),
+    # a million points or more, refused on the budget of an end point
+    _row("long-range-huge", "sweep --pt-db-start 0 --pt-db-stop 2e6 --pt-db-step 1",
+         ("too large",)),
+    _row("long-range-tiny", "sweep --pt-db-start=-1e6 --pt-db-stop=-5000 --pt-db-step 1"
+         " --slots 30 --protocols tdbc_no_pa", ("underflows",)),
+    # a range with no point leaves the power sweep empty
+    _row("reversed-range", "sweep --pt-db-start 10 --pt-db-stop 0 --out x.csv", ("empty",)),
+    # the (0, 0.1] tolerance rule holds on a sweep of baselines only, where
+    # nothing calibrates, from a flag or from the config file
+    _row("baseline-tol-power", "sweep --protocols tdbc_pa --pt-db-list=0 --slots 300"
+         " --out x.csv --tol-power 5.0", ("tol_power",)),
+    _row("baseline-tol-power-config", "sweep --protocols tdbc_pa --pt-db-list=0 --slots 300"
+         " --out x.csv", ("tol_power",), {"tol_power": 5.0}),
+    _row("baseline-tol-rate", "sweep --protocols tdbc_pa,fixed_power_three_mode --pt-db-list=0"
+         " --slots 300 --out x.csv --tol-rate 0.5", ("tol_rate",)),
+    _row("baseline-tol-rate-config", "sweep --protocols tdbc_pa,fixed_power_three_mode"
+         " --pt-db-list=0 --slots 300 --out x.csv", ("tol_rate",), {"tol_rate": 0.5}),
+    _row("calibrate-tol-rate", "calibrate --tol-rate 0.5", ("tol_rate",)),
+    _row("mistyped-slots", "sweep --protocols tdbc_no_pa", ("n_slots", "'7'"), {"slots": "7"}),
+    _row("calibrate-mistyped-slots", "calibrate", ("n_slots", "'7'"), {"slots": "7"}),
+    # a number where a list belongs is not read as "the default list"
+    _row("protocols-a-number", "sweep --slots 300", ("protocols",), {"protocols": 5}),
+    _row("pt-db-list-a-number", "sweep --slots 300", ("pt_db_list",), {"pt_db_list": 5}),
+    _row("protocols-an-object", "sweep --slots 300", ("protocols",), {"protocols": {"a": 1}}),
+    _row("empty-protocol-list", "sweep --out x.csv", ("protocol", "empty"), {"protocols": []}),
+    # a misspelt or foreign key, dropped, would leave the run on the default
+    # it meant to change
+    _row("unknown-key", "sweep --protocols tdbc_no_pa --slots 200",
+         "unknown config keys: sead", {"sead": 3}),
+    _row("calibrate-unknown-key", "calibrate --slots 200",
+         "unknown config keys: sead", {"sead": 3, "pt_db": 0.0}),
+    _row("calibrate-sweep-key", "calibrate --slots 200",
+         "unknown config keys: protocols", {"protocols": ["proposed"]}),
+    _row("verify-unknown-key", "verify",
+         "unknown config keys: sead", {"draws": 20, "grid_points": 150, "sead": 3}),
+    _row("verify-sweep-key", "verify", "unknown config keys: omega1", {"omega1": 2.0}),
+    _row("parser-keys", "sweep --slots 200",
+         "unknown config keys: command, config", {"config": "other.json", "command": "verify"}),
+    # null is a value, not "not given": it must not select the default
+    # protocols, budgets or output
+    _row("null-protocols", "sweep --slots 30 --pt-db-list=0",
+         "null config values: protocols", {"protocols": None}),
+    _row("null-pt-db-list", "sweep --slots 30 --pt-db-start=0 --pt-db-stop=0"
+         " --protocols tdbc_no_pa", "null config values: pt_db_list", {"pt_db_list": None}),
+    _row("null-out", "sweep --slots 30 --pt-db-list=0 --protocols tdbc_no_pa",
+         "null config values: out", {"out": None}),
+    _row("verify-null-draws", "verify", "null config values: draws", {"draws": None}),
+    # an out that cannot be opened is refused before the sweep, not after it
+    _row("out-in-a-missing-directory", "sweep --pt-db-list=0 --out missing/x.csv",
+         ("out", "missing", "does not exist")),
+    _row("out-a-directory", "sweep --pt-db-list=0 --out .", ("out", "not name a file")),
+    _row("verify-no-draws", "verify --draws 0", ("draws", "0")),
+    _row("verify-negative-draws", "verify --draws=-5", ("draws", "-5")),
+    _row("verify-coarse-grid", "verify --grid-points 99", ("grid_points", "99")),
+    _row("verify-config-no-draws", "verify", ("draws", "0"), {"draws": 0}),
+    _row("verify-config-coarse-grid", "verify", ("grid_points", "5"), {"grid_points": 5}),
+    _row("verify-config-mistyped-draws", "verify", ("draws", "'20'"), {"draws": "20"}),
+]
 
 
-def test_main_rejects_an_overflowing_sweep_range(tmp_path):
-    # the point count of these ranges is not a finite number
-    out_path = tmp_path / "x.csv"
-    for start, stop, step in (("-1e308", "1e308", "5"), ("0", "1e308", "1e-10")):
-        rc, out, err = _main(
-            ["sweep", f"--pt-db-start={start}", f"--pt-db-stop={stop}", f"--pt-db-step={step}",
-             "--protocols", "tdbc_no_pa", "--out", str(out_path)]
-        )
-        assert rc == 2
-        assert out == "" and not out_path.exists()
-        assert err.startswith("error:") and err.count("\n") == 1
+@pytest.mark.parametrize("argv, config, message", _REFUSED)
+def test_main_refuses_before_any_work(argv, config, message, tmp_path, monkeypatch):
+    # exit 2 and one error line, nothing else: no row printed, no file
+    # written, no trace drawn
+    def no_trace(*args):
+        raise AssertionError(f"sample_trace{args} ran for a refused command line")
+
+    monkeypatch.setattr(cli_module, "sample_trace", no_trace)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "cfg.json"]
+    rc, out, err = _main(argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if isinstance(message, str):
+        assert err == f"error: {message}\n"
+    else:
+        assert all(word in err for word in message), err
+    assert os.listdir(tmp_path) == ([] if config is None else ["cfg.json"])
 
 
 def test_main_rejects_a_long_sweep_range_before_building_it():
@@ -235,49 +306,6 @@ def test_main_rejects_a_long_sweep_range_before_building_it():
         assert peak < 5e6
 
 
-def test_main_rejects_a_budget_that_underflows_before_drawing_the_trace(monkeypatch):
-    # 10 ** (-400) is 0.0 in floating point: a budget no protocol can spend
-    drawn = []
-
-    def counted(*args):
-        drawn.append(args)
-        return sample_trace(*args)
-
-    monkeypatch.setattr(cli_module, "sample_trace", counted)
-    for argv in (
-        ["calibrate", "--pt-db=-4000", "--slots", "200"],
-        ["sweep", "--pt-db-list=-4000", "--slots", "200", "--protocols", "tdbc_no_pa"],
-    ):
-        rc, out, err = _main(argv)
-        assert rc == 2 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1 and "-4000" in err
-    assert drawn == []
-
-
-def test_main_rejects_a_reversed_sweep_range(tmp_path):
-    # a range with no point leaves the power sweep empty
-    out_path = tmp_path / "x.csv"
-    rc, out, err = _main(
-        ["sweep", "--pt-db-start", "10", "--pt-db-stop", "0", "--out", str(out_path)]
-    )
-    assert rc == 2
-    assert out == "" and not out_path.exists()
-    assert err.startswith("error:") and len(err.splitlines()) == 1 and "empty" in err
-
-
-def test_main_rejects_mistyped_config(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"slots": "7"}))
-    for argv in (
-        ["sweep", "--config", str(cfg_path), "--protocols", "tdbc_no_pa"],
-        ["calibrate", "--config", str(cfg_path)],
-    ):
-        rc, out, err = _main(argv)
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error:") and "Traceback" not in err
-
-
 def test_main_rejects_an_out_that_is_not_a_path(tmp_path):
     # an integer out was opened as a file descriptor: the CSV went into
     # whatever that descriptor was, which was then closed (fd 1 from
@@ -295,44 +323,6 @@ def test_main_rejects_an_out_that_is_not_a_path(tmp_path):
         os.close(read_end)
     assert rc == 2 and out == "" and written == b""
     assert err.startswith("error:") and len(err.splitlines()) == 1 and "out" in err
-    for bad in (True, 1, 1.5, ["x.csv"]):
-        with pytest.raises(ValueError, match="out"):
-            RunSpec(out=bad)
-    assert RunSpec(out="x.csv").out == "x.csv"
-
-
-def test_main_rejects_wrongly_typed_sweep_lists(tmp_path):
-    # a number where the protocol or power list belongs used to fall back
-    # to the default list, so {"protocols": 5} ran all five protocols
-    cfg_path = tmp_path / "cfg.json"
-    for cfg in ({"protocols": 5}, {"pt_db_list": 5}, {"protocols": {"a": 1}}):
-        cfg_path.write_text(json.dumps(cfg))
-        rc, out, err = _main(["sweep", "--config", str(cfg_path), "--slots", "300"])
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert next(iter(cfg)) in err
-
-
-def test_main_rejects_out_of_range_tolerances_on_a_baseline_sweep(tmp_path):
-    # the (0, 0.1] rule used to be checked only when proposed calibrated, so
-    # a baseline-only sweep at --tol-power 5 reported converged=true at a
-    # spend 36 % under the budget
-    out_path, cfg_path = tmp_path / "x.csv", tmp_path / "cfg.json"
-    for protocols, key, value in (
-        ("tdbc_pa", "tol_power", 5.0),
-        ("tdbc_pa,fixed_power_three_mode", "tol_rate", 0.5),
-    ):
-        cfg_path.write_text(json.dumps({key: value}))
-        for given in (["--" + key.replace("_", "-"), str(value)], ["--config", str(cfg_path)]):
-            rc, out, err = _main(
-                ["sweep", "--protocols", protocols, "--pt-db-list=0", "--slots", "300",
-                 "--out", str(out_path), *given]
-            )
-            assert rc == 2
-            assert out == "" and not out_path.exists()
-            assert err.startswith("error:") and len(err.splitlines()) == 1
-            assert key in err
 
 
 def test_main_leaves_options_not_given_to_the_dataclass_defaults(monkeypatch):
@@ -366,68 +356,16 @@ def test_main_sweep_on_a_thirty_slot_trace_reports_without_a_traceback():
     assert out.splitlines()[1].startswith("proposed,-20.0,")
 
 
-def test_an_empty_protocol_list_is_rejected(tmp_path):
-    with pytest.raises(ValueError, match="protocol"):
-        RunSpec(protocols=())
-    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "x.csv"
-    cfg_path.write_text(json.dumps({"protocols": []}))
-    rc, out, err = _main(["sweep", "--config", str(cfg_path), "--out", str(out_path)])
-    assert rc == 2
-    assert out == "" and not out_path.exists()
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
-def test_main_calibrate_checks_its_options_before_drawing_the_trace(monkeypatch):
-    drawn = []
-
-    def counted(*args):
-        drawn.append(args)
-        return sample_trace(*args)
-
-    monkeypatch.setattr(cli_module, "sample_trace", counted)
-    rc, out, err = _main(["calibrate", "--tol-rate", "0.5"])
-    assert rc == 2
-    assert out == "" and err.startswith("error:") and "tol_rate" in err
-    assert drawn == []
-
-
-def test_main_rejects_unknown_config_keys(tmp_path):
-    # a misspelt key used to be dropped silently, so the run went ahead on
-    # the default it meant to change
-    cfg_path = tmp_path / "cfg.json"
-    for argv, cfg in (
-        (["sweep", "--protocols", "tdbc_no_pa", "--slots", "200"], {"sead": 3}),
-        (["calibrate", "--slots", "200"], {"sead": 3, "pt_db": 0.0}),
-        (["calibrate", "--slots", "200"], {"protocols": ["proposed"]}),
-        (["verify"], {"draws": 20, "grid_points": 150, "sead": 3}),
-        (["verify"], {"omega1": 2.0}),
-        (["sweep", "--slots", "200"], {"config": "other.json", "command": "verify"}),
-    ):
-        cfg_path.write_text(json.dumps(cfg))
-        rc, out, err = _main([*argv, "--config", str(cfg_path)])
-        assert rc == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        bad = sorted(set(cfg) - {"draws", "grid_points", "pt_db"})
-        assert err == f"error: unknown config keys: {', '.join(bad)}\n"
-
-
 def test_main_verify_reads_draws_and_grid_points_from_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": 1234, "draws": 20, "grid_points": 150}))
     rc, out, _ = _main(["verify", "--config", str(cfg_path)])
     assert rc == 0
     assert out == _main(["verify", "--seed", "1234", "--draws", "20", "--grid-points", "150"])[1]
-    # flags still override the file, and the file's values are validated
+    # flags still override the file
     rc, out, _ = _main(["verify", "--config", str(cfg_path), "--draws", "10"])
     assert rc == 0
     assert out == _main(["verify", "--seed", "1234", "--draws", "10", "--grid-points", "150"])[1]
-    for bad in ({"draws": 0}, {"grid_points": 5}, {"draws": "20"}):
-        cfg_path.write_text(json.dumps(bad))
-        rc, out, err = _main(["verify", "--config", str(cfg_path)])
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_main_verify_smoke():
@@ -464,14 +402,6 @@ def test_main_verify_default_size_golden_lines(seed, residual):
         "PASS time share optimum sits at a boundary: argmax in {0, 1}\n"
         "PASS broadcast dominates single-user downlinks: worst lambda gap 0.00e+00\n"
     )
-
-
-def test_main_verify_rejects_empty_or_coarse_checks():
-    for argv in (["--draws", "0"], ["--draws=-5"], ["--grid-points", "99"]):
-        rc, out, err = _main(["verify", *argv])
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_main_verify_takes_only_its_own_flags():

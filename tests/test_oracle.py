@@ -22,7 +22,8 @@ from birelay.oracle import (
 def _search(mode, p, s1, s2, mu1, mu2, gamma, t):
     """One draw's best grid indices and metric for one mode, from the
     batched search run on a one-draw batch."""
-    at, value = _grid_maxima(p[None, :], *([v] for v in (s1, s2, mu1, mu2, gamma, t)))[mode]
+    columns = ([v] for v in (s1, s2, mu1, mu2, gamma, t))
+    at, value = _grid_maxima(p[None, :], *columns, _workspace(1, p.size))[mode]
     return tuple(int(k[0]) for k in at), value[0]
 
 
@@ -164,7 +165,7 @@ def test_ma_block_search_equals_exhaustive_grid_bit_for_bit():
             batch, picks = picks[:size], picks[size:]
             p = np.stack([cases[k][0] for k in batch])
             columns = zip(*(cases[k][1:] for k in batch))
-            found = _grid_maxima(p, *(np.array(c) for c in columns))
+            found = _grid_maxima(p, *(np.array(c) for c in columns), _workspace(*p.shape))
             for d, k in enumerate(batch):
                 for mode, (at, value) in found.items():
                     got = (tuple(int(i[d]) for i in at), float(value[d]).hex())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birelay.channel import ChannelTrace, FadingStatistics, sample_trace
-from birelay.oracle import _grid_maxima, downlink_dominance
+from birelay.oracle import _grid_maxima, _workspace, downlink_dominance
 from birelay.policy import (
     SELECTABLE_MODES,
     Thresholds,
@@ -364,7 +364,8 @@ def test_closed_form_never_beaten_by_grid_smoke():
         t = 0.0 if mu1 >= mu2 else 1.0
         _, metrics = mode_table(s1, s2, mu1, mu2, gamma, t)
         p = np.linspace(0.0, 10.0 / gamma, 500)
-        found = _grid_maxima(p[None, :], [s1], [s2], [mu1], [mu2], [gamma], [t])
+        work = _workspace(1, p.size)
+        found = _grid_maxima(p[None, :], [s1], [s2], [mu1], [mu2], [gamma], [t], work)
         for mode in SELECTABLE_MODES:
             _, g_val = found[mode]
             assert g_val[0] <= metrics[mode][0] + 1e-6
