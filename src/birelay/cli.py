@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -72,7 +71,7 @@ class RunSpec:
         check_real("omega1", self.omega1, positive=True)
         check_real("omega2", self.omega2, positive=True)
         if not self.pt_db:
-            raise ValueError("power sweep is empty")
+            raise ValueError("pt_db is empty: the power sweep has no point")
         for pt in self.pt_db:
             _p_total(pt)
         check_int("n_slots", self.n_slots, 1)
@@ -85,7 +84,7 @@ class RunSpec:
         if bad:
             raise ValueError(f"unknown protocols: {bad}")
         if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
+            raise ValueError(f"fmt must be csv or json, got {self.fmt!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path, got {self.out!r}")
 
@@ -176,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="simulate protocols over a power sweep")
     _add_common(p_sweep)
-    p_sweep.add_argument("--pt-db-start", type=float, default=None)
-    p_sweep.add_argument("--pt-db-stop", type=float, default=None)
-    p_sweep.add_argument("--pt-db-step", type=float, default=None)
     p_sweep.add_argument("--pt-db-list", type=str, default=None, help="comma separated dB values")
     p_sweep.add_argument("--protocols", type=str, default=None, help="comma separated names")
     p_sweep.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
@@ -226,33 +222,20 @@ def _spec(opts: dict, **values) -> RunSpec:
 
 
 def _sweep_spec(args) -> RunSpec:
+    """The sweep's RunSpec; with no pt_db_list it runs RunSpec's budgets."""
     opts = _options(args)
-    pt_list = opts.get("pt_db_list")
+    pt_list = opts.pop("pt_db_list", None)
     if isinstance(pt_list, str):
-        pt_db = tuple(float(x) for x in pt_list.split(","))
+        try:
+            opts["pt_db"] = tuple(float(x) for x in pt_list.split(","))
+        except ValueError as exc:
+            raise ValueError(f"pt_db_list {pt_list!r}: {exc}") from None
     elif isinstance(pt_list, (list, tuple)):
         for x in pt_list:
-            check_real("pt_db", x)
-        pt_db = tuple(float(x) for x in pt_list)
+            check_real("pt_db_list", x)
+        opts["pt_db"] = tuple(float(x) for x in pt_list)
     elif pt_list is not None:
         raise ValueError("pt_db_list must be a comma separated string or a list")
-    else:
-        start = opts.get("pt_db_start", -20.0)
-        stop = opts.get("pt_db_stop", 20.0)
-        step = opts.get("pt_db_step", 5.0)
-        for name, value in (("pt_db_start", start), ("pt_db_stop", stop), ("pt_db_step", step)):
-            check_real(name, value)
-        if step <= 0.0:
-            raise ValueError("pt-db-step must be positive")
-        span = (stop - start) / step
-        if not math.isfinite(span):
-            raise ValueError("power sweep range overflows: too many points")
-        count = int(math.floor(span + 1e-9)) + 1
-        # the budget rises with the point, so the two end points bound every
-        # point's: check them before building the points
-        for pt in (start, start + (count - 1) * step):
-            _p_total(pt)
-        pt_db = tuple(start + k * step for k in range(count))
     protocols = opts.pop("protocols", None)
     if isinstance(protocols, str):
         opts["protocols"] = tuple(p.strip() for p in protocols.split(","))
@@ -260,7 +243,7 @@ def _sweep_spec(args) -> RunSpec:
         opts["protocols"] = tuple(protocols)
     elif protocols is not None:
         raise ValueError("protocols must be a comma separated string or a list")
-    return _spec(opts, pt_db=pt_db)
+    return _spec(opts)
 
 
 def _check_out(out: str | None) -> None:
