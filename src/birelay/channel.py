@@ -47,10 +47,12 @@ def check_tolerance(name: str, value) -> None:
         raise ValueError(f"{name} must lie in (0, 0.1], got {value!r}")
 
 
-def check_int(name: str, value, minimum: int) -> None:
-    """Reject anything but an integer >= minimum."""
+def check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Reject anything but an integer >= minimum and, if given, <= maximum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be an integer <= {maximum}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -170,21 +170,28 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="birelay")
+    # allow_abbrev=False: a unique prefix of a flag is not that flag
+    parser = argparse.ArgumentParser(prog="birelay", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="simulate protocols over a power sweep")
+    p_sweep = sub.add_parser(
+        "sweep", help="simulate protocols over a power sweep", allow_abbrev=False
+    )
     _add_common(p_sweep)
     p_sweep.add_argument("--pt-db-list", type=str, default=None, help="comma separated dB values")
     p_sweep.add_argument("--protocols", type=str, default=None, help="comma separated names")
     p_sweep.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
     p_sweep.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
-    p_cal = sub.add_parser("calibrate", help="solve one operating point's duals")
+    p_cal = sub.add_parser(
+        "calibrate", help="solve one operating point's duals", allow_abbrev=False
+    )
     _add_common(p_cal)
     p_cal.add_argument("--pt-db", type=float, default=None)
 
-    p_ver = sub.add_parser("verify", help="run the brute-force oracle checks")
+    p_ver = sub.add_parser(
+        "verify", help="run the brute-force oracle checks", allow_abbrev=False
+    )
     p_ver.add_argument("--seed", type=int, default=None, help="random draw seed")
     p_ver.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
     p_ver.add_argument("--draws", type=int, default=None, help="draws for the grid check (200)")
@@ -317,7 +324,7 @@ def cmd_verify(args) -> int:
     grid_points = opts.get("grid_points", 800)
     check_int("seed", seed, 0)
     check_int("draws", draws, 1)
-    check_int("grid_points", grid_points, 100)
+    check_int("grid_points", grid_points, 100, oracle.MAX_GRID_POINTS)
     checks = _verify_lines(draws, grid_points, seed)
     failures = 0
     for name, passed, detail in checks:

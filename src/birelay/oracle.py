@@ -5,8 +5,11 @@ formulas and searches them exhaustively, so agreement with the policy
 module is evidence rather than tautology: grid searches over transmit
 power and a sweep over the decoding time share. Nothing here calibrates
 or prices a dual point, so no check shares a code path with calibration.
-The 2-D grid of the multiple-access mode is searched by branch and bound,
-with the same argmax and value as an exhaustive search. The grid searches
+The 2-D grid of the multiple-access mode is searched by branch and bound
+on two levels, bounding blocks and then the sub-blocks of the blocks that
+can still hold the maximum, with the same argmax and value as an
+exhaustive search; the bounds take (points/40)**2 floats per draw, so the
+axis is at most MAX_GRID_POINTS long. The grid searches
 take draws in chunks, one row per draw: each stage is one array pass over
 the chunk, the log rows are shared by all four modes, and the values are
 those of searching each draw alone. Every chunk writes its stages in place
@@ -28,6 +31,7 @@ import numpy as np
 from .policy import TraceGains, broadcast_power, mode_table
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "sample_draws",
     "grid_optimality",
     "broadcast_root_residual",
@@ -37,9 +41,15 @@ __all__ = [
 
 
 _BLOCK = 40  # points per block side in the multiple-access search
-# grid cells (draws x padded axis) per chunk of grid_optimality: one
-# chunk's row arrays stay in cache, and its workspace is about 1.1 MB
-_CHUNK_CELLS = 16_000
+_SUB = 8  # points per sub-block side
+_PER = _BLOCK // _SUB  # sub-blocks per block side
+# grid cells (draws x padded axis) per chunk of grid_optimality: every
+# chunk makes about the same number of array calls, so larger chunks make
+# fewer per draw, for a larger workspace. At 800 points (40 draws a chunk)
+# it is about 2.1 MB, and a chunk allocates under 100 KB beside it
+_CHUNK_CELLS = 32_000
+# the block bounds of one draw take 2 MB at the longest axis, 20 000 points
+MAX_GRID_POINTS = _BLOCK * math.isqrt(2_000_000 // 8)
 
 
 def _padded(points: int) -> int:
@@ -48,23 +58,32 @@ def _padded(points: int) -> int:
 
 
 def _workspace(rows: int, points: int) -> np.ndarray:
-    """Scratch for _grid_maxima on up to rows draws of an axis of points:
-    seven row arrays over the padded axis and a (rows, _BLOCK, _BLOCK)
-    block buffer, in one flat array that every chunk overwrites."""
-    return np.empty(rows * (7 * _padded(points) + _BLOCK * _BLOCK))
+    """Scratch for _grid_maxima on up to rows draws of an axis of points, in
+    one flat array that every chunk overwrites. Per draw it holds seven row
+    arrays over the padded axis; the last three become the multiple-access
+    search's scratch, which must also hold the draw's block and sub-block
+    maxima, its block bounds, and the cells and operands of a batch of
+    _PER**2 sub-blocks."""
+    width = _padded(points)
+    nb, ns = width // _BLOCK, width // _SUB
+    search = 4 * (ns + nb) + nb * nb + _PER**2 * (_SUB**2 + 4 * _SUB)
+    return np.empty(rows * (4 * width + max(3 * width, search)))
 
 
-def _ma_metric(x, y, a, row, col, out=None):
+def _ma_metric(ir, jc, a, out):
     """a*log2(1 + x[i] + y[j]) + row[i] + col[j] at every (i, j), in place
-    in out if given, for each leading index: x, row are (..., m), y, col
-    (..., n), a (...)."""
-    vals = np.add(x[..., :, None], y[..., None, :], out=out)
-    vals += 1.0
-    np.log2(vals, out=vals)
-    vals *= a[..., None, None]
-    vals += row[..., :, None]
-    vals += col[..., None, :]
-    return vals
+    in out, for each leading index: ir stacks x and row, (2, ..., m), jc
+    stacks y and col, (2, ..., n), and a is (...). Each step broadcasts one
+    operand, so numpy buffers one at a time."""
+    (x, row), (y, col) = ir, jc
+    np.copyto(out, x[..., :, None])
+    out += y[..., None, :]
+    out += 1.0
+    np.log2(out, out=out)
+    out *= a[..., None, None]
+    out += row[..., :, None]
+    out += col[..., None, :]
+    return out
 
 
 def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t, work) -> dict:
@@ -81,8 +100,7 @@ def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t, work) -> dict:
     n, points = p.shape
     width = _padded(points)
     cells = n * width
-    gp, x, y, l1, l2, u, v = work[: 7 * cells].reshape(7, n, width)
-    blocks = work[7 * cells : 7 * cells + n * _BLOCK**2].reshape(n, _BLOCK, _BLOCK)
+    x, l1, y, l2, gp, u, v = work[: 7 * cells].reshape(7, n, width)
     s1, s2, mu1, mu2, gamma, t = (
         np.asarray(c, dtype=float)[:, None] for c in (s1, s2, mu1, mu2, gamma, t)
     )
@@ -114,53 +132,118 @@ def _grid_maxima(p, s1, s2, mu1, mu2, gamma, t, work) -> dict:
     row = np.subtract(np.multiply(t * (mu2 - mu1), l1, out=l1), gp, out=l1)
     col = np.subtract(np.multiply((1.0 - t) * (mu1 - mu2), l2, out=l2), gp, out=l2)
     row[:, points:] = col[:, points:] = -math.inf
-    found[3] = _ma_search(x, y, a[:, 0], row, col, points, blocks)
+    axes = work[: 4 * cells].reshape(2, 2, n, width)  # (x, row), (y, col)
+    found[3] = _ma_search(axes, a[:, 0], points, work[4 * cells :])
     return found
 
 
-def _ma_search(x, y, a, row, col, points, blocks):
+def _ma_search(axes, a, points, scratch):
     """Indices (i, j) and value of each draw's best multiple-access metric.
 
     The metric (1-mu1)*c12r + (1-mu2)*c21r - gamma*(p1+p2), with
     c12r = t*l1 + (1-t)*(lsum - l2) and c21r = (1-t)*l2 + t*(lsum - l1),
-    is _ma_metric(x, y, a, row, col) with x = p*s1, y = p*s2 and a >= 0 for
-    duals in [0, 1]; row d of x, y, row and col belongs to draw d, padded
-    from points to whole blocks with x = y = 0 and row = col = -inf, which
-    no grid point can lose to. A block's bound is _ma_metric at its largest
-    x, y, row and col; all its steps but log2 round monotonically, so only
-    log2's last-place error can lift an element over the bound. Each draw
-    runs its blocks in falling bound order until the next bound plus a 1e-9
-    relative margin is below its best; ties go to the lowest flat index, as
-    in np.argmax. All draws run together, one block each per round, and
-    each round writes its metric into the leading rows of blocks, an
-    (n, _BLOCK, _BLOCK) buffer for the n draws.
+    is _ma_metric((x, row), (y, col), a) with x = p*s1, y = p*s2 and a >= 0
+    for duals in [0, 1]. axes stacks them as ((x, row), (y, col)), each
+    (n, width) with row d for draw d, padded from points to whole blocks
+    with x = y = 0 and row = col = -inf, which no grid point can lose to.
+
+    The bound of a block or sub-block is _ma_metric at its largest x, y, row
+    and col; all its steps but log2 round monotonically, so only log2's
+    last-place error can lift an element over the bound. A block is skipped
+    only when its bound plus a 1e-9 relative margin is below a value the
+    draw has reached. The search has two levels: it bounds the
+    _BLOCK x _BLOCK blocks, evaluates the best-bounded _SUB x _SUB sub-block
+    of each draw's best block as the incumbent, bounds the sub-blocks only
+    of the blocks that can still beat it, and evaluates the sub-blocks that
+    can, in batches of at most _PER**2 per draw. Ties go to the lowest flat
+    index, as in np.argmax.
+
+    Every stage writes into scratch, the _workspace beyond the four rows of
+    axes: the maxima into its three free rows, then the block bounds, and
+    each batch's cells and operands.
     """
-    n, nb = x.shape[0], x.shape[1] // _BLOCK
-    starts = np.arange(0, x.shape[1], _BLOCK)
-    hi = (np.maximum.reduceat(v, starts, axis=1) for v in (x, y, row, col))
-    x_hi, y_hi, row_hi, col_hi = hi
-    bound = _ma_metric(x_hi, y_hi, a, row_hi, col_hi).reshape(n, nb * nb)
-    order = np.argsort(bound, axis=1)[:, ::-1]
-    xb, yb, rb, cb = (v.reshape(n, nb, _BLOCK) for v in (x, y, row, col))
-    best, at = np.full(n, -math.inf), np.zeros(n, dtype=np.intp)
-    live = np.arange(n)
-    for r in range(nb * nb):
-        k = order[live, r]
-        go = ~(bound[live, k] + 1e-9 * (1.0 + np.abs(best[live])) < best[live])
-        live, k = live[go], k[go]
-        if live.size == 0:
-            break
+    n, width = axes.shape[2:]
+    nb, ns = width // _BLOCK, width // _SUB
+    draws = np.arange(n)
+    # sub-block maxima by three halvings (_SUB = 8), then block maxima
+    half = scratch[: 2 * n * width].reshape(2, 2, n, width // 2)
+    quarter = scratch[2 * n * width : 3 * n * width].reshape(2, 2, n, width // 4)
+    sub_hi = scratch[: 4 * n * ns].reshape(2, 2, n, ns)
+    src = axes
+    for dst in (half, quarter, sub_hi):
+        np.maximum(src[..., 0::2], src[..., 1::2], out=dst)
+        src = dst
+    parts = sub_hi.reshape(2, 2, n, nb, _PER)
+    blk_hi = scratch[4 * n * ns : 4 * n * (ns + nb)].reshape(2, 2, n, nb)
+    np.maximum(parts[..., 0], parts[..., 1], out=blk_hi)
+    for c in range(2, _PER):
+        np.maximum(blk_hi, parts[..., c], out=blk_hi)
+    rest = scratch[4 * n * (ns + nb) :]
+    bound = _ma_metric(*blk_hi, a, rest[: n * nb * nb].reshape(n, nb, nb))
+    bound = bound.reshape(n, nb * nb)
+    cells = rest[n * nb * nb : n * (nb * nb + _PER**2 * _SUB**2)]
+    operands = rest[n * (nb * nb + _PER**2 * _SUB**2) :]
+    # the blocks and sub-blocks of all draws in one index each, d * nb + b
+    # and d * ns + s, over their sub-block maxima and their points
+    by_block = parts.reshape(2, 2, n * nb, _PER)
+    by_sub = axes.reshape(2, 2, n * ns, _SUB)
+
+    def blocks(d, k):
+        """Row and column block indices of flat block k of draws d."""
         bi, bj = np.divmod(k, nb)
-        vals = _ma_metric(
-            xb[live, bi], yb[live, bj], a[live], rb[live, bi], cb[live, bj], blocks[: live.size]
-        ).reshape(live.size, _BLOCK * _BLOCK)
+        return d * nb + bi, d * nb + bj
+
+    def sub_bounds(bi, bj, d):
+        """Bounds of the sub-blocks of the blocks at rows bi, columns bj
+        of draws d."""
+        out = cells[: d.size * _PER**2].reshape(d.size, _PER, _PER)
+        return _ma_metric(by_block[0][:, bi], by_block[1][:, bj], a[d], out).reshape(d.size, -1)
+
+    def evaluate(si, sj, d):
+        """Best value and its flat grid index in the sub-blocks at rows si,
+        columns sj of draws d."""
+        m = d.size
+        ir, jc = operands[: 4 * m * _SUB].reshape(2, 2, m, _SUB)
+        np.take(by_sub[0], si, axis=1, out=ir, mode="clip")
+        np.take(by_sub[1], sj, axis=1, out=jc, mode="clip")
+        vals = _ma_metric(ir, jc, a[d], cells[: m * _SUB**2].reshape(m, _SUB, _SUB))
+        vals = vals.reshape(m, _SUB**2)
         k = np.argmax(vals, axis=1)
-        value = vals[np.arange(live.size), k]
-        i, j = np.divmod(k, _BLOCK)
-        ij = (bi * _BLOCK + i) * points + bj * _BLOCK + j
-        won = (value > best[live]) | ((value == best[live]) & (ij < at[live]))
-        best[live[won]], at[live[won]] = value[won], ij[won]
+        i, j = np.divmod(k, _SUB)
+        base = d * ns
+        return vals[np.arange(m), k], ((si - base) * _SUB + i) * points + (sj - base) * _SUB + j
+
+    top = np.argmax(bound, axis=1)
+    bi, bj = blocks(draws, top)
+    first = np.argmax(sub_bounds(bi, bj, draws), axis=1)
+    best, at = evaluate(bi * _PER + first // _PER, bj * _PER + first % _PER, draws)
+    live = np.flatnonzero(_may_reach(bound, best[:, None]))
+    # up to 4 blocks per draw at a time: 4 * _PER**2 sub-blocks to bound,
+    # evaluated in slices of at most _PER**2 per draw
+    for lo in range(0, live.size, 4 * n):
+        d, k = np.divmod(live[lo : lo + 4 * n], nb * nb)
+        bi, bj = blocks(d, k)
+        sb = sub_bounds(bi, bj, d)
+        own = k == top[d]
+        sb[own, first[d[own]]] = -math.inf  # the incumbent, evaluated already
+        keep = np.flatnonzero(_may_reach(sb, best[d, None]))
+        for s in range(0, keep.size, _PER**2 * n):
+            kb, k = np.divmod(keep[s : s + _PER**2 * n], _PER**2)
+            dk = d[kb]
+            value, ij = evaluate(bi[kb] * _PER + k // _PER, bj[kb] * _PER + k % _PER, dk)
+            old = best.copy()
+            np.maximum.at(best, dk, value)
+            at[best > old] = points * points
+            won = value == best[dk]
+            np.minimum.at(at, dk[won], ij[won])
     return np.divmod(at, points), best
+
+
+def _may_reach(bound, best):
+    """Where bound plus a 1e-9 margin relative to best, added to bound in
+    place, is not below best."""
+    bound += 1e-9 * (1.0 + np.abs(best))
+    return ~(bound < best)
 
 
 def _t_profile(s1, s2, mu1, mu2, gamma, p1, p2, ts):
@@ -196,12 +279,14 @@ def grid_optimality(s1, s2, mu1, mu2, gamma, points: int) -> tuple[float, float]
     Each draw is checked at the decoding share its dual order favours
     (t = 0 when mu1 >= mu2), the optimal one and the one the policy takes;
     the share is recomputed here, not read from the policy. Raises
-    ValueError for fewer than 2 points, no draws or draw arrays of unequal
-    length.
+    ValueError for fewer than 2 or more than MAX_GRID_POINTS points, no
+    draws or draw arrays of unequal length.
     """
     draws = [np.asarray(v, dtype=float) for v in (s1, s2, mu1, mu2, gamma)]
     if points < 2:
         raise ValueError(f"grid needs at least 2 points per axis, got {points!r}")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"grid takes at most {MAX_GRID_POINTS} points per axis, got {points!r}")
     if len({v.shape for v in draws}) != 1 or draws[0].ndim != 1:
         raise ValueError("draws must be 1-D arrays of one length")
     if draws[0].size == 0:

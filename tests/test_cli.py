@@ -240,6 +240,11 @@ _REFUSED = [
     _row("verify-no-draws", "verify --draws 0", ("draws", "0")),
     _row("verify-negative-draws", "verify --draws=-5", ("draws", "-5")),
     _row("verify-coarse-grid", "verify --grid-points 99", ("grid_points", "99")),
+    # the search's block bounds grow with the square of the axis, 2 MB per
+    # draw at the largest one and over 10 GB at 10**6 points
+    _row("verify-huge-grid", "verify --draws 1 --grid-points 20001", ("grid_points", "20001")),
+    _row("verify-config-huge-grid", "verify --draws 1", ("grid_points", "20001"),
+         {"grid_points": 20001}),
     _row("verify-config-no-draws", "verify", ("draws", "0"), {"draws": 0}),
     _row("verify-config-coarse-grid", "verify", ("grid_points", "5"), {"grid_points": 5}),
     _row("verify-config-mistyped-draws", "verify", ("draws", "'20'"), {"draws": "20"}),
@@ -380,6 +385,23 @@ def test_main_sweep_takes_no_budget_range():
             with pytest.raises(SystemExit) as exc:
                 main(["sweep", flag, "0", "--slots", "30", "--protocols", "tdbc_no_pa"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--pt-db", "5", "--proto", "tdbc_no_pa", "--slots", "30"],
+        ["verify", "--grid", "400", "--dr", "3"],
+    ],
+    ids=["sweep-prefixes", "verify-prefixes"],
+)
+def test_main_refuses_abbreviated_flags(argv):
+    # a unique prefix of a flag was read as the flag: --pt-db as the
+    # sweep's --pt-db-list, --proto as --protocols, --grid as --grid-points
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
 
 
 def _verify_small():

@@ -205,31 +205,41 @@ def test_grid_maxima_ignores_what_its_workspace_held():
 
 @pytest.mark.parametrize("points", [800, 801])
 def test_grid_maxima_allocates_no_row_arrays_on_a_workspace(monkeypatch, points):
-    # on a given workspace, a whole chunk (20 draws x 800 points, or 19 x
+    # on a given workspace, a whole chunk (40 draws x 800 points, or 38 x
     # 801 with a partial last block) allocates less than one row array
-    # (about 125 KB) before the block search, and peaks below 400 KB in
-    # all, on the block bounds, their order and numpy's iteration buffers;
-    # fresh arrays for each stage took 1.2 MB
+    # (about 250 KB) before the block search, and peaks below 400 KB in
+    # all, on the list of live blocks, the batch indices and numpy's
+    # iteration buffers; fresh arrays for each stage took 1.2 MB. The
+    # second chunk ties at 0 everywhere (no gain, no price), so every block
+    # and sub-block can still hold the maximum and the search runs all of
+    # its batches
     rows = _chunk_rows(points)
-    chunk = _chunk(sample_draws(np.random.default_rng(8), rows), points)
-    work = _workspace(rows, points)
-    _grid_maxima(*chunk, work)
-    search, before_search = oracle._ma_search, []
-
-    def record(*args):
-        before_search.append(tracemalloc.get_traced_memory()[1] - base)
-        return search(*args)
-
-    monkeypatch.setattr(oracle, "_ma_search", record)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    zero = np.zeros(rows)
+    tie = (zero, zero, np.full(rows, 0.3), np.full(rows, 0.6), zero)
+    chunks = (
+        _chunk(sample_draws(np.random.default_rng(8), rows), points),
+        _chunk(tie, points, np.full(rows, 5.0)),
+    )
+    for chunk in chunks:
+        work = _workspace(rows, points)
         _grid_maxima(*chunk, work)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert before_search[0] < chunk[0].nbytes, before_search
-    assert peak < 400_000, peak
+        search, before_search = oracle._ma_search, []
+
+        def record(*args):
+            before_search.append(tracemalloc.get_traced_memory()[1] - base)
+            return search(*args)
+
+        monkeypatch.setattr(oracle, "_ma_search", record)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _grid_maxima(*chunk, work)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            monkeypatch.setattr(oracle, "_ma_search", search)
+        assert before_search[0] < chunk[0].nbytes, before_search
+        assert peak < 400_000, peak
 
 
 def test_ma_block_search_breaks_ties_at_the_lowest_flat_index():
@@ -241,6 +251,13 @@ def test_ma_block_search_breaks_ties_at_the_lowest_flat_index():
     assert np.all(vals[-1] == vals.max())
     at, value = _search(3, p, 1.0, 0.0, 0.3, 0.6, 0.0, 1.0)
     assert at == (129, 0) and value == vals.max()
+    # a whole chunk of all-tied draws, where no block or sub-block is
+    # skipped and the search takes many batches: every draw's answer is (0, 0)
+    rows = _chunk_rows(p.size)
+    zero = np.zeros(rows)
+    columns = (zero, zero, np.full(rows, 0.3), np.full(rows, 0.6), zero, zero)
+    (i, j), value = _grid_maxima(np.tile(p, (rows, 1)), *columns, _workspace(rows, p.size))[3]
+    assert not (i.any() or j.any() or value.any())
 
 
 def test_grid_optimality_default_size_golden_values():

@@ -6,7 +6,8 @@ and on the working tree, one at a time, and compares stdout, stderr and
 exit code. Every command runs: each prints ``same`` or ``DIFFERENT`` with
 the first lines of its difference, so a change that moves one command on
 purpose still shows which it left alone. It exits 1 if any command
-differed, else 0.
+differed, 2 if the comparison itself could not run (REF not found, a
+command that could not be started), else 0.
 
 Run from the repository root:
 
@@ -38,6 +39,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -135,4 +137,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except Exception:  # a comparison that could not run is not a difference
+        traceback.print_exc()
+        sys.exit(2)
